@@ -20,7 +20,6 @@ from fednorm import (
     ClientConfig,
     ExperimentConfig,
     NetworkSpec,
-    ParamVector,
     PartitionSpec,
     Segment,
     nwda,
@@ -33,12 +32,15 @@ from fednorm import (
 print("hand-built round, two clients, opposite pulls")
 print("---------------------------------------------")
 
+# one row per client, laid out by the segments; weights alpha_k = 0.5 each
 segments = (Segment("fc1.weight", 0, 4),)
-pull_right = ParamVector(np.array([1.0, 0.0, 0.5, 0.0]), segments)
-pull_left = ParamVector(np.array([-1.0, 0.0, 0.5, 0.0]), segments)
+deltas = np.array([
+    [1.0, 0.0, 0.5, 0.0],   # pulls right
+    [-1.0, 0.0, 0.5, 0.0],  # pulls left
+])
 
-report = nwda([(0.5, pull_right), (0.5, pull_left)])
-print(f"client deltas: {pull_right.values} and {pull_left.values}")
+report = nwda([0.5, 0.5], deltas, segments)
+print(f"client deltas: {deltas[0]} and {deltas[1]}")
 print(f"aggregate norm N     = {report.aggregate_norm:.4f}")
 print(f"mean local norm E    = {report.mean_local_norm:.4f}")
 print(f"ratio N/E            = {report.ratio:.4f}")

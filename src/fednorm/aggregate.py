@@ -13,12 +13,24 @@ momentum with gamma=0 collapses to fedavg; tests pin both reductions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
-from .errors import ConfigError
-from .params import ParamVector, axpy, l2_norm, per_layer_norms, weighted_sum, zeros_like
+import numpy as np
+
+from .errors import ConfigError, ShapeMismatchError
+from .params import (
+    ParamVector,
+    Segment,
+    axpy,
+    l2_norm,
+    per_layer_norms,
+    squared_norms,
+    weighted_rows,
+    zeros_like,
+)
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
 
@@ -77,20 +89,28 @@ class NwdaReport:
     per_layer: list[tuple[str, float, float]]
 
 
-def nwda(terms: Sequence[tuple[float, ParamVector]]) -> NwdaReport:
+def nwda(weights: Sequence[float], deltas: np.ndarray,
+         segments: tuple[Segment, ...]) -> NwdaReport:
     """Analyze one round's weighted updates.
 
-    terms is the round's (alpha_k, Delta w_k) list; weights are accumulated in
-    list order so the result is reproducible bit for bit.
+    Row k of the (K, n) deltas matrix is Delta w_k with weight alpha_k =
+    weights[k], laid out by segments. Rows are combined in list order and
+    every norm sums left to right, so the result is reproducible bit for bit.
     """
-    combined = weighted_sum(terms)
+    if len(weights) == 0:
+        raise ValueError("nwda of an empty update list")
+    expected = (len(weights), sum(seg.length for seg in segments))
+    if deltas.shape != expected:
+        raise ShapeMismatchError(f"nwda: deltas shaped {deltas.shape}, expected {expected}")
+    combined = weighted_rows(weights, deltas, segments)
     aggregate = l2_norm(combined)
+    whole_sq, segment_sq = squared_norms(deltas, segments)
     mean_local = 0.0
-    layer_means = [0.0] * len(combined.segments)
-    for weight, vec in terms:
-        mean_local += weight * l2_norm(vec)
-        for i, (_, seg_norm) in enumerate(per_layer_norms(vec)):
-            layer_means[i] += weight * seg_norm
+    layer_means = [0.0] * len(segments)
+    for k, weight in enumerate(weights):
+        mean_local += weight * math.sqrt(whole_sq[k])
+        for i in range(len(segments)):
+            layer_means[i] += weight * math.sqrt(segment_sq[i, k])
     ratio = aggregate / mean_local if mean_local > 0 else None
     per_layer = [
         (name, seg_norm, layer_means[i])

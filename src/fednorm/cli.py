@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -118,10 +119,33 @@ def _field(section: dict, key: str, path: str, kind, default=...):
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+        hint = ""
+        spelling = _yaml_float(value) if kind is float else None
+        if spelling is not None:
+            hint = f" (YAML reads this spelling as a string; write {spelling})"
         raise ConfigError(
-            f"{path}.{key}: expected {kind.__name__}, got {value!r}"
+            f"{path}.{key}: expected {kind.__name__}, got {value!r}{hint}"
         )
     return value
+
+
+def _yaml_float(value) -> str | None:
+    """A spelling PyYAML reads as a float for a string that Python reads as a
+    finite float, e.g. '1e6' -> '1.0e+6' (YAML 1.1 floats need a dot and a
+    signed exponent); None for anything else."""
+    if not isinstance(value, str):
+        return None
+    try:
+        if not math.isfinite(float(value)):
+            return None
+    except ValueError:
+        return None
+    mantissa, _, exponent = value.strip().lower().partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    if exponent and exponent[0] not in "+-":
+        exponent = "+" + exponent
+    return f"{mantissa}e{exponent}" if exponent else mantissa
 
 
 def _positive(value, path: str, minimum=1):

@@ -1,6 +1,10 @@
 """Client-side local training: take the distributed parameters, run seeded
 mini-batch SGD for a fixed number of epochs, and ship back the weight delta.
 
+Training runs in place on raw arrays: one parameter buffer, one gradient
+buffer and one scratch buffer per call, with the layer views built once.
+The delta goes straight into the caller's row of the round's update matrix.
+
 The proximal term (when mu > 0) is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
 """
@@ -13,8 +17,8 @@ import numpy as np
 
 from .data import Dataset, batches
 from .errors import ConfigError
-from .nn import Network, NetworkSpec, backward, prox_gradient_addend, sgd_step
-from .params import ParamVector, axpy, delta
+from .nn import Network, NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
+from .params import ParamVector, require_finite
 
 WEIGHT_MODES = ("uniform", "by_sample_count")
 
@@ -48,8 +52,11 @@ class ClientConfig:
 
 @dataclass(frozen=True)
 class ClientUpdate:
+    """One client's result; delta is its raw update row (trained minus
+    distributed parameters), laid out like the distributed ParamVector."""
+
     client_id: int
-    delta: ParamVector
+    delta: np.ndarray
     sample_count: int
 
     def __post_init__(self) -> None:
@@ -60,23 +67,38 @@ class ClientUpdate:
 
 
 def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
-                config: ClientConfig, round_seed: int, client_id: int) -> ClientUpdate:
+                config: ClientConfig, round_seed: int, client_id: int,
+                out: np.ndarray | None = None) -> ClientUpdate:
     """Run local_epochs of mini-batch SGD from `start` and return the delta.
 
-    Batch order is drawn from derive_seed(round_seed, client_id, epoch), so the
-    result depends only on those identifiers, never on scheduling.
+    The delta is written into `out` (a row of the round's update matrix) when
+    given, else into a new array. Batch order is drawn from
+    derive_seed(round_seed, client_id, epoch), so the result depends only on
+    those identifiers, never on scheduling.
+
+    Raises:
+        ValueError: if the delta holds NaN or Inf (training diverged).
     """
     if len(data) == 0:
         raise ValueError(f"client {client_id} has no data")
-    params = start
+    Network(net_spec, start)  # raises if start does not fit the spec
+    anchor = start.values
+    params = anchor.copy()
+    grad = np.empty_like(params)
+    scratch = np.empty_like(params)
+    layers = layer_views(net_spec, params)
+    grads = layer_views(net_spec, grad)
     for epoch in range(1, config.local_epochs + 1):
         for batch in batches(data, config.batch_size,
                              derive_seed(round_seed, client_id, epoch)):
-            grad = backward(Network(net_spec, params), batch)
+            gradient_into(net_spec, layers, grads, batch)
             if config.mu > 0:
-                grad = axpy(1.0, prox_gradient_addend(params, start, config.mu), grad)
-            params = sgd_step(params, grad, config.learning_rate, config.weight_decay)
-    return ClientUpdate(client_id, delta(params, start), len(data))
+                prox_addend_into(scratch, params, anchor, config.mu)
+                grad += scratch
+            sgd_update(params, grad, config.learning_rate, config.weight_decay, scratch)
+    out = np.subtract(params, anchor, out=out)
+    require_finite(out)
+    return ClientUpdate(client_id, out, len(data))
 
 
 def assign_weights(updates: list[ClientUpdate], mode: str = "uniform") -> list[float]:

@@ -109,7 +109,13 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(chunks), spec.segments())
 
 
-def _layer_views(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+def layer_views(spec: NetworkSpec,
+                values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(weight, bias) views into a flat parameter-sized array, one per layer.
+
+    Weights are (fan_in, fan_out) and C-contiguous; bias is None when the
+    spec has no biases. Writing through a view writes the array.
+    """
     out = []
     pos = 0
     for i in range(1, len(spec.layer_sizes)):
@@ -137,9 +143,8 @@ def _check_batch(spec: NetworkSpec, batch: Batch) -> None:
         )
 
 
-def _forward(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray):
+def _forward(layers: list[tuple[np.ndarray, np.ndarray | None]], inputs: np.ndarray):
     """Returns (logits, pre_activations, post_activations) for backprop reuse."""
-    layers = _layer_views(spec, values)
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [inputs]
     x = inputs
@@ -160,7 +165,7 @@ def forward_loss(net: Network, batch: Batch) -> tuple[float, float]:
     Argmax ties resolve to the lowest class index so accuracy is reproducible.
     """
     _check_batch(net.spec, batch)
-    logits, _, _ = _forward(net.spec, net.params.values, batch.inputs)
+    logits, _, _ = _forward(layer_views(net.spec, net.params.values), batch.inputs)
     rows = np.arange(logits.shape[0])
     rowmax = logits.max(axis=1, keepdims=True)
     lse = rowmax[:, 0] + np.log(np.exp(logits - rowmax).sum(axis=1))
@@ -169,11 +174,15 @@ def forward_loss(net: Network, batch: Batch) -> tuple[float, float]:
     return loss, accuracy
 
 
-def backward(net: Network, batch: Batch) -> ParamVector:
-    """Gradient of the mean cross-entropy with respect to every parameter."""
-    _check_batch(net.spec, batch)
-    spec = net.spec
-    logits, pre, post = _forward(spec, net.params.values, batch.inputs)
+def gradient_into(spec: NetworkSpec, layers: list[tuple[np.ndarray, np.ndarray | None]],
+                  grads: list[tuple[np.ndarray, np.ndarray | None]], batch: Batch) -> None:
+    """Write the mean cross-entropy gradient at `layers` into `grads`.
+
+    Both are layer_views lists, of the parameters and of a same-sized
+    gradient buffer; every gradient element is overwritten.
+    """
+    _check_batch(spec, batch)
+    logits, pre, post = _forward(layers, batch.inputs)
     n = logits.shape[0]
     rowmax = logits.max(axis=1, keepdims=True)
     ez = np.exp(logits - rowmax)
@@ -182,17 +191,42 @@ def backward(net: Network, batch: Batch) -> ParamVector:
     g[np.arange(n), batch.labels] -= 1.0
     g /= n
 
-    layers = _layer_views(spec, net.params.values)
-    grad_chunks: list[np.ndarray] = [np.empty(0)] * (2 if spec.bias_enabled else 1) * len(layers)
-    step = 2 if spec.bias_enabled else 1
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        grad_chunks[li * step] = (post[li].T @ g).ravel()
-        if spec.bias_enabled:
-            grad_chunks[li * step + 1] = g.sum(axis=0)
+        grad_w, grad_b = grads[li]
+        np.matmul(post[li].T, g, out=grad_w)
+        if grad_b is not None:
+            np.sum(g, axis=0, out=grad_b)
         if li > 0:
-            g = (g @ w.T) * (pre[li - 1] > 0.0)
-    return ParamVector(np.concatenate(grad_chunks), net.params.segments)
+            g = (g @ layers[li][0].T) * (pre[li - 1] > 0.0)
+
+
+def backward(net: Network, batch: Batch) -> ParamVector:
+    """Gradient of the mean cross-entropy with respect to every parameter."""
+    grad = np.empty(net.params.size)
+    gradient_into(net.spec, layer_views(net.spec, net.params.values),
+                  layer_views(net.spec, grad), batch)
+    return ParamVector(grad, net.params.segments)
+
+
+def sgd_update(params: np.ndarray, grad: np.ndarray, eta: float, lam: float,
+               scratch: np.ndarray) -> None:
+    """params -= eta * (grad + lam * params), in place; scratch is overwritten.
+
+    The operations run in the order the expression reads, so the result is
+    bitwise that of evaluating it. lam * params is computed even for lam = 0:
+    skipping it would keep an Inf parameter Inf where the expression gives NaN.
+    """
+    np.multiply(params, lam, out=scratch)
+    scratch += grad
+    scratch *= eta
+    params -= scratch
+
+
+def prox_addend_into(out: np.ndarray, params: np.ndarray, anchor: np.ndarray,
+                     mu: float) -> None:
+    """out = mu * (params - anchor)."""
+    np.subtract(params, anchor, out=out)
+    out *= mu
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, eta: float, lam: float) -> ParamVector:
@@ -201,9 +235,9 @@ def sgd_step(params: ParamVector, grad: ParamVector, eta: float, lam: float) -> 
         raise ValueError("eta and lambda must be non-negative")
     if params.segments != grad.segments:
         raise ShapeMismatchError("sgd_step: params and grad segments differ")
-    return ParamVector(
-        params.values - eta * (grad.values + lam * params.values), params.segments
-    )
+    stepped = params.values.copy()
+    sgd_update(stepped, grad.values, eta, lam, np.empty_like(stepped))
+    return ParamVector(stepped, params.segments)
 
 
 def prox_gradient_addend(params: ParamVector, anchor: ParamVector, mu: float) -> ParamVector:
@@ -212,4 +246,6 @@ def prox_gradient_addend(params: ParamVector, anchor: ParamVector, mu: float) ->
         raise ValueError("mu must be non-negative")
     if params.segments != anchor.segments:
         raise ShapeMismatchError("prox_gradient_addend: params and anchor segments differ")
-    return ParamVector(mu * (params.values - anchor.values), params.segments)
+    addend = np.empty(params.size)
+    prox_addend_into(addend, params.values, anchor.values, mu)
+    return ParamVector(addend, params.segments)

@@ -115,23 +115,28 @@ def evaluate(network: NetworkSpec, params: ParamVector, ds: Dataset) -> float:
 
 def run_round(params: ParamVector, state: MomentumState | None,
               parts: list[Dataset], test: Dataset, config: ExperimentConfig,
-              round_index: int, integrated_so_far: float,
+              round_index: int, integrated_so_far: float, deltas: np.ndarray,
               ) -> tuple[ParamVector, MomentumState | None, RoundMetrics]:
+    """One round. deltas is the (clients_per_round, param count) matrix the
+    sampled clients overwrite with their updates, one row each in client-id
+    order."""
     round_seed = derive_seed(config.seed, _ROUND, round_index)
     sampled = sample_clients(config.client_count, config.clients_per_round, round_seed)
 
-    def train_one(cid: int):
+    def train_one(row: int):
+        cid = sampled[row]
         return local_train(config.network, params, parts[cid], config.client,
-                           round_seed, cid)
+                           round_seed, cid, out=deltas[row])
+    rows = range(len(sampled))
     if config.workers == 1:
-        updates = [train_one(cid) for cid in sampled]
+        updates = [train_one(row) for row in rows]
     else:
+        # each thread writes only its own rows; map keeps the input order
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            by_id = dict(zip(sampled, pool.map(train_one, sampled)))
-        updates = [by_id[cid] for cid in sampled]
+            updates = list(pool.map(train_one, rows))
 
     weights = assign_weights(updates, config.weight_mode)
-    report = nwda([(w, u.delta) for w, u in zip(weights, updates)])
+    report = nwda(weights, deltas, params.segments)
     new_params, step, new_state = apply_strategy(params, report, config.strategy, state)
 
     averaged = None
@@ -172,11 +177,13 @@ def run_experiment(train: Dataset, test: Dataset,
     params = init_params(config.network, derive_seed(config.seed, _INIT))
     state = MomentumState(zeros_like(params)) if config.strategy.carries_momentum else None
 
+    # one update matrix for every round
+    deltas = np.empty((config.clients_per_round, params.size))
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, config.rounds + 1):
         params, state, row = run_round(
-            params, state, parts, test, config, round_index, integrated
+            params, state, parts, test, config, round_index, integrated, deltas
         )
         integrated = row.integrated_norm
         metrics.append(row)

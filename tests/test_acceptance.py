@@ -64,6 +64,12 @@ def random_terms(rng, m, segs):
     ]
 
 
+def stacked(terms):
+    """(alpha_k, Delta w_k) pairs as nwda's (weights, deltas, segments)."""
+    return ([w for w, _ in terms], np.stack([v.values for _, v in terms]),
+            terms[0][1].segments)
+
+
 # -------------------------------------------------- shared desk-scale training
 
 DESK_NET = NetworkSpec((20, 64, 10))
@@ -107,7 +113,7 @@ def test_criterion_01_aggregate_norm_never_exceeds_mean_local_norm():
     for _ in range(1000):
         m = int(rng.integers(1, 12))
         segs = tuple(int(s) for s in rng.integers(1, 40, size=rng.integers(1, 4)))
-        rep = nwda(random_terms(rng, m, segs))
+        rep = nwda(*stacked(random_terms(rng, m, segs)))
         slack = 1e-12 * max(1.0, rep.mean_local_norm)
         assert rep.aggregate_norm <= rep.mean_local_norm + slack
         worst = max(worst, rep.aggregate_norm - rep.mean_local_norm)
@@ -123,7 +129,7 @@ def test_criterion_02_normalized_step_norm_equals_beta_times_mean_local():
     checked = 0
     while checked < 100:
         m = int(rng.integers(2, 10))
-        rep = nwda(random_terms(rng, m, (8, 24, 5)))
+        rep = nwda(*stacked(random_terms(rng, m, (8, 24, 5))))
         if rep.aggregate_norm <= 1e-9 * max(1.0, rep.mean_local_norm):
             continue
         beta = float(rng.uniform(0.2, 1.8))
@@ -142,7 +148,7 @@ def test_criterion_03_reduction_identities():
     normnorm(m=1, beta=1) == fedavg within 1e-15 per element."""
     rng = np.random.default_rng(3)
     for _ in range(25):
-        rep = nwda(random_terms(rng, int(rng.integers(2, 8)), (6, 14)))
+        rep = nwda(*stacked(random_terms(rng, int(rng.integers(2, 8)), (6, 14))))
         w = ParamVector(rng.standard_normal(rep.combined.size), rep.combined.segments)
 
         nn_new, nn_step = apply_norm_norm(
@@ -158,7 +164,7 @@ def test_criterion_03_reduction_identities():
                                    MomentumState(zeros_like(w)), 0.0)
         assert np.max(np.abs(avg.values - mom.values)) <= 1e-15
 
-        solo = nwda(random_terms(rng, 1, (6, 14)))
+        solo = nwda(*stacked(random_terms(rng, 1, (6, 14))))
         w1 = ParamVector(rng.standard_normal(solo.combined.size), solo.combined.segments)
         one_new, _ = apply_norm_norm(
             w1, solo.combined, solo.aggregate_norm, solo.mean_local_norm, 1.0, 1e-9)
@@ -171,7 +177,7 @@ def test_criterion_03_reduction_identities():
 def test_criterion_04_backprop_matches_finite_differences():
     """Max relative gradient error < 1e-6 on 20 random networks (<= 1000
     parameters each), within 30 seconds."""
-    from fednorm.nn import _forward
+    from fednorm.nn import _forward, layer_views
 
     rng = np.random.default_rng(11)
     started = time.monotonic()
@@ -191,7 +197,7 @@ def test_criterion_04_backprop_matches_finite_differences():
                           rng.integers(0, sizes[-1], 6))
             # central differences are invalid within h of a relu kink, so
             # keep every hidden pre-activation at least 100*h away from zero
-            _, pre, _ = _forward(spec, params.values, batch.inputs)
+            _, pre, _ = _forward(layer_views(spec, params.values), batch.inputs)
             if all(np.min(np.abs(z)) > 1e-3 for z in pre[:-1]):
                 break
         analytic = backward(Network(spec, params), batch).values

@@ -19,8 +19,8 @@ from fednorm.aggregate import (
     integrated_norm,
     nwda,
 )
-from fednorm.errors import ConfigError
-from fednorm.params import ParamVector, Segment, l2_norm, zeros_like
+from fednorm.errors import ConfigError, ShapeMismatchError
+from fednorm.params import NORM_CHUNK, ParamVector, Segment, l2_norm, per_layer_norms, zeros_like
 
 
 def pv(vals, split=None):
@@ -44,10 +44,16 @@ def random_terms(rng, m, segs=(3, 5)):
     ]
 
 
+def stacked(terms):
+    """(alpha_k, Delta w_k) pairs as nwda's (weights, deltas, segments)."""
+    return ([w for w, _ in terms], np.stack([v.values for _, v in terms]),
+            terms[0][1].segments)
+
+
 # ------------------------------------------------------------------- divergence
 
 def test_nwda_orthogonal_hand_values():
-    report = nwda([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))])
+    report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))]))
     assert np.array_equal(report.combined.values, [0.5, 0.5])
     assert report.aggregate_norm == math.sqrt(0.5)
     assert report.mean_local_norm == 1.0
@@ -55,14 +61,14 @@ def test_nwda_orthogonal_hand_values():
 
 
 def test_nwda_full_cancellation():
-    report = nwda([(0.5, pv([2.0, -1.0])), (0.5, pv([-2.0, 1.0]))])
+    report = nwda(*stacked([(0.5, pv([2.0, -1.0])), (0.5, pv([-2.0, 1.0]))]))
     assert report.aggregate_norm == 0.0
     assert report.mean_local_norm == math.sqrt(5.0)
     assert report.ratio == 0.0
 
 
 def test_nwda_all_zero_updates():
-    report = nwda([(1.0, pv([0.0, 0.0, 0.0]))])
+    report = nwda(*stacked([(1.0, pv([0.0, 0.0, 0.0]))]))
     assert report.mean_local_norm == 0.0
     assert report.ratio is None
 
@@ -70,7 +76,7 @@ def test_nwda_all_zero_updates():
 def test_nwda_single_client_ratio_one():
     rng = np.random.default_rng(2)
     vec = pv(rng.standard_normal(8))
-    report = nwda([(1.0, vec)])
+    report = nwda(*stacked([(1.0, vec)]))
     assert report.aggregate_norm == report.mean_local_norm
     assert report.ratio == 1.0
 
@@ -78,7 +84,7 @@ def test_nwda_single_client_ratio_one():
 def test_nwda_per_layer_rows():
     a = pv([3.0, 4.0, 0.0, 0.0], split=(2, 2))
     b = pv([0.0, 0.0, 5.0, 12.0], split=(2, 2))
-    report = nwda([(0.5, a), (0.5, b)])
+    report = nwda(*stacked([(0.5, a), (0.5, b)]))
     names = [row[0] for row in report.per_layer]
     assert names == ["fc1.weight", "fc2.weight"]
     (_, n1, e1), (_, n2, e2) = report.per_layer
@@ -92,7 +98,7 @@ def test_nwda_triangle_inequality_property():
     rng = np.random.default_rng(7)
     for _ in range(100):
         m = int(rng.integers(1, 8))
-        report = nwda(random_terms(rng, m))
+        report = nwda(*stacked(random_terms(rng, m)))
         assert report.aggregate_norm <= report.mean_local_norm + 1e-12 * max(
             1.0, report.mean_local_norm
         )
@@ -100,7 +106,43 @@ def test_nwda_triangle_inequality_property():
 
 def test_nwda_empty_rejected():
     with pytest.raises(ValueError):
-        nwda([])
+        nwda([], np.empty((0, 0)), ())
+
+
+def test_nwda_matrix_matches_per_vector_formulas():
+    """The matrix pass against the per-ParamVector formulas nwda used before
+    it took a round matrix, compared with == and no tolerance."""
+    rng = np.random.default_rng(21)
+    split = (NORM_CHUNK + 3, 7, 1)
+    terms = random_terms(rng, 5, segs=split)
+    report = nwda(*stacked(terms))
+
+    acc = np.zeros(sum(split))
+    for weight, vec in terms:
+        acc += float(weight) * vec.values
+    combined = pv(acc, split=split)
+    mean_local = 0.0
+    layer_means = [0.0] * len(split)
+    for weight, vec in terms:
+        mean_local += weight * l2_norm(vec)
+        for i, (_, seg_norm) in enumerate(per_layer_norms(vec)):
+            layer_means[i] += weight * seg_norm
+    assert np.array_equal(report.combined.values, combined.values)
+    assert report.aggregate_norm == l2_norm(combined)
+    assert report.mean_local_norm == mean_local
+    assert report.ratio == l2_norm(combined) / mean_local
+    assert report.per_layer == [
+        (name, seg_norm, layer_means[i])
+        for i, (name, seg_norm) in enumerate(per_layer_norms(combined))
+    ]
+
+
+def test_nwda_shape_mismatch_rejected():
+    segs = pv([0.0] * 4).segments
+    with pytest.raises(ShapeMismatchError, match="deltas shaped"):
+        nwda([0.5, 0.5], np.zeros((2, 3)), segs)
+    with pytest.raises(ShapeMismatchError, match="deltas shaped"):
+        nwda([1.0], np.zeros((2, 4)), segs)
 
 
 # -------------------------------------------------------------------- appliers
@@ -114,7 +156,7 @@ def test_fedavg_adds_update():
 def test_normnorm_step_norm_is_beta_times_mean_local():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        report = nwda(random_terms(rng, int(rng.integers(2, 6))))
+        report = nwda(*stacked(random_terms(rng, int(rng.integers(2, 6)))))
         w = pv(rng.standard_normal(report.combined.size), split=(3, 5))
         beta = float(rng.uniform(0.3, 1.5))
         _, step = apply_norm_norm(
@@ -126,7 +168,7 @@ def test_normnorm_step_norm_is_beta_times_mean_local():
 
 
 def test_normnorm_preserves_direction():
-    report = nwda([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))])
+    report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))]))
     w = pv([0.0, 0.0])
     new, step = apply_norm_norm(
         w, report.combined, report.aggregate_norm, report.mean_local_norm, 0.9, 1e-9
@@ -139,7 +181,7 @@ def test_normnorm_preserves_direction():
 def test_normnorm_guard_returns_params_unchanged():
     w = pv([1.0, -2.0])
     # full cancellation: N = 0, E > 0
-    report = nwda([(0.5, pv([1.0, 1.0])), (0.5, pv([-1.0, -1.0]))])
+    report = nwda(*stacked([(0.5, pv([1.0, 1.0])), (0.5, pv([-1.0, -1.0]))]))
     new, step = apply_norm_norm(
         w, report.combined, report.aggregate_norm, report.mean_local_norm, 1.0, 1e-9
     )
@@ -150,11 +192,11 @@ def test_normnorm_guard_returns_params_unchanged():
 def test_guard_boundary_is_leq():
     w = pv([0.0])
     eps = 1e-9
-    at = nwda([(1.0, pv([eps]))])  # N = E = eps, threshold eps*max(1,eps) = eps
+    at = nwda(*stacked([(1.0, pv([eps]))]))  # N = E = eps, threshold eps*max(1,eps) = eps
     new, step = apply_norm_norm(w, at.combined, at.aggregate_norm,
                                 at.mean_local_norm, 1.0, eps)
     assert l2_norm(step) == 0.0
-    above = nwda([(1.0, pv([2 * eps]))])
+    above = nwda(*stacked([(1.0, pv([2 * eps]))]))
     _, step2 = apply_norm_norm(w, above.combined, above.aggregate_norm,
                                above.mean_local_norm, 1.0, eps)
     assert l2_norm(step2) > 0.0
@@ -163,7 +205,7 @@ def test_guard_boundary_is_leq():
 def test_fednnnn_guard_still_decays_momentum():
     w = pv([1.0, 1.0])
     state = MomentumState(pv([0.5, -0.5]))
-    report = nwda([(0.5, pv([1.0, 0.0])), (0.5, pv([-1.0, 0.0]))])
+    report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([-1.0, 0.0]))]))
     new, step, nstate = apply_fednnnn(
         w, report.combined, report.aggregate_norm, report.mean_local_norm,
         state, 0.7, 0.8, 1e-9,
@@ -195,7 +237,7 @@ def test_fednnnn_matches_independent_replay():
     ref_d = np.zeros(8)
     for _ in range(6):
         terms = random_terms(rng, 4)
-        report = nwda(terms)
+        report = nwda(*stacked(terms))
         w, step, state = apply_fednnnn(
             w, report.combined, report.aggregate_norm, report.mean_local_norm,
             state, beta, gamma, 1e-9,
@@ -212,7 +254,7 @@ def test_fednnnn_matches_independent_replay():
 def test_fednnnn_gamma_zero_is_normnorm_bitwise():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        report = nwda(random_terms(rng, 3))
+        report = nwda(*stacked(random_terms(rng, 3)))
         w = pv(rng.standard_normal(8), split=(3, 5))
         beta = float(rng.uniform(0.3, 1.5))
         nn_new, nn_step = apply_norm_norm(
@@ -229,7 +271,7 @@ def test_fednnnn_gamma_zero_is_normnorm_bitwise():
 
 def test_momentum_gamma_zero_is_fedavg():
     rng = np.random.default_rng(6)
-    report = nwda(random_terms(rng, 4))
+    report = nwda(*stacked(random_terms(rng, 4)))
     w = pv(rng.standard_normal(8), split=(3, 5))
     avg = apply_fedavg(w, report.combined)
     mom, _, _ = apply_momentum(w, report.combined, MomentumState(zeros_like(w)), 0.0)
@@ -240,7 +282,7 @@ def test_normnorm_single_client_beta_one_is_fedavg():
     rng = np.random.default_rng(8)
     vec = pv(rng.standard_normal(8), split=(3, 5))
     w = pv(rng.standard_normal(8), split=(3, 5))
-    report = nwda([(1.0, vec)])
+    report = nwda(*stacked([(1.0, vec)]))
     avg = apply_fedavg(w, report.combined)
     nn_new, _ = apply_norm_norm(
         w, report.combined, report.aggregate_norm, report.mean_local_norm, 1.0, 1e-9
@@ -253,7 +295,7 @@ def test_normnorm_single_client_beta_one_is_fedavg():
 def test_apply_strategy_dispatch_matches_direct_calls():
     rng = np.random.default_rng(9)
     terms = random_terms(rng, 3)
-    report = nwda(terms)
+    report = nwda(*stacked(terms))
     w = pv(rng.standard_normal(8), split=(3, 5))
 
     new, step, state = apply_strategy(w, report, AggregationStrategy("fedavg"))

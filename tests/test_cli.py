@@ -3,10 +3,15 @@ CSV/manifest contracts, and byte-identical reruns."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import fednorm
 from fednorm.cli import (
     METRIC_COLUMNS,
     available_presets,
@@ -261,6 +266,40 @@ def test_failure_mid_run_marks_manifest(tmp_path, monkeypatch):
         main(["run", "--config", str(cfg), "--out", str(out)])
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):
+    raw = load_preset("desk_quick")
+    raw["training"]["learning_rate"] = 1000.0
+    raw["strategies"] = [{"kind": "fedavg"}]
+    cfg = tmp_path / "diverge.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    src = str(Path(fednorm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fednorm.cli", "run", "--config", str(cfg),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode != 0
+    assert "parameter vector contains NaN or Inf" in proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_float_without_dot_gets_yaml_spelling_hint(tmp_path, capsys):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("training:\n  learning_rate: 1e6\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == ("error: training.learning_rate: expected float, got '1e6' "
+                           "(YAML reads this spelling as a string; write 1.0e+6)")
+    assert yaml.safe_load("learning_rate: 1.0e+6") == {"learning_rate": 1e6}
+    with pytest.raises(ConfigError, match=r"write -2\.5e-3\)"):
+        parse_config({"strategies": [{"kind": "fedprox", "mu": "-2.5E-3"}]})
+    with pytest.raises(ConfigError, match=r"got 'fast'$"):
+        parse_config({"training": {"learning_rate": "fast"}})
 
 
 def test_zero_learning_rate_gives_empty_ratio_cells(tmp_path):

@@ -14,7 +14,7 @@ from fednorm.client import (
 from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
 from fednorm.nn import Network, NetworkSpec, backward, init_params, prox_gradient_addend, sgd_step
-from fednorm.params import axpy, delta, l2_norm
+from fednorm.params import ParamVector, axpy, delta, l2_norm
 
 SPEC = NetworkSpec((4, 6, 3))
 
@@ -27,7 +27,7 @@ def blob():
 def test_zero_learning_rate_zero_delta(blob):
     start = init_params(SPEC, seed=0)
     up = local_train(SPEC, start, blob, ClientConfig(learning_rate=0.0), 5, 2)
-    assert np.array_equal(up.delta.values, np.zeros(SPEC.param_count))
+    assert np.array_equal(up.delta, np.zeros(SPEC.param_count))
     assert up.sample_count == 60
     assert up.client_id == 2
 
@@ -40,10 +40,10 @@ def test_single_batch_delta_is_one_sgd_step(blob):
     up = local_train(SPEC, start, blob, cfg, round_seed=7, client_id=0)
     (batch,) = batches(blob, 100, derive_seed(7, 0, 1))
     stepped = sgd_step(start, backward(Network(SPEC, start), batch), 0.1, 0.001)
-    assert np.array_equal(up.delta.values, delta(stepped, start).values)
+    assert np.array_equal(up.delta, delta(stepped, start).values)
     grad = backward(Network(SPEC, start), batch)
     manual = -0.1 * (grad.values + 0.001 * start.values)
-    np.testing.assert_allclose(up.delta.values, manual, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(up.delta, manual, rtol=1e-12, atol=1e-15)
 
 
 def test_multi_epoch_matches_manual_loop(blob):
@@ -57,7 +57,7 @@ def test_multi_epoch_matches_manual_loop(blob):
             grad = backward(Network(SPEC, params), batch)
             grad = axpy(1.0, prox_gradient_addend(params, start, 0.4), grad)
             params = sgd_step(params, grad, 0.05, 0.0)
-    assert np.array_equal(up.delta.values, delta(params, start).values)
+    assert np.array_equal(up.delta, delta(params, start).values)
 
 
 def test_prox_anchor_is_round_start_not_epoch_start(blob):
@@ -74,15 +74,16 @@ def test_prox_anchor_is_round_start_not_epoch_start(blob):
             grad = backward(Network(SPEC, params), batch)
             grad = axpy(1.0, prox_gradient_addend(params, anchor, 5.0), grad)
             params = sgd_step(params, grad, 0.05, 0.0)
-    assert not np.array_equal(up.delta.values, delta(params, start).values)
+    assert not np.array_equal(up.delta, delta(params, start).values)
 
 
 def test_large_mu_shrinks_delta(blob):
     # eta * mu must stay <= 1 or the explicit prox step overshoots the anchor
     start = init_params(SPEC, seed=0)
     norms = [
-        l2_norm(local_train(SPEC, start, blob,
-                            ClientConfig(learning_rate=0.001, mu=mu), 2, 0).delta)
+        l2_norm(ParamVector(local_train(SPEC, start, blob,
+                                        ClientConfig(learning_rate=0.001, mu=mu), 2, 0).delta,
+                            start.segments))
         for mu in (0.0, 10.0, 100.0, 1000.0)
     ]
     assert norms == sorted(norms, reverse=True)
@@ -95,8 +96,26 @@ def test_determinism_and_client_separation(blob):
     a = local_train(SPEC, start, blob, cfg, 9, 1)
     b = local_train(SPEC, start, blob, cfg, 9, 1)
     other = local_train(SPEC, start, blob, cfg, 9, 2)
-    assert np.array_equal(a.delta.values, b.delta.values)
-    assert not np.array_equal(a.delta.values, other.delta.values)
+    assert np.array_equal(a.delta, b.delta)
+    assert not np.array_equal(a.delta, other.delta)
+
+
+def test_diverging_training_raises(blob):
+    """Parameters overflow to Inf and then NaN; the check on the delta
+    reports it even though no check runs between the SGD steps."""
+    start = init_params(SPEC, seed=0)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+        local_train(SPEC, start, blob, ClientConfig(learning_rate=1e100), 0, 0)
+
+
+def test_delta_written_into_given_row(blob):
+    start = init_params(SPEC, seed=0)
+    cfg = ClientConfig(batch_size=16, local_epochs=2)
+    matrix = np.full((2, SPEC.param_count), np.nan)
+    up = local_train(SPEC, start, blob, cfg, 9, 1, out=matrix[1])
+    assert np.shares_memory(up.delta, matrix)
+    assert np.array_equal(matrix[1], local_train(SPEC, start, blob, cfg, 9, 1).delta)
+    assert np.isnan(matrix[0]).all()
 
 
 def test_derive_seed_is_stable_and_injective_enough():

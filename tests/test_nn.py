@@ -104,8 +104,8 @@ def test_loss_matches_direct_softmax_oracle():
     loss, _ = forward_loss(net, batch)
 
     # naive oracle: explicit softmax probabilities
-    from fednorm.nn import _forward  # test-only access to cached forward
-    logits, _, _ = _forward(spec, net.params.values, batch.inputs)
+    from fednorm.nn import _forward, layer_views  # test-only access to cached forward
+    logits, _, _ = _forward(layer_views(spec, net.params.values), batch.inputs)
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     expected = -np.mean(np.log(probs[np.arange(11), batch.labels]))
     assert abs(loss - expected) <= 1e-10 * abs(expected)

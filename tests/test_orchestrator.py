@@ -1,6 +1,9 @@
 """Round-loop tests: seed plumbing, worker independence, dual evaluation, and
 the metric identities each strategy implies."""
 
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from fednorm.orchestrator import (
     run_experiment,
     sample_clients,
 )
-from fednorm.params import weighted_sum, axpy
+from fednorm.params import ParamVector, weighted_sum, axpy
 
 NET = NetworkSpec((4, 8, 3))
 TRAIN, TEST = synth_split(3, 20, 10, 4, seed=13)
@@ -125,7 +128,8 @@ def test_dual_eval_matches_manual_average():
         local_train(NET, w0, parts[cid], cfg.client, round_seed, cid)
         for cid in range(cfg.client_count)
     ]
-    u = weighted_sum([(1.0 / len(updates), up.delta) for up in updates])
+    u = weighted_sum([(1.0 / len(updates), ParamVector(up.delta, w0.segments))
+                      for up in updates])
     manual = evaluate(NET, axpy(1.0, u, w0), TEST)
     assert result.metrics[0].eval_acc_averaged == manual
 
@@ -144,6 +148,30 @@ def test_determinism_and_worker_count_independence():
     four = run_experiment(TRAIN, TEST, make_config(workers=4))
     assert one.metrics == again.metrics == four.metrics
     assert np.array_equal(one.final_params.values, four.final_params.values)
+
+
+def test_pool_threads_fill_the_shared_round_matrix_like_one_worker():
+    """Pool threads write their rows of one round matrix concurrently. With
+    more workers than cores and a thread switch every microsecond, a row
+    written to the wrong place or lost would change the by-sample-count
+    weighted numbers."""
+    # clients long enough (about 6 batches of 8) that the threads overlap
+    train, test = synth_split(3, 200, 10, 4, seed=13)
+    cfg = dict(network=NetworkSpec((4, 64, 3)), client_count=12, participation=0.75,
+               rounds=2, weight_mode="by_sample_count",
+               partition=PartitionSpec("noniid", "unbalanced", 2, 1.5),
+               client=ClientConfig(batch_size=8, local_epochs=2))
+    one = run_experiment(train, test, make_config(workers=1, **cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.monotonic()
+        many = run_experiment(train, test, make_config(workers=6, **cfg))
+        assert time.monotonic() - started < 60.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert many.metrics == one.metrics
+    assert np.array_equal(many.final_params.values, one.final_params.values)
 
 
 def test_seed_changes_everything():

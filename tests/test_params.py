@@ -7,12 +7,16 @@ import pytest
 
 from fednorm.errors import ShapeMismatchError
 from fednorm.params import (
+    NORM_CHUNK,
     ParamVector,
     Segment,
+    _ordered_sum,
     axpy,
     delta,
     l2_norm,
     per_layer_norms,
+    squared_norms,
+    weighted_rows,
     weighted_sum,
     zeros_like,
 )
@@ -179,6 +183,60 @@ def test_per_layer_norms_aggregate_to_global():
         v = random_vec(rng, THREE_SEGS)
         rss = math.sqrt(sum(n * n for _, n in per_layer_norms(v)))
         assert abs(rss - l2_norm(v)) <= 1e-12 * l2_norm(v)
+
+
+# squared_norms -----------------------------------------------------------------
+
+def chunk_edge_segments():
+    """Segment lengths on both sides of the column-block edges."""
+    segs, pos = [], 0
+    for i, length in enumerate((1, NORM_CHUNK - 1, NORM_CHUNK, NORM_CHUNK + 1,
+                                3 * NORM_CHUNK + 5)):
+        segs.append(Segment(f"s{i}", pos, length))
+        pos += length
+    return tuple(segs)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17])
+def test_squared_norms_bitwise_equal_per_vector_norms(k):
+    segs = chunk_edge_segments()
+    n = sum(s.length for s in segs)
+    rng = np.random.default_rng(k)
+    rows = rng.standard_normal((k, n)) * rng.uniform(0.01, 100, (k, n))
+    rows[:, ::5] = 0.0
+    rows[:, 1::7] = -0.0
+    whole, per_segment = squared_norms(rows, segs)
+    assert whole.shape == (k,) and per_segment.shape == (len(segs), k)
+    for i in range(k):
+        v = ParamVector(rows[i], segs)
+        assert whole[i] == _ordered_sum(rows[i] * rows[i])
+        assert math.sqrt(whole[i]) == l2_norm(v)
+        parts = [v.segment_values(s.name) for s in segs]
+        assert [per_segment[j, i] for j in range(len(segs))] == [
+            _ordered_sum(x * x) for x in parts]
+        assert [(s.name, math.sqrt(per_segment[j, i])) for j, s in enumerate(segs)] \
+            == per_layer_norms(v)
+    # the data tell the orders apart: a pairwise sum gives other bits
+    big = rows[0, -(3 * NORM_CHUNK + 5):]
+    assert float(np.sum(big * big)) != _ordered_sum(big * big)
+
+
+def test_squared_norms_empty_segment_is_zero():
+    segs = (Segment("a", 0, 3), Segment("empty", 3, 0), Segment("b", 3, 2))
+    rows = np.arange(10.0).reshape(2, 5)
+    whole, per_segment = squared_norms(rows, segs)
+    assert whole.tolist() == [30.0, 255.0]
+    assert per_segment.tolist() == [[5.0, 110.0], [0.0, 0.0], [25.0, 145.0]]
+
+
+def test_weighted_rows_matches_weighted_sum():
+    rng = np.random.default_rng(16)
+    rows = rng.standard_normal((4, 147))
+    weights = [0.1, 0.2, 0.3, 0.4]
+    combined = weighted_rows(weights, rows, THREE_SEGS)
+    terms = [(w, ParamVector(r, THREE_SEGS)) for w, r in zip(weights, rows)]
+    assert np.array_equal(combined.values, oracle_weighted_sum(terms))
+    assert combined.segments == THREE_SEGS
 
 
 # axpy -----------------------------------------------------------------------
