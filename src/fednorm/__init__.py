@@ -3,93 +3,21 @@ norm-based divergence analysis on every round.
 
 The usual entry points are `run_experiment` for library use and the `fednorm`
 command line for batch runs; see the README for the round-loop semantics.
+Everything else is imported from its submodule.
 """
 
-from .aggregate import (
-    AggregationStrategy,
-    MomentumState,
-    NwdaReport,
-    apply_fedavg,
-    apply_fednnnn,
-    apply_momentum,
-    apply_norm_norm,
-    apply_strategy,
-    integrated_norm,
-    nwda,
-)
-from .client import (
-    ClientConfig,
-    ClientUpdate,
-    assign_weights,
-    derive_seed,
-    local_train,
-)
-from .data import (
-    DATA_DIR_ENV,
-    Dataset,
-    DegenerateDataError,
-    IdxCountError,
-    IdxFormatError,
-    IdxMagicError,
-    IdxTruncatedError,
-    PartitionSpec,
-    batches,
-    load_idx,
-    mnist_dir,
-    normalization_stats,
-    normalize,
-    partition,
-    synth_dataset,
-    synth_split,
-)
-from .errors import ConfigError, ShapeMismatchError
-from .nn import (
-    Batch,
-    Network,
-    NetworkSpec,
-    backward,
-    forward_loss,
-    init_params,
-    prox_gradient_addend,
-    sgd_step,
-)
-from .orchestrator import (
-    ExperimentConfig,
-    ExperimentResult,
-    RoundMetrics,
-    evaluate,
-    run_experiment,
-    run_round,
-    sample_clients,
-)
-from .params import (
-    ParamVector,
-    Segment,
-    axpy,
-    delta,
-    l2_norm,
-    per_layer_norms,
-    weighted_sum,
-    zeros_like,
-)
+from .aggregate import AggregationStrategy, nwda
+from .client import ClientConfig
+from .data import PartitionSpec, partition, synth_dataset, synth_split
+from .errors import ConfigError
+from .nn import NetworkSpec
+from .orchestrator import ExperimentConfig, run_experiment
+from .params import Segment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregationStrategy", "MomentumState", "NwdaReport", "apply_fedavg",
-    "apply_fednnnn", "apply_momentum", "apply_norm_norm", "apply_strategy",
-    "integrated_norm", "nwda",
-    "ClientConfig", "ClientUpdate", "assign_weights", "derive_seed", "local_train",
-    "DATA_DIR_ENV", "Dataset", "DegenerateDataError", "IdxCountError",
-    "IdxFormatError", "IdxMagicError", "IdxTruncatedError", "PartitionSpec",
-    "batches", "load_idx", "mnist_dir", "normalization_stats", "normalize",
-    "partition", "synth_dataset", "synth_split",
-    "ConfigError", "ShapeMismatchError",
-    "Batch", "Network", "NetworkSpec", "backward", "forward_loss", "init_params",
-    "prox_gradient_addend", "sgd_step",
-    "ExperimentConfig", "ExperimentResult", "RoundMetrics", "evaluate",
-    "run_experiment", "run_round", "sample_clients",
-    "ParamVector", "Segment", "axpy", "delta", "l2_norm", "per_layer_norms",
-    "weighted_sum", "zeros_like",
-    "__version__",
+    "AggregationStrategy", "ClientConfig", "ConfigError", "ExperimentConfig",
+    "NetworkSpec", "PartitionSpec", "Segment", "nwda", "partition",
+    "run_experiment", "synth_dataset", "synth_split", "__version__",
 ]

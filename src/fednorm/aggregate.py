@@ -1,14 +1,19 @@
 """Server-side aggregation: norm-based divergence analysis of a round's
-updates, then one of five update rules.
+updates, then the one server update rule.
 
-Every rule works in delta form: clients upload Delta w_k, the server combines
-them into u = sum_k alpha_k Delta w_k, and the rule decides the actual step.
-The divergence report compares the aggregate norm N = ||u|| against the mean
-local norm E = sum_k alpha_k ||Delta w_k||; N <= E always (triangle
-inequality), and N << E means the clients' directions mostly cancelled.
+Clients upload Delta w_k and the server combines them into
+u = sum_k alpha_k Delta w_k. The divergence report compares the aggregate
+norm N = ||u|| against the mean local norm E = sum_k alpha_k ||Delta w_k||;
+N <= E always (triangle inequality), and N << E means the clients'
+directions mostly cancelled.
 
-fednnnn with gamma=0 IS the normnorm rule (same code path, bitwise), and
-momentum with gamma=0 collapses to fedavg; tests pin both reductions.
+Every strategy is a corner of one rule, server momentum in the form of
+FedAvgM with an optional norm rescaling: the server keeps a direction d,
+sets d' = gamma*d + s*u and steps to w + d'. momentum and fednnnn take
+gamma from the strategy, the other kinds 0; normnorm and fednnnn take
+s = beta*E/N (0 when N is too small to divide by), the other kinds 1.
+Hence fednnnn with gamma=0 is normnorm and momentum with gamma=0 is fedavg,
+bit for bit; tests pin both reductions.
 """
 
 from __future__ import annotations
@@ -29,13 +34,9 @@ from .params import (
     per_layer_norms,
     squared_norms,
     weighted_rows,
-    zeros_like,
 )
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
-
-# kinds whose distributed model differs from the plain average of client models
-NORMALIZED_KINDS = ("normnorm", "fednnnn")
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,9 @@ class AggregationStrategy:
     """Which server rule to apply and its knobs.
 
     beta scales the normalized step (normnorm, fednnnn); gamma is the momentum
-    decay (momentum, fednnnn); epsilon guards the division by N. fedprox uses
-    the fedavg rule here, its proximal term acts on the clients.
+    decay (momentum, fednnnn); the other kinds ignore them. epsilon guards the
+    division by N. fedprox uses the fedavg rule here, its proximal term acts
+    on the clients.
     """
 
     kind: str
@@ -54,24 +56,24 @@ class AggregationStrategy:
 
     def __post_init__(self) -> None:
         if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(
-                f"strategy kind must be one of {STRATEGY_KINDS}, got {self.kind!r}"
-            )
+            raise ConfigError(f"kind: must be one of {STRATEGY_KINDS}, got {self.kind!r}")
         if not self.beta > 0:
-            raise ConfigError("beta must be positive")
+            raise ConfigError(f"beta: must be positive, got {self.beta}")
         if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError("gamma must be in [0, 1)")
+            raise ConfigError(f"gamma: must be in [0, 1), got {self.gamma}")
         if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
+            raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
 
     @property
-    def carries_momentum(self) -> bool:
-        return self.kind in ("momentum", "fednnnn")
+    def normalized(self) -> bool:
+        """Whether the step is rescaled by beta*E/N, so that the distributed
+        model differs from the plain average of the client models."""
+        return self.kind in ("normnorm", "fednnnn")
 
-
-@dataclass(frozen=True)
-class MomentumState:
-    direction: ParamVector
+    @property
+    def proximal(self) -> bool:
+        """Whether clients may add a proximal term (mu > 0)."""
+        return self.kind == "fedprox"
 
 
 @dataclass(frozen=True)
@@ -119,74 +121,25 @@ def nwda(weights: Sequence[float], deltas: np.ndarray,
     return NwdaReport(combined, aggregate, mean_local, ratio, per_layer)
 
 
-def _normalized_scale(aggregate_norm: float, mean_local_norm: float,
-                      beta: float, epsilon: float) -> float:
-    """beta * E/N, or 0 when N is too small to divide by (the guard)."""
-    if aggregate_norm <= epsilon * max(1.0, mean_local_norm):
-        return 0.0
-    return beta * (mean_local_norm / aggregate_norm)
-
-
-def apply_fedavg(params: ParamVector, update: ParamVector) -> ParamVector:
-    return axpy(1.0, update, params)
-
-
-def apply_fednnnn(params: ParamVector, update: ParamVector, aggregate_norm: float,
-                  mean_local_norm: float, state: MomentumState, beta: float,
-                  gamma: float, epsilon: float) -> tuple[ParamVector, ParamVector, MomentumState]:
-    """d' = gamma*d + beta*(E/N)*u, step by d'.
-
-    When the guard fires the update term vanishes but the momentum still
-    decays, so a degenerate round damps rather than freezes the direction.
-    """
-    scale = _normalized_scale(aggregate_norm, mean_local_norm, beta, epsilon)
-    direction = ParamVector(
-        gamma * state.direction.values + scale * update.values, update.segments
-    )
-    return axpy(1.0, direction, params), direction, MomentumState(direction)
-
-
-def apply_norm_norm(params: ParamVector, update: ParamVector, aggregate_norm: float,
-                    mean_local_norm: float, beta: float,
-                    epsilon: float) -> tuple[ParamVector, ParamVector]:
-    """w + beta*(E/N)*u via the fednnnn path with gamma=0 and a zero state."""
-    new_params, step, _ = apply_fednnnn(
-        params, update, aggregate_norm, mean_local_norm,
-        MomentumState(zeros_like(update)), beta, 0.0, epsilon,
-    )
-    return new_params, step
-
-
-def apply_momentum(params: ParamVector, update: ParamVector, state: MomentumState,
-                   gamma: float) -> tuple[ParamVector, ParamVector, MomentumState]:
-    """d' = gamma*d + u, step by d'."""
-    direction = ParamVector(
-        gamma * state.direction.values + update.values, update.segments
-    )
-    return axpy(1.0, direction, params), direction, MomentumState(direction)
-
-
 def apply_strategy(params: ParamVector, report: NwdaReport,
                    strategy: AggregationStrategy,
-                   state: MomentumState | None = None,
-                   ) -> tuple[ParamVector, ParamVector, MomentumState | None]:
-    """Dispatch one round: returns (new params, applied step, new state)."""
+                   direction: ParamVector) -> tuple[ParamVector, ParamVector]:
+    """One server step: d' = gamma*d + s*u, then w + d'; returns (w + d', d').
+
+    gamma is strategy.gamma for momentum and fednnnn, else 0. s is
+    beta*E/N for the normalized kinds, else 1. When N is degenerate
+    (N <= epsilon*max(1, E)) s is 0: the update term vanishes but the
+    momentum still decays, so a degenerate round damps rather than freezes
+    the direction.
+    """
+    gamma = strategy.gamma if strategy.kind in ("momentum", "fednnnn") else 0.0
+    scale = 1.0
+    if strategy.normalized:
+        n, e = report.aggregate_norm, report.mean_local_norm
+        scale = 0.0 if n <= strategy.epsilon * max(1.0, e) else strategy.beta * (e / n)
     update = report.combined
-    if strategy.kind in ("fedavg", "fedprox"):
-        return apply_fedavg(params, update), update, state
-    if strategy.kind == "normnorm":
-        new_params, step = apply_norm_norm(
-            params, update, report.aggregate_norm, report.mean_local_norm,
-            strategy.beta, strategy.epsilon,
-        )
-        return new_params, step, state
-    live = state if state is not None else MomentumState(zeros_like(update))
-    if strategy.kind == "momentum":
-        return apply_momentum(params, update, live, strategy.gamma)
-    return apply_fednnnn(
-        params, update, report.aggregate_norm, report.mean_local_norm,
-        live, strategy.beta, strategy.gamma, strategy.epsilon,
-    )
+    step = ParamVector(gamma * direction.values + scale * update.values, update.segments)
+    return axpy(1.0, step, params), step
 
 
 def integrated_norm(step_norms: Sequence[float]) -> list[float]:

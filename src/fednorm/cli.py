@@ -25,7 +25,7 @@ from pathlib import Path
 
 import yaml
 
-from .aggregate import AggregationStrategy, STRATEGY_KINDS
+from .aggregate import AggregationStrategy
 from .client import WEIGHT_MODES, ClientConfig
 from .data import (
     Dataset,
@@ -38,7 +38,7 @@ from .data import (
     normalize,
     synth_split,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec
 from .orchestrator import ExperimentConfig, RoundMetrics, run_experiment
 
@@ -75,7 +75,7 @@ class IdxData:
 class StrategyPlan:
     label: str
     strategy: AggregationStrategy
-    mu: float
+    client: ClientConfig
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,6 @@ class RunPlan:
     rounds: int
     clients: int
     participation: float
-    learning_rate: float
-    batch_size: int
-    local_epochs: int
-    weight_decay: float
     weight_mode: str
     eval_dual: bool
     seed: int
@@ -127,6 +123,21 @@ def _field(section: dict, key: str, path: str, kind, default=...):
             f"{path}.{key}: expected {kind.__name__}, got {value!r}{hint}"
         )
     return value
+
+
+def _fields(section: dict, path: str, **kinds) -> dict:
+    """The fields of `kinds` present in section, type-checked; absent ones
+    take the defaults of the dataclass they are passed to."""
+    return {key: _field(section, key, path, kind)
+            for key, kind in kinds.items() if key in section}
+
+
+def _build(prefix: str, make, *args, **kwargs):
+    """make(*args, **kwargs), with the config path prefixed to its complaint."""
+    try:
+        return make(*args, **kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _yaml_float(value) -> str | None:
@@ -198,39 +209,27 @@ def _parse_dataset(section: dict) -> SynthData | IdxData:
     raise ConfigError(f"dataset.kind: must be synth or idx, got {kind!r}")
 
 
-def _parse_strategy(entry, index: int, labels_seen: dict) -> StrategyPlan:
+def _parse_strategy(entry, index: int, labels_seen: dict,
+                    training: ClientConfig) -> StrategyPlan:
     path = f"strategies[{index}]"
     section = _require_mapping(entry, path)
     _reject_unknown(section, {"kind", "beta", "gamma", "epsilon", "mu"}, path)
     kind = _field(section, "kind", path, str)
-    if kind not in STRATEGY_KINDS:
-        raise ConfigError(
-            f"{path}.kind: must be one of {STRATEGY_KINDS}, got {kind!r}"
-        )
-    beta = _field(section, "beta", path, float, 1.0)
-    gamma = _field(section, "gamma", path, float, 0.0)
-    epsilon = _field(section, "epsilon", path, float, 1e-9)
-    mu = _field(section, "mu", path, float, 0.0)
-    if mu < 0:
-        raise ConfigError(f"{path}.mu: must be non-negative, got {mu}")
-    if mu > 0 and kind != "fedprox":
+    strategy = _build(f"{path}.", AggregationStrategy, kind,
+                      **_fields(section, path, beta=float, gamma=float, epsilon=float))
+    client = _build(f"{path}.", replace, training, **_fields(section, path, mu=float))
+    if client.mu > 0 and not strategy.proximal:
         raise ConfigError(f"{path}.mu: only fedprox takes a proximal term")
-    if not beta > 0:
-        raise ConfigError(f"{path}.beta: must be positive, got {beta}")
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigError(f"{path}.gamma: must be in [0, 1), got {gamma}")
-    if not epsilon > 0:
-        raise ConfigError(f"{path}.epsilon: must be positive, got {epsilon}")
-    strategy = AggregationStrategy(kind, beta=beta, gamma=gamma, epsilon=epsilon)
     labels_seen[kind] = labels_seen.get(kind, 0) + 1
     label = kind if labels_seen[kind] == 1 else f"{kind}_{labels_seen[kind]}"
-    return StrategyPlan(label, strategy, mu)
+    return StrategyPlan(label, strategy, client)
 
 
 def parse_config(raw: dict) -> RunPlan:
-    """Validate a loaded YAML mapping into a RunPlan.
+    """Map a loaded YAML mapping onto a RunPlan.
 
-    Every complaint names the offending field by its path, e.g.
+    The strategy, client and partition dataclasses check their own values;
+    every complaint names the offending field by its path, e.g.
     "strategies[1].gamma: must be in [0, 1), got 1.2".
     """
     root = _require_mapping(raw, "config")
@@ -250,15 +249,9 @@ def parse_config(raw: dict) -> RunPlan:
     part = _require_mapping(root.get("partition", {}), "partition")
     _reject_unknown(part, {"label_mode", "size_mode", "classes_per_client",
                            "power_exponent"}, "partition")
-    try:
-        partition_spec = PartitionSpec(
-            label_mode=_field(part, "label_mode", "partition", str, "iid"),
-            size_mode=_field(part, "size_mode", "partition", str, "balanced"),
-            classes_per_client=_field(part, "classes_per_client", "partition", int, 2),
-            power_exponent=_field(part, "power_exponent", "partition", float, 1.5),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"partition: {exc}") from None
+    partition_spec = _build("partition.", PartitionSpec, **_fields(
+        part, "partition", label_mode=str, size_mode=str, classes_per_client=int,
+        power_exponent=float))
 
     training = _require_mapping(root.get("training", {}), "training")
     _reject_unknown(training, {
@@ -275,12 +268,9 @@ def parse_config(raw: dict) -> RunPlan:
         raise ConfigError(
             f"training.participation: must be in (0, 1], got {participation}"
         )
-    learning_rate = _field(training, "learning_rate", "training", float, 0.05)
-    if learning_rate < 0:
-        raise ConfigError("training.learning_rate: must be non-negative")
-    weight_decay = _field(training, "weight_decay", "training", float, 0.0)
-    if weight_decay < 0:
-        raise ConfigError("training.weight_decay: must be non-negative")
+    client = _build("training.", ClientConfig, **_fields(
+        training, "training", learning_rate=float, batch_size=int, local_epochs=int,
+        weight_decay=float))
     weight_mode = _field(training, "weight_mode", "training", str, "uniform")
     if weight_mode not in WEIGHT_MODES:
         raise ConfigError(
@@ -295,7 +285,7 @@ def parse_config(raw: dict) -> RunPlan:
         raise ConfigError("strategies: expected a non-empty list")
     labels_seen: dict = {}
     strategies = tuple(
-        _parse_strategy(entry, i, labels_seen) for i, entry in enumerate(entries)
+        _parse_strategy(entry, i, labels_seen, client) for i, entry in enumerate(entries)
     )
 
     return RunPlan(
@@ -305,12 +295,6 @@ def parse_config(raw: dict) -> RunPlan:
         rounds=rounds,
         clients=clients,
         participation=participation,
-        learning_rate=learning_rate,
-        batch_size=_positive(_field(training, "batch_size", "training", int, 50),
-                             "training.batch_size"),
-        local_epochs=_positive(_field(training, "local_epochs", "training", int, 5),
-                               "training.local_epochs"),
-        weight_decay=weight_decay,
         weight_mode=weight_mode,
         eval_dual=_field(training, "eval_dual", "training", bool, True),
         seed=seed,
@@ -384,13 +368,7 @@ def build_experiment(plan: RunPlan, entry: StrategyPlan,
     return ExperimentConfig(
         network=NetworkSpec((features, *plan.hidden, classes)),
         strategy=entry.strategy,
-        client=ClientConfig(
-            learning_rate=plan.learning_rate,
-            batch_size=plan.batch_size,
-            local_epochs=plan.local_epochs,
-            weight_decay=plan.weight_decay,
-            mu=entry.mu,
-        ),
+        client=entry.client,
         partition=plan.partition,
         rounds=plan.rounds,
         client_count=plan.clients,
@@ -477,7 +455,10 @@ def cmd_run(args) -> int:
     try:
         for entry in plan.strategies:
             config = build_experiment(plan, entry, features, classes)
-            result = run_experiment(train, test, config)
+            try:
+                result = run_experiment(train, test, config)
+            except DivergenceError as exc:
+                raise DivergenceError(f"{entry.label} {exc}") from None
             metrics_name = f"{entry.label}_metrics.csv"
             layers_name = f"{entry.label}_layers.csv"
             write_metrics_csv(out / metrics_name, entry.label, result.metrics)
@@ -640,10 +621,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IdxFormatError, DegenerateDataError, FileNotFoundError) as exc:
+    except (ConfigError, DivergenceError, IdxFormatError, DegenerateDataError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

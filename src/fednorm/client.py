@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, batches
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .nn import Network, NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
-from .params import ParamVector, require_finite
+from .params import ParamVector
 
 WEIGHT_MODES = ("uniform", "by_sample_count")
 
@@ -38,16 +38,16 @@ class ClientConfig:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be non-negative")
+        if not self.learning_rate >= 0:
+            raise ConfigError(f"learning_rate: must be non-negative, got {self.learning_rate}")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.local_epochs < 1:
-            raise ConfigError("local_epochs must be >= 1")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
-        if self.mu < 0:
-            raise ConfigError("mu must be non-negative")
+            raise ConfigError(f"local_epochs: must be >= 1, got {self.local_epochs}")
+        if not self.weight_decay >= 0:
+            raise ConfigError(f"weight_decay: must be non-negative, got {self.weight_decay}")
+        if not self.mu >= 0:
+            raise ConfigError(f"mu: must be non-negative, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
     those identifiers, never on scheduling.
 
     Raises:
-        ValueError: if the delta holds NaN or Inf (training diverged).
+        DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
     if len(data) == 0:
         raise ValueError(f"client {client_id} has no data")
@@ -88,16 +88,20 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
     scratch = np.empty_like(params)
     layers = layer_views(net_spec, params)
     grads = layer_views(net_spec, grad)
-    for epoch in range(1, config.local_epochs + 1):
-        for batch in batches(data, config.batch_size,
-                             derive_seed(round_seed, client_id, epoch)):
-            gradient_into(net_spec, layers, grads, batch)
-            if config.mu > 0:
-                prox_addend_into(scratch, params, anchor, config.mu)
-                grad += scratch
-            sgd_update(params, grad, config.learning_rate, config.weight_decay, scratch)
-    out = np.subtract(params, anchor, out=out)
-    require_finite(out)
+    # overflow and NaN are sticky under the update; the check on the delta
+    # reports them once instead of a warning per step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.local_epochs + 1):
+            for batch in batches(data, config.batch_size,
+                                 derive_seed(round_seed, client_id, epoch)):
+                gradient_into(net_spec, layers, grads, batch)
+                if config.mu > 0:
+                    prox_addend_into(scratch, params, anchor, config.mu)
+                    grad += scratch
+                sgd_update(params, grad, config.learning_rate, config.weight_decay, scratch)
+        out = np.subtract(params, anchor, out=out)
+    if not np.all(np.isfinite(out)):
+        raise DivergenceError(f"client {client_id}: parameter vector contains NaN or Inf")
     return ClientUpdate(client_id, out, len(data))
 
 

@@ -92,15 +92,15 @@ class PartitionSpec:
 
     def __post_init__(self) -> None:
         if self.label_mode not in ("iid", "noniid"):
-            raise ConfigError(f"label_mode must be iid or noniid, got {self.label_mode!r}")
+            raise ConfigError(f"label_mode: must be iid or noniid, got {self.label_mode!r}")
         if self.size_mode not in ("balanced", "unbalanced"):
             raise ConfigError(
-                f"size_mode must be balanced or unbalanced, got {self.size_mode!r}"
+                f"size_mode: must be balanced or unbalanced, got {self.size_mode!r}"
             )
         if self.classes_per_client < 1:
-            raise ConfigError("classes_per_client must be >= 1")
-        if self.power_exponent <= 0:
-            raise ConfigError("power_exponent must be positive")
+            raise ConfigError(f"classes_per_client: must be >= 1, got {self.classes_per_client}")
+        if not self.power_exponent > 0:
+            raise ConfigError(f"power_exponent: must be positive, got {self.power_exponent}")
 
 
 # IDX ingestion ---------------------------------------------------------------

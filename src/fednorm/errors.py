@@ -7,3 +7,7 @@ class ShapeMismatchError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment or partition configuration is invalid or infeasible."""
+
+
+class DivergenceError(ValueError):
+    """Local training produced a NaN or Inf update."""

@@ -15,19 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .aggregate import (
-    NORMALIZED_KINDS,
-    AggregationStrategy,
-    MomentumState,
-    apply_fedavg,
-    apply_strategy,
-    nwda,
-)
+from .aggregate import AggregationStrategy, apply_strategy, nwda
 from .client import WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, local_train
 from .data import Dataset, PartitionSpec, partition
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .nn import Batch, Network, NetworkSpec, forward_loss, init_params
-from .params import ParamVector, l2_norm, zeros_like
+from .params import ParamVector, axpy, l2_norm, zeros_like
 
 # seed namespaces under the experiment seed
 _INIT = 0
@@ -113,13 +106,14 @@ def evaluate(network: NetworkSpec, params: ParamVector, ds: Dataset) -> float:
     return acc
 
 
-def run_round(params: ParamVector, state: MomentumState | None,
+def run_round(params: ParamVector, direction: ParamVector,
               parts: list[Dataset], test: Dataset, config: ExperimentConfig,
               round_index: int, integrated_so_far: float, deltas: np.ndarray,
-              ) -> tuple[ParamVector, MomentumState | None, RoundMetrics]:
-    """One round. deltas is the (clients_per_round, param count) matrix the
-    sampled clients overwrite with their updates, one row each in client-id
-    order."""
+              ) -> tuple[ParamVector, ParamVector, RoundMetrics]:
+    """One round from the distributed parameters and the server's direction;
+    returns both updated and the round's metrics. deltas is the
+    (clients_per_round, param count) matrix the sampled clients overwrite
+    with their updates, one row each in client-id order."""
     round_seed = derive_seed(config.seed, _ROUND, round_index)
     sampled = sample_clients(config.client_count, config.clients_per_round, round_seed)
 
@@ -128,21 +122,24 @@ def run_round(params: ParamVector, state: MomentumState | None,
         return local_train(config.network, params, parts[cid], config.client,
                            round_seed, cid, out=deltas[row])
     rows = range(len(sampled))
-    if config.workers == 1:
-        updates = [train_one(row) for row in rows]
-    else:
-        # each thread writes only its own rows; map keeps the input order
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            updates = list(pool.map(train_one, rows))
+    try:
+        if config.workers == 1:
+            updates = [train_one(row) for row in rows]
+        else:
+            # each thread writes only its own rows; map keeps the input order
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                updates = list(pool.map(train_one, rows))
+    except DivergenceError as exc:
+        raise DivergenceError(f"round {round_index} {exc}") from None
 
     weights = assign_weights(updates, config.weight_mode)
     report = nwda(weights, deltas, params.segments)
-    new_params, step, new_state = apply_strategy(params, report, config.strategy, state)
+    new_params, direction = apply_strategy(params, report, config.strategy, direction)
 
     averaged = None
-    if config.eval_dual and config.strategy.kind in NORMALIZED_KINDS:
-        averaged = evaluate(config.network, apply_fedavg(params, report.combined), test)
-    step_norm = l2_norm(step)
+    if config.eval_dual and config.strategy.normalized:
+        averaged = evaluate(config.network, axpy(1.0, report.combined, params), test)
+    step_norm = l2_norm(direction)
     metrics = RoundMetrics(
         round=round_index,
         aggregate_norm=report.aggregate_norm,
@@ -154,7 +151,7 @@ def run_round(params: ParamVector, state: MomentumState | None,
         eval_acc_averaged=averaged,
         per_layer=report.per_layer,
     )
-    return new_params, new_state, metrics
+    return new_params, direction, metrics
 
 
 def run_experiment(train: Dataset, test: Dataset,
@@ -175,15 +172,15 @@ def run_experiment(train: Dataset, test: Dataset,
     part_spec = replace(config.partition, seed=derive_seed(config.seed, _PARTITION))
     parts = partition(train, part_spec, config.client_count)
     params = init_params(config.network, derive_seed(config.seed, _INIT))
-    state = MomentumState(zeros_like(params)) if config.strategy.carries_momentum else None
+    direction = zeros_like(params)
 
     # one update matrix for every round
     deltas = np.empty((config.clients_per_round, params.size))
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, config.rounds + 1):
-        params, state, row = run_round(
-            params, state, parts, test, config, round_index, integrated, deltas
+        params, direction, row = run_round(
+            params, direction, parts, test, config, round_index, integrated, deltas
         )
         integrated = row.integrated_norm
         metrics.append(row)

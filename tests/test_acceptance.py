@@ -17,32 +17,20 @@ import yaml
 
 from fednorm import (
     AggregationStrategy,
-    Batch,
     ClientConfig,
     ExperimentConfig,
-    IdxCountError,
-    IdxMagicError,
-    IdxTruncatedError,
-    MomentumState,
-    Network,
     NetworkSpec,
-    ParamVector,
     PartitionSpec,
     Segment,
-    apply_fedavg,
-    apply_fednnnn,
-    apply_momentum,
-    apply_norm_norm,
-    backward,
-    init_params,
-    l2_norm,
-    load_idx,
     nwda,
     run_experiment,
     synth_split,
-    zeros_like,
 )
+from fednorm.aggregate import apply_strategy
 from fednorm.cli import main as cli_main
+from fednorm.data import IdxCountError, IdxMagicError, IdxTruncatedError, load_idx
+from fednorm.nn import Batch, Network, backward, forward_loss, init_params
+from fednorm.params import ParamVector, l2_norm, zeros_like
 
 
 def report(criterion: int, text: str) -> None:
@@ -68,6 +56,11 @@ def stacked(terms):
     """(alpha_k, Delta w_k) pairs as nwda's (weights, deltas, segments)."""
     return ([w for w, _ in terms], np.stack([v.values for _, v in terms]),
             terms[0][1].segments)
+
+
+def apply(w, rep, kind, **knobs):
+    """One apply_strategy step from a zero server direction."""
+    return apply_strategy(w, rep, AggregationStrategy(kind, **knobs), zeros_like(w))
 
 
 # -------------------------------------------------- shared desk-scale training
@@ -135,8 +128,7 @@ def test_criterion_02_normalized_step_norm_equals_beta_times_mean_local():
         beta = float(rng.uniform(0.2, 1.8))
         w = ParamVector(rng.standard_normal(rep.combined.size),
                         rep.combined.segments)
-        _, step = apply_norm_norm(w, rep.combined, rep.aggregate_norm,
-                                  rep.mean_local_norm, beta, 1e-9)
+        _, step = apply(w, rep, "normnorm", beta=beta, epsilon=1e-9)
         target = beta * rep.mean_local_norm
         assert abs(l2_norm(step) - target) <= 1e-10 * target
         checked += 1
@@ -144,34 +136,30 @@ def test_criterion_02_normalized_step_norm_equals_beta_times_mean_local():
 
 
 def test_criterion_03_reduction_identities():
-    """fednnnn(gamma=0) == normnorm bitwise; momentum(gamma=0) == fedavg and
+    """fednnnn(gamma=0) == normnorm and momentum(gamma=0) == fedavg bitwise;
     normnorm(m=1, beta=1) == fedavg within 1e-15 per element."""
     rng = np.random.default_rng(3)
     for _ in range(25):
         rep = nwda(*stacked(random_terms(rng, int(rng.integers(2, 8)), (6, 14))))
         w = ParamVector(rng.standard_normal(rep.combined.size), rep.combined.segments)
 
-        nn_new, nn_step = apply_norm_norm(
-            w, rep.combined, rep.aggregate_norm, rep.mean_local_norm, 0.9, 1e-9)
-        fn_new, fn_step, _ = apply_fednnnn(
-            w, rep.combined, rep.aggregate_norm, rep.mean_local_norm,
-            MomentumState(zeros_like(w)), 0.9, 0.0, 1e-9)
+        nn_new, nn_step = apply(w, rep, "normnorm", beta=0.9, epsilon=1e-9)
+        fn_new, fn_step = apply(w, rep, "fednnnn", beta=0.9, gamma=0.0, epsilon=1e-9)
         assert np.array_equal(nn_new.values, fn_new.values)
         assert np.array_equal(nn_step.values, fn_step.values)
 
-        avg = apply_fedavg(w, rep.combined)
-        mom, _, _ = apply_momentum(w, rep.combined,
-                                   MomentumState(zeros_like(w)), 0.0)
-        assert np.max(np.abs(avg.values - mom.values)) <= 1e-15
+        avg, _ = apply(w, rep, "fedavg")
+        mom, _ = apply(w, rep, "momentum", gamma=0.0)
+        assert np.array_equal(avg.values, mom.values)
 
         solo = nwda(*stacked(random_terms(rng, 1, (6, 14))))
         w1 = ParamVector(rng.standard_normal(solo.combined.size), solo.combined.segments)
-        one_new, _ = apply_norm_norm(
-            w1, solo.combined, solo.aggregate_norm, solo.mean_local_norm, 1.0, 1e-9)
-        assert np.max(np.abs(apply_fedavg(w1, solo.combined).values
+        one_new, _ = apply(w1, solo, "normnorm", beta=1.0, epsilon=1e-9)
+        assert np.max(np.abs(apply(w1, solo, "fedavg")[0].values
                              - one_new.values)) <= 1e-15
-    report(3, "fednnnn(gamma=0) == normnorm bitwise; momentum(gamma=0) and "
-              "normnorm(m=1, beta=1) == fedavg within 1e-15/element, 25 fixtures")
+    report(3, "fednnnn(gamma=0) == normnorm and momentum(gamma=0) == fedavg "
+              "bitwise; normnorm(m=1, beta=1) == fedavg within 1e-15/element, "
+              "25 fixtures")
 
 
 def test_criterion_04_backprop_matches_finite_differences():
@@ -203,7 +191,6 @@ def test_criterion_04_backprop_matches_finite_differences():
         analytic = backward(Network(spec, params), batch).values
 
         def loss_at(vals):
-            from fednorm import forward_loss
             net = Network(spec, ParamVector(vals, spec.segments()))
             return forward_loss(net, batch)[0]
 

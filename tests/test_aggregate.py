@@ -8,13 +8,8 @@ import numpy as np
 import pytest
 
 from fednorm.aggregate import (
+    STRATEGY_KINDS,
     AggregationStrategy,
-    MomentumState,
-    NwdaReport,
-    apply_fedavg,
-    apply_fednnnn,
-    apply_momentum,
-    apply_norm_norm,
     apply_strategy,
     integrated_norm,
     nwda,
@@ -48,6 +43,13 @@ def stacked(terms):
     """(alpha_k, Delta w_k) pairs as nwda's (weights, deltas, segments)."""
     return ([w for w, _ in terms], np.stack([v.values for _, v in terms]),
             terms[0][1].segments)
+
+
+def apply(w, report, kind, direction=None, **knobs):
+    """apply_strategy from a zero direction unless one is given."""
+    if direction is None:
+        direction = zeros_like(w)
+    return apply_strategy(w, report, AggregationStrategy(kind, **knobs), direction)
 
 
 # ------------------------------------------------------------------- divergence
@@ -149,7 +151,7 @@ def test_nwda_shape_mismatch_rejected():
 
 def test_fedavg_adds_update():
     w = pv([1.0, 2.0])
-    new = apply_fedavg(w, pv([0.25, -0.5]))
+    new, _ = apply(w, nwda(*stacked([(1.0, pv([0.25, -0.5]))])), "fedavg")
     assert np.array_equal(new.values, [1.25, 1.5])
 
 
@@ -159,10 +161,7 @@ def test_normnorm_step_norm_is_beta_times_mean_local():
         report = nwda(*stacked(random_terms(rng, int(rng.integers(2, 6)))))
         w = pv(rng.standard_normal(report.combined.size), split=(3, 5))
         beta = float(rng.uniform(0.3, 1.5))
-        _, step = apply_norm_norm(
-            w, report.combined, report.aggregate_norm, report.mean_local_norm,
-            beta, 1e-9,
-        )
+        _, step = apply(w, report, "normnorm", beta=beta, epsilon=1e-9)
         target = beta * report.mean_local_norm
         assert abs(l2_norm(step) - target) <= 1e-10 * target
 
@@ -170,9 +169,7 @@ def test_normnorm_step_norm_is_beta_times_mean_local():
 def test_normnorm_preserves_direction():
     report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))]))
     w = pv([0.0, 0.0])
-    new, step = apply_norm_norm(
-        w, report.combined, report.aggregate_norm, report.mean_local_norm, 0.9, 1e-9
-    )
+    new, step = apply(w, report, "normnorm", beta=0.9, epsilon=1e-9)
     scale = 0.9 * (1.0 / math.sqrt(0.5))
     np.testing.assert_allclose(step.values, scale * np.array([0.5, 0.5]), rtol=1e-14)
     assert np.array_equal(new.values, step.values)
@@ -182,9 +179,7 @@ def test_normnorm_guard_returns_params_unchanged():
     w = pv([1.0, -2.0])
     # full cancellation: N = 0, E > 0
     report = nwda(*stacked([(0.5, pv([1.0, 1.0])), (0.5, pv([-1.0, -1.0]))]))
-    new, step = apply_norm_norm(
-        w, report.combined, report.aggregate_norm, report.mean_local_norm, 1.0, 1e-9
-    )
+    new, step = apply(w, report, "normnorm", beta=1.0, epsilon=1e-9)
     assert np.array_equal(new.values, w.values)
     assert l2_norm(step) == 0.0
 
@@ -193,25 +188,19 @@ def test_guard_boundary_is_leq():
     w = pv([0.0])
     eps = 1e-9
     at = nwda(*stacked([(1.0, pv([eps]))]))  # N = E = eps, threshold eps*max(1,eps) = eps
-    new, step = apply_norm_norm(w, at.combined, at.aggregate_norm,
-                                at.mean_local_norm, 1.0, eps)
+    new, step = apply(w, at, "normnorm", beta=1.0, epsilon=eps)
     assert l2_norm(step) == 0.0
     above = nwda(*stacked([(1.0, pv([2 * eps]))]))
-    _, step2 = apply_norm_norm(w, above.combined, above.aggregate_norm,
-                               above.mean_local_norm, 1.0, eps)
+    _, step2 = apply(w, above, "normnorm", beta=1.0, epsilon=eps)
     assert l2_norm(step2) > 0.0
 
 
 def test_fednnnn_guard_still_decays_momentum():
     w = pv([1.0, 1.0])
-    state = MomentumState(pv([0.5, -0.5]))
+    direction = pv([0.5, -0.5])
     report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([-1.0, 0.0]))]))
-    new, step, nstate = apply_fednnnn(
-        w, report.combined, report.aggregate_norm, report.mean_local_norm,
-        state, 0.7, 0.8, 1e-9,
-    )
+    new, step = apply(w, report, "fednnnn", direction, beta=0.7, gamma=0.8, epsilon=1e-9)
     assert np.array_equal(step.values, 0.8 * np.array([0.5, -0.5]))
-    assert np.array_equal(nstate.direction.values, step.values)
     assert np.array_equal(new.values, w.values + step.values)
 
 
@@ -219,31 +208,40 @@ def test_momentum_constant_update_geometric_sum():
     u = pv([1.0, -2.0])
     w = pv([0.0, 0.0])
     gamma = 0.6
-    state = MomentumState(zeros_like(u))
+    report = nwda(*stacked([(1.0, u)]))
+    assert np.array_equal(report.combined.values, u.values)
+    step = zeros_like(u)
     for t in range(1, 6):
-        w, step, state = apply_momentum(w, u, state, gamma)
+        w, step = apply(w, report, "momentum", step, gamma=gamma)
         closed = (1 - gamma**t) / (1 - gamma)
         np.testing.assert_allclose(step.values, closed * u.values, rtol=1e-12)
 
 
-def test_fednnnn_matches_independent_replay():
-    """Replay the d' = gamma*d + beta*(E/N)*u recursion with raw numpy and a
-    fresh update sequence; the applier chain must match bit for bit."""
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_fednnnn_matches_independent_replay(kind):
+    """Replay each kind's README formula with raw numpy and a fresh update
+    sequence; the apply_strategy chain must match bit for bit. Every kind
+    gets beta and gamma, so the kinds that ignore a knob are checked too."""
     rng = np.random.default_rng(11)
     beta, gamma = 0.7, 0.8
     w = pv(rng.standard_normal(8), split=(3, 5))
-    state = MomentumState(zeros_like(w))
+    step = zeros_like(w)
     ref_w = w.values.copy()
     ref_d = np.zeros(8)
     for _ in range(6):
         terms = random_terms(rng, 4)
         report = nwda(*stacked(terms))
-        w, step, state = apply_fednnnn(
-            w, report.combined, report.aggregate_norm, report.mean_local_norm,
-            state, beta, gamma, 1e-9,
-        )
+        w, step = apply(w, report, kind, step, beta=beta, gamma=gamma, epsilon=1e-9)
+        u = report.combined.values
         scale = beta * (report.mean_local_norm / report.aggregate_norm)
-        ref_d = gamma * ref_d + scale * report.combined.values
+        if kind in ("fedavg", "fedprox"):  # w + u
+            ref_d = u
+        elif kind == "normnorm":  # w + beta*(E/N)*u
+            ref_d = scale * u
+        elif kind == "momentum":  # d' = gamma*d + u, then w + d'
+            ref_d = gamma * ref_d + u
+        else:  # d' = gamma*d + beta*(E/N)*u, then w + d'
+            ref_d = gamma * ref_d + scale * u
         ref_w = ref_w + ref_d
         assert np.array_equal(step.values, ref_d)
         assert np.array_equal(w.values, ref_w)
@@ -257,14 +255,8 @@ def test_fednnnn_gamma_zero_is_normnorm_bitwise():
         report = nwda(*stacked(random_terms(rng, 3)))
         w = pv(rng.standard_normal(8), split=(3, 5))
         beta = float(rng.uniform(0.3, 1.5))
-        nn_new, nn_step = apply_norm_norm(
-            w, report.combined, report.aggregate_norm, report.mean_local_norm,
-            beta, 1e-9,
-        )
-        fn_new, fn_step, _ = apply_fednnnn(
-            w, report.combined, report.aggregate_norm, report.mean_local_norm,
-            MomentumState(zeros_like(w)), beta, 0.0, 1e-9,
-        )
+        nn_new, nn_step = apply(w, report, "normnorm", beta=beta, epsilon=1e-9)
+        fn_new, fn_step = apply(w, report, "fednnnn", beta=beta, gamma=0.0, epsilon=1e-9)
         assert np.array_equal(nn_new.values, fn_new.values)
         assert np.array_equal(nn_step.values, fn_step.values)
 
@@ -273,9 +265,9 @@ def test_momentum_gamma_zero_is_fedavg():
     rng = np.random.default_rng(6)
     report = nwda(*stacked(random_terms(rng, 4)))
     w = pv(rng.standard_normal(8), split=(3, 5))
-    avg = apply_fedavg(w, report.combined)
-    mom, _, _ = apply_momentum(w, report.combined, MomentumState(zeros_like(w)), 0.0)
-    assert np.max(np.abs(avg.values - mom.values)) <= 1e-15
+    avg, _ = apply(w, report, "fedavg")
+    mom, _ = apply(w, report, "momentum", gamma=0.0)
+    assert np.array_equal(avg.values, mom.values)
 
 
 def test_normnorm_single_client_beta_one_is_fedavg():
@@ -283,61 +275,51 @@ def test_normnorm_single_client_beta_one_is_fedavg():
     vec = pv(rng.standard_normal(8), split=(3, 5))
     w = pv(rng.standard_normal(8), split=(3, 5))
     report = nwda(*stacked([(1.0, vec)]))
-    avg = apply_fedavg(w, report.combined)
-    nn_new, _ = apply_norm_norm(
-        w, report.combined, report.aggregate_norm, report.mean_local_norm, 1.0, 1e-9
-    )
+    avg, _ = apply(w, report, "fedavg")
+    nn_new, _ = apply(w, report, "normnorm", beta=1.0, epsilon=1e-9)
     assert np.max(np.abs(avg.values - nn_new.values)) <= 1e-15
 
 
 # ------------------------------------------------------------------- dispatcher
 
 def test_apply_strategy_dispatch_matches_direct_calls():
+    """Each kind is its corner of d' = gamma*d + s*u from a non-zero d, with
+    beta and gamma set even where the kind ignores them."""
     rng = np.random.default_rng(9)
     terms = random_terms(rng, 3)
     report = nwda(*stacked(terms))
     w = pv(rng.standard_normal(8), split=(3, 5))
+    d = pv(rng.standard_normal(8), split=(3, 5))
+    u = report.combined.values
+    scale = 0.9 * (report.mean_local_norm / report.aggregate_norm)
 
-    new, step, state = apply_strategy(w, report, AggregationStrategy("fedavg"))
-    assert np.array_equal(new.values, apply_fedavg(w, report.combined).values)
-    assert state is None
+    def step_of(kind):
+        new, step = apply(w, report, kind, d, beta=0.9, gamma=0.5)
+        assert np.array_equal(new.values, step.values + w.values)
+        return step.values
 
-    prox, _, _ = apply_strategy(w, report, AggregationStrategy("fedprox"))
-    assert np.array_equal(prox.values, new.values)
-
-    nn, nn_step, _ = apply_strategy(
-        w, report, AggregationStrategy("normnorm", beta=0.9)
-    )
-    direct, direct_step = apply_norm_norm(
-        w, report.combined, report.aggregate_norm, report.mean_local_norm, 0.9, 1e-9
-    )
-    assert np.array_equal(nn.values, direct.values)
-    assert np.array_equal(nn_step.values, direct_step.values)
-
-    _, _, st1 = apply_strategy(
-        w, report, AggregationStrategy("momentum", gamma=0.5)
-    )
-    assert isinstance(st1, MomentumState)
-
-    _, _, st2 = apply_strategy(
-        w, report, AggregationStrategy("fednnnn", beta=0.7, gamma=0.8)
-    )
-    assert isinstance(st2, MomentumState)
+    # plain averaging carries no momentum: the step is u whatever d holds
+    assert np.array_equal(step_of("fedavg"), u)
+    assert np.array_equal(step_of("fedprox"), u)
+    assert np.array_equal(step_of("normnorm"), scale * u)
+    assert np.array_equal(step_of("momentum"), 0.5 * d.values + u)
+    assert np.array_equal(step_of("fednnnn"), 0.5 * d.values + scale * u)
 
 
 def test_strategy_validation():
-    with pytest.raises(ConfigError, match="kind"):
+    with pytest.raises(ConfigError, match="^kind: must be one of .*, got 'fedsum'$"):
         AggregationStrategy("fedsum")
-    with pytest.raises(ConfigError, match="beta"):
+    with pytest.raises(ConfigError, match="^beta: must be positive, got 0.0$"):
         AggregationStrategy("normnorm", beta=0.0)
-    with pytest.raises(ConfigError, match="gamma"):
+    with pytest.raises(ConfigError, match=r"^gamma: must be in \[0, 1\), got 1.0$"):
         AggregationStrategy("momentum", gamma=1.0)
     with pytest.raises(ConfigError, match="gamma"):
         AggregationStrategy("momentum", gamma=-0.1)
-    with pytest.raises(ConfigError, match="epsilon"):
+    with pytest.raises(ConfigError, match="^epsilon: must be positive, got 0.0$"):
         AggregationStrategy("fednnnn", epsilon=0.0)
-    assert AggregationStrategy("fednnnn").carries_momentum
-    assert not AggregationStrategy("fedavg").carries_momentum
+    assert [k for k in STRATEGY_KINDS if AggregationStrategy(k).normalized] == [
+        "normnorm", "fednnnn"]
+    assert [k for k in STRATEGY_KINDS if AggregationStrategy(k).proximal] == ["fedprox"]
 
 
 # -------------------------------------------------------------- integrated norm

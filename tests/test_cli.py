@@ -4,6 +4,7 @@ CSV/manifest contracts, and byte-identical reruns."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,13 +99,37 @@ def test_bad_values_are_rejected_with_paths():
         parse_config({"partition": {"label_mode": "sorted"}})
     with pytest.raises(ConfigError, match="training.rounds"):
         parse_config({"training": {"rounds": 0}})
+    # the dataclasses' own complaints, prefixed with the config path
+    for raw, message in (
+        ({"strategies": [{"kind": "normnorm", "beta": 0}]},
+         "strategies[0].beta: must be positive, got 0.0"),
+        ({"strategies": [{"kind": "fednnnn", "epsilon": 0}]},
+         "strategies[0].epsilon: must be positive, got 0.0"),
+        ({"strategies": [{"kind": "fedprox", "mu": -1}]},
+         "strategies[0].mu: must be non-negative, got -1.0"),
+        ({"strategies": [{"kind": "fedsum"}]},
+         "strategies[0].kind: must be one of ('fedavg', 'fedprox', 'normnorm', "
+         "'momentum', 'fednnnn'), got 'fedsum'"),
+        ({"strategies": [{"kind": "fedavg"}, {"kind": "fednnnn", "gamma": 1.2}]},
+         "strategies[1].gamma: must be in [0, 1), got 1.2"),
+        ({"training": {"learning_rate": -1}},
+         "training.learning_rate: must be non-negative, got -1.0"),
+        ({"training": {"batch_size": 0}}, "training.batch_size: must be >= 1, got 0"),
+        ({"partition": {"power_exponent": 0}},
+         "partition.power_exponent: must be positive, got 0.0"),
+        ({"partition": {"label_mode": "sorted"}},
+         "partition.label_mode: must be iid or noniid, got 'sorted'"),
+    ):
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == message
 
 
 def test_mu_only_for_fedprox():
     with pytest.raises(ConfigError, match=r"strategies\[0\].mu"):
         parse_config({"strategies": [{"kind": "fedavg", "mu": 0.1}]})
     plan = parse_config({"strategies": [{"kind": "fedprox", "mu": 0.02}]})
-    assert plan.strategies[0].mu == 0.02
+    assert plan.strategies[0].client.mu == 0.02
     assert plan.strategies[0].strategy.kind == "fedprox"
 
 
@@ -135,7 +160,7 @@ def test_unknown_preset_lists_available():
 def test_hardest_split_preset_hyperparameters():
     plan = parse_config(load_preset("mnist_noniid_unbalanced"))
     by_label = {e.label: e for e in plan.strategies}
-    assert by_label["fedprox"].mu == 0.02
+    assert by_label["fedprox"].client.mu == 0.02
     assert by_label["normnorm"].strategy.beta == 0.9
     assert by_label["momentum"].strategy.gamma == 0.8
     assert by_label["fednnnn"].strategy.beta == 0.7
@@ -283,8 +308,11 @@ def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):
          "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert proc.returncode != 0
+    assert proc.returncode == 2
     assert "parameter vector contains NaN or Inf" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert re.fullmatch(r"error: fedavg round \d+ client \d+: parameter vector "
+                        r"contains NaN or Inf\n", proc.stderr)
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
