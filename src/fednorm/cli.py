@@ -18,11 +18,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import yaml
 
 from .aggregate import AggregationStrategy
@@ -408,6 +410,18 @@ def write_layers_csv(path: Path, label: str, metrics: list[RoundMetrics]) -> Non
                 writer.writerow([row.round, label, name, _fmt(agg), _fmt(mean)])
 
 
+def _numeric_environment() -> dict:
+    """What output bytes may depend on beyond config and seed: numpy, its BLAS
+    and the BLAS thread settings (None when unset); no timestamps."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 only prints its config
+        blas = {}
+    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {"numpy": np.__version__, "threads": threads,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+
 def _write_manifest(out: Path, payload: dict) -> None:
     (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -447,6 +461,7 @@ def cmd_run(args) -> int:
         "seed": plan.seed,
         "rounds": plan.rounds,
         "strategies": [e.label for e in plan.strategies],
+        "environment": _numeric_environment(),
         "files": {},
     }
     _write_manifest(out, manifest)

@@ -1,9 +1,9 @@
 """Client-side local training: take the distributed parameters, run seeded
 mini-batch SGD for a fixed number of epochs, and ship back the weight delta.
 
-Training runs in place on raw arrays: one parameter buffer, one gradient
-buffer and one scratch buffer per call, with the layer views built once.
-The delta goes straight into the caller's row of the round's update matrix.
+Training runs in place inside the delta itself: the caller's row of the
+round's update matrix gets the distributed parameters, is trained there with
+one gradient and one scratch buffer, then has those parameters subtracted.
 
 The proximal term (when mu > 0) is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
@@ -18,7 +18,7 @@ import numpy as np
 from .data import Dataset, batches
 from .errors import ConfigError, DivergenceError
 from .nn import Network, NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
-from .params import ParamVector
+from .params import ParamVector, all_finite
 
 WEIGHT_MODES = ("uniform", "by_sample_count")
 
@@ -71,21 +71,26 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
                 out: np.ndarray | None = None) -> ClientUpdate:
     """Run local_epochs of mini-batch SGD from `start` and return the delta.
 
-    The delta is written into `out` (a row of the round's update matrix) when
-    given, else into a new array. Batch order is drawn from
-    derive_seed(round_seed, client_id, epoch), so the result depends only on
-    those identifiers, never on scheduling.
+    Training runs inside `out` (a row of the round's update matrix) when
+    given, else inside a new array, which ends up holding the delta. Batch
+    order is drawn from derive_seed(round_seed, client_id, epoch), so the
+    result depends only on those identifiers, never on scheduling.
 
     Raises:
+        ValueError: if `out` is not a writable C-contiguous float64 vector
+            (layer_views would reshape a copy of any other array and train that).
         DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
     if len(data) == 0:
         raise ValueError(f"client {client_id} has no data")
     Network(net_spec, start)  # raises if start does not fit the spec
     anchor = start.values
-    params = anchor.copy()
-    grad = np.empty_like(params)
-    scratch = np.empty_like(params)
+    params = np.empty_like(anchor) if out is None else out
+    if not (params.dtype == np.float64 and params.shape == anchor.shape
+            and params.flags.c_contiguous and params.flags.writeable):
+        raise ValueError(f"out must be a writable C-contiguous float64 ({anchor.size},) array")
+    np.copyto(params, anchor)
+    grad, scratch = np.empty_like(params), np.empty_like(params)
     layers = layer_views(net_spec, params)
     grads = layer_views(net_spec, grad)
     # overflow and NaN are sticky under the update; the check on the delta
@@ -99,10 +104,10 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
                     prox_addend_into(scratch, params, anchor, config.mu)
                     grad += scratch
                 sgd_update(params, grad, config.learning_rate, config.weight_decay, scratch)
-        out = np.subtract(params, anchor, out=out)
-    if not np.all(np.isfinite(out)):
+        np.subtract(params, anchor, out=params)
+    if not all_finite(params):
         raise DivergenceError(f"client {client_id}: parameter vector contains NaN or Inf")
-    return ClientUpdate(client_id, out, len(data))
+    return ClientUpdate(client_id, params, len(data))
 
 
 def assign_weights(updates: list[ClientUpdate], mode: str = "uniform") -> list[float]:

@@ -213,12 +213,18 @@ def sgd_update(params: np.ndarray, grad: np.ndarray, eta: float, lam: float,
     """params -= eta * (grad + lam * params), in place; scratch is overwritten.
 
     The operations run in the order the expression reads, so the result is
-    bitwise that of evaluating it. lam * params is computed even for lam = 0:
-    skipping it would keep an Inf parameter Inf where the expression gives NaN.
+    bitwise that of evaluating it. lam = 0 skips lam * params, exactly for
+    finite params: that term is a signed zero, adding it can only turn a -0
+    grad into +0 (for params >= +0), and such params minus +0 or -0 agree.
+    An Inf parameter stays Inf instead of turning NaN (the delta check
+    rejects both). grad is only read.
     """
-    np.multiply(params, lam, out=scratch)
-    scratch += grad
-    scratch *= eta
+    if lam == 0:
+        np.multiply(grad, eta, out=scratch)
+    else:
+        np.multiply(params, lam, out=scratch)
+        scratch += grad
+        scratch *= eta
     params -= scratch
 
 

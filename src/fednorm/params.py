@@ -9,13 +9,13 @@ ParamVector per row.
 All reductions here accumulate strictly left to right (no pairwise or
 threaded reduction), so repeated runs are bit-identical regardless of worker
 count. For a single vector, `_ordered_sum` gets that order from `np.cumsum`.
-For the K rows of a matrix, `squared_norms` squares a block of columns into
-a C-contiguous (columns, K) array and reduces it along axis 0, with the
-running sums carried in its first row. NumPy adds such rows one after
-another, element by element, so every column is still summed left to right
-and each row's result is bitwise equal to `_ordered_sum` on that row. With
-one column NumPy would sum pairwise instead, so the block is always at least
-two columns wide.
+For the K rows of a matrix, `squared_norms` copies a block of columns into
+a C-contiguous (columns, K) array, squares it in place and reduces it along
+axis 0, with the running sums carried in its first row. NumPy adds such rows
+one after another, element by element, so every column is still summed left
+to right and each row's result is bitwise equal to `_ordered_sum` on that
+row. With one column NumPy would sum pairwise instead, so the block is
+always at least two columns wide.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from .errors import ShapeMismatchError
 # columns per block in squared_norms: for K = 100 clients the block is 800 KB,
 # where squaring the whole (K, n) matrix at once would hold a second copy of it
 NORM_CHUNK = 1024
+# columns per block in weighted_rows: the 128 KB sum block stays in cache
+SUM_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,15 @@ class ParamVector:
         raise KeyError(name)
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """True when x holds no NaN or Inf: a finite sum proves it without a boolean
+    temporary, and only a non-finite sum falls back to the elementwise check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(np.add.reduce(x, axis=None)) or np.isfinite(x).all())
+
+
 def require_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    if not all_finite(values):
         raise ValueError("parameter vector contains NaN or Inf")
 
 
@@ -143,10 +152,14 @@ def weighted_rows(weights: Sequence[float], rows,
     """
     size = sum(seg.length for seg in segments)
     acc = np.zeros(size, dtype=np.float64)
-    term = np.empty(size, dtype=np.float64)
-    for weight, row in zip(weights, rows, strict=True):
-        np.multiply(row, float(weight), out=term)
-        acc += term
+    term = np.empty(min(size, SUM_CHUNK), dtype=np.float64)
+    # one cached block of acc at a time; each element sums the same terms in
+    # order (and an empty vector still takes one pass, checking the row count)
+    for start in range(0, max(size, 1), SUM_CHUNK):
+        block = acc[start : start + SUM_CHUNK]
+        for weight, row in zip(weights, rows, strict=True):
+            np.multiply(row[start : start + SUM_CHUNK], float(weight), out=term[: block.size])
+            block += term[: block.size]
     return ParamVector(acc, segments)
 
 
@@ -183,9 +196,10 @@ def squared_norms(rows: np.ndarray,
         end = seg.offset + seg.length
         for start in range(seg.offset, end, NORM_CHUNK):
             stop = min(start + NORM_CHUNK, end)
-            part = rows[:, start:stop].T
             squares = block[: stop - start]
-            np.multiply(part, part, out=squares[:, :k])
+            # copy first: squaring the strided transposed view reads column-wise
+            np.copyto(squares[:, :k], rows[:, start:stop].T)
+            np.multiply(squares, squares, out=squares)
             # reduce twice, carrying first the segment's and then the whole
             # row's running sums in the first row
             first = squares[0].copy()

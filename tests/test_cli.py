@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -224,6 +225,23 @@ def test_rerun_and_worker_count_are_byte_identical(tmp_path):
         a = (tmp_path / "a" / fname).read_bytes()
         assert a == (tmp_path / "b" / fname).read_bytes()
         assert a == (tmp_path / "c" / fname).read_bytes()
+
+
+def test_manifest_records_numeric_environment_deterministically(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    cfg = write_config(tmp_path)
+    for name in ("a", "b"):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    text = (tmp_path / "a" / "manifest.json").read_text()
+    assert text == (tmp_path / "b" / "manifest.json").read_text()
+    env = json.loads(text)["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+    }
 
 
 def test_seed_override_changes_results(tmp_path):

@@ -109,13 +109,31 @@ def test_diverging_training_raises(blob):
 
 
 def test_delta_written_into_given_row(blob):
+    """Training runs inside the row; its neighbours stay untouched and the
+    row ends bitwise equal to the delta trained in a fresh array."""
     start = init_params(SPEC, seed=0)
-    cfg = ClientConfig(batch_size=16, local_epochs=2)
-    matrix = np.full((2, SPEC.param_count), np.nan)
-    up = local_train(SPEC, start, blob, cfg, 9, 1, out=matrix[1])
-    assert np.shares_memory(up.delta, matrix)
-    assert np.array_equal(matrix[1], local_train(SPEC, start, blob, cfg, 9, 1).delta)
-    assert np.isnan(matrix[0]).all()
+    for cfg in (ClientConfig(batch_size=16, local_epochs=2),
+                ClientConfig(batch_size=16, local_epochs=2, weight_decay=1e-3, mu=0.4)):
+        matrix = np.full((3, SPEC.param_count), np.nan)
+        up = local_train(SPEC, start, blob, cfg, 9, 1, out=matrix[1])
+        assert np.shares_memory(up.delta, matrix)
+        fresh = local_train(SPEC, start, blob, cfg, 9, 1).delta
+        assert np.array_equal(matrix[1].view(np.int64), fresh.view(np.int64))
+        assert np.isnan(matrix[0]).all() and np.isnan(matrix[2]).all()
+
+
+def test_out_that_is_not_a_writable_contiguous_row_is_rejected(blob):
+    start = init_params(SPEC, seed=0)
+    n = SPEC.param_count
+    read_only = np.zeros(n)
+    read_only.setflags(write=False)
+    for bad in (np.zeros((n, 2))[:, 0],       # a column view: strided
+                np.zeros(n + 1),              # wrong length
+                np.zeros((1, n)),             # not 1-D
+                np.zeros(n, dtype=np.float32),
+                read_only):
+        with pytest.raises(ValueError, match="out must be"):
+            local_train(SPEC, start, blob, ClientConfig(), 9, 1, out=bad)
 
 
 def test_derive_seed_is_stable_and_injective_enough():

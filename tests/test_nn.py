@@ -15,6 +15,7 @@ from fednorm.nn import (
     init_params,
     prox_gradient_addend,
     sgd_step,
+    sgd_update,
 )
 from fednorm.params import ParamVector, Segment
 
@@ -208,6 +209,27 @@ def test_sgd_step_weight_decay_matches_scalar_loop():
          for i in range(40)]
     )
     assert np.array_equal(out.values, expected)
+
+
+def test_sgd_update_without_weight_decay_is_bitwise_the_four_operations():
+    """lam = 0 skips the lam * params term; over signed zeros, subnormals
+    and large values every result keeps the bits of the full expression."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    grid = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1.0, -1.0,
+                     1e300, -1e300])
+    params0, grad0 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    for eta in (0.0, 1e-3, 0.05, 1.0):
+        expected = params0.copy()
+        scratch = np.empty_like(expected)
+        np.multiply(expected, 0.0, out=scratch)
+        scratch += grad0
+        scratch *= eta
+        expected -= scratch
+        params, grad = params0.copy(), grad0.copy()
+        grad.setflags(write=False)
+        sgd_update(params, grad, eta, 0.0, np.empty_like(params))
+        assert np.array_equal(params.view(np.int64), expected.view(np.int64)), eta
+        assert np.array_equal(grad.view(np.int64), grad0.view(np.int64))
 
 
 def test_sgd_step_norm_bound_exact():

@@ -8,9 +8,11 @@ import pytest
 from fednorm.errors import ShapeMismatchError
 from fednorm.params import (
     NORM_CHUNK,
+    SUM_CHUNK,
     ParamVector,
     Segment,
     _ordered_sum,
+    all_finite,
     axpy,
     delta,
     l2_norm,
@@ -237,6 +239,41 @@ def test_weighted_rows_matches_weighted_sum():
     terms = [(w, ParamVector(r, THREE_SEGS)) for w, r in zip(weights, rows)]
     assert np.array_equal(combined.values, oracle_weighted_sum(terms))
     assert combined.segments == THREE_SEGS
+
+
+def test_weighted_rows_blocks_keep_the_unblocked_order():
+    """Rows are added block by block, but every element still sums the
+    same terms in list order from +0.0."""
+    rng = np.random.default_rng(17)
+    n = 2 * SUM_CHUNK + 5
+    rows = rng.standard_normal((5, n)) * rng.uniform(0.01, 100, (5, n))
+    weights = [0.3, 0.1, 0.25, 0.15, 0.2]
+    expected = np.zeros(n)
+    for w, r in zip(weights, rows):
+        expected += r * w
+    segs = (Segment("a", 0, SUM_CHUNK + 1), Segment("b", SUM_CHUNK + 1, SUM_CHUNK + 4))
+    assert np.array_equal(weighted_rows(weights, rows, segs).values, expected)
+    assert np.array_equal(weighted_rows(weights, list(rows), segs).values, expected)
+    with pytest.raises(ValueError, match="zip"):
+        weighted_rows(weights[:4], rows, segs)
+    with pytest.raises(ValueError, match="zip"):
+        weighted_rows(weights[:4], np.empty((5, 0)), ())
+
+
+# all_finite -----------------------------------------------------------------
+
+@pytest.mark.filterwarnings("error")
+def test_all_finite_sum_overflow_and_every_position():
+    assert all_finite(np.array([1e308, 1e308]))  # finite, though the sum overflows
+    assert all_finite(np.array([]))
+    assert all_finite(np.array([-0.0, 5e-324, -1e308]))
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in (0, 3, 6):
+            x = np.ones(7)
+            x[pos] = bad
+            assert not all_finite(x), (bad, pos)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        vec([1.0, -np.inf, 1e308])
 
 
 # axpy -----------------------------------------------------------------------
