@@ -4,7 +4,19 @@ norm-based divergence analysis on every round.
 The usual entry points are `run_experiment` for library use and the `fednorm`
 command line for batch runs; see the README for the round-loop semantics.
 Everything else is imported from its submodule.
+
+Importing fednorm pins OpenBLAS to one thread, whatever the environment says:
+a threaded matrix product can round differently with the thread count, and
+output bytes must not depend on the machine. OpenBLAS reads the setting once,
+when numpy loads it, so a program that imported numpy before fednorm keeps
+its own setting (and the manifest records that setting).
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .aggregate import AggregationStrategy, nwda
 from .client import ClientConfig

@@ -91,6 +91,76 @@ class NwdaReport:
     per_layer: list[tuple[str, float, float]]
 
 
+class UpdateFold:
+    """One round's nwda, folded block by block as the clients' rows arrive.
+
+    `add` takes the next rows in client order; `report` then gives what
+    `nwda` gives over all of them, bit for bit. The weights are fixed up
+    front, so each block is reduced into the running sum u and its norms are
+    taken while later clients still train. Overflow warnings are silenced on
+    every thread: a diverging client is reported by its own finiteness
+    check, and a sum that overflows by the ParamVector check in report.
+    """
+
+    def __init__(self, weights: Sequence[float], segments: tuple[Segment, ...]):
+        if len(weights) == 0:
+            raise ValueError("nwda of an empty update list")
+        self.weights = [float(w) for w in weights]
+        self.segments = segments
+        self.size = sum(seg.length for seg in segments)
+        self.combined = np.zeros(self.size)
+        self.whole_sq = np.empty(len(weights))
+        self.segment_sq = np.empty((len(segments), len(weights)))
+        self.count = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        """Fold the (B, n) updates of the next B clients: their weighted sum
+        into u, and their norms."""
+        first = self.count
+        self.add_to_sum(rows)
+        self.take_norms(first, rows)
+
+    def add_to_sum(self, rows: np.ndarray) -> None:
+        """Add the next B clients' weighted updates to u, in client order;
+        their norms are left to take_norms."""
+        first, end = self.count, self.count + rows.shape[0]
+        if rows.shape[1:] != (self.size,) or end > len(self.weights):
+            raise ShapeMismatchError(
+                f"nwda: {end} rows of {rows.shape[1:]} values, expected at most "
+                f"{len(self.weights)} of ({self.size},)")
+        with np.errstate(over="ignore", invalid="ignore"):
+            weighted_rows(self.weights[first:end], rows, out=self.combined)
+        self.count = end
+
+    def take_norms(self, first: int, rows: np.ndarray) -> None:
+        """Squared norms of clients first..first+B-1, whose (B, n) updates
+        are rows; blocks may come in any order and from any thread."""
+        end = first + rows.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            squared_norms(rows, self.segments,
+                          out=(self.whole_sq[first:end], self.segment_sq[:, first:end]))
+
+    def report(self) -> NwdaReport:
+        """The round's divergence numbers, once every client's rows are in."""
+        if self.count != len(self.weights):
+            raise ShapeMismatchError(
+                f"nwda: {self.count} rows folded, expected {len(self.weights)}")
+        combined = ParamVector(self.combined, self.segments)
+        aggregate = l2_norm(combined)
+        mean_local = 0.0
+        layer_means = [0.0] * len(self.segments)
+        for k, weight in enumerate(self.weights):
+            mean_local += weight * math.sqrt(self.whole_sq[k])
+            for i in range(len(self.segments)):
+                layer_means[i] += weight * math.sqrt(self.segment_sq[i, k])
+        ratio = aggregate / mean_local if mean_local > 0 else None
+        per_layer = [
+            (name, seg_norm, layer_means[i])
+            for i, (name, seg_norm) in enumerate(per_layer_norms(combined))
+        ]
+        return NwdaReport(combined, aggregate, mean_local, ratio, per_layer)
+
+
 def nwda(weights: Sequence[float], deltas: np.ndarray,
          segments: tuple[Segment, ...]) -> NwdaReport:
     """Analyze one round's weighted updates.
@@ -99,26 +169,12 @@ def nwda(weights: Sequence[float], deltas: np.ndarray,
     weights[k], laid out by segments. Rows are combined in list order and
     every norm sums left to right, so the result is reproducible bit for bit.
     """
-    if len(weights) == 0:
-        raise ValueError("nwda of an empty update list")
-    expected = (len(weights), sum(seg.length for seg in segments))
+    fold = UpdateFold(weights, segments)
+    expected = (len(weights), fold.size)
     if deltas.shape != expected:
         raise ShapeMismatchError(f"nwda: deltas shaped {deltas.shape}, expected {expected}")
-    combined = weighted_rows(weights, deltas, segments)
-    aggregate = l2_norm(combined)
-    whole_sq, segment_sq = squared_norms(deltas, segments)
-    mean_local = 0.0
-    layer_means = [0.0] * len(segments)
-    for k, weight in enumerate(weights):
-        mean_local += weight * math.sqrt(whole_sq[k])
-        for i in range(len(segments)):
-            layer_means[i] += weight * math.sqrt(segment_sq[i, k])
-    ratio = aggregate / mean_local if mean_local > 0 else None
-    per_layer = [
-        (name, seg_norm, layer_means[i])
-        for i, (name, seg_norm) in enumerate(per_layer_norms(combined))
-    ]
-    return NwdaReport(combined, aggregate, mean_local, ratio, per_layer)
+    fold.add(deltas)
+    return fold.report()
 
 
 def apply_strategy(params: ParamVector, report: NwdaReport,

@@ -1,9 +1,9 @@
 """Client-side local training: take the distributed parameters, run seeded
 mini-batch SGD for a fixed number of epochs, and ship back the weight delta.
 
-Training runs in place inside the delta itself: the caller's row of the
-round's update matrix gets the distributed parameters, is trained there with
-one gradient and one scratch buffer, then has those parameters subtracted.
+Training runs in place inside the delta itself: the caller's row buffer
+gets the distributed parameters, is trained there with one gradient and one
+scratch buffer, then has those parameters subtracted.
 
 The proximal term (when mu > 0) is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
@@ -53,7 +53,11 @@ class ClientConfig:
 @dataclass(frozen=True)
 class ClientUpdate:
     """One client's result; delta is its raw update row (trained minus
-    distributed parameters), laid out like the distributed ParamVector."""
+    distributed parameters), laid out like the distributed ParamVector.
+
+    delta is a view of the row buffer the client trained in. The round loop
+    hands that buffer to a later client once the row has been reduced, so
+    read or copy delta before then."""
 
     client_id: int
     delta: np.ndarray
@@ -71,7 +75,7 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
                 out: np.ndarray | None = None) -> ClientUpdate:
     """Run local_epochs of mini-batch SGD from `start` and return the delta.
 
-    Training runs inside `out` (a row of the round's update matrix) when
+    Training runs inside `out` (a row buffer of the round loop) when
     given, else inside a new array, which ends up holding the delta. Batch
     order is drawn from derive_seed(round_seed, client_id, epoch), so the
     result depends only on those identifiers, never on scheduling.
@@ -110,13 +114,14 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
     return ClientUpdate(client_id, params, len(data))
 
 
-def assign_weights(updates: list[ClientUpdate], mode: str = "uniform") -> list[float]:
-    """Aggregation weights for a round's updates, summing to 1."""
-    if not updates:
-        raise ValueError("no updates to weight")
+def assign_weights(sample_counts: list[int], mode: str = "uniform") -> list[float]:
+    """Aggregation weights for a round's sampled clients, from their sample
+    counts in client order; they sum to 1 and are known before training."""
+    if not sample_counts:
+        raise ValueError("no clients to weight")
     if mode == "uniform":
-        return [1.0 / len(updates)] * len(updates)
+        return [1.0 / len(sample_counts)] * len(sample_counts)
     if mode == "by_sample_count":
-        total = sum(u.sample_count for u in updates)
-        return [u.sample_count / total for u in updates]
+        total = sum(sample_counts)
+        return [count / total for count in sample_counts]
     raise ConfigError(f"weight mode must be one of {WEIGHT_MODES}, got {mode!r}")

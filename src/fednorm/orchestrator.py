@@ -1,6 +1,11 @@
 """The round loop: distribute parameters, train sampled clients, analyze the
 round's updates, apply the server rule, evaluate.
 
+Clients train into a small ring of row buffers, on the calling thread or on
+`workers` pool threads. Finished rows are reduced in client-id order on one
+server thread while later clients still train, so the memory a round's
+updates take does not grow with the number of clients it samples.
+
 Everything is keyed off one experiment seed. Parameter init, the partition,
 and each round get their own derived seed, and per-client batch orders depend
 only on (round seed, client id, epoch), so a run is reproducible bit for bit
@@ -10,12 +15,14 @@ regardless of worker count or scheduling order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .aggregate import AggregationStrategy, apply_strategy, nwda
+from .aggregate import AggregationStrategy, UpdateFold, apply_strategy
 from .client import WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, local_train
 from .data import Dataset, PartitionSpec, partition
 from .errors import ConfigError, DivergenceError
@@ -26,6 +33,15 @@ from .params import ParamVector, axpy, l2_norm, zeros_like
 _INIT = 0
 _PARTITION = 1
 _ROUND = 2
+
+# finished rows go to the server thread once this many bytes of them wait
+# (21 rows of the 784-200-200-10 net): a column-wise norm pass costs a fixed
+# amount per block plus a little per row, so blocks must be wide. Smaller
+# rounds are reduced in one block at round end, with no thread handoff.
+HANDOFF_BYTES = 32 << 20
+# the ring of client row buffers holds at least workers + 1 rows, and more up
+# to this many bytes: one block the server reduces while the next one trains
+RING_BYTES = 2 * HANDOFF_BYTES
 
 
 @dataclass(frozen=True)
@@ -106,34 +122,123 @@ def evaluate(network: NetworkSpec, params: ParamVector, ds: Dataset) -> float:
     return acc
 
 
+def ring_rows(clients_per_round: int, param_count: int, workers: int) -> int:
+    """Row buffers to train a round's clients in: one per worker plus one the
+    server reduces, more up to RING_BYTES, never more than the clients."""
+    return min(clients_per_round, max(workers + 1, RING_BYTES // (8 * param_count)))
+
+
+class _Ran:
+    """fn(*args) called on this thread, with the part of the Future interface
+    the round loop uses (a Future costs a lock per client)."""
+
+    def __init__(self, fn: Callable, *args) -> None:
+        self.value = fn(*args)
+
+    def done(self) -> bool:
+        return True
+
+    def result(self):
+        return self.value
+
+
+def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
+                   ring: np.ndarray, fold: UpdateFold, workers: int) -> None:
+    """Train clients 0..count-1 and fold each one's row into `fold` in order.
+
+    Client i trains in ring[i % len(ring)] by train(i, row), on this thread
+    when workers is 1, else on a pool. Finished rows are handed to one server
+    thread in client order once HANDOFF_BYTES of them wait. The rows after the
+    last handoff are folded here: their norms while the server finishes, then
+    their share of the sum. A row is reused only after it has been folded.
+    The first failing client's exception propagates, in client order, after
+    every thread has stopped.
+    """
+    slots = len(ring)
+    handoff = max(1, HANDOFF_BYTES // ring[0].nbytes)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    submit = pool.submit if pool else _Ran
+    server = None  # started by the first handoff
+    trained: list[Future | _Ran] = []
+    folds: deque[tuple[int, Future]] = deque()  # (end row, pending fold)
+    ready = handed = folded = 0  # rows trained, handed over, folded; in client order
+
+    def blocks(start: int, end: int):
+        # rows [start, end) as slices of the ring, split where it wraps
+        while start < end:
+            first = start % slots
+            stop = min(first + end - start, slots)
+            yield start + stop - first, ring[first:stop]
+            start += stop - first
+
+    def hand_over(end: int) -> None:
+        nonlocal handed, server
+        if server is None:
+            server = ThreadPoolExecutor(1, thread_name_prefix="fednorm-server")
+        for block_end, rows in blocks(handed, end):
+            folds.append((block_end, server.submit(fold.add, rows)))
+        handed = end
+
+    def advance(wait: bool) -> None:
+        # hand finished rows over in client order; result() raises a
+        # failed client's exception
+        nonlocal ready
+        while ready < len(trained) and (wait or trained[ready].done()):
+            trained[ready].result()
+            ready += 1
+            if ready - handed >= handoff and ready < count:
+                hand_over(ready)
+
+    try:
+        for i in range(count):
+            reuse = i - slots
+            if reuse >= folded:
+                if reuse >= handed:
+                    for done in trained[ready : reuse + 1]:
+                        done.result()
+                    ready = max(ready, reuse + 1)
+                    hand_over(reuse + 1)
+                while folded <= reuse:
+                    folded, pending = folds.popleft()
+                    pending.result()
+            trained.append(submit(train, i, ring[i % slots]))
+            advance(wait=False)
+        advance(wait=True)
+        rest = list(blocks(handed, count))
+        for end, rows in rest:
+            fold.take_norms(end - len(rows), rows)
+        for _, pending in folds:
+            pending.result()
+        for _, rows in rest:
+            fold.add_to_sum(rows)
+    finally:
+        for executor in (pool, server):
+            if executor:
+                executor.shutdown(cancel_futures=True)
+
+
 def run_round(params: ParamVector, direction: ParamVector,
               parts: list[Dataset], test: Dataset, config: ExperimentConfig,
-              round_index: int, integrated_so_far: float, deltas: np.ndarray,
+              round_index: int, integrated_so_far: float, ring: np.ndarray,
               ) -> tuple[ParamVector, ParamVector, RoundMetrics]:
     """One round from the distributed parameters and the server's direction;
-    returns both updated and the round's metrics. deltas is the
-    (clients_per_round, param count) matrix the sampled clients overwrite
-    with their updates, one row each in client-id order."""
+    returns both updated and the round's metrics. ring is the (ring_rows,
+    param count) matrix of row buffers the sampled clients train in."""
     round_seed = derive_seed(config.seed, _ROUND, round_index)
     sampled = sample_clients(config.client_count, config.clients_per_round, round_seed)
+    weights = assign_weights([len(parts[cid]) for cid in sampled], config.weight_mode)
+    fold = UpdateFold(weights, params.segments)
 
-    def train_one(row: int):
-        cid = sampled[row]
+    def train_one(i: int, row: np.ndarray):
+        cid = sampled[i]
         return local_train(config.network, params, parts[cid], config.client,
-                           round_seed, cid, out=deltas[row])
-    rows = range(len(sampled))
+                           round_seed, cid, out=row)
     try:
-        if config.workers == 1:
-            updates = [train_one(row) for row in rows]
-        else:
-            # each thread writes only its own rows; map keeps the input order
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                updates = list(pool.map(train_one, rows))
+        train_and_fold(train_one, len(sampled), ring, fold, config.workers)
     except DivergenceError as exc:
         raise DivergenceError(f"round {round_index} {exc}") from None
 
-    weights = assign_weights(updates, config.weight_mode)
-    report = nwda(weights, deltas, params.segments)
+    report = fold.report()
     new_params, direction = apply_strategy(params, report, config.strategy, direction)
 
     averaged = None
@@ -174,13 +279,14 @@ def run_experiment(train: Dataset, test: Dataset,
     params = init_params(config.network, derive_seed(config.seed, _INIT))
     direction = zeros_like(params)
 
-    # one update matrix for every round
-    deltas = np.empty((config.clients_per_round, params.size))
+    # one ring of client row buffers for every round
+    ring = np.empty((ring_rows(config.clients_per_round, params.size, config.workers),
+                     params.size))
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, config.rounds + 1):
         params, direction, row = run_round(
-            params, direction, parts, test, config, round_index, integrated, deltas
+            params, direction, parts, test, config, round_index, integrated, ring
         )
         integrated = row.integrated_norm
         metrics.append(row)

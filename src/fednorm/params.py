@@ -1,21 +1,24 @@
 """Layer-segmented flat parameter vectors and the vector algebra built on them.
 
 Every aggregation rule in this package is expressed over ParamVector: a
-read-only float64 array tiled by named layer segments. A round's client
-updates travel as one (K, n) matrix instead, one row per client, and
-`weighted_rows` and `squared_norms` reduce over it without building a
-ParamVector per row.
+read-only float64 array tiled by named layer segments. Client updates
+travel as raw rows of a (K, n) matrix instead, one row per client, and
+`weighted_rows` and `squared_norms` reduce a block of them without building
+a ParamVector per row. Both continue from one block of rows to the next, so
+a round's rows can be reduced in client order as they arrive.
 
 All reductions here accumulate strictly left to right (no pairwise or
 threaded reduction), so repeated runs are bit-identical regardless of worker
 count. For a single vector, `_ordered_sum` gets that order from `np.cumsum`.
-For the K rows of a matrix, `squared_norms` copies a block of columns into
-a C-contiguous (columns, K) array, squares it in place and reduces it along
-axis 0, with the running sums carried in its first row. NumPy adds such rows
-one after another, element by element, so every column is still summed left
-to right and each row's result is bitwise equal to `_ordered_sum` on that
-row. With one column NumPy would sum pairwise instead, so the block is
-always at least two columns wide.
+The matrix kernels get it from `np.add.reduce` along the first axis of a
+C-contiguous 2-D block, which adds the block's rows one after another,
+element by element: `weighted_rows` reduces the weighted rows themselves,
+and `squared_norms` reduces the squares of a block of columns copied
+transposed, so that each of its columns is one row's sum carried left to
+right. Unlike `np.cumsum`, these reductions release the GIL, so a server
+thread running them leaves the training thread free. With one column NumPy
+would sum pairwise instead, so the transposed block is always at least two
+columns wide.
 """
 
 from __future__ import annotations
@@ -28,11 +31,9 @@ import numpy as np
 
 from .errors import ShapeMismatchError
 
-# columns per block in squared_norms: for K = 100 clients the block is 800 KB,
-# where squaring the whole (K, n) matrix at once would hold a second copy of it
-NORM_CHUNK = 1024
-# columns per block in weighted_rows: the 128 KB sum block stays in cache
-SUM_CHUNK = 16384
+# columns per block in weighted_rows and squared_norms: for 20 rows a block is
+# 640 KB, and each block is a few long NumPy calls
+CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -140,27 +141,32 @@ def weighted_sum(terms: Sequence[tuple[float, ParamVector]]) -> ParamVector:
     first = terms[0][1]
     for _, vec in terms:
         _require_compatible(first, vec, "weighted_sum")
-    return weighted_rows([w for w, _ in terms], [v.values for _, v in terms],
-                         first.segments)
+    acc = np.zeros(first.size)
+    weighted_rows([w for w, _ in terms], np.stack([v.values for _, v in terms]), out=acc)
+    return ParamVector(acc, first.segments)
 
 
-def weighted_rows(weights: Sequence[float], rows,
-                  segments: tuple[Segment, ...]) -> ParamVector:
-    """Sum of weights[k] * rows[k] accumulated in list order.
+def weighted_rows(weights: Sequence[float], rows: np.ndarray, *, out: np.ndarray) -> np.ndarray:
+    """Add weights[k] * rows[k] of a (K, n) matrix into out, in row order;
+    returns out.
 
-    rows is a (K, n) matrix or a list of K 1-D arrays of length n.
+    Each element of out adds the same terms in the same order whether the
+    rows come in one call or in consecutive blocks, so folding a round's rows
+    block by block from zeros gives the bits of one call over all of them.
     """
-    size = sum(seg.length for seg in segments)
-    acc = np.zeros(size, dtype=np.float64)
-    term = np.empty(min(size, SUM_CHUNK), dtype=np.float64)
-    # one cached block of acc at a time; each element sums the same terms in
-    # order (and an empty vector still takes one pass, checking the row count)
-    for start in range(0, max(size, 1), SUM_CHUNK):
-        block = acc[start : start + SUM_CHUNK]
-        for weight, row in zip(weights, rows, strict=True):
-            np.multiply(row[start : start + SUM_CHUNK], float(weight), out=term[: block.size])
-            block += term[: block.size]
-    return ParamVector(acc, segments)
+    if len(weights) != rows.shape[0] or rows.shape[1:] != out.shape:
+        raise ValueError(f"weighted_rows: {len(weights)} weights for rows shaped "
+                         f"{rows.shape} into {out.shape}")
+    column = np.array(weights, dtype=np.float64)[:, None]
+    terms = np.empty((len(weights), min(out.size, CHUNK)))
+    for start in range(0, out.size, CHUNK):
+        acc = out[start : start + CHUNK]
+        block = terms[:, : acc.size]
+        np.multiply(rows[:, start : start + CHUNK], column, out=block)
+        # out + w_0 r_0 first, then each later term, one row after another
+        block[0] += acc
+        np.add.reduce(block, axis=0, out=acc)
+    return out
 
 
 def l2_norm(v: ParamVector) -> float:
@@ -176,39 +182,47 @@ def per_layer_norms(v: ParamVector) -> list[tuple[str, float]]:
     return out
 
 
-def squared_norms(rows: np.ndarray,
-                  segments: tuple[Segment, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Squared L2 norms of every row of a (K, n) matrix, in one pass.
+def squared_norms(rows: np.ndarray, segments: tuple[Segment, ...],
+                  out: tuple[np.ndarray, np.ndarray] | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Squared L2 norms of every row of a (K, n) matrix.
 
     Returns (whole, per_segment): whole[k] is row k's squared norm and
-    per_segment[s, k] that of segment s of row k. Each value is bitwise equal
-    to `_ordered_sum(x * x)` over the same elements (see the module
-    docstring for why the column-wise reduction keeps that order).
+    per_segment[s, k] that of segment s of row k, written into `out` when
+    given. Each value is bitwise equal to `_ordered_sum(x * x)` over the same
+    elements (see the module docstring for the column-wise order).
     """
     k = rows.shape[0]
-    width = max(k, 2)
-    block = np.zeros((NORM_CHUNK, width))
-    seg_sums = np.zeros(width)
-    whole = np.zeros(width)
-    per_segment = np.empty((len(segments), k))
+    whole, per_segment = out if out is not None else (np.empty(k), np.empty((len(segments), k)))
+    widest = max((seg.length for seg in segments), default=0)
+    scratch = np.empty(min(CHUNK, widest) * 2 * k)
+    # columns [0, k) carry each row's segment sum, [k, 2k) its whole-row sum
+    sums = np.zeros(2 * k)
+    started = False
     for s, seg in enumerate(segments):
-        seg_sums[:] = 0.0
+        sums[:k] = 0.0
+        # up to the first non-empty segment the two sums agree, so one set of
+        # columns carries both (two for a single row, which must not be summed
+        # pairwise)
+        dual = started or k == 1
+        width = 2 * k if dual else k
         end = seg.offset + seg.length
-        for start in range(seg.offset, end, NORM_CHUNK):
-            stop = min(start + NORM_CHUNK, end)
-            squares = block[: stop - start]
-            # copy first: squaring the strided transposed view reads column-wise
-            np.copyto(squares[:, :k], rows[:, start:stop].T)
+        for start in range(seg.offset, end, CHUNK):
+            stop = min(start + CHUNK, end)
+            squares = scratch[: (stop - start) * width].reshape(stop - start, width)
+            columns = rows[:, start:stop].T
+            np.copyto(squares[:, :k], columns)
+            if dual:
+                np.copyto(squares[:, k:], columns)
             np.multiply(squares, squares, out=squares)
-            # reduce twice, carrying first the segment's and then the whole
-            # row's running sums in the first row
-            first = squares[0].copy()
-            squares[0] += seg_sums
-            np.add.reduce(squares, axis=0, out=seg_sums)
-            np.add(first, whole, out=squares[0])
-            np.add.reduce(squares, axis=0, out=whole)
-        per_segment[s] = seg_sums[:k]
-    return whole[:k], per_segment
+            squares[0] += sums[:width]
+            np.add.reduce(squares, axis=0, out=sums[:width])
+        per_segment[s] = sums[:k]
+        if seg.length and not started:
+            sums[k:] = sums[:k]
+            started = True
+    whole[:] = sums[k:]
+    return whole, per_segment
 
 
 def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:

@@ -10,12 +10,13 @@ import pytest
 from fednorm.aggregate import (
     STRATEGY_KINDS,
     AggregationStrategy,
+    UpdateFold,
     apply_strategy,
     integrated_norm,
     nwda,
 )
 from fednorm.errors import ConfigError, ShapeMismatchError
-from fednorm.params import NORM_CHUNK, ParamVector, Segment, l2_norm, per_layer_norms, zeros_like
+from fednorm.params import CHUNK, ParamVector, Segment, l2_norm, per_layer_norms, zeros_like
 
 
 def pv(vals, split=None):
@@ -115,7 +116,7 @@ def test_nwda_matrix_matches_per_vector_formulas():
     """The matrix pass against the per-ParamVector formulas nwda used before
     it took a round matrix, compared with == and no tolerance."""
     rng = np.random.default_rng(21)
-    split = (NORM_CHUNK + 3, 7, 1)
+    split = (CHUNK + 3, 7, 1)
     terms = random_terms(rng, 5, segs=split)
     report = nwda(*stacked(terms))
 
@@ -146,6 +147,35 @@ def test_nwda_shape_mismatch_rejected():
     with pytest.raises(ShapeMismatchError, match="deltas shaped"):
         nwda([1.0], np.zeros((2, 4)), segs)
 
+
+
+def test_fold_in_blocks_matches_nwda():
+    """Rows folded block by block, with the sum and the norms of the last
+    block taken separately and the norms first, report nwda's numbers."""
+    rng = np.random.default_rng(22)
+    weights, deltas, segs = stacked(random_terms(rng, 7, segs=(CHUNK + 3, 0, 9)))
+    whole = nwda(weights, deltas, segs)
+    fold = UpdateFold(weights, segs)
+    fold.add(deltas[:1])
+    fold.add(deltas[1:5])
+    fold.take_norms(5, deltas[5:])
+    fold.add_to_sum(deltas[5:])
+    report = fold.report()
+    assert np.array_equal(report.combined.values, whole.combined.values)
+    assert (report.aggregate_norm, report.mean_local_norm, report.ratio, report.per_layer) \
+        == (whole.aggregate_norm, whole.mean_local_norm, whole.ratio, whole.per_layer)
+
+
+def test_fold_rejects_missing_and_extra_rows():
+    weights, deltas, segs = stacked(random_terms(np.random.default_rng(23), 3))
+    fold = UpdateFold(weights, segs)
+    fold.add(deltas[:2])
+    with pytest.raises(ShapeMismatchError, match="2 rows folded, expected 3"):
+        fold.report()
+    with pytest.raises(ShapeMismatchError, match="expected at most 3"):
+        fold.add(deltas)
+    with pytest.raises(ShapeMismatchError, match="expected at most"):
+        fold.add(deltas[:1, :4])
 
 # -------------------------------------------------------------------- appliers
 

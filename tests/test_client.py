@@ -172,19 +172,15 @@ def test_client_update_validation():
 
 
 def test_assign_weights_uniform_and_by_count():
-    start = init_params(SPEC, seed=0)
-    ups = [ClientUpdate(0, start, 10), ClientUpdate(1, start, 30)]
-    assert assign_weights(ups) == [0.5, 0.5]
-    assert assign_weights(ups, "by_sample_count") == [0.25, 0.75]
-    three = [ClientUpdate(i, start, 5) for i in range(3)]
-    w = assign_weights(three, "uniform")
+    assert assign_weights([10, 30]) == [0.5, 0.5]
+    assert assign_weights([10, 30], "by_sample_count") == [0.25, 0.75]
+    w = assign_weights([5, 5, 5], "uniform")
     assert all(x == 1.0 / 3.0 for x in w)
     assert abs(sum(w) - 1.0) < 1e-12
 
 
 def test_assign_weights_validation():
-    start = init_params(SPEC, seed=0)
     with pytest.raises(ValueError):
         assign_weights([])
     with pytest.raises(ConfigError, match="by_sample_count"):
-        assign_weights([ClientUpdate(0, start, 1)], "by_loudness")
+        assign_weights([1], "by_loudness")

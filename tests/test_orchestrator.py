@@ -2,23 +2,27 @@
 the metric identities each strategy implies."""
 
 import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from fednorm.aggregate import AggregationStrategy
+import fednorm.orchestrator as orchestrator
+from fednorm.aggregate import AggregationStrategy, UpdateFold, nwda
 from fednorm.client import ClientConfig, derive_seed, local_train
 from fednorm.data import PartitionSpec, partition, synth_split
-from fednorm.errors import ConfigError
+from fednorm.errors import ConfigError, DivergenceError
 from fednorm.nn import NetworkSpec, init_params
 from fednorm.orchestrator import (
     ExperimentConfig,
     evaluate,
+    ring_rows,
     run_experiment,
     sample_clients,
+    train_and_fold,
 )
-from fednorm.params import ParamVector, weighted_sum, axpy
+from fednorm.params import ParamVector, Segment, weighted_sum, axpy
 
 NET = NetworkSpec((4, 8, 3))
 TRAIN, TEST = synth_split(3, 20, 10, 4, seed=13)
@@ -150,10 +154,10 @@ def test_determinism_and_worker_count_independence():
     assert np.array_equal(one.final_params.values, four.final_params.values)
 
 
-def test_pool_threads_fill_the_shared_round_matrix_like_one_worker():
-    """Pool threads write their rows of one round matrix concurrently. With
-    more workers than cores and a thread switch every microsecond, a row
-    written to the wrong place or lost would change the by-sample-count
+def assert_six_workers_match_one():
+    """Run a by-sample-count config on 1 worker and on 6 (more than the
+    cores) with a thread switch every microsecond: a row written to the
+    wrong place, lost, or reused before it was reduced would change the
     weighted numbers."""
     # clients long enough (about 6 batches of 8) that the threads overlap
     train, test = synth_split(3, 200, 10, 4, seed=13)
@@ -172,6 +176,21 @@ def test_pool_threads_fill_the_shared_round_matrix_like_one_worker():
         sys.setswitchinterval(interval)
     assert many.metrics == one.metrics
     assert np.array_equal(many.final_params.values, one.final_params.values)
+
+
+def test_pool_threads_fill_the_shared_round_matrix_like_one_worker():
+    """Pool threads write their rows of the ring concurrently."""
+    assert_six_workers_match_one()
+
+
+def test_pool_and_server_threads_share_a_small_ring_like_one_worker(monkeypatch):
+    """The same with a ring of 7 rows for 9 clients and a handoff every 2
+    rows (a row is 8 * 515 bytes), so the server thread reduces rows while
+    the pool trains into reused ones."""
+    monkeypatch.setattr(orchestrator, "HANDOFF_BYTES", 2 * 8 * 515)
+    monkeypatch.setattr(orchestrator, "RING_BYTES", 7 * 8 * 515)
+    assert ring_rows(9, 515, 6) == 7
+    assert_six_workers_match_one()
 
 
 def test_seed_changes_everything():
@@ -204,3 +223,85 @@ def test_data_network_mismatch():
     narrow = NetworkSpec((4, 8, 2))
     with pytest.raises(ConfigError, match="classes"):
         run_experiment(TRAIN, TEST, make_config(network=narrow))
+
+
+# ------------------------------------------------------------- ring and server
+
+def test_ring_is_bounded_and_never_a_round_matrix():
+    """At least one row per worker plus one, more up to RING_BYTES, never more
+    rows than the round has clients."""
+    row = 199210  # the 784-200-200-10 network
+    assert ring_rows(100, row, 1) == orchestrator.RING_BYTES // (8 * row) < 100
+    assert ring_rows(100, row, 1) * 8 * row <= orchestrator.RING_BYTES
+    assert ring_rows(10, row, 2) == 10
+    assert ring_rows(100, 10**8, 6) == 7
+    assert ring_rows(3, 10**8, 6) == 3
+
+
+SEGS = (Segment("a", 0, 4), Segment("b", 4, 2))
+
+
+def fake_train(fail=(), delay=None):
+    """A client that writes seeded values into its row, optionally sleeping
+    first and raising DivergenceError for the ids in `fail`."""
+    def train(i, row):
+        if delay:
+            time.sleep(delay(i))
+        if i in fail:
+            raise DivergenceError(f"client {i}: parameter vector contains NaN or Inf")
+        row[:] = np.random.default_rng(i).standard_normal(row.size)
+    return train
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_rows_fold_in_client_order_through_the_server_thread(monkeypatch, workers):
+    """Small rows and a small handoff: blocks go to the server, the ring of 5
+    rows wraps three times, and the report equals nwda over all rows."""
+    count = 17
+    monkeypatch.setattr(orchestrator, "HANDOFF_BYTES", 3 * 8 * 6)
+    weights = list(np.random.default_rng(1).uniform(0.1, 1.0, count))
+    fold = UpdateFold(weights, SEGS)
+    where = []
+    add_to_sum = fold.add_to_sum
+
+    def slow_add_to_sum(rows):
+        # a slow server: a row reused before it was reduced would be lost
+        where.append((threading.current_thread().name, len(rows)))
+        time.sleep(0.01)
+        add_to_sum(rows)
+    monkeypatch.setattr(fold, "add_to_sum", slow_add_to_sum)
+    train_and_fold(fake_train(delay=lambda i: 0.002 * (i % 3)), count,
+                   np.full((5, 6), np.nan), fold, workers)
+    expected = np.stack([np.random.default_rng(i).standard_normal(6) for i in range(count)])
+    want = nwda(weights, expected, SEGS)
+    got = fold.report()
+    assert np.array_equal(got.combined.values, want.combined.values)
+    assert (got.mean_local_norm, got.per_layer) == (want.mean_local_norm, want.per_layer)
+    assert sum(rows for _, rows in where) == count
+    assert any(name.startswith("fednorm-server") for name, _ in where)
+
+
+def test_rows_below_the_handoff_fold_on_the_calling_thread(monkeypatch):
+    """desk-sized rounds never reach the handoff: no thread handoff at all."""
+    fold = UpdateFold([0.25] * 4, SEGS)
+    where = []
+    for name in ("add_to_sum", "take_norms"):
+        method = getattr(fold, name)
+        monkeypatch.setattr(fold, name, lambda *args, method=method: (
+            where.append(threading.current_thread()), method(*args)))
+    train_and_fold(fake_train(), 4, np.empty((4, 6)), fold, workers=1)
+    fold.report()
+    assert where == [threading.main_thread()] * 2
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_first_failing_client_stops_the_round_without_leftover_threads(monkeypatch, workers):
+    """Clients 7 and 9 diverge; 9 fails first in time on the pool, but the
+    error names client 7, and no pool or server thread outlives the call."""
+    monkeypatch.setattr(orchestrator, "HANDOFF_BYTES", 2 * 8 * 6)
+    baseline = threading.active_count()
+    fold = UpdateFold([0.1] * 12, SEGS)
+    train = fake_train(fail=(7, 9), delay=lambda i: 0.05 if i == 7 else 0.0)
+    with pytest.raises(DivergenceError, match="client 7:"):
+        train_and_fold(train, 12, np.empty((4, 6)), fold, workers)
+    assert threading.active_count() == baseline

@@ -7,8 +7,7 @@ import pytest
 
 from fednorm.errors import ShapeMismatchError
 from fednorm.params import (
-    NORM_CHUNK,
-    SUM_CHUNK,
+    CHUNK,
     ParamVector,
     Segment,
     _ordered_sum,
@@ -189,11 +188,10 @@ def test_per_layer_norms_aggregate_to_global():
 
 # squared_norms -----------------------------------------------------------------
 
-def chunk_edge_segments():
+def chunk_edge_segments(lengths=(1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5)):
     """Segment lengths on both sides of the column-block edges."""
     segs, pos = [], 0
-    for i, length in enumerate((1, NORM_CHUNK - 1, NORM_CHUNK, NORM_CHUNK + 1,
-                                3 * NORM_CHUNK + 5)):
+    for i, length in enumerate(lengths):
         segs.append(Segment(f"s{i}", pos, length))
         pos += length
     return tuple(segs)
@@ -201,7 +199,11 @@ def chunk_edge_segments():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 17])
 def test_squared_norms_bitwise_equal_per_vector_norms(k):
-    segs = chunk_edge_segments()
+    for segs in (chunk_edge_segments(), chunk_edge_segments((3 * CHUNK + 5, 1, CHUNK))):
+        check_squared_norms(k, segs)
+
+
+def check_squared_norms(k, segs):
     n = sum(s.length for s in segs)
     rng = np.random.default_rng(k)
     rows = rng.standard_normal((k, n)) * rng.uniform(0.01, 100, (k, n))
@@ -219,7 +221,7 @@ def test_squared_norms_bitwise_equal_per_vector_norms(k):
         assert [(s.name, math.sqrt(per_segment[j, i])) for j, s in enumerate(segs)] \
             == per_layer_norms(v)
     # the data tell the orders apart: a pairwise sum gives other bits
-    big = rows[0, -(3 * NORM_CHUNK + 5):]
+    big = max((v.segment_values(s.name) for s in segs), key=len)
     assert float(np.sum(big * big)) != _ordered_sum(big * big)
 
 
@@ -231,33 +233,65 @@ def test_squared_norms_empty_segment_is_zero():
     assert per_segment.tolist() == [[5.0, 110.0], [0.0, 0.0], [25.0, 145.0]]
 
 
+def test_squared_norms_blocks_of_rows_match_one_pass():
+    """A round's rows arrive in blocks; norms taken block by block into
+    slices of the outputs equal one pass over every row."""
+    segs = chunk_edge_segments()
+    n = sum(s.length for s in segs)
+    rows = np.random.default_rng(18).standard_normal((7, n))
+    whole, per_segment = squared_norms(rows, segs)
+    got = (np.full(7, np.nan), np.full((len(segs), 7), np.nan))
+    for first, end in ((0, 1), (1, 4), (4, 7)):
+        squared_norms(rows[first:end], segs, out=(got[0][first:end], got[1][:, first:end]))
+    assert np.array_equal(got[0], whole)
+    assert np.array_equal(got[1], per_segment)
+
+
 def test_weighted_rows_matches_weighted_sum():
     rng = np.random.default_rng(16)
     rows = rng.standard_normal((4, 147))
     weights = [0.1, 0.2, 0.3, 0.4]
-    combined = weighted_rows(weights, rows, THREE_SEGS)
+    combined = weighted_rows(weights, rows, out=np.zeros(147))
     terms = [(w, ParamVector(r, THREE_SEGS)) for w, r in zip(weights, rows)]
-    assert np.array_equal(combined.values, oracle_weighted_sum(terms))
-    assert combined.segments == THREE_SEGS
+    assert np.array_equal(combined, oracle_weighted_sum(terms))
+    assert np.array_equal(weighted_sum(terms).values, combined)
+
+
+def weighted_rows_fixture(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * CHUNK + 5
+    rows = rng.standard_normal((5, n)) * rng.uniform(0.01, 100, (5, n))
+    rows[:, ::7] = -0.0
+    weights = [0.3, 0.1, 0.25, 0.15, 0.2]
+    expected = np.zeros(n)
+    for w, r in zip(weights, rows):
+        expected += r * w
+    return weights, rows, expected
 
 
 def test_weighted_rows_blocks_keep_the_unblocked_order():
     """Rows are added block by block, but every element still sums the
     same terms in list order from +0.0."""
-    rng = np.random.default_rng(17)
-    n = 2 * SUM_CHUNK + 5
-    rows = rng.standard_normal((5, n)) * rng.uniform(0.01, 100, (5, n))
-    weights = [0.3, 0.1, 0.25, 0.15, 0.2]
-    expected = np.zeros(n)
-    for w, r in zip(weights, rows):
-        expected += r * w
-    segs = (Segment("a", 0, SUM_CHUNK + 1), Segment("b", SUM_CHUNK + 1, SUM_CHUNK + 4))
-    assert np.array_equal(weighted_rows(weights, rows, segs).values, expected)
-    assert np.array_equal(weighted_rows(weights, list(rows), segs).values, expected)
-    with pytest.raises(ValueError, match="zip"):
-        weighted_rows(weights[:4], rows, segs)
-    with pytest.raises(ValueError, match="zip"):
-        weighted_rows(weights[:4], np.empty((5, 0)), ())
+    weights, rows, expected = weighted_rows_fixture(17)
+    out = weighted_rows(weights, rows, out=np.zeros(rows.shape[1]))
+    assert np.array_equal(out.view(np.int64), expected.view(np.int64))
+    with pytest.raises(ValueError, match="weighted_rows: 4 weights"):
+        weighted_rows(weights[:4], rows, out=np.zeros(rows.shape[1]))
+    with pytest.raises(ValueError, match="weighted_rows: 4 weights"):
+        weighted_rows(weights[:4], np.empty((5, 0)), out=np.zeros(0))
+    with pytest.raises(ValueError, match="into"):
+        weighted_rows(weights, rows, out=np.zeros(3))
+
+
+@pytest.mark.parametrize("split", [1, 2, 4])
+def test_weighted_rows_continues_over_blocks_of_rows(split):
+    """Two calls into one accumulator, the second continuing the first,
+    give the bits of one call over all rows (signed zeros included)."""
+    weights, rows, expected = weighted_rows_fixture(19)
+    acc = np.zeros(rows.shape[1])
+    weighted_rows(weights[:split], rows[:split], out=acc)
+    weighted_rows(weights[split:], rows[split:], out=acc)
+    assert np.array_equal(acc.view(np.int64), expected.view(np.int64))
 
 
 # all_finite -----------------------------------------------------------------

@@ -1,0 +1,124 @@
+"""The 784-200-200-10 network's rounds, which reach the server thread: output
+bytes must not depend on the BLAS thread count, must equal golden digests,
+and a diverging client must still fail with one line.
+
+Each run is a fresh `fednorm run` process, so that importing fednorm comes
+before numpy and the BLAS pin applies. The config is the benchmark's
+wide_round cut down to 50 clients, 2 rounds and 40/20 rows per class: its
+1.6 MB rows pass the handoff size twice a round and wrap the ring.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
+import pytest
+import yaml
+
+import fednorm
+import fednorm.orchestrator as orchestrator
+from fednorm.cli import main
+
+WIDE_TRIMMED = {
+    "dataset": {"kind": "synth", "classes": 10, "features": 784, "center_scale": 0.5,
+                "components_per_class": 2, "train_per_class": 40, "test_per_class": 20},
+    "network": {"hidden": [200, 200]},
+    "partition": {"label_mode": "noniid", "classes_per_client": 2,
+                  "size_mode": "unbalanced", "power_exponent": 1.5},
+    "training": {"clients": 50, "rounds": 2, "participation": 1.0, "batch_size": 50,
+                 "local_epochs": 1, "workers": 1},
+    "strategies": [{"kind": "normnorm", "beta": 0.9}, {"kind": "momentum", "gamma": 0.8}],
+}
+PARAMS = 784 * 200 + 200 + 200 * 200 + 200 + 200 * 10 + 10
+
+# SHA-256 of the CSVs `fednorm run --seed 0` wrote for WIDE_TRIMMED before the
+# server thread existed, with OPENBLAS_NUM_THREADS=1
+WIDE_TRIMMED_SHA256 = {
+    "momentum_layers.csv": "433dc36afc914cef6c51f4f8ed62a129772ed897dda199ed3a0ba230125a82d0",
+    "momentum_metrics.csv": "cae41dba7823bdf731caae67518cbda8314380a1d387137da61606efc28e496b",
+    "normnorm_layers.csv": "a3fd3a975743383f1d2318ccd6a0336763bc726d4f268aa73a712fa33871a27d",
+    "normnorm_metrics.csv": "aa924179c53f277c7732c94a0b31eda71d29aaf0ebd634ced2a31cf36aaa059a",
+}
+# at these settings client 48 of round 1 diverges first: after two handoffs,
+# with its row in a reused ring slot
+DIVERGING = {"learning_rate": 1000.0, "local_epochs": 8}
+
+
+def run_cli(config: dict, out: Path, blas_threads: str | None) -> subprocess.CompletedProcess:
+    path = out.parent / f"{out.name}.yaml"
+    path.write_text(yaml.safe_dump(config))
+    src = str(Path(fednorm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run(
+        [sys.executable, "-m", "fednorm.cli", "run", "--config", str(path), "--seed", "0",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+
+
+def csv_digests(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.glob("*.csv"))}
+
+
+@pytest.fixture(scope="module")
+def digests_by_blas_threads(tmp_path_factory):
+    """CSV digests of WIDE_TRIMMED under OPENBLAS_NUM_THREADS 1, 2 and unset."""
+    runs = {}
+    for threads in ("1", "2", None):
+        out = tmp_path_factory.mktemp("wide") / f"threads-{threads}"
+        proc = run_cli(WIDE_TRIMMED, out, threads)
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = csv_digests(out)
+    return runs
+
+
+def test_trimmed_config_reaches_the_server_thread_and_wraps_the_ring():
+    clients = WIDE_TRIMMED["training"]["clients"]
+    assert clients * 8 * PARAMS > 2 * orchestrator.HANDOFF_BYTES
+    assert orchestrator.ring_rows(clients, PARAMS, 1) < clients
+
+
+def test_output_bytes_do_not_depend_on_blas_threads(digests_by_blas_threads):
+    one = digests_by_blas_threads["1"]
+    assert len(one) == 4
+    assert digests_by_blas_threads["2"] == one
+    assert digests_by_blas_threads[None] == one
+
+
+def test_server_thread_path_matches_golden_hashes(digests_by_blas_threads):
+    assert digests_by_blas_threads[None] == WIDE_TRIMMED_SHA256
+
+
+def diverging_config() -> dict:
+    config = json.loads(json.dumps(WIDE_TRIMMED))
+    config["training"].update(DIVERGING)
+    config["strategies"] = [{"kind": "normnorm", "beta": 0.9}]
+    return config
+
+
+def test_diverging_client_fails_with_one_line_after_handoffs(tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli(diverging_config(), out, None)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr == ("error: normnorm round 1 client 48: parameter vector "
+                           "contains NaN or Inf\n")
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_diverging_run_leaves_no_thread_behind(tmp_path, capsys):
+    config = tmp_path / "diverge.yaml"
+    config.write_text(yaml.safe_dump(diverging_config()))
+    baseline = threading.active_count()
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "parameter vector contains NaN or Inf" in capsys.readouterr().err
+    assert threading.active_count() == baseline
