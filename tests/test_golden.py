@@ -2,7 +2,9 @@
 exact bytes. Rerun checks cannot catch a change that moves the numbers the
 same way on every run; these hashes do. They are the SHA-256 digests of the
 reference CSVs in benchmarks/reference/desk_quick/. A second set pins the
-same run with weight decay, which no other golden output exercises."""
+same run with weight decay, which no other golden output exercises, and a
+third pins the schedule fields away from their defaults: half the clients per
+round, weights by sample count, two workers."""
 
 import hashlib
 
@@ -37,6 +39,21 @@ DESK_QUICK_WEIGHT_DECAY_SHA256 = {
     "normnorm_metrics.csv": "fe67fe8b4c6f5a27d915fee046d1a968b1fd0f44fd1d840db333489edf2e4424",
 }
 
+# desk_quick with training.participation: 0.5, weight_mode: by_sample_count,
+# workers: 2 (one worker writes the same bytes)
+DESK_QUICK_SCHEDULE_SHA256 = {
+    "fedavg_layers.csv": "2377dade97a24afba35edb873b9b425eebb90fb86649b6a6ac5f35e958018a72",
+    "fedavg_metrics.csv": "c3126ebac73492e44d7a0cd4d212883c9ee10543badead3f551159ee1510e9b5",
+    "fednnnn_layers.csv": "0edceb7cab45e403afbed52e11f0f403b3a21f3ec9ca9be80dbbb76663c33704",
+    "fednnnn_metrics.csv": "27c1f9e56ff354eb6305ae3203c61d6d92f98ebb3d8926e1f7fe58c5af5ba800",
+    "fedprox_layers.csv": "a6987122a9631ca2381bcf4c60a83f94faf1949d88d537e822ed0a79444495f4",
+    "fedprox_metrics.csv": "89ef90f11e2a43eaf7b60a4e24e087a2ea12a368e47af0baebc86f846a94f15e",
+    "momentum_layers.csv": "75ba014f19820c7b9844da1f346e2f99f8ecf73cd021b6ca69b6074030cb6ac2",
+    "momentum_metrics.csv": "e0d7fc7263407327c3257834c57e4f517020d00c338553c13fb5713e0519c5dc",
+    "normnorm_layers.csv": "e44b18b1283460a1f4211356b6fbc9edba4027b679f8d04221830071b9fb16c9",
+    "normnorm_metrics.csv": "970685bc323cfd66bcdcb17e1ccac8ae32381c0600c3dcf83bf3bdb6284d5a14",
+}
+
 
 def csv_digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -49,11 +66,21 @@ def test_desk_quick_seed_0_matches_golden_hashes(tmp_path):
     assert csv_digests(tmp_path) == DESK_QUICK_SHA256
 
 
-def test_desk_quick_with_weight_decay_matches_golden_hashes(tmp_path):
+def run_desk_quick_with(tmp_path, **training):
     raw = load_preset("desk_quick")
-    raw["training"]["weight_decay"] = 5.0e-4
-    config = tmp_path / "desk_quick_wd.yaml"
+    raw["training"].update(training)
+    config = tmp_path / "desk_quick.yaml"
     config.write_text(yaml.safe_dump(raw))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--seed", "0", "--out", str(out)]) == 0
-    assert csv_digests(out) == DESK_QUICK_WEIGHT_DECAY_SHA256
+    return csv_digests(out)
+
+
+def test_desk_quick_with_weight_decay_matches_golden_hashes(tmp_path):
+    assert run_desk_quick_with(tmp_path, weight_decay=5.0e-4) == DESK_QUICK_WEIGHT_DECAY_SHA256
+
+
+def test_desk_quick_schedule_fields_match_golden_hashes(tmp_path):
+    digests = run_desk_quick_with(tmp_path, participation=0.5,
+                                  weight_mode="by_sample_count", workers=2)
+    assert digests == DESK_QUICK_SCHEDULE_SHA256
