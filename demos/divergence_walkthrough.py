@@ -21,6 +21,7 @@ from fednorm import (
     ExperimentConfig,
     NetworkSpec,
     PartitionSpec,
+    Schedule,
     Segment,
     nwda,
     run_experiment,
@@ -69,9 +70,7 @@ for name, partition in (
         strategy=AggregationStrategy("fedavg"),
         client=ClientConfig(learning_rate=0.05, batch_size=50, local_epochs=5),
         partition=partition,
-        rounds=10,
-        client_count=10,
-        seed=0,
+        schedule=Schedule(rounds=10, clients=10, seed=0),
     )
     result = run_experiment(train, test, config)
     ratios[name] = [round_.ratio for round_ in result.metrics]

@@ -21,6 +21,7 @@ from fednorm import (
     ExperimentConfig,
     NetworkSpec,
     PartitionSpec,
+    Schedule,
     run_experiment,
     synth_split,
 )
@@ -50,9 +51,7 @@ for label, strategy, mu in STRATEGIES:
         client=ClientConfig(learning_rate=0.05, batch_size=50,
                             local_epochs=5, mu=mu),
         partition=PartitionSpec("noniid", "unbalanced", 2, 1.5),
-        rounds=ROUNDS,
-        client_count=10,
-        seed=SEED,
+        schedule=Schedule(rounds=ROUNDS, clients=10, seed=SEED),
     )
     result = run_experiment(train, test, config)
     last = result.metrics[-1]

@@ -23,13 +23,13 @@ from .client import ClientConfig
 from .data import PartitionSpec, partition, synth_dataset, synth_split
 from .errors import ConfigError
 from .nn import NetworkSpec
-from .orchestrator import ExperimentConfig, run_experiment
+from .orchestrator import ExperimentConfig, Schedule, run_experiment
 from .params import Segment
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregationStrategy", "ClientConfig", "ConfigError", "ExperimentConfig",
-    "NetworkSpec", "PartitionSpec", "Segment", "nwda", "partition",
+    "NetworkSpec", "PartitionSpec", "Schedule", "Segment", "nwda", "partition",
     "run_experiment", "synth_dataset", "synth_split", "__version__",
 ]

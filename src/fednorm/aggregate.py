@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -197,7 +196,3 @@ def apply_strategy(params: ParamVector, report: NwdaReport,
     step = ParamVector(gamma * direction.values + scale * update.values, update.segments)
     return axpy(1.0, step, params), step
 
-
-def integrated_norm(step_norms: Sequence[float]) -> list[float]:
-    """Running total of per-round step norms, accumulated left to right."""
-    return list(accumulate(step_norms))

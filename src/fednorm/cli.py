@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from .aggregate import AggregationStrategy
-from .client import WEIGHT_MODES, ClientConfig
+from .client import ClientConfig
 from .data import (
     Dataset,
     DegenerateDataError,
@@ -42,7 +42,7 @@ from .data import (
 )
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec
-from .orchestrator import ExperimentConfig, RoundMetrics, run_experiment
+from .orchestrator import ExperimentConfig, RoundMetrics, Schedule, run_experiment
 
 METRIC_COLUMNS = [
     "round", "strategy", "N", "E", "ratio", "integrated_norm", "step_norm",
@@ -55,22 +55,38 @@ LAYER_COLUMNS = ["round", "strategy", "layer", "N", "E"]
 
 @dataclass(frozen=True)
 class SynthData:
-    classes: int
-    train_per_class: int
-    test_per_class: int
-    features: int
-    center_scale: float
-    components_per_class: int
+    """Gaussian-blob data drawn by `synth_split` with the schedule's seed."""
+
+    classes: int = 10
+    train_per_class: int = 200
+    test_per_class: int = 200
+    features: int = 20
+    center_scale: float = 1.0
+    components_per_class: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("classes", "train_per_class", "test_per_class", "features",
+                     "components_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        if not self.center_scale > 0:
+            raise ConfigError(f"center_scale: must be positive, got {self.center_scale}")
 
 
 @dataclass(frozen=True)
 class IdxData:
-    dir: str | None
-    train_images: str
-    train_labels: str
-    test_images: str
-    test_labels: str
-    train_limit: int | None
+    """IDX image/label files; dir may come from the environment instead."""
+
+    dir: str | None = None
+    train_images: str = "train-images-idx3-ubyte"
+    train_labels: str = "train-labels-idx1-ubyte"
+    test_images: str = "t10k-images-idx3-ubyte"
+    test_labels: str = "t10k-labels-idx1-ubyte"
+    train_limit: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.train_limit is not None and self.train_limit < 1:
+            raise ConfigError(f"train_limit: must be >= 1, got {self.train_limit}")
 
 
 @dataclass(frozen=True)
@@ -85,14 +101,28 @@ class RunPlan:
     dataset: SynthData | IdxData
     hidden: tuple[int, ...]
     partition: PartitionSpec
-    rounds: int
-    clients: int
-    participation: float
-    weight_mode: str
-    eval_dual: bool
-    seed: int
-    workers: int
+    schedule: Schedule
     strategies: tuple[StrategyPlan, ...]
+
+    def experiment(self, entry: StrategyPlan, features: int, classes: int) -> ExperimentConfig:
+        """The experiment one strategy runs on data of this shape."""
+        return ExperimentConfig(NetworkSpec((features, *self.hidden, classes)),
+                                entry.strategy, entry.client, self.partition, self.schedule)
+
+
+# the type of every settable field of each config section
+DATASET_FIELDS = {
+    "synth": (SynthData, dict(classes=int, train_per_class=int, test_per_class=int,
+                              features=int, center_scale=float, components_per_class=int)),
+    "idx": (IdxData, dict(dir=str, train_images=str, train_labels=str, test_images=str,
+                          test_labels=str, train_limit=int)),
+}
+PARTITION_FIELDS = dict(label_mode=str, size_mode=str, classes_per_client=int,
+                        power_exponent=float)
+SCHEDULE_FIELDS = dict(rounds=int, clients=int, participation=float, weight_mode=str,
+                       seed=int, workers=int)
+CLIENT_FIELDS = dict(learning_rate=float, batch_size=int, local_epochs=int,
+                     weight_decay=float)
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -116,7 +146,7 @@ def _field(section: dict, key: str, path: str, kind, default=...):
     value = section[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if not isinstance(value, kind) or isinstance(value, bool):
         hint = ""
         spelling = _yaml_float(value) if kind is float else None
         if spelling is not None:
@@ -161,54 +191,13 @@ def _yaml_float(value) -> str | None:
     return f"{mantissa}e{exponent}" if exponent else mantissa
 
 
-def _positive(value, path: str, minimum=1):
-    if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return value
-
-
 def _parse_dataset(section: dict) -> SynthData | IdxData:
     kind = _field(section, "kind", "dataset", str)
-    if kind == "synth":
-        _reject_unknown(section, {
-            "kind", "classes", "train_per_class", "test_per_class", "features",
-            "center_scale", "components_per_class",
-        }, "dataset")
-        return SynthData(
-            classes=_positive(_field(section, "classes", "dataset", int, 10), "dataset.classes"),
-            train_per_class=_positive(
-                _field(section, "train_per_class", "dataset", int, 200),
-                "dataset.train_per_class"),
-            test_per_class=_positive(
-                _field(section, "test_per_class", "dataset", int, 200),
-                "dataset.test_per_class"),
-            features=_positive(_field(section, "features", "dataset", int, 20), "dataset.features"),
-            center_scale=_field(section, "center_scale", "dataset", float, 1.0),
-            components_per_class=_positive(
-                _field(section, "components_per_class", "dataset", int, 1),
-                "dataset.components_per_class"),
-        )
-    if kind == "idx":
-        _reject_unknown(section, {
-            "kind", "dir", "train_images", "train_labels", "test_images",
-            "test_labels", "train_limit",
-        }, "dataset")
-        limit = _field(section, "train_limit", "dataset", int, None)
-        if limit is not None:
-            _positive(limit, "dataset.train_limit")
-        return IdxData(
-            dir=_field(section, "dir", "dataset", str, None),
-            train_images=_field(section, "train_images", "dataset", str,
-                                "train-images-idx3-ubyte"),
-            train_labels=_field(section, "train_labels", "dataset", str,
-                                "train-labels-idx1-ubyte"),
-            test_images=_field(section, "test_images", "dataset", str,
-                               "t10k-images-idx3-ubyte"),
-            test_labels=_field(section, "test_labels", "dataset", str,
-                               "t10k-labels-idx1-ubyte"),
-            train_limit=limit,
-        )
-    raise ConfigError(f"dataset.kind: must be synth or idx, got {kind!r}")
+    if kind not in DATASET_FIELDS:
+        raise ConfigError(f"dataset.kind: must be synth or idx, got {kind!r}")
+    make, kinds = DATASET_FIELDS[kind]
+    _reject_unknown(section, {"kind", *kinds}, "dataset")
+    return _build("dataset.", make, **_fields(section, "dataset", **kinds))
 
 
 def _parse_strategy(entry, index: int, labels_seen: dict,
@@ -230,8 +219,9 @@ def _parse_strategy(entry, index: int, labels_seen: dict,
 def parse_config(raw: dict) -> RunPlan:
     """Map a loaded YAML mapping onto a RunPlan.
 
-    The strategy, client and partition dataclasses check their own values;
-    every complaint names the offending field by its path, e.g.
+    Every section's dataclass checks its own values and supplies the
+    defaults of absent fields; every complaint names the offending field by
+    its path, e.g.
     "strategies[1].gamma: must be in [0, 1), got 1.2".
     """
     root = _require_mapping(raw, "config")
@@ -249,38 +239,14 @@ def parse_config(raw: dict) -> RunPlan:
         raise ConfigError("network.hidden: expected a list of positive ints")
 
     part = _require_mapping(root.get("partition", {}), "partition")
-    _reject_unknown(part, {"label_mode", "size_mode", "classes_per_client",
-                           "power_exponent"}, "partition")
-    partition_spec = _build("partition.", PartitionSpec, **_fields(
-        part, "partition", label_mode=str, size_mode=str, classes_per_client=int,
-        power_exponent=float))
+    _reject_unknown(part, set(PARTITION_FIELDS), "partition")
+    partition_spec = _build("partition.", PartitionSpec,
+                            **_fields(part, "partition", **PARTITION_FIELDS))
 
     training = _require_mapping(root.get("training", {}), "training")
-    _reject_unknown(training, {
-        "rounds", "clients", "participation", "learning_rate", "batch_size",
-        "local_epochs", "weight_decay", "weight_mode", "eval_dual", "seed",
-        "workers",
-    }, "training")
-    rounds = _positive(_field(training, "rounds", "training", int, 10),
-                       "training.rounds")
-    clients = _positive(_field(training, "clients", "training", int, 10),
-                        "training.clients")
-    participation = _field(training, "participation", "training", float, 1.0)
-    if not 0.0 < participation <= 1.0:
-        raise ConfigError(
-            f"training.participation: must be in (0, 1], got {participation}"
-        )
-    client = _build("training.", ClientConfig, **_fields(
-        training, "training", learning_rate=float, batch_size=int, local_epochs=int,
-        weight_decay=float))
-    weight_mode = _field(training, "weight_mode", "training", str, "uniform")
-    if weight_mode not in WEIGHT_MODES:
-        raise ConfigError(
-            f"training.weight_mode: must be one of {WEIGHT_MODES}, got {weight_mode!r}"
-        )
-    seed = _field(training, "seed", "training", int, 0)
-    if seed < 0:
-        raise ConfigError("training.seed: must be non-negative")
+    _reject_unknown(training, {*SCHEDULE_FIELDS, *CLIENT_FIELDS}, "training")
+    schedule = _build("training.", Schedule, **_fields(training, "training", **SCHEDULE_FIELDS))
+    client = _build("training.", ClientConfig, **_fields(training, "training", **CLIENT_FIELDS))
 
     entries = root.get("strategies", [{"kind": "fedavg"}])
     if not isinstance(entries, list) or not entries:
@@ -289,21 +255,7 @@ def parse_config(raw: dict) -> RunPlan:
     strategies = tuple(
         _parse_strategy(entry, i, labels_seen, client) for i, entry in enumerate(entries)
     )
-
-    return RunPlan(
-        dataset=dataset,
-        hidden=tuple(hidden),
-        partition=partition_spec,
-        rounds=rounds,
-        clients=clients,
-        participation=participation,
-        weight_mode=weight_mode,
-        eval_dual=_field(training, "eval_dual", "training", bool, True),
-        seed=seed,
-        workers=_positive(_field(training, "workers", "training", int, 1),
-                          "training.workers"),
-        strategies=strategies,
-    )
+    return RunPlan(dataset, tuple(hidden), partition_spec, schedule, strategies)
 
 
 def available_presets() -> list[str]:
@@ -347,7 +299,7 @@ def load_data(plan: RunPlan) -> tuple[Dataset, Dataset]:
         d = plan.dataset
         train, test = synth_split(
             d.classes, d.train_per_class, d.test_per_class, d.features,
-            seed=plan.seed, center_scale=d.center_scale,
+            seed=plan.schedule.seed, center_scale=d.center_scale,
             components_per_class=d.components_per_class,
         )
     else:
@@ -363,23 +315,6 @@ def load_data(plan: RunPlan) -> tuple[Dataset, Dataset]:
             train = _head(train, d.train_limit)
     stats = normalization_stats(train)
     return normalize(train, stats), normalize(test, stats)
-
-
-def build_experiment(plan: RunPlan, entry: StrategyPlan,
-                     features: int, classes: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        network=NetworkSpec((features, *plan.hidden, classes)),
-        strategy=entry.strategy,
-        client=entry.client,
-        partition=plan.partition,
-        rounds=plan.rounds,
-        client_count=plan.clients,
-        participation=plan.participation,
-        weight_mode=plan.weight_mode,
-        eval_dual=plan.eval_dual,
-        seed=plan.seed,
-        workers=plan.workers,
-    )
 
 
 # ----------------------------------------------------------------- CSV writing
@@ -431,14 +366,9 @@ def _write_manifest(out: Path, payload: dict) -> None:
 def cmd_run(args) -> int:
     raw = load_preset(args.preset) if args.preset else load_config_file(args.config)
     plan = parse_config(raw)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed: must be non-negative")
-        plan = replace(plan, seed=args.seed)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ConfigError("--workers: must be >= 1")
-        plan = replace(plan, workers=args.workers)
+    overrides = {name: value for name, value in (("seed", args.seed), ("workers", args.workers))
+                 if value is not None}
+    plan = replace(plan, schedule=_build("--", replace, plan.schedule, **overrides))
     if args.strategies:
         wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
         have = {e.label: e for e in plan.strategies}
@@ -458,8 +388,8 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
         "status": "running",
-        "seed": plan.seed,
-        "rounds": plan.rounds,
+        "seed": plan.schedule.seed,
+        "rounds": plan.schedule.rounds,
         "strategies": [e.label for e in plan.strategies],
         "environment": _numeric_environment(),
         "files": {},
@@ -469,9 +399,8 @@ def cmd_run(args) -> int:
     files: dict = {}
     try:
         for entry in plan.strategies:
-            config = build_experiment(plan, entry, features, classes)
             try:
-                result = run_experiment(train, test, config)
+                result = run_experiment(train, test, plan.experiment(entry, features, classes))
             except DivergenceError as exc:
                 raise DivergenceError(f"{entry.label} {exc}") from None
             metrics_name = f"{entry.label}_metrics.csv"
@@ -482,7 +411,7 @@ def cmd_run(args) -> int:
             final = result.metrics[-1]
             shown = final.eval_acc_averaged
             extra = "" if shown is None else f" (averaged {shown:.4f})"
-            print(f"{entry.label}: {plan.rounds} rounds, "
+            print(f"{entry.label}: {plan.schedule.rounds} rounds, "
                   f"final accuracy {final.eval_acc_distributed:.4f}{extra}")
     except Exception:
         _write_manifest(out, {**manifest, "status": "failed", "files": files})
@@ -547,17 +476,13 @@ def cmd_compare(args) -> int:
 def cmd_analyze_nwda(args) -> int:
     """Run the same small task three ways (single client, IID, non-IID) and
     tabulate N/E per round; label skew should show the smallest ratios."""
-    if args.rounds < 1:
-        raise ConfigError("--rounds: must be >= 1")
-    if args.seed < 0:
-        raise ConfigError("--seed: must be non-negative")
+    schedule = _build("--", Schedule, rounds=args.rounds, seed=args.seed,
+                      workers=args.workers)
     base = {
         "dataset": {"kind": "synth", "classes": 10, "train_per_class": 50,
                     "test_per_class": 20, "features": 20, "center_scale": 0.5,
                     "components_per_class": 2},
         "network": {"hidden": [64]},
-        "training": {"rounds": args.rounds, "clients": 10, "seed": args.seed,
-                     "workers": args.workers},
         "strategies": [{"kind": "fedavg"}],
     }
     scenarios = [
@@ -568,13 +493,11 @@ def cmd_analyze_nwda(args) -> int:
     ]
     columns = {}
     for name, part, clients in scenarios:
-        raw = {**base, "partition": part,
-               "training": {**base["training"], "clients": clients}}
-        plan = parse_config(raw)
+        plan = replace(parse_config({**base, "partition": part}),
+                       schedule=replace(schedule, clients=clients))
         train, test = load_data(plan)
-        config = build_experiment(plan, plan.strategies[0],
-                                  train.inputs.shape[1], train.class_count)
-        result = run_experiment(train, test, config)
+        result = run_experiment(train, test, plan.experiment(
+            plan.strategies[0], train.inputs.shape[1], train.class_count))
         columns[name] = result.metrics
         if args.out:
             out = Path(args.out)

@@ -50,33 +50,14 @@ class ClientConfig:
             raise ConfigError(f"mu: must be non-negative, got {self.mu}")
 
 
-@dataclass(frozen=True)
-class ClientUpdate:
-    """One client's result; delta is its raw update row (trained minus
-    distributed parameters), laid out like the distributed ParamVector.
-
-    delta is a view of the row buffer the client trained in. The round loop
-    hands that buffer to a later client once the row has been reduced, so
-    read or copy delta before then."""
-
-    client_id: int
-    delta: np.ndarray
-    sample_count: int
-
-    def __post_init__(self) -> None:
-        if self.client_id < 0:
-            raise ValueError("client_id must be non-negative")
-        if self.sample_count < 1:
-            raise ValueError("sample_count must be >= 1")
-
-
 def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
                 config: ClientConfig, round_seed: int, client_id: int,
-                out: np.ndarray | None = None) -> ClientUpdate:
-    """Run local_epochs of mini-batch SGD from `start` and return the delta.
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Run local_epochs of mini-batch SGD from `start` and return the delta
+    (trained minus distributed parameters, laid out like `start`).
 
     Training runs inside `out` (a row buffer of the round loop) when
-    given, else inside a new array, which ends up holding the delta. Batch
+    given, else inside a new array; the one returned holds the delta. Batch
     order is drawn from derive_seed(round_seed, client_id, epoch), so the
     result depends only on those identifiers, never on scheduling.
 
@@ -111,7 +92,7 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
         np.subtract(params, anchor, out=params)
     if not all_finite(params):
         raise DivergenceError(f"client {client_id}: parameter vector contains NaN or Inf")
-    return ClientUpdate(client_id, params, len(data))
+    return params
 
 
 def assign_weights(sample_counts: list[int], mode: str = "uniform") -> list[float]:

@@ -10,4 +10,4 @@ class ConfigError(ValueError):
 
 
 class DivergenceError(ValueError):
-    """Local training produced a NaN or Inf update."""
+    """Training, the server step or an evaluation produced NaN or Inf."""

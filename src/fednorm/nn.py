@@ -9,8 +9,7 @@ bias vector ("fc{i}.bias"), so aggregation code never sees layer structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,14 +199,6 @@ def gradient_into(spec: NetworkSpec, layers: list[tuple[np.ndarray, np.ndarray |
             g = (g @ layers[li][0].T) * (pre[li - 1] > 0.0)
 
 
-def backward(net: Network, batch: Batch) -> ParamVector:
-    """Gradient of the mean cross-entropy with respect to every parameter."""
-    grad = np.empty(net.params.size)
-    gradient_into(net.spec, layer_views(net.spec, net.params.values),
-                  layer_views(net.spec, grad), batch)
-    return ParamVector(grad, net.params.segments)
-
-
 def sgd_update(params: np.ndarray, grad: np.ndarray, eta: float, lam: float,
                scratch: np.ndarray) -> None:
     """params -= eta * (grad + lam * params), in place; scratch is overwritten.
@@ -233,25 +224,3 @@ def prox_addend_into(out: np.ndarray, params: np.ndarray, anchor: np.ndarray,
     """out = mu * (params - anchor)."""
     np.subtract(params, anchor, out=out)
     out *= mu
-
-
-def sgd_step(params: ParamVector, grad: ParamVector, eta: float, lam: float) -> ParamVector:
-    """params - eta * (grad + lam * params); plain SGD with coupled weight decay."""
-    if eta < 0 or lam < 0:
-        raise ValueError("eta and lambda must be non-negative")
-    if params.segments != grad.segments:
-        raise ShapeMismatchError("sgd_step: params and grad segments differ")
-    stepped = params.values.copy()
-    sgd_update(stepped, grad.values, eta, lam, np.empty_like(stepped))
-    return ParamVector(stepped, params.segments)
-
-
-def prox_gradient_addend(params: ParamVector, anchor: ParamVector, mu: float) -> ParamVector:
-    """mu * (params - anchor): gradient of the proximal penalty (mu/2)||w - w_t||^2."""
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
-    if params.segments != anchor.segments:
-        raise ShapeMismatchError("prox_gradient_addend: params and anchor segments differ")
-    addend = np.empty(params.size)
-    prox_addend_into(addend, params.values, anchor.values, mu)
-    return ParamVector(addend, params.segments)

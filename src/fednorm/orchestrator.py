@@ -45,42 +45,47 @@ RING_BYTES = 2 * HANDOFF_BYTES
 
 
 @dataclass(frozen=True)
+class Schedule:
+    """How the rounds run: how many, over how many clients, which fraction of
+    them each round samples and how their updates are weighted, the
+    experiment seed, and the number of worker threads (which never changes
+    the results)."""
+
+    rounds: int = 10
+    clients: int = 10
+    participation: float = 1.0
+    weight_mode: str = "uniform"
+    seed: int = 0
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        for name in ("rounds", "clients", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.participation <= 1.0:
+            raise ConfigError(f"participation: must be in (0, 1], got {self.participation}")
+        if self.weight_mode not in WEIGHT_MODES:
+            raise ConfigError(
+                f"weight_mode: must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
+        if self.seed < 0:
+            raise ConfigError("seed: must be non-negative")
+
+    @property
+    def clients_per_round(self) -> int:
+        return max(int(math.floor(self.participation * self.clients)), 1)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One full experiment. The partition spec's own seed field is overridden
-    with a seed derived from `seed`, so changing the experiment seed moves the
-    partition too."""
+    with a seed derived from the schedule's seed, so changing the experiment
+    seed moves the partition too."""
 
     network: NetworkSpec
     strategy: AggregationStrategy
     client: ClientConfig
     partition: PartitionSpec
-    rounds: int
-    client_count: int
-    participation: float = 1.0
-    weight_mode: str = "uniform"
-    eval_dual: bool = True
-    seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if self.client_count < 1:
-            raise ConfigError("client_count must be >= 1")
-        if not 0.0 < self.participation <= 1.0:
-            raise ConfigError("participation must be in (0, 1]")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(
-                f"weight_mode must be one of {WEIGHT_MODES}, got {self.weight_mode!r}"
-            )
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-
-    @property
-    def clients_per_round(self) -> int:
-        return max(int(math.floor(self.participation * self.client_count)), 1)
+    schedule: Schedule
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,7 @@ class RoundMetrics:
     """One CSV row: the round's divergence numbers and accuracies.
 
     ratio is None when no client moved; eval_acc_averaged is None unless the
-    strategy distributes something other than the plain average and dual
-    evaluation is on.
+    strategy distributes something other than the plain average.
     """
 
     round: int
@@ -118,7 +122,10 @@ def sample_clients(client_count: int, clients_per_round: int, round_seed: int) -
 
 
 def evaluate(network: NetworkSpec, params: ParamVector, ds: Dataset) -> float:
-    _, acc = forward_loss(Network(network, params), Batch(ds.inputs, ds.labels))
+    """Accuracy on ds; raises DivergenceError when the loss is NaN or Inf."""
+    loss, acc = forward_loss(Network(network, params), Batch(ds.inputs, ds.labels))
+    if not math.isfinite(loss):
+        raise DivergenceError(f"loss is {loss}")
     return acc
 
 
@@ -223,28 +230,40 @@ def run_round(params: ParamVector, direction: ParamVector,
               ) -> tuple[ParamVector, ParamVector, RoundMetrics]:
     """One round from the distributed parameters and the server's direction;
     returns both updated and the round's metrics. ring is the (ring_rows,
-    param count) matrix of row buffers the sampled clients train in."""
-    round_seed = derive_seed(config.seed, _ROUND, round_index)
-    sampled = sample_clients(config.client_count, config.clients_per_round, round_seed)
-    weights = assign_weights([len(parts[cid]) for cid in sampled], config.weight_mode)
+    param count) matrix of row buffers the sampled clients train in.
+
+    A NaN or Inf raises DivergenceError naming the round and the client, the
+    server or the evaluation where it appeared."""
+    schedule = config.schedule
+    round_seed = derive_seed(schedule.seed, _ROUND, round_index)
+    sampled = sample_clients(schedule.clients, schedule.clients_per_round, round_seed)
+    weights = assign_weights([len(parts[cid]) for cid in sampled], schedule.weight_mode)
     fold = UpdateFold(weights, params.segments)
 
-    def train_one(i: int, row: np.ndarray):
+    def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
         return local_train(config.network, params, parts[cid], config.client,
                            round_seed, cid, out=row)
+    stage = ""  # a client names itself
     try:
-        train_and_fold(train_one, len(sampled), ring, fold, config.workers)
+        train_and_fold(train_one, len(sampled), ring, fold, schedule.workers)
+        # overflow and NaN surface as one error below, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            stage = "server: "
+            report = fold.report()
+            new_params, direction = apply_strategy(params, report, config.strategy, direction)
+            step_norm = l2_norm(direction)
+            norms = (report.aggregate_norm, report.mean_local_norm, step_norm)
+            if not all(map(math.isfinite, norms)):
+                raise DivergenceError("N, E or the step norm is NaN or Inf")
+            stage = "evaluation: "
+            averaged = None
+            if config.strategy.normalized:
+                averaged = evaluate(config.network, axpy(1.0, report.combined, params), test)
+            distributed = evaluate(config.network, new_params, test)
     except DivergenceError as exc:
-        raise DivergenceError(f"round {round_index} {exc}") from None
+        raise DivergenceError(f"round {round_index} {stage}{exc}") from None
 
-    report = fold.report()
-    new_params, direction = apply_strategy(params, report, config.strategy, direction)
-
-    averaged = None
-    if config.eval_dual and config.strategy.normalized:
-        averaged = evaluate(config.network, axpy(1.0, report.combined, params), test)
-    step_norm = l2_norm(direction)
     metrics = RoundMetrics(
         round=round_index,
         aggregate_norm=report.aggregate_norm,
@@ -252,7 +271,7 @@ def run_round(params: ParamVector, direction: ParamVector,
         ratio=report.ratio,
         integrated_norm=integrated_so_far + step_norm,
         step_norm=step_norm,
-        eval_acc_distributed=evaluate(config.network, new_params, test),
+        eval_acc_distributed=distributed,
         eval_acc_averaged=averaged,
         per_layer=report.per_layer,
     )
@@ -274,17 +293,18 @@ def run_experiment(train: Dataset, test: Dataset,
             f"network has {config.network.class_count} outputs but data has "
             f"{train.class_count} classes"
         )
-    part_spec = replace(config.partition, seed=derive_seed(config.seed, _PARTITION))
-    parts = partition(train, part_spec, config.client_count)
-    params = init_params(config.network, derive_seed(config.seed, _INIT))
+    schedule = config.schedule
+    part_spec = replace(config.partition, seed=derive_seed(schedule.seed, _PARTITION))
+    parts = partition(train, part_spec, schedule.clients)
+    params = init_params(config.network, derive_seed(schedule.seed, _INIT))
     direction = zeros_like(params)
 
     # one ring of client row buffers for every round
-    ring = np.empty((ring_rows(config.clients_per_round, params.size, config.workers),
+    ring = np.empty((ring_rows(schedule.clients_per_round, params.size, schedule.workers),
                      params.size))
     metrics: list[RoundMetrics] = []
     integrated = 0.0
-    for round_index in range(1, config.rounds + 1):
+    for round_index in range(1, schedule.rounds + 1):
         params, direction, row = run_round(
             params, direction, parts, test, config, round_index, integrated, ring
         )

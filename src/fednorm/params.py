@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import DivergenceError, ShapeMismatchError
 
 # columns per block in weighted_rows and squared_norms: for 20 rows a block is
 # 640 KB, and each block is a few long NumPy calls
@@ -50,7 +50,8 @@ class ParamVector:
     """Immutable float64 vector whose segments exactly tile [0, size).
 
     The values array is copied on construction and marked read-only, so a
-    ParamVector can be shared freely across threads.
+    ParamVector can be shared freely across threads. NaN or Inf values raise
+    DivergenceError.
     """
 
     values: np.ndarray
@@ -76,17 +77,12 @@ class ParamVector:
             pos += seg.length
         if pos != vals.size:
             raise ValueError(f"segments tile {pos} values but vector has {vals.size}")
-        require_finite(vals)
+        if not all_finite(vals):
+            raise DivergenceError("parameter vector contains NaN or Inf")
 
     @property
     def size(self) -> int:
         return int(self.values.size)
-
-    def segment_values(self, name: str) -> np.ndarray:
-        for seg in self.segments:
-            if seg.name == name:
-                return self.values[seg.offset : seg.offset + seg.length]
-        raise KeyError(name)
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -94,11 +90,6 @@ def all_finite(x: np.ndarray) -> bool:
     temporary, and only a non-finite sum falls back to the elementwise check."""
     with np.errstate(over="ignore", invalid="ignore"):
         return bool(np.isfinite(np.add.reduce(x, axis=None)) or np.isfinite(x).all())
-
-
-def require_finite(values: np.ndarray) -> None:
-    if not all_finite(values):
-        raise ValueError("parameter vector contains NaN or Inf")
 
 
 def _require_compatible(a: ParamVector, b: ParamVector, op: str) -> None:
@@ -121,29 +112,6 @@ def _ordered_sum(x: np.ndarray) -> float:
     if x.size == 0:
         return 0.0
     return float(np.cumsum(x)[-1])
-
-
-def delta(w_new: ParamVector, w_old: ParamVector) -> ParamVector:
-    """Update vector: trained weights minus the weights they started from."""
-    _require_compatible(w_new, w_old, "delta")
-    return ParamVector(w_new.values - w_old.values, w_new.segments)
-
-
-def weighted_sum(terms: Sequence[tuple[float, ParamVector]]) -> ParamVector:
-    """Sum of weight_k * v_k accumulated in list order.
-
-    Raises:
-        ValueError: on an empty term list.
-        ShapeMismatchError: if any vector disagrees with the first.
-    """
-    if len(terms) == 0:
-        raise ValueError("weighted_sum of an empty term list")
-    first = terms[0][1]
-    for _, vec in terms:
-        _require_compatible(first, vec, "weighted_sum")
-    acc = np.zeros(first.size)
-    weighted_rows([w for w, _ in terms], np.stack([v.values for _, v in terms]), out=acc)
-    return ParamVector(acc, first.segments)
 
 
 def weighted_rows(weights: Sequence[float], rows: np.ndarray, *, out: np.ndarray) -> np.ndarray:

@@ -1,0 +1,65 @@
+"""Reference forms of the library's kernels that tests compare against.
+
+The client and the server work in place on flat arrays (`gradient_into`,
+`sgd_update`, `prox_addend_into`, `weighted_rows`). These wrappers take and
+return ParamVectors instead, one step at a time, which is how a test rebuilds
+a client's trajectory or a round's sum by hand.
+"""
+
+import numpy as np
+
+from fednorm.errors import ShapeMismatchError
+from fednorm.nn import Network, gradient_into, layer_views, prox_addend_into, sgd_update
+from fednorm.params import ParamVector, _require_compatible, weighted_rows
+
+
+def backward(net: Network, batch) -> ParamVector:
+    """Gradient of the mean cross-entropy with respect to every parameter."""
+    grad = np.empty(net.params.size)
+    gradient_into(net.spec, layer_views(net.spec, net.params.values),
+                  layer_views(net.spec, grad), batch)
+    return ParamVector(grad, net.params.segments)
+
+
+def sgd_step(params: ParamVector, grad: ParamVector, eta: float, lam: float) -> ParamVector:
+    """params - eta * (grad + lam * params); plain SGD with coupled weight decay."""
+    if params.segments != grad.segments:
+        raise ShapeMismatchError("sgd_step: params and grad segments differ")
+    stepped = params.values.copy()
+    sgd_update(stepped, grad.values, eta, lam, np.empty_like(stepped))
+    return ParamVector(stepped, params.segments)
+
+
+def prox_gradient_addend(params: ParamVector, anchor: ParamVector, mu: float) -> ParamVector:
+    """mu * (params - anchor): gradient of the proximal penalty (mu/2)||w - w_t||^2."""
+    if params.segments != anchor.segments:
+        raise ShapeMismatchError("prox_gradient_addend: params and anchor segments differ")
+    addend = np.empty(params.size)
+    prox_addend_into(addend, params.values, anchor.values, mu)
+    return ParamVector(addend, params.segments)
+
+
+def delta(w_new: ParamVector, w_old: ParamVector) -> ParamVector:
+    """Update vector: trained weights minus the weights they started from."""
+    _require_compatible(w_new, w_old, "delta")
+    return ParamVector(w_new.values - w_old.values, w_new.segments)
+
+
+def weighted_sum(terms) -> ParamVector:
+    """Sum of weight_k * v_k over (weight, ParamVector) terms, in list order."""
+    if len(terms) == 0:
+        raise ValueError("weighted_sum of an empty term list")
+    first = terms[0][1]
+    for _, vec in terms:
+        _require_compatible(first, vec, "weighted_sum")
+    acc = np.zeros(first.size)
+    weighted_rows([w for w, _ in terms], np.stack([v.values for _, v in terms]), out=acc)
+    return ParamVector(acc, first.segments)
+
+
+def segment_values(v: ParamVector, name: str) -> np.ndarray:
+    """The values of v's segment called name."""
+    for seg in v.segments:
+        if seg.name == name:
+            return v.values[seg.offset : seg.offset + seg.length]
+    raise KeyError(name)

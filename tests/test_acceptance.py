@@ -21,6 +21,7 @@ from fednorm import (
     ExperimentConfig,
     NetworkSpec,
     PartitionSpec,
+    Schedule,
     Segment,
     nwda,
     run_experiment,
@@ -29,8 +30,9 @@ from fednorm import (
 from fednorm.aggregate import apply_strategy
 from fednorm.cli import main as cli_main
 from fednorm.data import IdxCountError, IdxMagicError, IdxTruncatedError, load_idx
-from fednorm.nn import Batch, Network, backward, forward_loss, init_params
+from fednorm.nn import Batch, Network, forward_loss, init_params
 from fednorm.params import ParamVector, l2_norm, zeros_like
+from oracles import backward
 
 
 def report(criterion: int, text: str) -> None:
@@ -84,9 +86,7 @@ def desk_run(kind: str, seed: int, mu: float = 0.0, beta: float = 1.0,
             client=ClientConfig(learning_rate=0.05, batch_size=50,
                                 local_epochs=5, mu=mu),
             partition=DESK_PARTITION,
-            rounds=30,
-            client_count=10,
-            seed=seed,
+            schedule=Schedule(rounds=30, clients=10, seed=seed),
         )
         started = time.monotonic()
         result = run_experiment(train, test, config)
@@ -245,9 +245,7 @@ def test_criterion_06_divergence_grows_with_label_skew():
                 client=ClientConfig(learning_rate=0.05, batch_size=50,
                                     local_epochs=5),
                 partition=part,
-                rounds=10,
-                client_count=clients,
-                seed=seed,
+                schedule=Schedule(rounds=10, clients=clients, seed=seed),
             )
             result = run_experiment(train, test, config)
             means[name] = sum(r.ratio for r in result.metrics) / 10
@@ -263,9 +261,7 @@ def test_criterion_06_divergence_grows_with_label_skew():
         strategy=AggregationStrategy("fedavg"),
         client=ClientConfig(learning_rate=0.05, batch_size=50, local_epochs=5),
         partition=PartitionSpec("iid", "balanced"),
-        rounds=5,
-        client_count=1,
-        seed=0,
+        schedule=Schedule(rounds=5, clients=1, seed=0),
     )
     for row in run_experiment(train, test, single).metrics:
         assert abs(row.aggregate_norm - row.mean_local_norm) <= (

@@ -12,7 +12,6 @@ from fednorm.aggregate import (
     AggregationStrategy,
     UpdateFold,
     apply_strategy,
-    integrated_norm,
     nwda,
 )
 from fednorm.errors import ConfigError, ShapeMismatchError
@@ -350,17 +349,3 @@ def test_strategy_validation():
     assert [k for k in STRATEGY_KINDS if AggregationStrategy(k).normalized] == [
         "normnorm", "fednnnn"]
     assert [k for k in STRATEGY_KINDS if AggregationStrategy(k).proximal] == ["fedprox"]
-
-
-# -------------------------------------------------------------- integrated norm
-
-def test_integrated_norm_prefix_sums():
-    assert integrated_norm([1.0, 2.0, 3.0]) == [1.0, 3.0, 6.0]
-    assert integrated_norm([]) == []
-    vals = [0.1] * 10
-    out = integrated_norm(vals)
-    acc, expect = 0.0, []
-    for v in vals:
-        acc += v
-        expect.append(acc)
-    assert out == expect

@@ -52,8 +52,8 @@ def write_config(tmp_path, overrides=None, name="exp.yaml"):
 
 def test_parse_full_config():
     plan = parse_config(SMALL)
-    assert plan.rounds == 2
-    assert plan.clients == 3
+    assert plan.schedule.rounds == 2
+    assert plan.schedule.clients == 3
     assert plan.hidden == (8,)
     assert plan.partition.label_mode == "noniid"
     assert [e.label for e in plan.strategies] == ["fedavg", "fednnnn"]
@@ -62,10 +62,10 @@ def test_parse_full_config():
 
 def test_parse_minimal_config_uses_defaults():
     plan = parse_config({})
-    assert plan.rounds == 10
-    assert plan.clients == 10
+    assert plan.schedule.rounds == 10
+    assert plan.schedule.clients == 10
     assert plan.hidden == (64,)
-    assert plan.weight_mode == "uniform"
+    assert plan.schedule.weight_mode == "uniform"
     assert [e.label for e in plan.strategies] == ["fedavg"]
 
 
@@ -81,6 +81,8 @@ def test_unknown_field_is_named():
         parse_config({"training": {"leraning_rate": 0.05}})
     with pytest.raises(ConfigError, match="dataset.noise: unknown field"):
         parse_config({"dataset": {"kind": "synth", "noise": 1.0}})
+    with pytest.raises(ConfigError, match="training.eval_dual: unknown field"):
+        parse_config({"training": {"eval_dual": True}})
 
 
 def test_bad_values_are_rejected_with_paths():
@@ -120,6 +122,11 @@ def test_bad_values_are_rejected_with_paths():
          "partition.power_exponent: must be positive, got 0.0"),
         ({"partition": {"label_mode": "sorted"}},
          "partition.label_mode: must be iid or noniid, got 'sorted'"),
+        ({"dataset": {"kind": "synth", "center_scale": 0.0}},
+         "dataset.center_scale: must be positive, got 0.0"),
+        ({"training": {"rounds": 0}}, "training.rounds: must be >= 1, got 0"),
+        ({"training": {"workers": 0}}, "training.workers: must be >= 1, got 0"),
+        ({"training": {"seed": -1}}, "training.seed: must be non-negative"),
     ):
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
@@ -166,8 +173,8 @@ def test_hardest_split_preset_hyperparameters():
     assert by_label["momentum"].strategy.gamma == 0.8
     assert by_label["fednnnn"].strategy.beta == 0.7
     assert by_label["fednnnn"].strategy.gamma == 0.8
-    assert plan.rounds == 100
-    assert plan.clients == 100
+    assert plan.schedule.rounds == 100
+    assert plan.schedule.clients == 100
 
 
 # ------------------------------------------------------------------ run command
@@ -311,27 +318,44 @@ def test_failure_mid_run_marks_manifest(tmp_path, monkeypatch):
     assert manifest["status"] == "failed"
 
 
-def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):
+def run_desk_quick_process(tmp_path, *args, **training):
+    """`fednorm run` on desk_quick with training overrides, in a fresh
+    process so that numpy warnings would reach its stderr."""
     raw = load_preset("desk_quick")
-    raw["training"]["learning_rate"] = 1000.0
-    raw["strategies"] = [{"kind": "fedavg"}]
+    raw["training"].update(training)
     cfg = tmp_path / "diverge.yaml"
     cfg.write_text(yaml.safe_dump(raw))
-    out = tmp_path / "out"
     src = str(Path(fednorm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "fednorm.cli", "run", "--config", str(cfg),
-         "--out", str(out)],
+         "--out", str(tmp_path / "out"), *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):
+    proc = run_desk_quick_process(tmp_path, "--strategies", "fedavg", learning_rate=1000.0)
+    out = tmp_path / "out"
     assert proc.returncode == 2
     assert "parameter vector contains NaN or Inf" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert re.fullmatch(r"error: fedavg round \d+ client \d+: parameter vector "
                         r"contains NaN or Inf\n", proc.stderr)
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_server_divergence_fails_with_one_line(tmp_path):
+    """At this rate every client update is finite, but in round 3 the norms
+    of the updates overflow: the server stops the run before numpy warns."""
+    proc = run_desk_quick_process(tmp_path, "--strategies", "fedavg",
+                                  learning_rate=1.0e30, local_epochs=1)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: fedavg round 3 server: N, E or the step norm "
+                           "is NaN or Inf\n")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
 
 
 def test_float_without_dot_gets_yaml_spelling_hint(tmp_path, capsys):
@@ -404,3 +428,19 @@ def test_analyze_nwda_triptych(tmp_path, capsys):
 def test_analyze_nwda_validation(capsys):
     assert main(["analyze-nwda", "--rounds", "0"]) == 2
     assert "rounds" in capsys.readouterr().err
+
+
+def test_flag_overrides_are_checked_under_the_flag_name(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    for argv, message in (
+        (["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1"],
+         "--seed: must be non-negative"),
+        (["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "0"],
+         "--workers: must be >= 1, got 0"),
+        (["analyze-nwda", "--rounds", "0"], "--rounds: must be >= 1, got 0"),
+        (["analyze-nwda", "--seed", "-1"], "--seed: must be non-negative"),
+        (["analyze-nwda", "--workers", "0"], "--workers: must be >= 1, got 0"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()

@@ -27,7 +27,8 @@ from fednorm.data import (
     synth_split,
 )
 from fednorm.errors import ConfigError
-from fednorm.nn import Batch, Network, NetworkSpec, backward, forward_loss, init_params, sgd_step
+from fednorm.nn import Batch, Network, NetworkSpec, forward_loss, init_params
+from oracles import backward, sgd_step
 
 
 # ---------------------------------------------------------------- IDX fixtures

@@ -1,9 +1,10 @@
-"""Round-loop tests: seed plumbing, worker independence, dual evaluation, and
-the metric identities each strategy implies."""
+"""Round-loop tests: seed plumbing, worker independence, dual evaluation,
+divergence reporting, and the metric identities each strategy implies."""
 
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,34 +17,37 @@ from fednorm.errors import ConfigError, DivergenceError
 from fednorm.nn import NetworkSpec, init_params
 from fednorm.orchestrator import (
     ExperimentConfig,
+    Schedule,
     evaluate,
     ring_rows,
     run_experiment,
     sample_clients,
     train_and_fold,
 )
-from fednorm.params import ParamVector, Segment, weighted_sum, axpy
+from fednorm.params import ParamVector, Segment, axpy
+from oracles import weighted_sum
 
 NET = NetworkSpec((4, 8, 3))
 TRAIN, TEST = synth_split(3, 20, 10, 4, seed=13)
 
 
 def make_config(**over):
+    """The small test experiment; each override goes to the config or to its
+    schedule, by field name."""
     base = dict(
         network=NET,
         strategy=AggregationStrategy("fedavg"),
         client=ClientConfig(batch_size=16, local_epochs=2),
         partition=PartitionSpec("iid", "balanced"),
-        rounds=3,
-        client_count=4,
-        seed=5,
     )
-    base.update(over)
-    return ExperimentConfig(**base)
+    schedule = dict(rounds=3, clients=4, seed=5)
+    for key, value in over.items():
+        (schedule if key in Schedule.__dataclass_fields__ else base)[key] = value
+    return ExperimentConfig(**base, schedule=Schedule(**schedule))
 
 
 def test_single_client_ratio_is_one():
-    cfg = make_config(client_count=1)
+    cfg = make_config(clients=1)
     result = run_experiment(TRAIN, TEST, cfg)
     for row in result.metrics:
         assert row.ratio == 1.0
@@ -61,14 +65,16 @@ def test_config_validation():
         make_config(weight_mode="by_vibes")
     with pytest.raises(ConfigError, match="workers"):
         make_config(workers=0)
-    with pytest.raises(ConfigError, match="client_count"):
-        make_config(client_count=0)
+    with pytest.raises(ConfigError, match="clients"):
+        make_config(clients=0)
+    with pytest.raises(ConfigError, match="seed"):
+        make_config(seed=-1)
 
 
 def test_clients_per_round_floor():
-    assert make_config(client_count=10, participation=0.25).clients_per_round == 2
-    assert make_config(client_count=10, participation=0.05).clients_per_round == 1
-    assert make_config(client_count=10, participation=1.0).clients_per_round == 10
+    assert Schedule(clients=10, participation=0.25).clients_per_round == 2
+    assert Schedule(clients=10, participation=0.05).clients_per_round == 1
+    assert Schedule(clients=10, participation=1.0).clients_per_round == 10
 
 
 def test_fedavg_step_norm_is_aggregate_norm():
@@ -99,20 +105,17 @@ def test_round_one_is_strategy_independent():
     assert avg.metrics[0].mean_local_norm == fnn.metrics[0].mean_local_norm
 
 
-def test_dual_eval_flag_and_kinds():
-    fnn = run_experiment(
-        TRAIN, TEST,
-        make_config(strategy=AggregationStrategy("fednnnn", beta=0.7, gamma=0.8)),
-    )
-    assert all(isinstance(r.eval_acc_averaged, float) for r in fnn.metrics)
-    off = run_experiment(
-        TRAIN, TEST,
-        make_config(
-            strategy=AggregationStrategy("fednnnn", beta=0.7, gamma=0.8),
-            eval_dual=False,
-        ),
-    )
-    assert all(r.eval_acc_averaged is None for r in off.metrics)
+def test_averaged_eval_only_for_normalized_kinds():
+    """normnorm and fednnnn distribute a rescaled step, so every round also
+    scores the plain average; the other kinds distribute that average."""
+    for kind in ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn"):
+        result = run_experiment(TRAIN, TEST, make_config(
+            strategy=AggregationStrategy(kind, beta=0.7, gamma=0.8)))
+        averaged = [r.eval_acc_averaged for r in result.metrics]
+        if kind in ("normnorm", "fednnnn"):
+            assert all(isinstance(a, float) for a in averaged), kind
+        else:
+            assert averaged == [None] * 3, kind
 
 
 def test_dual_eval_matches_manual_average():
@@ -124,15 +127,16 @@ def test_dual_eval_matches_manual_average():
     result = run_experiment(TRAIN, TEST, cfg)
 
     from dataclasses import replace
-    part_spec = replace(cfg.partition, seed=derive_seed(cfg.seed, 1))
-    parts = partition(TRAIN, part_spec, cfg.client_count)
-    w0 = init_params(NET, derive_seed(cfg.seed, 0))
-    round_seed = derive_seed(cfg.seed, 2, 1)
+    seed = cfg.schedule.seed
+    part_spec = replace(cfg.partition, seed=derive_seed(seed, 1))
+    parts = partition(TRAIN, part_spec, cfg.schedule.clients)
+    w0 = init_params(NET, derive_seed(seed, 0))
+    round_seed = derive_seed(seed, 2, 1)
     updates = [
         local_train(NET, w0, parts[cid], cfg.client, round_seed, cid)
-        for cid in range(cfg.client_count)
+        for cid in range(cfg.schedule.clients)
     ]
-    u = weighted_sum([(1.0 / len(updates), ParamVector(up.delta, w0.segments))
+    u = weighted_sum([(1.0 / len(updates), ParamVector(up, w0.segments))
                       for up in updates])
     manual = evaluate(NET, axpy(1.0, u, w0), TEST)
     assert result.metrics[0].eval_acc_averaged == manual
@@ -161,7 +165,7 @@ def assert_six_workers_match_one():
     weighted numbers."""
     # clients long enough (about 6 batches of 8) that the threads overlap
     train, test = synth_split(3, 200, 10, 4, seed=13)
-    cfg = dict(network=NetworkSpec((4, 64, 3)), client_count=12, participation=0.75,
+    cfg = dict(network=NetworkSpec((4, 64, 3)), clients=12, participation=0.75,
                rounds=2, weight_mode="by_sample_count",
                partition=PartitionSpec("noniid", "unbalanced", 2, 1.5),
                client=ClientConfig(batch_size=8, local_epochs=2))
@@ -193,6 +197,23 @@ def test_pool_and_server_threads_share_a_small_ring_like_one_worker(monkeypatch)
     assert_six_workers_match_one()
 
 
+def test_divergence_at_the_server_or_in_evaluation_names_the_stage():
+    """One SGD step at a huge learning rate leaves every client update
+    finite. At 1e60 the round-2 updates' squared norms overflow, at 1e120
+    the round-1 model's logits do. Either fails with one error and no
+    numpy warning."""
+    for rate, message in ((1e60, "round 2 server: N, E or the step norm is NaN or Inf"),
+                          (1e120, "round 1 evaluation: loss is nan")):
+        cfg = make_config(network=NetworkSpec((4, 8, 8, 3)), rounds=2, clients=2,
+                          client=ClientConfig(learning_rate=rate, batch_size=100,
+                                              local_epochs=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run_experiment(TRAIN, TEST, cfg)
+        assert str(info.value) == message
+
+
 def test_seed_changes_everything():
     a = run_experiment(TRAIN, TEST, make_config(seed=5))
     b = run_experiment(TRAIN, TEST, make_config(seed=6))
@@ -211,7 +232,7 @@ def test_sample_clients_properties():
 
 
 def test_partial_participation_runs():
-    cfg = make_config(client_count=4, participation=0.5, rounds=2)
+    cfg = make_config(clients=4, participation=0.5, rounds=2)
     result = run_experiment(TRAIN, TEST, cfg)
     assert len(result.metrics) == 2
 

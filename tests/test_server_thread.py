@@ -98,9 +98,9 @@ def test_server_thread_path_matches_golden_hashes(digests_by_blas_threads):
     assert digests_by_blas_threads[None] == WIDE_TRIMMED_SHA256
 
 
-def diverging_config() -> dict:
+def diverging_config(**training) -> dict:
     config = json.loads(json.dumps(WIDE_TRIMMED))
-    config["training"].update(DIVERGING)
+    config["training"].update(training or DIVERGING)
     config["strategies"] = [{"kind": "normnorm", "beta": 0.9}]
     return config
 
@@ -112,6 +112,17 @@ def test_diverging_client_fails_with_one_line_after_handoffs(tmp_path):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr == ("error: normnorm round 1 client 48: parameter vector "
                            "contains NaN or Inf\n")
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+
+
+def test_overflowing_update_norms_fail_at_the_server(tmp_path):
+    """One step at this rate leaves every client update finite but too large
+    to square: the run fails at the server, not with a score of NaN logits."""
+    out = tmp_path / "out"
+    proc = run_cli(diverging_config(learning_rate=1.0e300), out, None)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: normnorm round 1 server: N, E or the step norm "
+                           "is NaN or Inf\n")
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
