@@ -5,11 +5,12 @@ The usual entry points are `run_experiment` for library use and the `fednorm`
 command line for batch runs; see the README for the round-loop semantics.
 Everything else is imported from its submodule.
 
-Importing fednorm pins OpenBLAS to one thread, whatever the environment says:
-a threaded matrix product can round differently with the thread count, and
-output bytes must not depend on the machine. OpenBLAS reads the setting once,
-when numpy loads it, so a program that imported numpy before fednorm keeps
-its own setting (and the manifest records that setting).
+Importing fednorm pins OpenBLAS to one thread, whatever the environment says
+and even when numpy was imported first: a threaded matrix product can round
+differently with the thread count, and output bytes must not depend on the
+machine. The pin calls numpy's bundled OpenBLAS; a numpy with another BLAS
+gets OPENBLAS_NUM_THREADS=1 instead, which only holds when numpy has not been
+loaded yet.
 """
 
 import os
@@ -24,7 +25,9 @@ from .data import PartitionSpec, partition, synth_dataset, synth_split
 from .errors import ConfigError
 from .nn import NetworkSpec
 from .orchestrator import ExperimentConfig, Schedule, run_experiment
-from .params import Segment
+from .params import Segment, openblas_threads
+
+openblas_threads(1)
 
 __version__ = "0.1.0"
 

@@ -114,14 +114,7 @@ class UpdateFold:
 
     def add(self, rows: np.ndarray) -> None:
         """Fold the (B, n) updates of the next B clients: their weighted sum
-        into u, and their norms."""
-        first = self.count
-        self.add_to_sum(rows)
-        self.take_norms(first, rows)
-
-    def add_to_sum(self, rows: np.ndarray) -> None:
-        """Add the next B clients' weighted updates to u, in client order;
-        their norms are left to take_norms."""
+        into u, in client order, and their norms."""
         first, end = self.count, self.count + rows.shape[0]
         if rows.shape[1:] != (self.size,) or end > len(self.weights):
             raise ShapeMismatchError(
@@ -129,15 +122,9 @@ class UpdateFold:
                 f"{len(self.weights)} of ({self.size},)")
         with np.errstate(over="ignore", invalid="ignore"):
             weighted_rows(self.weights[first:end], rows, out=self.combined)
-        self.count = end
-
-    def take_norms(self, first: int, rows: np.ndarray) -> None:
-        """Squared norms of clients first..first+B-1, whose (B, n) updates
-        are rows; blocks may come in any order and from any thread."""
-        end = first + rows.shape[0]
-        with np.errstate(over="ignore", invalid="ignore"):
             squared_norms(rows, self.segments,
                           out=(self.whole_sq[first:end], self.segment_sq[:, first:end]))
+        self.count = end
 
     def report(self) -> NwdaReport:
         """The round's divergence numbers, once every client's rows are in."""

@@ -43,6 +43,7 @@ from .data import (
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec
 from .orchestrator import ExperimentConfig, RoundMetrics, Schedule, run_experiment
+from .params import openblas_threads
 
 METRIC_COLUMNS = [
     "round", "strategy", "N", "E", "ratio", "integrated_norm", "step_norm",
@@ -346,14 +347,15 @@ def write_layers_csv(path: Path, label: str, metrics: list[RoundMetrics]) -> Non
 
 
 def _numeric_environment() -> dict:
-    """What output bytes may depend on beyond config and seed: numpy, its BLAS
-    and the BLAS thread settings (None when unset); no timestamps."""
+    """What output bytes may depend on beyond config and seed: numpy, its BLAS,
+    the BLAS thread settings (None when unset) and the thread count the BLAS
+    reports (None when it cannot say); no timestamps."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 only prints its config
         blas = {}
     threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-    return {"numpy": np.__version__, "threads": threads,
+    return {"numpy": np.__version__, "threads": threads, "blas_threads": openblas_threads(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
@@ -369,10 +371,15 @@ def cmd_run(args) -> int:
     overrides = {name: value for name, value in (("seed", args.seed), ("workers", args.workers))
                  if value is not None}
     plan = replace(plan, schedule=_build("--", replace, plan.schedule, **overrides))
-    if args.strategies:
+    if args.strategies is not None:
         wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
         have = {e.label: e for e in plan.strategies}
         missing = [w for w in wanted if w not in have]
+        if not wanted:
+            raise ConfigError("--strategies: names no strategy")
+        repeated = sorted({w for w in wanted if wanted.count(w) > 1})
+        if repeated:
+            raise ConfigError(f"--strategies: {', '.join(repeated)} named more than once")
         if missing:
             raise ConfigError(
                 f"--strategies: {', '.join(missing)} not in this config "

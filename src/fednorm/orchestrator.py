@@ -1,10 +1,11 @@
 """The round loop: distribute parameters, train sampled clients, analyze the
 round's updates, apply the server rule, evaluate.
 
-Clients train into a small ring of row buffers, on the calling thread or on
-`workers` pool threads. Finished rows are reduced in client-id order on one
-server thread while later clients still train, so the memory a round's
-updates take does not grow with the number of clients it samples.
+Clients train into blocks of row buffers, on the calling thread or on
+`workers` pool threads. A round that spans several blocks trains each block
+while one server thread folds the previous one in client-id order, so the
+memory a round's updates take does not grow with the number of clients it
+samples.
 
 Everything is keyed off one experiment seed. Parameter init, the partition,
 and each round get their own derived seed, and per-client batch orders depend
@@ -15,8 +16,7 @@ regardless of worker count or scheduling order.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -34,14 +34,11 @@ _INIT = 0
 _PARTITION = 1
 _ROUND = 2
 
-# finished rows go to the server thread once this many bytes of them wait
-# (21 rows of the 784-200-200-10 net): a column-wise norm pass costs a fixed
-# amount per block plus a little per row, so blocks must be wide. Smaller
-# rounds are reduced in one block at round end, with no thread handoff.
+# a block of client rows holds this many bytes (21 rows of the 784-200-200-10
+# net): a column-wise norm pass costs a fixed amount per block plus a little per
+# row, so blocks must be wide. A round that spans several blocks trains one
+# while the server thread folds the other, in a ring of two blocks.
 HANDOFF_BYTES = 32 << 20
-# the ring of client row buffers holds at least workers + 1 rows, and more up
-# to this many bytes: one block the server reduces while the next one trains
-RING_BYTES = 2 * HANDOFF_BYTES
 
 
 @dataclass(frozen=True)
@@ -129,95 +126,44 @@ def evaluate(network: NetworkSpec, params: ParamVector, ds: Dataset) -> float:
     return acc
 
 
-def ring_rows(clients_per_round: int, param_count: int, workers: int) -> int:
-    """Row buffers to train a round's clients in: one per worker plus one the
-    server reduces, more up to RING_BYTES, never more than the clients."""
-    return min(clients_per_round, max(workers + 1, RING_BYTES // (8 * param_count)))
-
-
-class _Ran:
-    """fn(*args) called on this thread, with the part of the Future interface
-    the round loop uses (a Future costs a lock per client)."""
-
-    def __init__(self, fn: Callable, *args) -> None:
-        self.value = fn(*args)
-
-    def done(self) -> bool:
-        return True
-
-    def result(self):
-        return self.value
+def ring_shape(clients: int, param_count: int, workers: int) -> tuple[int, int]:
+    """The row buffers for rounds of `clients` clients: one block of
+    HANDOFF_BYTES of rows, at least one per worker and at most the round, or
+    two blocks when the round needs more than one."""
+    block = min(clients, max(workers, HANDOFF_BYTES // (8 * param_count)))
+    return (block if block == clients else 2 * block), param_count
 
 
 def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
                    ring: np.ndarray, fold: UpdateFold, workers: int) -> None:
     """Train clients 0..count-1 and fold each one's row into `fold` in order.
 
-    Client i trains in ring[i % len(ring)] by train(i, row), on this thread
-    when workers is 1, else on a pool. Finished rows are handed to one server
-    thread in client order once HANDOFF_BYTES of them wait. The rows after the
-    last handoff are folded here: their norms while the server finishes, then
-    their share of the sum. A row is reused only after it has been folded.
-    The first failing client's exception propagates, in client order, after
-    every thread has stopped.
+    A round that fits in ring trains as one block, which this thread folds.
+    Otherwise blocks of len(ring) // 2 rows alternate between the two halves
+    of ring: once block b has trained, the server thread finishes folding
+    block b-1, whose half block b+1 reuses, and is handed block b; this
+    thread folds the last block. Client i trains by train(i, row), on this
+    thread when workers is 1, else on a pool. The first failing client's
+    exception propagates, in client order, after every thread has stopped.
     """
-    slots = len(ring)
-    handoff = max(1, HANDOFF_BYTES // ring[0].nbytes)
+    block = count if count <= len(ring) else len(ring) // 2
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
-    submit = pool.submit if pool else _Ran
-    server = None  # started by the first handoff
-    trained: list[Future | _Ran] = []
-    folds: deque[tuple[int, Future]] = deque()  # (end row, pending fold)
-    ready = handed = folded = 0  # rows trained, handed over, folded; in client order
-
-    def blocks(start: int, end: int):
-        # rows [start, end) as slices of the ring, split where it wraps
-        while start < end:
-            first = start % slots
-            stop = min(first + end - start, slots)
-            yield start + stop - first, ring[first:stop]
-            start += stop - first
-
-    def hand_over(end: int) -> None:
-        nonlocal handed, server
-        if server is None:
-            server = ThreadPoolExecutor(1, thread_name_prefix="fednorm-server")
-        for block_end, rows in blocks(handed, end):
-            folds.append((block_end, server.submit(fold.add, rows)))
-        handed = end
-
-    def advance(wait: bool) -> None:
-        # hand finished rows over in client order; result() raises a
-        # failed client's exception
-        nonlocal ready
-        while ready < len(trained) and (wait or trained[ready].done()):
-            trained[ready].result()
-            ready += 1
-            if ready - handed >= handoff and ready < count:
-                hand_over(ready)
-
+    server = None  # started by the first of several blocks
+    folding = None  # the server's fold of the previous block
     try:
-        for i in range(count):
-            reuse = i - slots
-            if reuse >= folded:
-                if reuse >= handed:
-                    for done in trained[ready : reuse + 1]:
-                        done.result()
-                    ready = max(ready, reuse + 1)
-                    hand_over(reuse + 1)
-                while folded <= reuse:
-                    folded, pending = folds.popleft()
-                    pending.result()
-            trained.append(submit(train, i, ring[i % slots]))
-            advance(wait=False)
-        advance(wait=True)
-        rest = list(blocks(handed, count))
-        for end, rows in rest:
-            fold.take_norms(end - len(rows), rows)
-        for _, pending in folds:
-            pending.result()
-        for _, rows in rest:
-            fold.add_to_sum(rows)
+        for b, start in enumerate(range(0, count, block)):
+            end = min(start + block, count)
+            rows = ring[b % 2 * block:][: end - start]
+            # map yields in client order, so the first failing client raises
+            for _ in (pool.map if pool else map)(train, range(start, end), rows):
+                pass
+            if folding:
+                folding.result()
+            if end == count:
+                fold.add(rows)
+            else:
+                server = server or ThreadPoolExecutor(1, thread_name_prefix="fednorm-server")
+                folding = server.submit(fold.add, rows)
     finally:
         for executor in (pool, server):
             if executor:
@@ -229,8 +175,8 @@ def run_round(params: ParamVector, direction: ParamVector,
               round_index: int, integrated_so_far: float, ring: np.ndarray,
               ) -> tuple[ParamVector, ParamVector, RoundMetrics]:
     """One round from the distributed parameters and the server's direction;
-    returns both updated and the round's metrics. ring is the (ring_rows,
-    param count) matrix of row buffers the sampled clients train in.
+    returns both updated and the round's metrics. ring holds the row buffers
+    the sampled clients train in (see ring_shape).
 
     A NaN or Inf raises DivergenceError naming the round and the client, the
     server or the evaluation where it appeared."""
@@ -300,8 +246,7 @@ def run_experiment(train: Dataset, test: Dataset,
     direction = zeros_like(params)
 
     # one ring of client row buffers for every round
-    ring = np.empty((ring_rows(schedule.clients_per_round, params.size, schedule.workers),
-                     params.size))
+    ring = np.empty(ring_shape(schedule.clients_per_round, params.size, schedule.workers))
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, schedule.rounds + 1):

@@ -23,8 +23,10 @@ columns wide.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -191,6 +193,24 @@ def squared_norms(rows: np.ndarray, segments: tuple[Segment, ...],
             started = True
     whole[:] = sums[k:]
     return whole, per_segment
+
+
+def openblas_threads(count: int | None = None) -> int | None:
+    """The thread count of numpy's bundled OpenBLAS, after setting it to
+    `count` when given; None when numpy's BLAS does not export the
+    scipy-openblas thread functions (other BLAS builds)."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        lib = ctypes.CDLL(str(path))  # the copy numpy loaded
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if get is None:
+            continue
+        if count is not None:
+            pin = lib.scipy_openblas_set_num_threads64_
+            pin.argtypes, pin.restype = [ctypes.c_int], None
+            pin(count)
+        get.argtypes, get.restype = [], ctypes.c_int
+        return get()
+    return None
 
 
 def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:

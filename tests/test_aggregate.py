@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fednorm.aggregate import (
     STRATEGY_KINDS,
@@ -149,16 +151,32 @@ def test_nwda_shape_mismatch_rejected():
 
 
 def test_fold_in_blocks_matches_nwda():
-    """Rows folded block by block, with the sum and the norms of the last
-    block taken separately and the norms first, report nwda's numbers."""
+    """Rows folded in uneven blocks report nwda's numbers."""
     rng = np.random.default_rng(22)
     weights, deltas, segs = stacked(random_terms(rng, 7, segs=(CHUNK + 3, 0, 9)))
     whole = nwda(weights, deltas, segs)
     fold = UpdateFold(weights, segs)
     fold.add(deltas[:1])
     fold.add(deltas[1:5])
-    fold.take_norms(5, deltas[5:])
-    fold.add_to_sum(deltas[5:])
+    fold.add(deltas[5:])
+    report = fold.report()
+    assert np.array_equal(report.combined.values, whole.combined.values)
+    assert (report.aggregate_norm, report.mean_local_norm, report.ratio, report.per_layer) \
+        == (whole.aggregate_norm, whole.mean_local_norm, whole.ratio, whole.per_layer)
+
+
+@given(lengths=st.lists(st.sampled_from((0, 1, 2, 7, CHUNK + 3)), min_size=1, max_size=3),
+       count=st.integers(1, 9), cuts=st.sets(st.integers(1, 8)), seed=st.integers(0, 99))
+def test_fold_over_any_split_matches_nwda(lengths, count, cuts, seed):
+    """UpdateFold.add over any split of the rows into blocks gives the bits of
+    one-shot nwda."""
+    weights, deltas, segs = stacked(random_terms(np.random.default_rng(seed), count,
+                                                 segs=tuple(lengths)))
+    whole = nwda(weights, deltas, segs)
+    fold = UpdateFold(weights, segs)
+    bounds = [0, *sorted(c for c in cuts if c < count), count]
+    for start, end in zip(bounds, bounds[1:]):
+        fold.add(deltas[start:end])
     report = fold.report()
     assert np.array_equal(report.combined.values, whole.combined.values)
     assert (report.aggregate_norm, report.mean_local_norm, report.ratio, report.per_layer) \

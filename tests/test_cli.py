@@ -248,6 +248,7 @@ def test_manifest_records_numeric_environment_deterministically(tmp_path, monkey
         "numpy": np.__version__,
         "blas": {"name": blas["name"], "version": blas["version"]},
         "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
+        "blas_threads": 1,
     }
 
 
@@ -275,6 +276,21 @@ def test_strategy_filter_unknown_name(tmp_path, capsys):
                "--strategies", "fedavg,fedmax"])
     assert rc == 2
     assert "fedmax" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names, message", [
+    (",", "--strategies: names no strategy"),
+    ("", "--strategies: names no strategy"),
+    ("fedavg,fedavg", "--strategies: fedavg named more than once"),
+    ("fednnnn, fedavg,fednnnn", "--strategies: fednnnn named more than once"),
+])
+def test_strategy_filter_rejects_empty_and_repeated_names(tmp_path, capsys, names, message):
+    """Nothing is trained or written: no CSV and no manifest."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "x"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--strategies", names]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

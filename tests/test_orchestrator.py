@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fednorm.orchestrator as orchestrator
 from fednorm.aggregate import AggregationStrategy, UpdateFold, nwda
@@ -19,7 +21,7 @@ from fednorm.orchestrator import (
     ExperimentConfig,
     Schedule,
     evaluate,
-    ring_rows,
+    ring_shape,
     run_experiment,
     sample_clients,
     train_and_fold,
@@ -188,12 +190,10 @@ def test_pool_threads_fill_the_shared_round_matrix_like_one_worker():
 
 
 def test_pool_and_server_threads_share_a_small_ring_like_one_worker(monkeypatch):
-    """The same with a ring of 7 rows for 9 clients and a handoff every 2
-    rows (a row is 8 * 515 bytes), so the server thread reduces rows while
-    the pool trains into reused ones."""
-    monkeypatch.setattr(orchestrator, "HANDOFF_BYTES", 2 * 8 * 515)
-    monkeypatch.setattr(orchestrator, "RING_BYTES", 7 * 8 * 515)
-    assert ring_rows(9, 515, 6) == 7
+    """The same with a ring of 7 rows for 9 clients: blocks of 3 rows, fewer
+    than the workers, so the server thread folds each block while the pool
+    trains the next one into the other half of the ring."""
+    monkeypatch.setattr(orchestrator, "ring_shape", lambda clients, size, workers: (7, size))
     assert_six_workers_match_one()
 
 
@@ -249,14 +249,17 @@ def test_data_network_mismatch():
 # ------------------------------------------------------------- ring and server
 
 def test_ring_is_bounded_and_never_a_round_matrix():
-    """At least one row per worker plus one, more up to RING_BYTES, never more
-    rows than the round has clients."""
+    """One block of HANDOFF_BYTES of rows, at least one per worker and never
+    more rows than the round has clients; two blocks when the round needs
+    more than one."""
     row = 199210  # the 784-200-200-10 network
-    assert ring_rows(100, row, 1) == orchestrator.RING_BYTES // (8 * row) < 100
-    assert ring_rows(100, row, 1) * 8 * row <= orchestrator.RING_BYTES
-    assert ring_rows(10, row, 2) == 10
-    assert ring_rows(100, 10**8, 6) == 7
-    assert ring_rows(3, 10**8, 6) == 3
+    block = orchestrator.HANDOFF_BYTES // (8 * row)
+    assert ring_shape(100, row, 1) == (2 * block, row)
+    assert 2 * block < 100 and block * 8 * row <= orchestrator.HANDOFF_BYTES
+    assert ring_shape(block, row, 1) == (block, row)
+    assert ring_shape(10, row, 2) == (10, row)
+    assert ring_shape(100, 10**8, 6) == (12, 10**8)
+    assert ring_shape(3, 10**8, 6) == (3, 10**8)
 
 
 SEGS = (Segment("a", 0, 4), Segment("b", 4, 2))
@@ -276,53 +279,94 @@ def fake_train(fail=(), delay=None):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_rows_fold_in_client_order_through_the_server_thread(monkeypatch, workers):
-    """Small rows and a small handoff: blocks go to the server, the ring of 5
-    rows wraps three times, and the report equals nwda over all rows."""
+    """A ring of 6 rows for 17 clients: blocks of 3 rows alternate between
+    its halves, the server thread folds all but the last, and the report
+    equals nwda over all rows."""
     count = 17
-    monkeypatch.setattr(orchestrator, "HANDOFF_BYTES", 3 * 8 * 6)
     weights = list(np.random.default_rng(1).uniform(0.1, 1.0, count))
     fold = UpdateFold(weights, SEGS)
     where = []
-    add_to_sum = fold.add_to_sum
+    add = fold.add
 
-    def slow_add_to_sum(rows):
-        # a slow server: a row reused before it was reduced would be lost
+    def slow_add(rows):
+        # a slow server: a row reused before it was folded would be lost
         where.append((threading.current_thread().name, len(rows)))
         time.sleep(0.01)
-        add_to_sum(rows)
-    monkeypatch.setattr(fold, "add_to_sum", slow_add_to_sum)
+        add(rows)
+    monkeypatch.setattr(fold, "add", slow_add)
     train_and_fold(fake_train(delay=lambda i: 0.002 * (i % 3)), count,
-                   np.full((5, 6), np.nan), fold, workers)
+                   np.full((6, 6), np.nan), fold, workers)
     expected = np.stack([np.random.default_rng(i).standard_normal(6) for i in range(count)])
     want = nwda(weights, expected, SEGS)
     got = fold.report()
     assert np.array_equal(got.combined.values, want.combined.values)
     assert (got.mean_local_norm, got.per_layer) == (want.mean_local_norm, want.per_layer)
-    assert sum(rows for _, rows in where) == count
-    assert any(name.startswith("fednorm-server") for name, _ in where)
+    assert [rows for _, rows in where] == [3] * 5 + [2]
+    assert all(name.startswith("fednorm-server") for name, _ in where[:-1])
+    assert where[-1][0] == threading.main_thread().name
 
 
 def test_rows_below_the_handoff_fold_on_the_calling_thread(monkeypatch):
-    """desk-sized rounds never reach the handoff: no thread handoff at all."""
+    """A round that fits in the ring (every desk-sized round) is one block,
+    folded on the calling thread: no server thread at all."""
     fold = UpdateFold([0.25] * 4, SEGS)
     where = []
-    for name in ("add_to_sum", "take_norms"):
-        method = getattr(fold, name)
-        monkeypatch.setattr(fold, name, lambda *args, method=method: (
-            where.append(threading.current_thread()), method(*args)))
+    add = fold.add
+    monkeypatch.setattr(fold, "add", lambda rows: (
+        where.append(threading.current_thread()), add(rows)))
     train_and_fold(fake_train(), 4, np.empty((4, 6)), fold, workers=1)
     fold.report()
-    assert where == [threading.main_thread()] * 2
+    assert where == [threading.main_thread()]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_first_failing_client_stops_the_round_without_leftover_threads(monkeypatch, workers):
-    """Clients 7 and 9 diverge; 9 fails first in time on the pool, but the
-    error names client 7, and no pool or server thread outlives the call."""
-    monkeypatch.setattr(orchestrator, "HANDOFF_BYTES", 2 * 8 * 6)
+def test_first_failing_client_stops_the_round_without_leftover_threads(workers):
+    """Clients 7 and 9 diverge in the second of three blocks of 5 rows; 9
+    fails first in time on the pool, but the error names client 7, and no
+    pool or server thread outlives the call."""
     baseline = threading.active_count()
     fold = UpdateFold([0.1] * 12, SEGS)
     train = fake_train(fail=(7, 9), delay=lambda i: 0.05 if i == 7 else 0.0)
     with pytest.raises(DivergenceError, match="client 7:"):
-        train_and_fold(train, 12, np.empty((4, 6)), fold, workers)
+        train_and_fold(train, 12, np.empty((10, 6)), fold, workers)
+    assert threading.active_count() == baseline
+
+
+@st.composite
+def schedules(draw):
+    """A round's client count, a ring for it (at least two rows unless the
+    round fits in one), the workers, and no failing client or one followed
+    by another up to three ids later."""
+    count = draw(st.integers(1, 24))
+    rows = draw(st.integers(1 if count == 1 else 2, 12))
+    workers = draw(st.integers(1, 4))
+    first = draw(st.none() | st.integers(0, count - 1))
+    fail = set() if first is None else {first, first + draw(st.integers(1, 3))}
+    return count, rows, workers, fail & set(range(count))
+
+
+@given(schedules())
+def test_any_schedule_folds_nwda_or_raises_the_first_failing_client(schedule):
+    """Whatever the ring, the workers and the failures: the report equals
+    one-shot nwda bit for bit, or the first failing client in client order
+    is raised, and no thread outlives the call. The first failing client
+    fails last in time when the pool runs it beside the other, and every
+    fold is slow, so a row reused before it was folded would show."""
+    count, rows, workers, fail = schedule
+    baseline = threading.active_count()
+    weights = list(np.random.default_rng(count).uniform(0.1, 1.0, count))
+    fold = UpdateFold(weights, SEGS)
+    add = fold.add
+    fold.add = lambda block: (time.sleep(0.002), add(block))
+    train = fake_train(fail, delay=lambda i: 0.004 if fail and i == min(fail) else 0.0)
+    if fail:
+        with pytest.raises(DivergenceError, match=f"client {min(fail)}:"):
+            train_and_fold(train, count, np.full((rows, 6), np.nan), fold, workers)
+    else:
+        train_and_fold(train, count, np.full((rows, 6), np.nan), fold, workers)
+        expected = np.stack([np.random.default_rng(i).standard_normal(6) for i in range(count)])
+        want, got = nwda(weights, expected, SEGS), fold.report()
+        assert np.array_equal(got.combined.values, want.combined.values)
+        assert (got.aggregate_norm, got.mean_local_norm, got.ratio, got.per_layer) \
+            == (want.aggregate_norm, want.mean_local_norm, want.ratio, want.per_layer)
     assert threading.active_count() == baseline

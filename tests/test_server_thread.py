@@ -2,10 +2,11 @@
 bytes must not depend on the BLAS thread count, must equal golden digests,
 and a diverging client must still fail with one line.
 
-Each run is a fresh `fednorm run` process, so that importing fednorm comes
-before numpy and the BLAS pin applies. The config is the benchmark's
-wide_round cut down to 50 clients, 2 rounds and 40/20 rows per class: its
-1.6 MB rows pass the handoff size twice a round and wrap the ring.
+Each run is a fresh `fednorm run` process, so that the BLAS pin is tested as
+a program meets it: importing fednorm before numpy, or after. The config is
+the benchmark's wide_round cut down to 50 clients, 2 rounds and 40/20 rows
+per class: its 1.6 MB rows fill three blocks a round, so the server thread
+folds two of them and the third reuses the first half of the ring.
 """
 
 import hashlib
@@ -43,12 +44,13 @@ WIDE_TRIMMED_SHA256 = {
     "normnorm_layers.csv": "a3fd3a975743383f1d2318ccd6a0336763bc726d4f268aa73a712fa33871a27d",
     "normnorm_metrics.csv": "aa924179c53f277c7732c94a0b31eda71d29aaf0ebd634ced2a31cf36aaa059a",
 }
-# at these settings client 48 of round 1 diverges first: after two handoffs,
-# with its row in a reused ring slot
+# at these settings client 48 of round 1 diverges first: in the third block,
+# after two were handed to the server, with its row in a reused half of the ring
 DIVERGING = {"learning_rate": 1000.0, "local_epochs": 8}
 
 
-def run_cli(config: dict, out: Path, blas_threads: str | None) -> subprocess.CompletedProcess:
+def run_cli(config: dict, out: Path, blas_threads: str | None,
+            numpy_first: bool = False) -> subprocess.CompletedProcess:
     path = out.parent / f"{out.name}.yaml"
     path.write_text(yaml.safe_dump(config))
     src = str(Path(fednorm.__file__).resolve().parents[1])
@@ -57,8 +59,10 @@ def run_cli(config: dict, out: Path, blas_threads: str | None) -> subprocess.Com
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
+    entry = (["-c", "import sys, numpy; from fednorm.cli import main; sys.exit(main())"]
+             if numpy_first else ["-m", "fednorm.cli"])
     return subprocess.run(
-        [sys.executable, "-m", "fednorm.cli", "run", "--config", str(path), "--seed", "0",
+        [sys.executable, *entry, "run", "--config", str(path), "--seed", "0",
          "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=600,
     )
@@ -71,20 +75,23 @@ def csv_digests(out: Path) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def digests_by_blas_threads(tmp_path_factory):
-    """CSV digests of WIDE_TRIMMED under OPENBLAS_NUM_THREADS 1, 2 and unset."""
+    """CSV digests of WIDE_TRIMMED under OPENBLAS_NUM_THREADS 1, 2 and unset,
+    and under 2 in a program that imports numpy before fednorm."""
     runs = {}
-    for threads in ("1", "2", None):
-        out = tmp_path_factory.mktemp("wide") / f"threads-{threads}"
-        proc = run_cli(WIDE_TRIMMED, out, threads)
+    for threads, numpy_first in (("1", False), ("2", False), (None, False), ("2", True)):
+        key = f"{threads}, numpy first" if numpy_first else threads
+        out = tmp_path_factory.mktemp("wide") / f"threads-{threads}-{numpy_first}"
+        proc = run_cli(WIDE_TRIMMED, out, threads, numpy_first)
         assert proc.returncode == 0, proc.stderr
-        runs[threads] = csv_digests(out)
+        runs[key] = csv_digests(out)
     return runs
 
 
 def test_trimmed_config_reaches_the_server_thread_and_wraps_the_ring():
     clients = WIDE_TRIMMED["training"]["clients"]
-    assert clients * 8 * PARAMS > 2 * orchestrator.HANDOFF_BYTES
-    assert orchestrator.ring_rows(clients, PARAMS, 1) < clients
+    rows, _ = orchestrator.ring_shape(clients, PARAMS, 1)
+    block = rows // 2
+    assert rows == 2 * block and clients > 2 * block
 
 
 def test_output_bytes_do_not_depend_on_blas_threads(digests_by_blas_threads):
@@ -92,6 +99,10 @@ def test_output_bytes_do_not_depend_on_blas_threads(digests_by_blas_threads):
     assert len(one) == 4
     assert digests_by_blas_threads["2"] == one
     assert digests_by_blas_threads[None] == one
+
+
+def test_blas_pin_holds_when_numpy_was_imported_first(digests_by_blas_threads):
+    assert digests_by_blas_threads["2, numpy first"] == WIDE_TRIMMED_SHA256
 
 
 def test_server_thread_path_matches_golden_hashes(digests_by_blas_threads):
