@@ -25,15 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
-from .params import (
-    ParamVector,
-    Segment,
-    axpy,
-    l2_norm,
-    per_layer_norms,
-    squared_norms,
-    weighted_rows,
-)
+from .params import ParamVector, Segment, axpy, squared_norms, weighted_rows
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
 
@@ -132,7 +124,8 @@ class UpdateFold:
             raise ShapeMismatchError(
                 f"nwda: {self.count} rows folded, expected {len(self.weights)}")
         combined = ParamVector(self.combined, self.segments)
-        aggregate = l2_norm(combined)
+        u_sq, u_segment_sq = squared_norms(combined.values[None, :], self.segments)
+        aggregate = math.sqrt(u_sq[0])
         mean_local = 0.0
         layer_means = [0.0] * len(self.segments)
         for k, weight in enumerate(self.weights):
@@ -140,10 +133,8 @@ class UpdateFold:
             for i in range(len(self.segments)):
                 layer_means[i] += weight * math.sqrt(self.segment_sq[i, k])
         ratio = aggregate / mean_local if mean_local > 0 else None
-        per_layer = [
-            (name, seg_norm, layer_means[i])
-            for i, (name, seg_norm) in enumerate(per_layer_norms(combined))
-        ]
+        per_layer = [(seg.name, math.sqrt(u_segment_sq[i, 0]), layer_means[i])
+                     for i, seg in enumerate(self.segments)]
         return NwdaReport(combined, aggregate, mean_local, ratio, per_layer)
 
 

@@ -427,6 +427,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _number(path: str, index: int, row: dict, column: str) -> float | None:
+    """The float in row[column], None for an empty optional cell; a cell that
+    does not parse raises ConfigError naming the file, row (counted from 1
+    after the header) and column."""
+    text = row[column]
+    if not text and column in ("ratio", "eval_acc_averaged"):
+        return None
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"{path}: row {index}, column {column}: not a number: {text!r}") from None
+
+
 def _read_metrics_csv(path: str) -> list[dict]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -444,17 +458,17 @@ def cmd_compare(args) -> int:
     summary = []
     for path in args.metrics:
         rows = _read_metrics_csv(path)
+        last = len(rows)
         final = rows[-1]
-        accs = [float(r["eval_acc_distributed"]) for r in rows]
+        accs = [_number(path, i, r, "eval_acc_distributed") for i, r in enumerate(rows, 1)]
         summary.append({
             "strategy": final["strategy"],
             "rounds": final["round"],
-            "final_acc": float(final["eval_acc_distributed"]),
-            "final_acc_averaged": (float(final["eval_acc_averaged"])
-                                   if final["eval_acc_averaged"] else None),
+            "final_acc": accs[-1],
+            "final_acc_averaged": _number(path, last, final, "eval_acc_averaged"),
             "best_acc": max(accs),
-            "final_ratio": float(final["ratio"]) if final["ratio"] else None,
-            "integrated_norm": float(final["integrated_norm"]),
+            "final_ratio": _number(path, last, final, "ratio"),
+            "integrated_norm": _number(path, last, final, "integrated_norm"),
         })
     header = (f"{'strategy':<14} {'rounds':>6} {'final_acc':>10} "
               f"{'avg_acc':>10} {'best_acc':>10} {'N/E':>8} {'path_len':>10}")
@@ -567,7 +581,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, DivergenceError, IdxFormatError, DegenerateDataError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,9 @@ mini-batch SGD for a fixed number of epochs, and ship back the weight delta.
 
 Training runs in place inside the delta itself: the caller's row buffer
 gets the distributed parameters, is trained there with one gradient and one
-scratch buffer, then has those parameters subtracted.
+scratch buffer, then has those parameters subtracted. Mini-batches are plain
+(inputs, labels) array pairs cut from the client's Dataset, which was checked
+once when it was built; no step checks them again.
 
 The proximal term (when mu > 0) is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
@@ -17,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, batches
 from .errors import ConfigError, DivergenceError
-from .nn import Network, NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
+from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 from .params import ParamVector, all_finite
 
 WEIGHT_MODES = ("uniform", "by_sample_count")
@@ -57,18 +59,18 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
     (trained minus distributed parameters, laid out like `start`).
 
     Training runs inside `out` (a row buffer of the round loop) when
-    given, else inside a new array; the one returned holds the delta. Batch
-    order is drawn from derive_seed(round_seed, client_id, epoch), so the
+    given, else inside a new array; the one returned holds the delta. The
+    batch order is drawn from derive_seed(round_seed, client_id, epoch), so the
     result depends only on those identifiers, never on scheduling.
 
     Raises:
         ValueError: if `out` is not a writable C-contiguous float64 vector
             (layer_views would reshape a copy of any other array and train that).
+        ShapeMismatchError: if `start` does not fit net_spec.
         DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
     if len(data) == 0:
         raise ValueError(f"client {client_id} has no data")
-    Network(net_spec, start)  # raises if start does not fit the spec
     anchor = start.values
     params = np.empty_like(anchor) if out is None else out
     if not (params.dtype == np.float64 and params.shape == anchor.shape
@@ -82,9 +84,9 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
     # reports them once instead of a warning per step
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.local_epochs + 1):
-            for batch in batches(data, config.batch_size,
-                                 derive_seed(round_seed, client_id, epoch)):
-                gradient_into(net_spec, layers, grads, batch)
+            for inputs, labels in batches(data, config.batch_size,
+                                          derive_seed(round_seed, client_id, epoch)):
+                gradient_into(layers, grads, inputs, labels)
                 if config.mu > 0:
                     prox_addend_into(scratch, params, anchor, config.mu)
                     grad += scratch

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Batch
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -392,18 +391,18 @@ def _partition_noniid(ds: Dataset, spec: PartitionSpec, clients: int,
 
 # batching --------------------------------------------------------------------
 
-def batches(ds: Dataset, batch_size: int, epoch_seed: int) -> list[Batch]:
-    """Seeded shuffle, then consecutive chunks of batch_size (last may be short)."""
+def batches(ds: Dataset, batch_size: int,
+            epoch_seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(inputs, labels) pairs: a seeded shuffle of ds cut into consecutive
+    chunks of batch_size (the last may be short)."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     n = len(ds)
     if n == 0:
         raise ValueError("cannot batch an empty dataset")
     order = np.random.default_rng(epoch_seed).permutation(n)
-    return [
-        Batch(ds.inputs[order[i : i + batch_size]], ds.labels[order[i : i + batch_size]])
-        for i in range(0, n, batch_size)
-    ]
+    chunks = (order[i : i + batch_size] for i in range(0, n, batch_size))
+    return [(ds.inputs[idx], ds.labels[idx]) for idx in chunks]
 
 
 def mnist_dir(configured: str | None = None) -> Path | None:

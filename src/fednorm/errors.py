@@ -2,7 +2,7 @@
 
 
 class ShapeMismatchError(ValueError):
-    """Two parameter vectors (or a network and a batch) disagree structurally."""
+    """Two parameter vectors (or a network and a vector) disagree structurally."""
 
 
 class ConfigError(ValueError):

@@ -5,6 +5,12 @@ mean cross-entropy via log-sum-exp, plain SGD with coupled weight decay, and
 the proximal gradient addend used by FedProx clients. The parameters live in
 a ParamVector with one segment per weight matrix ("fc{i}.weight") and one per
 bias vector ("fc{i}.bias"), so aggregation code never sees layer structure.
+
+The kernels take flat float64 arrays and (inputs, labels) array pairs and
+check no batch: data is checked once where it enters (`Dataset` keeps labels
+in [0, class_count), `run_experiment` matches both sets' feature and class
+counts to the network). `layer_views`, the one place a flat vector meets a
+spec, checks the vector's length.
 """
 
 from __future__ import annotations
@@ -22,8 +28,6 @@ class NetworkSpec:
     """Architecture description: layer_sizes runs input -> hidden... -> output."""
 
     layer_sizes: tuple[int, ...]
-    activation: str = "relu"
-    bias_enabled: bool = True
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -32,8 +36,6 @@ class NetworkSpec:
             raise ValueError("need at least input and output layer sizes")
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def class_count(self) -> int:
@@ -46,49 +48,13 @@ class NetworkSpec:
             fan_in, fan_out = self.layer_sizes[i - 1], self.layer_sizes[i]
             segs.append(Segment(f"fc{i}.weight", pos, fan_in * fan_out))
             pos += fan_in * fan_out
-            if self.bias_enabled:
-                segs.append(Segment(f"fc{i}.bias", pos, fan_out))
-                pos += fan_out
+            segs.append(Segment(f"fc{i}.bias", pos, fan_out))
+            pos += fan_out
         return tuple(segs)
 
     @property
     def param_count(self) -> int:
         return sum(s.length for s in self.segments())
-
-
-@dataclass(frozen=True)
-class Batch:
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if inputs.ndim != 2 or labels.ndim != 1:
-            raise ValueError("inputs must be 2-D and labels 1-D")
-        if inputs.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"{inputs.shape[0]} input rows vs {labels.shape[0]} labels"
-            )
-        if inputs.shape[0] < 1:
-            raise ValueError("empty batch")
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
-
-
-@dataclass(frozen=True)
-class Network:
-    """A NetworkSpec paired with a parameter vector matching it segment-for-segment."""
-
-    spec: NetworkSpec
-    params: ParamVector
-
-    def __post_init__(self) -> None:
-        expected = self.spec.segments()
-        if self.params.segments != expected:
-            raise ShapeMismatchError(
-                f"params segments {self.params.segments} do not match spec {expected}"
-            )
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
@@ -103,54 +69,40 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
         fan_in, fan_out = spec.layer_sizes[i - 1], spec.layer_sizes[i]
         bound = np.sqrt(6.0 / fan_in)
         chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-        if spec.bias_enabled:
-            chunks.append(np.zeros(fan_out))
+        chunks.append(np.zeros(fan_out))
     return ParamVector(np.concatenate(chunks), spec.segments())
 
 
-def layer_views(spec: NetworkSpec,
-                values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | None]]:
+def layer_views(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views into a flat parameter-sized array, one per layer.
 
-    Weights are (fan_in, fan_out) and C-contiguous; bias is None when the
-    spec has no biases. Writing through a view writes the array.
+    Weights are (fan_in, fan_out) and C-contiguous. Writing through a view
+    writes the array. Raises ShapeMismatchError unless values is a 1-D array
+    of spec.param_count values.
     """
+    if values.shape != (spec.param_count,):
+        raise ShapeMismatchError(
+            f"parameters shaped {values.shape} do not fit a network of "
+            f"{spec.param_count} parameters")
     out = []
     pos = 0
     for i in range(1, len(spec.layer_sizes)):
         fan_in, fan_out = spec.layer_sizes[i - 1], spec.layer_sizes[i]
         w = values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
         pos += fan_in * fan_out
-        b = None
-        if spec.bias_enabled:
-            b = values[pos : pos + fan_out]
-            pos += fan_out
-        out.append((w, b))
+        out.append((w, values[pos : pos + fan_out]))
+        pos += fan_out
     return out
 
 
-def _check_batch(spec: NetworkSpec, batch: Batch) -> None:
-    if batch.inputs.shape[1] != spec.layer_sizes[0]:
-        raise ShapeMismatchError(
-            f"batch has {batch.inputs.shape[1]} features, network expects "
-            f"{spec.layer_sizes[0]}"
-        )
-    if batch.labels.min() < 0 or batch.labels.max() >= spec.class_count:
-        raise ValueError(
-            f"labels must lie in [0, {spec.class_count}), got "
-            f"[{batch.labels.min()}, {batch.labels.max()}]"
-        )
-
-
-def _forward(layers: list[tuple[np.ndarray, np.ndarray | None]], inputs: np.ndarray):
-    """Returns (logits, pre_activations, post_activations) for backprop reuse."""
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray):
+    """Returns (logits, pre, post) for backprop reuse: every layer's x @ w + b,
+    and every layer's input x."""
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [inputs]
     x = inputs
     for li, (w, b) in enumerate(layers):
-        a = x @ w
-        if b is not None:
-            a = a + b
+        a = x @ w + b
         pre.append(a)
         if li < len(layers) - 1:
             x = np.maximum(a, 0.0)
@@ -158,43 +110,43 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray | None]], inputs: np.ndar
     return pre[-1], pre, post
 
 
-def forward_loss(net: Network, batch: Batch) -> tuple[float, float]:
-    """Mean cross-entropy (stable log-sum-exp) and argmax accuracy.
+def forward_loss(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
+                 labels: np.ndarray) -> tuple[float, float]:
+    """Mean cross-entropy (stable log-sum-exp) and argmax accuracy of the
+    network with parameters `values` on a batch of inputs and their labels.
 
     Argmax ties resolve to the lowest class index so accuracy is reproducible.
     """
-    _check_batch(net.spec, batch)
-    logits, _, _ = _forward(layer_views(net.spec, net.params.values), batch.inputs)
+    logits, _, _ = _forward(layer_views(spec, values), inputs)
     rows = np.arange(logits.shape[0])
     rowmax = logits.max(axis=1, keepdims=True)
     lse = rowmax[:, 0] + np.log(np.exp(logits - rowmax).sum(axis=1))
-    loss = float(np.mean(lse - logits[rows, batch.labels]))
-    accuracy = float(np.mean(logits.argmax(axis=1) == batch.labels))
+    loss = float(np.mean(lse - logits[rows, labels]))
+    accuracy = float(np.mean(logits.argmax(axis=1) == labels))
     return loss, accuracy
 
 
-def gradient_into(spec: NetworkSpec, layers: list[tuple[np.ndarray, np.ndarray | None]],
-                  grads: list[tuple[np.ndarray, np.ndarray | None]], batch: Batch) -> None:
-    """Write the mean cross-entropy gradient at `layers` into `grads`.
+def gradient_into(layers: list[tuple[np.ndarray, np.ndarray]],
+                  grads: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
+                  labels: np.ndarray) -> None:
+    """Write the mean cross-entropy gradient at `layers` on a batch into `grads`.
 
     Both are layer_views lists, of the parameters and of a same-sized
     gradient buffer; every gradient element is overwritten.
     """
-    _check_batch(spec, batch)
-    logits, pre, post = _forward(layers, batch.inputs)
+    logits, pre, post = _forward(layers, inputs)
     n = logits.shape[0]
     rowmax = logits.max(axis=1, keepdims=True)
     ez = np.exp(logits - rowmax)
     probs = ez / ez.sum(axis=1, keepdims=True)
     g = probs
-    g[np.arange(n), batch.labels] -= 1.0
+    g[np.arange(n), labels] -= 1.0
     g /= n
 
     for li in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grads[li]
         np.matmul(post[li].T, g, out=grad_w)
-        if grad_b is not None:
-            np.sum(g, axis=0, out=grad_b)
+        np.sum(g, axis=0, out=grad_b)
         if li > 0:
             g = (g @ layers[li][0].T) * (pre[li - 1] > 0.0)
 

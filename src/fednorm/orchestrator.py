@@ -26,7 +26,7 @@ from .aggregate import AggregationStrategy, UpdateFold, apply_strategy
 from .client import WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, local_train
 from .data import Dataset, PartitionSpec, partition
 from .errors import ConfigError, DivergenceError
-from .nn import Batch, Network, NetworkSpec, forward_loss, init_params
+from .nn import NetworkSpec, forward_loss, init_params
 from .params import ParamVector, axpy, l2_norm, zeros_like
 
 # seed namespaces under the experiment seed
@@ -120,7 +120,7 @@ def sample_clients(client_count: int, clients_per_round: int, round_seed: int) -
 
 def evaluate(network: NetworkSpec, params: ParamVector, ds: Dataset) -> float:
     """Accuracy on ds; raises DivergenceError when the loss is NaN or Inf."""
-    loss, acc = forward_loss(Network(network, params), Batch(ds.inputs, ds.labels))
+    loss, acc = forward_loss(network, params.values, ds.inputs, ds.labels)
     if not math.isfinite(loss):
         raise DivergenceError(f"loss is {loss}")
     return acc
@@ -234,10 +234,10 @@ def run_experiment(train: Dataset, test: Dataset,
             f"network expects {feature_dim} features, data has "
             f"{train.inputs.shape[1]} (train) / {test.inputs.shape[1]} (test)"
         )
-    if train.class_count > config.network.class_count:
+    if max(train.class_count, test.class_count) > config.network.class_count:
         raise ConfigError(
             f"network has {config.network.class_count} outputs but data has "
-            f"{train.class_count} classes"
+            f"{train.class_count} (train) / {test.class_count} (test) classes"
         )
     schedule = config.schedule
     part_spec = replace(config.partition, seed=derive_seed(schedule.seed, _PARTITION))

@@ -9,16 +9,16 @@ a round's rows can be reduced in client order as they arrive.
 
 All reductions here accumulate strictly left to right (no pairwise or
 threaded reduction), so repeated runs are bit-identical regardless of worker
-count. For a single vector, `_ordered_sum` gets that order from `np.cumsum`.
-The matrix kernels get it from `np.add.reduce` along the first axis of a
-C-contiguous 2-D block, which adds the block's rows one after another,
+count. Both kernels get that order from `np.add.reduce` along the first axis
+of a C-contiguous 2-D block, which adds the block's rows one after another,
 element by element: `weighted_rows` reduces the weighted rows themselves,
 and `squared_norms` reduces the squares of a block of columns copied
 transposed, so that each of its columns is one row's sum carried left to
-right. Unlike `np.cumsum`, these reductions release the GIL, so a server
-thread running them leaves the training thread free. With one column NumPy
-would sum pairwise instead, so the transposed block is always at least two
-columns wide.
+right. These reductions release the GIL, so a server thread running them
+leaves the training thread free. With one column NumPy would sum pairwise
+instead, so the transposed block is always at least two columns wide.
+`squared_norms` is the only norm kernel: a single vector's norms come from it
+too, as a one-row block.
 """
 
 from __future__ import annotations
@@ -108,14 +108,6 @@ def _require_compatible(a: ParamVector, b: ParamVector, op: str) -> None:
     )
 
 
-def _ordered_sum(x: np.ndarray) -> float:
-    # cumsum is sequential by definition (each prefix is observable), which
-    # gives the strict left-to-right order the determinism contract wants.
-    if x.size == 0:
-        return 0.0
-    return float(np.cumsum(x)[-1])
-
-
 def weighted_rows(weights: Sequence[float], rows: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     """Add weights[k] * rows[k] of a (K, n) matrix into out, in row order;
     returns out.
@@ -140,16 +132,8 @@ def weighted_rows(weights: Sequence[float], rows: np.ndarray, *, out: np.ndarray
 
 
 def l2_norm(v: ParamVector) -> float:
-    return math.sqrt(_ordered_sum(v.values * v.values))
-
-
-def per_layer_norms(v: ParamVector) -> list[tuple[str, float]]:
-    """L2 norm of each segment, in segment order."""
-    out = []
-    for seg in v.segments:
-        part = v.values[seg.offset : seg.offset + seg.length]
-        out.append((seg.name, math.sqrt(_ordered_sum(part * part))))
-    return out
+    """The L2 norm of v, from squared_norms over v as a one-row block."""
+    return math.sqrt(squared_norms(v.values[None, :], v.segments)[0][0])
 
 
 def squared_norms(rows: np.ndarray, segments: tuple[Segment, ...],
@@ -159,8 +143,8 @@ def squared_norms(rows: np.ndarray, segments: tuple[Segment, ...],
 
     Returns (whole, per_segment): whole[k] is row k's squared norm and
     per_segment[s, k] that of segment s of row k, written into `out` when
-    given. Each value is bitwise equal to `_ordered_sum(x * x)` over the same
-    elements (see the module docstring for the column-wise order).
+    given. Each value adds the squares of its elements strictly left to
+    right (see the module docstring for the column-wise order).
     """
     k = rows.shape[0]
     whole, per_segment = out if out is not None else (np.empty(k), np.empty((len(segments), k)))

@@ -3,22 +3,48 @@
 The client and the server work in place on flat arrays (`gradient_into`,
 `sgd_update`, `prox_addend_into`, `weighted_rows`). These wrappers take and
 return ParamVectors instead, one step at a time, which is how a test rebuilds
-a client's trajectory or a round's sum by hand.
+a client's trajectory or a round's sum by hand. `ordered_sum`,
+`ordered_norm` and `per_layer_norms` are the plain left-to-right sums the
+norm kernel `squared_norms` must match bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from fednorm.errors import ShapeMismatchError
-from fednorm.nn import Network, gradient_into, layer_views, prox_addend_into, sgd_update
+from fednorm.nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 from fednorm.params import ParamVector, _require_compatible, weighted_rows
 
 
-def backward(net: Network, batch) -> ParamVector:
+def backward(spec: NetworkSpec, params: ParamVector, inputs, labels) -> ParamVector:
     """Gradient of the mean cross-entropy with respect to every parameter."""
-    grad = np.empty(net.params.size)
-    gradient_into(net.spec, layer_views(net.spec, net.params.values),
-                  layer_views(net.spec, grad), batch)
-    return ParamVector(grad, net.params.segments)
+    grad = np.empty(params.size)
+    gradient_into(layer_views(spec, params.values), layer_views(spec, grad),
+                  np.asarray(inputs, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+    return ParamVector(grad, params.segments)
+
+
+def ordered_sum(x: np.ndarray) -> float:
+    """The sum of x, strictly left to right."""
+    # cumsum is sequential by definition (each prefix is observable)
+    if x.size == 0:
+        return 0.0
+    return float(np.cumsum(x)[-1])
+
+
+def ordered_norm(v: ParamVector) -> float:
+    """L2 norm of v, summed left to right."""
+    return math.sqrt(ordered_sum(v.values * v.values))
+
+
+def per_layer_norms(v: ParamVector) -> list[tuple[str, float]]:
+    """L2 norm of each segment, in segment order, summed left to right."""
+    out = []
+    for seg in v.segments:
+        part = v.values[seg.offset : seg.offset + seg.length]
+        out.append((seg.name, math.sqrt(ordered_sum(part * part))))
+    return out
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, eta: float, lam: float) -> ParamVector:

@@ -30,7 +30,7 @@ from fednorm import (
 from fednorm.aggregate import apply_strategy
 from fednorm.cli import main as cli_main
 from fednorm.data import IdxCountError, IdxMagicError, IdxTruncatedError, load_idx
-from fednorm.nn import Batch, Network, forward_loss, init_params
+from fednorm.nn import forward_loss, init_params
 from fednorm.params import ParamVector, l2_norm, zeros_like
 from oracles import backward
 
@@ -181,18 +181,17 @@ def test_criterion_04_backprop_matches_finite_differences():
                 break
         params = init_params(spec, seed=int(rng.integers(1 << 30)))
         while True:
-            batch = Batch(rng.standard_normal((6, sizes[0])),
-                          rng.integers(0, sizes[-1], 6))
+            inputs = rng.standard_normal((6, sizes[0]))
+            labels = rng.integers(0, sizes[-1], 6)
             # central differences are invalid within h of a relu kink, so
             # keep every hidden pre-activation at least 100*h away from zero
-            _, pre, _ = _forward(layer_views(spec, params.values), batch.inputs)
+            _, pre, _ = _forward(layer_views(spec, params.values), inputs)
             if all(np.min(np.abs(z)) > 1e-3 for z in pre[:-1]):
                 break
-        analytic = backward(Network(spec, params), batch).values
+        analytic = backward(spec, params, inputs, labels).values
 
         def loss_at(vals):
-            net = Network(spec, ParamVector(vals, spec.segments()))
-            return forward_loss(net, batch)[0]
+            return forward_loss(spec, vals, inputs, labels)[0]
 
         h = 1e-5
         numeric = np.empty_like(analytic)

@@ -17,7 +17,8 @@ from fednorm.aggregate import (
     nwda,
 )
 from fednorm.errors import ConfigError, ShapeMismatchError
-from fednorm.params import CHUNK, ParamVector, Segment, l2_norm, per_layer_norms, zeros_like
+from fednorm.params import CHUNK, ParamVector, Segment, l2_norm, zeros_like
+from oracles import ordered_norm, per_layer_norms
 
 
 def pv(vals, split=None):
@@ -128,13 +129,13 @@ def test_nwda_matrix_matches_per_vector_formulas():
     mean_local = 0.0
     layer_means = [0.0] * len(split)
     for weight, vec in terms:
-        mean_local += weight * l2_norm(vec)
+        mean_local += weight * ordered_norm(vec)
         for i, (_, seg_norm) in enumerate(per_layer_norms(vec)):
             layer_means[i] += weight * seg_norm
     assert np.array_equal(report.combined.values, combined.values)
-    assert report.aggregate_norm == l2_norm(combined)
+    assert report.aggregate_norm == ordered_norm(combined)
     assert report.mean_local_norm == mean_local
-    assert report.ratio == l2_norm(combined) / mean_local
+    assert report.ratio == ordered_norm(combined) / mean_local
     assert report.per_layer == [
         (name, seg_norm, layer_means[i])
         for i, (name, seg_norm) in enumerate(per_layer_norms(combined))

@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -334,21 +335,24 @@ def test_failure_mid_run_marks_manifest(tmp_path, monkeypatch):
     assert manifest["status"] == "failed"
 
 
+def run_cli_process(*argv):
+    """`fednorm *argv` in a fresh process, so that numpy warnings and
+    tracebacks would reach its stderr; FEDNORM_DATA_DIR is unset."""
+    src = str(Path(fednorm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("FEDNORM_DATA_DIR", None)
+    return subprocess.run([sys.executable, "-m", "fednorm.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def run_desk_quick_process(tmp_path, *args, **training):
-    """`fednorm run` on desk_quick with training overrides, in a fresh
-    process so that numpy warnings would reach its stderr."""
+    """`fednorm run` on desk_quick with training overrides, in a fresh process."""
     raw = load_preset("desk_quick")
     raw["training"].update(training)
     cfg = tmp_path / "diverge.yaml"
     cfg.write_text(yaml.safe_dump(raw))
-    src = str(Path(fednorm.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "fednorm.cli", "run", "--config", str(cfg),
-         "--out", str(tmp_path / "out"), *args],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    return run_cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "out"), *args)
 
 
 def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):
@@ -372,6 +376,41 @@ def test_server_divergence_fails_with_one_line(tmp_path):
                            "is NaN or Inf\n")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_test_labels_beyond_the_training_classes_fail_with_one_line(tmp_path):
+    """IDX files whose test set has classes the training set lacks: the
+    network gets the training set's class count, so the run stops before
+    training instead of crashing in the first evaluation."""
+    rng = np.random.default_rng(0)
+    for prefix, labels in (("train", [0, 1, 2, 3] * 2), ("test", [0, 1, 2, 3, 4, 5])):
+        header = struct.pack(">IIII", 0x803, len(labels), 2, 2)
+        (tmp_path / f"{prefix}-images").write_bytes(
+            header + rng.integers(0, 256, 4 * len(labels), dtype=np.uint8).tobytes())
+        (tmp_path / f"{prefix}-labels").write_bytes(
+            struct.pack(">II", 0x801, len(labels)) + bytes(labels))
+    cfg = tmp_path / "idx.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "dataset": {"kind": "idx", "dir": str(tmp_path), "train_images": "train-images",
+                    "train_labels": "train-labels", "test_images": "test-images",
+                    "test_labels": "test-labels"},
+        "network": {"hidden": [4]},
+        "training": {"rounds": 1, "clients": 2, "batch_size": 4, "local_epochs": 1},
+    }))
+    proc = run_cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: network has 4 outputs but data has 4 (train) / "
+                           "6 (test) classes\n")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+
+
+def test_out_naming_a_file_fails_with_one_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", "--config", str(write_config(tmp_path)), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
 
 
 def test_float_without_dot_gets_yaml_spelling_hint(tmp_path, capsys):
@@ -424,6 +463,25 @@ def test_compare_rejects_non_metrics_csv(tmp_path, capsys):
     junk.write_text("a,b\n1,2\n")
     assert main(["compare", str(junk)]) == 2
     assert "not a metrics CSV" in capsys.readouterr().err
+
+
+def test_compare_directory_fails_with_one_line(tmp_path, capsys):
+    assert main(["compare", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+def test_compare_names_the_cell_that_is_not_a_number(tmp_path, capsys):
+    bad = tmp_path / "bad_metrics.csv"
+    good = ["1", "fedavg", "1.5", "2", "0.75", "1.5", "1.5", "0.5", ""]
+    with bad.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(METRIC_COLUMNS)
+        writer.writerow(good)
+        writer.writerow(["2", *good[1:5], "e", *good[6:]])
+    assert main(["compare", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: row 2, column integrated_norm: not a number: 'e'\n")
 
 
 # ----------------------------------------------------------------- analyze-nwda

@@ -7,7 +7,7 @@ import pytest
 from fednorm.client import ClientConfig, assign_weights, derive_seed, local_train
 from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
-from fednorm.nn import Network, NetworkSpec, init_params
+from fednorm.nn import NetworkSpec, init_params
 from fednorm.params import ParamVector, axpy, l2_norm
 from oracles import backward, delta, prox_gradient_addend, sgd_step
 
@@ -32,9 +32,9 @@ def test_single_batch_delta_is_one_sgd_step(blob):
                        weight_decay=0.001)
     up = local_train(SPEC, start, blob, cfg, round_seed=7, client_id=0)
     (batch,) = batches(blob, 100, derive_seed(7, 0, 1))
-    stepped = sgd_step(start, backward(Network(SPEC, start), batch), 0.1, 0.001)
+    stepped = sgd_step(start, backward(SPEC, start, *batch), 0.1, 0.001)
     assert np.array_equal(up, delta(stepped, start).values)
-    grad = backward(Network(SPEC, start), batch)
+    grad = backward(SPEC, start, *batch)
     manual = -0.1 * (grad.values + 0.001 * start.values)
     np.testing.assert_allclose(up, manual, rtol=1e-12, atol=1e-15)
 
@@ -47,7 +47,7 @@ def test_multi_epoch_matches_manual_loop(blob):
     params = start
     for epoch in (1, 2, 3):
         for batch in batches(blob, 16, derive_seed(11, 4, epoch)):
-            grad = backward(Network(SPEC, params), batch)
+            grad = backward(SPEC, params, *batch)
             grad = axpy(1.0, prox_gradient_addend(params, start, 0.4), grad)
             params = sgd_step(params, grad, 0.05, 0.0)
     assert np.array_equal(up, delta(params, start).values)
@@ -64,7 +64,7 @@ def test_prox_anchor_is_round_start_not_epoch_start(blob):
     for epoch in (1, 2, 3):
         anchor = params  # wrong on purpose
         for batch in batches(blob, 16, derive_seed(11, 4, epoch)):
-            grad = backward(Network(SPEC, params), batch)
+            grad = backward(SPEC, params, *batch)
             grad = axpy(1.0, prox_gradient_addend(params, anchor, 5.0), grad)
             params = sgd_step(params, grad, 0.05, 0.0)
     assert not np.array_equal(up, delta(params, start).values)

@@ -27,7 +27,7 @@ from fednorm.data import (
     synth_split,
 )
 from fednorm.errors import ConfigError
-from fednorm.nn import Batch, Network, NetworkSpec, forward_loss, init_params
+from fednorm.nn import NetworkSpec, forward_loss, init_params
 from oracles import backward, sgd_step
 
 
@@ -202,9 +202,10 @@ def test_synth_is_learnable_centrally():
     for _ in range(5):
         order = rng.permutation(len(ds))
         for i in range(0, len(ds), 50):
-            batch = Batch(ds.inputs[order[i : i + 50]], ds.labels[order[i : i + 50]])
-            params = sgd_step(params, backward(Network(spec, params), batch), 0.05, 0.0)
-    _, acc = forward_loss(Network(spec, params), Batch(ds.inputs, ds.labels))
+            idx = order[i : i + 50]
+            grad = backward(spec, params, ds.inputs[idx], ds.labels[idx])
+            params = sgd_step(params, grad, 0.05, 0.0)
+    _, acc = forward_loss(spec, params.values, ds.inputs, ds.labels)
     assert acc >= 0.9
 
 
@@ -339,8 +340,8 @@ def test_partition_spec_validation():
 def test_batches_chunk_sizes():
     ds = synth_dataset(1, 7, 3, seed=0)
     out = batches(ds, 3, epoch_seed=4)
-    assert [len(b.labels) for b in out] == [3, 3, 1]
-    got = sorted(r.tobytes() for b in out for r in b.inputs)
+    assert [len(labels) for _, labels in out] == [3, 3, 1]
+    got = sorted(r.tobytes() for inputs, _ in out for r in inputs)
     assert got == sorted(r.tobytes() for r in ds.inputs)
 
 
@@ -349,8 +350,8 @@ def test_batches_seeded_shuffle():
     a = batches(ds, 4, epoch_seed=9)
     b = batches(ds, 4, epoch_seed=9)
     c = batches(ds, 4, epoch_seed=10)
-    assert all(np.array_equal(x.inputs, y.inputs) for x, y in zip(a, b))
-    assert any(not np.array_equal(x.inputs, y.inputs) for x, y in zip(a, c))
+    assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
+    assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, c))
 
 
 def test_batches_validation():

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from fednorm.errors import ShapeMismatchError
-from fednorm.nn import Batch, Network, NetworkSpec, forward_loss, init_params, sgd_update
+from fednorm.nn import NetworkSpec, forward_loss, init_params, layer_views, sgd_update
 from fednorm.params import ParamVector, Segment
 from oracles import backward, prox_gradient_addend, segment_values, sgd_step
 
 
 def make_batch(rng, n, spec):
-    return Batch(rng.standard_normal((n, spec.layer_sizes[0])),
-                 rng.integers(0, spec.class_count, size=n))
+    """(inputs, labels) of n random examples."""
+    return (rng.standard_normal((n, spec.layer_sizes[0])),
+            rng.integers(0, spec.class_count, size=n))
 
 
 def fd_gradient(spec, pv, batch, h=1e-5):
@@ -25,8 +26,8 @@ def fd_gradient(spec, pv, batch, h=1e-5):
         vp[i] += h
         vm = base.copy()
         vm[i] -= h
-        lp, _ = forward_loss(Network(spec, ParamVector(vp, pv.segments)), batch)
-        lm, _ = forward_loss(Network(spec, ParamVector(vm, pv.segments)), batch)
+        lp, _ = forward_loss(spec, vp, *batch)
+        lm, _ = forward_loss(spec, vm, *batch)
         out[i] = (lp - lm) / (2.0 * h)
     return out
 
@@ -73,17 +74,17 @@ def test_init_weight_mean_moment_check():
 
 def test_uniform_logits_loss_is_log_class_count():
     spec = NetworkSpec((8, 6, 10))
-    zeros = ParamVector(np.zeros(spec.param_count), spec.segments())
+    zeros = np.zeros(spec.param_count)
     rng = np.random.default_rng(1)
-    loss, _ = forward_loss(Network(spec, zeros), make_batch(rng, 32, spec))
+    loss, _ = forward_loss(spec, zeros, *make_batch(rng, 32, spec))
     assert abs(loss - math.log(10.0)) <= 1e-12
 
 
 def test_perfect_prediction_loss_near_zero():
-    spec = NetworkSpec((2, 2), bias_enabled=False)
+    spec = NetworkSpec((2, 2))
     w = np.array([[40.0, -40.0], [-40.0, 40.0]]).ravel()
-    net = Network(spec, ParamVector(w, spec.segments()))
-    loss, acc = forward_loss(net, Batch([[1.0, 0.0]], [0]))
+    params = np.concatenate([w, np.zeros(2)])  # zero biases
+    loss, acc = forward_loss(spec, params, np.array([[1.0, 0.0]]), np.array([0]))
     assert loss < 1e-12
     assert acc == 1.0
 
@@ -91,43 +92,35 @@ def test_perfect_prediction_loss_near_zero():
 def test_loss_matches_direct_softmax_oracle():
     rng = np.random.default_rng(2)
     spec = NetworkSpec((5, 7, 3))
-    net = Network(spec, init_params(spec, 3))
-    batch = make_batch(rng, 11, spec)
-    loss, _ = forward_loss(net, batch)
+    params = init_params(spec, 3).values
+    inputs, labels = make_batch(rng, 11, spec)
+    loss, _ = forward_loss(spec, params, inputs, labels)
 
     # naive oracle: explicit softmax probabilities
-    from fednorm.nn import _forward, layer_views  # test-only access to cached forward
-    logits, _, _ = _forward(layer_views(spec, net.params.values), batch.inputs)
+    from fednorm.nn import _forward  # test-only access to cached forward
+    logits, _, _ = _forward(layer_views(spec, params), inputs)
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-    expected = -np.mean(np.log(probs[np.arange(11), batch.labels]))
+    expected = -np.mean(np.log(probs[np.arange(11), labels]))
     assert abs(loss - expected) <= 1e-10 * abs(expected)
 
 
 def test_forward_loss_permutation_invariant():
     rng = np.random.default_rng(3)
     spec = NetworkSpec((6, 9, 4))
-    net = Network(spec, init_params(spec, 4))
-    batch = make_batch(rng, 20, spec)
+    params = init_params(spec, 4).values
+    inputs, labels = make_batch(rng, 20, spec)
     perm = rng.permutation(20)
-    shuffled = Batch(batch.inputs[perm], batch.labels[perm])
-    la, aa = forward_loss(net, batch)
-    lb, ab = forward_loss(net, shuffled)
+    la, aa = forward_loss(spec, params, inputs, labels)
+    lb, ab = forward_loss(spec, params, inputs[perm], labels[perm])
     assert abs(la - lb) <= 1e-12 * abs(la)
     assert aa == ab
 
 
 def test_argmax_ties_break_to_lowest_class():
-    spec = NetworkSpec((3, 4), bias_enabled=False)
-    zeros = ParamVector(np.zeros(spec.param_count), spec.segments())
-    _, acc = forward_loss(Network(spec, zeros), Batch([[1.0, 2.0, 3.0]] * 2, [0, 3]))
+    spec = NetworkSpec((3, 4))
+    zeros = np.zeros(spec.param_count)  # zero weights and zero biases
+    _, acc = forward_loss(spec, zeros, np.array([[1.0, 2.0, 3.0]] * 2), np.array([0, 3]))
     assert acc == 0.5  # all logits zero, prediction is class 0
-
-
-def test_feature_mismatch_is_structural_error():
-    spec = NetworkSpec((4, 3))
-    net = Network(spec, init_params(spec, 0))
-    with pytest.raises(ShapeMismatchError):
-        forward_loss(net, Batch([[1.0, 2.0]], [0]))
 
 
 # backward -------------------------------------------------------------------
@@ -135,39 +128,38 @@ def test_feature_mismatch_is_structural_error():
 def test_zero_inputs_zero_weights_first_layer_grad_zero():
     spec = NetworkSpec((5, 4, 3))
     zeros = ParamVector(np.zeros(spec.param_count), spec.segments())
-    grad = backward(Network(spec, zeros), Batch(np.zeros((6, 5)), [0, 1, 2, 0, 1, 2]))
+    grad = backward(spec, zeros, np.zeros((6, 5)), [0, 1, 2, 0, 1, 2])
     assert not segment_values(grad, "fc1.weight").any()
 
 
 def test_duplicated_batch_same_gradient():
     rng = np.random.default_rng(5)
     spec = NetworkSpec((4, 6, 3))
-    net = Network(spec, init_params(spec, 5))
-    batch = make_batch(rng, 9, spec)
-    doubled = Batch(np.vstack([batch.inputs, batch.inputs]),
-                    np.concatenate([batch.labels, batch.labels]))
-    g1, g2 = backward(net, batch), backward(net, doubled)
+    params = init_params(spec, 5)
+    inputs, labels = make_batch(rng, 9, spec)
+    g1 = backward(spec, params, inputs, labels)
+    g2 = backward(spec, params, np.vstack([inputs, inputs]), np.concatenate([labels, labels]))
     np.testing.assert_allclose(g1.values, g2.values, rtol=1e-12, atol=1e-15)
 
 
 def test_gradient_matches_finite_differences_4_8_3():
     rng = np.random.default_rng(6)
     spec = NetworkSpec((4, 8, 3))
-    net = Network(spec, init_params(spec, 6))
+    params = init_params(spec, 6)
     batch = make_batch(rng, 10, spec)
-    analytic = backward(net, batch).values
-    numeric = fd_gradient(spec, net.params, batch)
+    analytic = backward(spec, params, *batch).values
+    numeric = fd_gradient(spec, params, batch)
     assert gradient_rel_error(analytic, numeric) < 1e-6
 
 
 def test_gradient_matches_finite_differences_deeper():
     rng = np.random.default_rng(7)
     spec = NetworkSpec((6, 10, 7, 4))
-    net = Network(spec, init_params(spec, 8))
+    params = init_params(spec, 8)
     batch = make_batch(rng, 8, spec)
     assert spec.param_count <= 1000
-    analytic = backward(net, batch).values
-    numeric = fd_gradient(spec, net.params, batch)
+    analytic = backward(spec, params, *batch).values
+    numeric = fd_gradient(spec, params, batch)
     assert gradient_rel_error(analytic, numeric) < 1e-6
 
 
@@ -240,11 +232,11 @@ def test_single_step_decreases_loss_on_smooth_point():
     spec = NetworkSpec((5, 8, 3))
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        net = Network(spec, init_params(spec, seed))
+        params = init_params(spec, seed)
         batch = make_batch(rng, 12, spec)
-        before, _ = forward_loss(net, batch)
-        stepped = sgd_step(net.params, backward(net, batch), 1e-4, 0.0)
-        after, _ = forward_loss(Network(spec, stepped), batch)
+        before, _ = forward_loss(spec, params.values, *batch)
+        stepped = sgd_step(params, backward(spec, params, *batch), 1e-4, 0.0)
+        after, _ = forward_loss(spec, stepped.values, *batch)
         if after < before:
             return
     pytest.fail("loss never decreased across 5 seeds")
@@ -273,7 +265,7 @@ def test_network_rejects_mismatched_params():
     spec = NetworkSpec((4, 3))
     other = NetworkSpec((4, 2))
     with pytest.raises(ShapeMismatchError):
-        Network(spec, init_params(other, 0))
+        layer_views(spec, init_params(other, 0).values)
 
 
 def test_spec_rejects_degenerate_shapes():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import fednorm.orchestrator as orchestrator
 from fednorm.aggregate import AggregationStrategy, UpdateFold, nwda
 from fednorm.client import ClientConfig, derive_seed, local_train
-from fednorm.data import PartitionSpec, partition, synth_split
+from fednorm.data import Dataset, PartitionSpec, partition, synth_split
 from fednorm.errors import ConfigError, DivergenceError
 from fednorm.nn import NetworkSpec, init_params
 from fednorm.orchestrator import (
@@ -241,9 +241,16 @@ def test_data_network_mismatch():
     bad_net = NetworkSpec((5, 8, 3))
     with pytest.raises(ConfigError, match="features"):
         run_experiment(TRAIN, TEST, make_config(network=bad_net))
+    wide_test = Dataset(np.hstack([TEST.inputs, TEST.inputs[:, :1]]), TEST.labels, 3)
+    with pytest.raises(ConfigError, match=r"4 features, data has 4 \(train\) / 5 \(test\)"):
+        run_experiment(TRAIN, wide_test, make_config())
     narrow = NetworkSpec((4, 8, 2))
     with pytest.raises(ConfigError, match="classes"):
         run_experiment(TRAIN, TEST, make_config(network=narrow))
+    # a test label the network has no output for fails before any training
+    more_classes = Dataset(TEST.inputs, np.where(TEST.labels == 2, 4, TEST.labels), 5)
+    with pytest.raises(ConfigError, match=r"3 outputs but data has 3 \(train\) / 5 \(test\)"):
+        run_experiment(TRAIN, more_classes, make_config())
 
 
 # ------------------------------------------------------------- ring and server

@@ -10,16 +10,14 @@ from fednorm.params import (
     CHUNK,
     ParamVector,
     Segment,
-    _ordered_sum,
     all_finite,
     axpy,
     l2_norm,
-    per_layer_norms,
     squared_norms,
     weighted_rows,
     zeros_like,
 )
-from oracles import delta, segment_values, weighted_sum
+from oracles import delta, ordered_sum, per_layer_norms, segment_values, weighted_sum
 
 
 def vec(values, segments=None):
@@ -212,16 +210,16 @@ def check_squared_norms(k, segs):
     assert whole.shape == (k,) and per_segment.shape == (len(segs), k)
     for i in range(k):
         v = ParamVector(rows[i], segs)
-        assert whole[i] == _ordered_sum(rows[i] * rows[i])
+        assert whole[i] == ordered_sum(rows[i] * rows[i])
         assert math.sqrt(whole[i]) == l2_norm(v)
         parts = [segment_values(v, s.name) for s in segs]
         assert [per_segment[j, i] for j in range(len(segs))] == [
-            _ordered_sum(x * x) for x in parts]
+            ordered_sum(x * x) for x in parts]
         assert [(s.name, math.sqrt(per_segment[j, i])) for j, s in enumerate(segs)] \
             == per_layer_norms(v)
     # the data tell the orders apart: a pairwise sum gives other bits
     big = max((segment_values(v, s.name) for s in segs), key=len)
-    assert float(np.sum(big * big)) != _ordered_sum(big * big)
+    assert float(np.sum(big * big)) != ordered_sum(big * big)
 
 
 def test_squared_norms_empty_segment_is_zero():
