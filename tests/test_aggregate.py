@@ -184,6 +184,34 @@ def test_fold_over_any_split_matches_nwda(lengths, count, cuts, seed):
         == (whole.aggregate_norm, whole.mean_local_norm, whole.ratio, whole.per_layer)
 
 
+def test_fold_report_norms_are_left_to_right_sums():
+    """Every norm in the report, the one-row norms of u included, is a plain
+    left-to-right sum, on rows whose magnitudes span 1e-30 to 1e30 and whose
+    pairs nearly cancel in u."""
+    rng = np.random.default_rng(24)
+    segs = pv(np.zeros(3 * CHUNK + 12), split=(CHUNK + 3, 0, 9, 2 * CHUNK)).segments
+    shape = (10, 3 * CHUNK + 12)
+    deltas = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape)
+    deltas[1::2] = -deltas[::2] * (1.0 + rng.uniform(-1e-9, 1e-9, (5, shape[1])))
+    weights = [0.1] * 10
+    fold = UpdateFold(weights, segs)
+    fold.add(deltas[:3])
+    fold.add(deltas[3:])
+    report = fold.report()
+    u = report.combined
+    assert report.aggregate_norm == ordered_norm(u) == l2_norm(u)
+    assert report.aggregate_norm < 1e-6 * ordered_norm(pv(deltas[0]))  # pairs cancel
+    rows = [ParamVector(r, segs) for r in deltas]
+    mean_local, layer_means = 0.0, [0.0] * len(segs)
+    for weight, row in zip(weights, rows):
+        mean_local += weight * ordered_norm(row)
+        for i, (_, norm) in enumerate(per_layer_norms(row)):
+            layer_means[i] += weight * norm
+    assert report.mean_local_norm == mean_local
+    assert report.per_layer == [(name, norm, mean) for (name, norm), mean
+                                in zip(per_layer_norms(u), layer_means)]
+
+
 def test_fold_rejects_missing_and_extra_rows():
     weights, deltas, segs = stacked(random_terms(np.random.default_rng(23), 3))
     fold = UpdateFold(weights, segs)

@@ -465,6 +465,22 @@ def test_compare_rejects_non_metrics_csv(tmp_path, capsys):
     assert "not a metrics CSV" in capsys.readouterr().err
 
 
+def test_files_that_are_not_utf8_fail_with_one_line(tmp_path, capsys):
+    """A config or a metrics CSV that is not UTF-8 text, in its first bytes
+    or after a valid header, exits 2 with one line naming the file."""
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)))
+    late = tmp_path / "late_metrics.csv"
+    late.write_bytes((",".join(METRIC_COLUMNS) + "\n").encode() + b"fedavg,\xd0\xff\n")
+    for argv in (["run", "--config", str(binary), "--out", str(tmp_path / "out")],
+                 ["compare", str(binary)], ["compare", str(late)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert argv[2 if argv[0] == "run" else 1] in err and "not UTF-8 text" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_directory_fails_with_one_line(tmp_path, capsys):
     assert main(["compare", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fednorm.orchestrator as orchestrator
 from fednorm.aggregate import AggregationStrategy, UpdateFold, nwda
+from fednorm.cli import available_presets, load_preset, parse_config
 from fednorm.client import ClientConfig, derive_seed, local_train
 from fednorm.data import Dataset, PartitionSpec, partition, synth_split
 from fednorm.errors import ConfigError, DivergenceError
@@ -267,6 +268,25 @@ def test_ring_is_bounded_and_never_a_round_matrix():
     assert ring_shape(10, row, 2) == (10, row)
     assert ring_shape(100, 10**8, 6) == (12, 10**8)
     assert ring_shape(3, 10**8, 6) == (3, 10**8)
+
+
+def test_ring_shapes_of_the_784_200_200_10_net():
+    """A full 100-client round (wide_round and every mnist preset) folds
+    blocks of 10 rows in a ring of at most 32 MiB; a 10-client round
+    (mnist_synth) is one block, so it starts no server thread and its pool
+    never waits at a block boundary."""
+    row = 199_210
+    assert ring_shape(100, row, 1) == (20, row)  # 31.9 MB
+    for workers in (1, 2):
+        assert ring_shape(10, row, workers) == (10, row)
+    mnist = [name for name in available_presets() if name.startswith("mnist")]
+    assert len(mnist) == 4
+    for name in mnist:
+        plan = parse_config(load_preset(name))
+        net = plan.experiment(plan.strategies[0], 784, 10).network
+        assert sum(seg.length for seg in net.segments()) == row
+        assert ring_shape(plan.schedule.clients_per_round, row,
+                          plan.schedule.workers) == (20, row), name
 
 
 SEGS = (Segment("a", 0, 4), Segment("b", 4, 2))

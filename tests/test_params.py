@@ -17,7 +17,14 @@ from fednorm.params import (
     weighted_rows,
     zeros_like,
 )
-from oracles import delta, ordered_sum, per_layer_norms, segment_values, weighted_sum
+from oracles import (
+    delta,
+    ordered_norm,
+    ordered_sum,
+    per_layer_norms,
+    segment_values,
+    weighted_sum,
+)
 
 
 def vec(values, segments=None):
@@ -194,16 +201,28 @@ def chunk_edge_segments(lengths=(1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5))
     return tuple(segs)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 17])
+def moderate_rows(rng, k, n):
+    return rng.standard_normal((k, n)) * rng.uniform(0.01, 100, (k, n))
+
+
+def spread_rows(rng, k, n):
+    """Magnitudes from 1e-30 to 1e30, so the largest squares of a row lie
+    close together and any other order of adding them rounds differently."""
+    return rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-30, 30, (k, n))
+
+
+# 5, 10 and 21 rows: the blocks of the 784-200-200-10 net at 8, 16 and 32 MiB
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 10, 17, 21])
 def test_squared_norms_bitwise_equal_per_vector_norms(k):
-    for segs in (chunk_edge_segments(), chunk_edge_segments((3 * CHUNK + 5, 1, CHUNK))):
-        check_squared_norms(k, segs)
+    for make_rows in (moderate_rows, spread_rows):
+        for segs in (chunk_edge_segments(), chunk_edge_segments((3 * CHUNK + 5, 1, CHUNK))):
+            check_squared_norms(k, segs, make_rows)
 
 
-def check_squared_norms(k, segs):
+def check_squared_norms(k, segs, make_rows):
     n = sum(s.length for s in segs)
     rng = np.random.default_rng(k)
-    rows = rng.standard_normal((k, n)) * rng.uniform(0.01, 100, (k, n))
+    rows = make_rows(rng, k, n)
     rows[:, ::5] = 0.0
     rows[:, 1::7] = -0.0
     whole, per_segment = squared_norms(rows, segs)
@@ -211,15 +230,23 @@ def check_squared_norms(k, segs):
     for i in range(k):
         v = ParamVector(rows[i], segs)
         assert whole[i] == ordered_sum(rows[i] * rows[i])
-        assert math.sqrt(whole[i]) == l2_norm(v)
+        assert math.sqrt(whole[i]) == l2_norm(v) == ordered_norm(v)
         parts = [segment_values(v, s.name) for s in segs]
         assert [per_segment[j, i] for j in range(len(segs))] == [
             ordered_sum(x * x) for x in parts]
         assert [(s.name, math.sqrt(per_segment[j, i])) for j, s in enumerate(segs)] \
             == per_layer_norms(v)
-    # the data tell the orders apart: a pairwise sum gives other bits
-    big = max((segment_values(v, s.name) for s in segs), key=len)
-    assert float(np.sum(big * big)) != ordered_sum(big * big)
+    # the data tell the orders apart: a pairwise sum, eight accumulators, and
+    # a sum in memory order over the transposed rows each give other bits
+    widest = max(segs, key=lambda s: s.length)
+    block = rows[:, widest.offset : widest.offset + widest.length]
+    squares = block * block
+    ordered = [ordered_sum(x) for x in squares]
+    assert [float(np.sum(x)) for x in squares] != ordered
+    assert [ordered_sum(np.array([ordered_sum(x[j::8]) for j in range(8)]))
+            for x in squares] != ordered
+    if k > 1:
+        assert np.einsum("ij->j", squares.T).tolist() != ordered
 
 
 def test_squared_norms_empty_segment_is_zero():
