@@ -30,9 +30,7 @@ flavors = [
 ]
 
 for title, spec in flavors:
-    spec = PartitionSpec(spec.label_mode, spec.size_mode,
-                         spec.classes_per_client, spec.power_exponent, seed=3)
-    shards = partition(data, spec, CLIENTS)
+    shards = partition(data, spec, CLIENTS, seed=3)
     print(title)
     print("-" * len(title))
     for cid, shard in enumerate(shards):

@@ -20,9 +20,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -111,19 +113,19 @@ class RunPlan:
                                 entry.strategy, entry.client, self.partition, self.schedule)
 
 
-# the type of every settable field of each config section
-DATASET_FIELDS = {
-    "synth": (SynthData, dict(classes=int, train_per_class=int, test_per_class=int,
-                              features=int, center_scale=float, components_per_class=int)),
-    "idx": (IdxData, dict(dir=str, train_images=str, train_labels=str, test_images=str,
-                          test_labels=str, train_limit=int)),
-}
-PARTITION_FIELDS = dict(label_mode=str, size_mode=str, classes_per_client=int,
-                        power_exponent=float)
-SCHEDULE_FIELDS = dict(rounds=int, clients=int, participation=float, weight_mode=str,
-                       seed=int, workers=int)
-CLIENT_FIELDS = dict(learning_rate=float, batch_size=int, local_epochs=int,
-                     weight_decay=float)
+DATASETS = {"synth": SynthData, "idx": IdxData}
+# ClientConfig fields that each strategy sets instead of the training section
+PER_STRATEGY = ("mu",)
+
+
+def schema(cls, omit=()) -> dict[str, type]:
+    """The config fields of a dataclass and the type of each, in declaration
+    order, less `omit`. An `X | None` field takes an X, so YAML null is
+    rejected; leaving the field out keeps its None default."""
+    hints = get_type_hints(cls)
+    kinds = {f.name: hints[f.name] for f in fields(cls) if f.name not in omit}
+    return {key: get_args(kind)[0] if isinstance(kind, UnionType) else kind
+            for key, kind in kinds.items()}
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -158,7 +160,7 @@ def _field(section: dict, key: str, path: str, kind, default=...):
     return value
 
 
-def _fields(section: dict, path: str, **kinds) -> dict:
+def _fields(section: dict, path: str, kinds: dict[str, type]) -> dict:
     """The fields of `kinds` present in section, type-checked; absent ones
     take the defaults of the dataclass they are passed to."""
     return {key: _field(section, key, path, kind)
@@ -194,22 +196,23 @@ def _yaml_float(value) -> str | None:
 
 def _parse_dataset(section: dict) -> SynthData | IdxData:
     kind = _field(section, "kind", "dataset", str)
-    if kind not in DATASET_FIELDS:
+    if kind not in DATASETS:
         raise ConfigError(f"dataset.kind: must be synth or idx, got {kind!r}")
-    make, kinds = DATASET_FIELDS[kind]
+    kinds = schema(DATASETS[kind])
     _reject_unknown(section, {"kind", *kinds}, "dataset")
-    return _build("dataset.", make, **_fields(section, "dataset", **kinds))
+    return _build("dataset.", DATASETS[kind], **_fields(section, "dataset", kinds))
 
 
 def _parse_strategy(entry, index: int, labels_seen: dict,
                     training: ClientConfig) -> StrategyPlan:
     path = f"strategies[{index}]"
     section = _require_mapping(entry, path)
-    _reject_unknown(section, {"kind", "beta", "gamma", "epsilon", "mu"}, path)
+    knobs = schema(AggregationStrategy, omit=("kind",))
+    own = {key: kind for key, kind in schema(ClientConfig).items() if key in PER_STRATEGY}
+    _reject_unknown(section, {"kind", *knobs, *own}, path)
     kind = _field(section, "kind", path, str)
-    strategy = _build(f"{path}.", AggregationStrategy, kind,
-                      **_fields(section, path, beta=float, gamma=float, epsilon=float))
-    client = _build(f"{path}.", replace, training, **_fields(section, path, mu=float))
+    strategy = _build(f"{path}.", AggregationStrategy, kind, **_fields(section, path, knobs))
+    client = _build(f"{path}.", replace, training, **_fields(section, path, own))
     if client.mu > 0 and not strategy.proximal:
         raise ConfigError(f"{path}.mu: only fedprox takes a proximal term")
     labels_seen[kind] = labels_seen.get(kind, 0) + 1
@@ -220,9 +223,9 @@ def _parse_strategy(entry, index: int, labels_seen: dict,
 def parse_config(raw: dict) -> RunPlan:
     """Map a loaded YAML mapping onto a RunPlan.
 
-    Every section's dataclass checks its own values and supplies the
-    defaults of absent fields; every complaint names the offending field by
-    its path, e.g.
+    Every section's dataclass declares its fields and their types (see
+    `schema`), checks its values and supplies the defaults of absent
+    fields; every complaint names the offending field by its path, e.g.
     "strategies[1].gamma: must be in [0, 1), got 1.2".
     """
     root = _require_mapping(raw, "config")
@@ -240,14 +243,15 @@ def parse_config(raw: dict) -> RunPlan:
         raise ConfigError("network.hidden: expected a list of positive ints")
 
     part = _require_mapping(root.get("partition", {}), "partition")
-    _reject_unknown(part, set(PARTITION_FIELDS), "partition")
-    partition_spec = _build("partition.", PartitionSpec,
-                            **_fields(part, "partition", **PARTITION_FIELDS))
+    kinds = schema(PartitionSpec)
+    _reject_unknown(part, set(kinds), "partition")
+    partition_spec = _build("partition.", PartitionSpec, **_fields(part, "partition", kinds))
 
     training = _require_mapping(root.get("training", {}), "training")
-    _reject_unknown(training, {*SCHEDULE_FIELDS, *CLIENT_FIELDS}, "training")
-    schedule = _build("training.", Schedule, **_fields(training, "training", **SCHEDULE_FIELDS))
-    client = _build("training.", ClientConfig, **_fields(training, "training", **CLIENT_FIELDS))
+    run_kinds, client_kinds = schema(Schedule), schema(ClientConfig, omit=PER_STRATEGY)
+    _reject_unknown(training, {*run_kinds, *client_kinds}, "training")
+    schedule = _build("training.", Schedule, **_fields(training, "training", run_kinds))
+    client = _build("training.", ClientConfig, **_fields(training, "training", client_kinds))
 
     entries = root.get("strategies", [{"kind": "fedavg"}])
     if not isinstance(entries, list) or not entries:

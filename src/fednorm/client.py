@@ -99,12 +99,11 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
 
 def assign_weights(sample_counts: list[int], mode: str = "uniform") -> list[float]:
     """Aggregation weights for a round's sampled clients, from their sample
-    counts in client order; they sum to 1 and are known before training."""
+    counts in client order; they sum to 1 and are known before training.
+    mode is one of WEIGHT_MODES, which Schedule checks."""
     if not sample_counts:
         raise ValueError("no clients to weight")
     if mode == "uniform":
         return [1.0 / len(sample_counts)] * len(sample_counts)
-    if mode == "by_sample_count":
-        total = sum(sample_counts)
-        return [count / total for count in sample_counts]
-    raise ConfigError(f"weight mode must be one of {WEIGHT_MODES}, got {mode!r}")
+    total = sum(sample_counts)
+    return [count / total for count in sample_counts]

@@ -80,14 +80,14 @@ class PartitionSpec:
     label_mode: "iid" deals a seeded shuffle; "noniid" deals label-pure shards
     so each client holds at most classes_per_client distinct labels.
     size_mode: "balanced" for equal sizes, "unbalanced" for power-law sizes
-    proportional to rank^(-power_exponent).
+    proportional to rank^(-power_exponent), none below classes_per_client.
+    The seed is an argument of `partition`.
     """
 
     label_mode: str = "iid"
     size_mode: str = "balanced"
     classes_per_client: int = 2
     power_exponent: float = 1.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.label_mode not in ("iid", "noniid"):
@@ -285,21 +285,18 @@ def _subset(ds: Dataset, idx: np.ndarray) -> Dataset:
     return Dataset(ds.inputs[idx], ds.labels[idx], ds.class_count)
 
 
-def partition(ds: Dataset, spec: PartitionSpec, clients: int) -> list[Dataset]:
-    """Split ds into `clients` client datasets per the partition spec.
+def partition(ds: Dataset, spec: PartitionSpec, clients: int, seed: int) -> list[Dataset]:
+    """Split ds into `clients` client datasets per the partition spec, with
+    the client order and the shuffles drawn from `seed`.
 
-    Deterministic in (ds, spec, clients). Raises ConfigError when the shard
-    arithmetic is infeasible, stating the required minimum.
+    Deterministic in (ds, spec, clients, seed). Raises ConfigError when the
+    shard arithmetic is infeasible, stating the required minimum.
     """
     if clients < 1:
         raise ConfigError("clients must be >= 1")
     n = len(ds)
     cpc = spec.classes_per_client
-    if cpc > ds.class_count:
-        raise ConfigError(
-            f"classes_per_client={cpc} exceeds class_count={ds.class_count}"
-        )
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     # rank r (0 = largest share under the power law) -> client id
     rank_to_client = rng.permutation(clients)
 
@@ -334,6 +331,8 @@ def _partition_noniid(ds: Dataset, spec: PartitionSpec, clients: int,
                       rng: np.random.Generator) -> list[Dataset]:
     n = len(ds)
     cpc = spec.classes_per_client
+    if cpc > ds.class_count:
+        raise ConfigError(f"classes_per_client={cpc} exceeds class_count={ds.class_count}")
     total_shards = clients * cpc
     sorted_idx = np.argsort(ds.labels, kind="stable")
     present, counts = np.unique(ds.labels, return_counts=True)
@@ -394,12 +393,9 @@ def _partition_noniid(ds: Dataset, spec: PartitionSpec, clients: int,
 def batches(ds: Dataset, batch_size: int,
             epoch_seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """(inputs, labels) pairs: a seeded shuffle of ds cut into consecutive
-    chunks of batch_size (the last may be short)."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    chunks of batch_size (the last may be short). batch_size >= 1 comes
+    from ClientConfig; an empty ds gives no batches."""
     n = len(ds)
-    if n == 0:
-        raise ValueError("cannot batch an empty dataset")
     order = np.random.default_rng(epoch_seed).permutation(n)
     chunks = (order[i : i + batch_size] for i in range(0, n, batch_size))
     return [(ds.inputs[idx], ds.labels[idx]) for idx in chunks]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -77,9 +77,8 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One full experiment. The partition spec's own seed field is overridden
-    with a seed derived from the schedule's seed, so changing the experiment
-    seed moves the partition too."""
+    """One full experiment. The partition is drawn with a seed derived from
+    the schedule's seed, so changing the experiment seed moves it too."""
 
     network: NetworkSpec
     strategy: AggregationStrategy
@@ -243,8 +242,8 @@ def run_experiment(train: Dataset, test: Dataset,
             f"{train.class_count} (train) / {test.class_count} (test) classes"
         )
     schedule = config.schedule
-    part_spec = replace(config.partition, seed=derive_seed(schedule.seed, _PARTITION))
-    parts = partition(train, part_spec, schedule.clients)
+    parts = partition(train, config.partition, schedule.clients,
+                      derive_seed(schedule.seed, _PARTITION))
     params = init_params(config.network, derive_seed(schedule.seed, _INIT))
     direction = zeros_like(params)
 

@@ -2,6 +2,7 @@
 CSV/manifest contracts, and byte-identical reruns."""
 
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -15,14 +16,21 @@ import pytest
 import yaml
 
 import fednorm
+from fednorm.aggregate import AggregationStrategy
 from fednorm.cli import (
     METRIC_COLUMNS,
+    IdxData,
+    SynthData,
     available_presets,
     load_preset,
     main,
     parse_config,
+    schema,
 )
+from fednorm.client import ClientConfig
+from fednorm.data import PartitionSpec
 from fednorm.errors import ConfigError
+from fednorm.orchestrator import Schedule
 
 SMALL = {
     "dataset": {"kind": "synth", "classes": 3, "train_per_class": 20,
@@ -148,6 +156,84 @@ def test_repeated_kinds_get_distinct_labels():
         {"kind": "fednnnn", "beta": 0.8},
     ]})
     assert [e.label for e in plan.strategies] == ["fednnnn", "fednnnn_2"]
+
+
+# a valid value, other than the default, for every field of each section
+NON_DEFAULT = {
+    "synth": dict(classes=3, train_per_class=7, test_per_class=5, features=4,
+                  center_scale=0.25, components_per_class=2),
+    "idx": dict(dir="/data/mnist", train_images="a", train_labels="b", test_images="c",
+                test_labels="d", train_limit=100),
+    "partition": dict(label_mode="noniid", size_mode="unbalanced", classes_per_client=3,
+                      power_exponent=2.5),
+    "training": dict(rounds=3, clients=4, participation=0.5, weight_mode="by_sample_count",
+                     seed=9, workers=2, learning_rate=0.125, batch_size=7, local_epochs=2,
+                     weight_decay=0.001),
+    "strategy": dict(kind="fedprox", beta=0.5, gamma=0.25, epsilon=1e-6, mu=0.03),
+}
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_every_dataclass_field_is_settable():
+    """Each config dataclass field can be set from its section, and the
+    value reaches the built dataclass."""
+    training, strategy = NON_DEFAULT["training"], NON_DEFAULT["strategy"]
+    assert set(NON_DEFAULT["synth"]) == field_names(SynthData)
+    assert set(NON_DEFAULT["idx"]) == field_names(IdxData)
+    assert set(NON_DEFAULT["partition"]) == field_names(PartitionSpec)
+    assert set(training) == field_names(Schedule) | field_names(ClientConfig) - {"mu"}
+    assert set(strategy) == field_names(AggregationStrategy) | {"mu"}
+
+    plan = parse_config({"dataset": {"kind": "synth", **NON_DEFAULT["synth"]},
+                         "partition": NON_DEFAULT["partition"],
+                         "training": training, "strategies": [strategy]})
+    idx = parse_config({"dataset": {"kind": "idx", **NON_DEFAULT["idx"]}}).dataset
+    entry = plan.strategies[0]
+    for built, values in ((plan.dataset, NON_DEFAULT["synth"]), (idx, NON_DEFAULT["idx"]),
+                          (plan.partition, NON_DEFAULT["partition"]),
+                          (plan.schedule, training), (entry.client, {**training, **strategy}),
+                          (entry.strategy, strategy)):
+        for f in dataclasses.fields(built):
+            assert f.default != values[f.name], (type(built).__name__, f.name)
+            assert getattr(built, f.name) == values[f.name], (type(built).__name__, f.name)
+
+
+def test_fields_owned_elsewhere_are_unknown():
+    # the partition seed derives from training.seed; mu is set per strategy
+    for raw, message in (({"partition": {"seed": 3}}, "partition.seed: unknown field"),
+                         ({"training": {"mu": 0.1}}, "training.mu: unknown field")):
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == message
+
+
+def test_optional_fields_reject_yaml_null():
+    # leaving an `X | None` field out keeps its None default; null is no X
+    for key, kind in (("dir", "str"), ("train_limit", "int")):
+        with pytest.raises(ConfigError, match=rf"^dataset.{key}: expected {kind}, got None$"):
+            parse_config({"dataset": {"kind": "idx", key: None}})
+
+
+def readme_config_section() -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_config_reference_parses_and_names_every_field():
+    section = readme_config_section()
+    blocks = re.findall(r"```yaml\n(.*?)```", section, re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        parse_config(yaml.safe_load(block))
+    admitted = {"kind", "hidden"}
+    for cls in (SynthData, IdxData, PartitionSpec, Schedule, ClientConfig,
+                AggregationStrategy):
+        admitted |= set(schema(cls))
+    missing = sorted(name for name in admitted if not re.search(rf"\b{name}\b", section))
+    assert not missing, f"README config section never names {missing}"
 
 
 # --------------------------------------------------------------------- presets

@@ -167,5 +167,3 @@ def test_assign_weights_uniform_and_by_count():
 def test_assign_weights_validation():
     with pytest.raises(ValueError):
         assign_weights([])
-    with pytest.raises(ConfigError, match="by_sample_count"):
-        assign_weights([1], "by_loudness")

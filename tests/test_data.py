@@ -238,7 +238,7 @@ def blob200():
 
 
 def test_iid_balanced_sizes_within_one(blob200):
-    parts = partition(blob200, PartitionSpec("iid", "balanced", seed=1), 7)
+    parts = partition(blob200, PartitionSpec("iid", "balanced"), 7, seed=1)
     sizes = sorted(len(p) for p in parts)
     assert sum(sizes) == 200
     assert sizes[-1] - sizes[0] <= 1
@@ -247,7 +247,7 @@ def test_iid_balanced_sizes_within_one(blob200):
 
 def test_iid_unbalanced_matches_apportionment_oracle():
     ds = synth_dataset(10, 100, 3, seed=6)
-    parts = partition(ds, PartitionSpec("iid", "unbalanced", seed=2), 7)
+    parts = partition(ds, PartitionSpec("iid", "unbalanced"), 7, seed=2)
     sizes = sorted((len(p) for p in parts), reverse=True)
     weights = [(r + 1) ** -1.5 for r in range(7)]
     expected = sorted(oracle_largest_remainder(1000, weights), reverse=True)
@@ -256,21 +256,21 @@ def test_iid_unbalanced_matches_apportionment_oracle():
 
 
 def test_noniid_label_bound_and_conservation(blob200):
-    parts = partition(blob200, PartitionSpec("noniid", "balanced", 2, seed=3), 10)
+    parts = partition(blob200, PartitionSpec("noniid", "balanced", 2), 10, seed=3)
     for p in parts:
         assert len(np.unique(p.labels)) <= 2
     assert rows_multiset(parts) == rows_multiset([blob200])
 
 
 def test_noniid_balanced_equal_sizes_on_balanced_classes(blob200):
-    parts = partition(blob200, PartitionSpec("noniid", "balanced", 2, seed=3), 10)
+    parts = partition(blob200, PartitionSpec("noniid", "balanced", 2), 10, seed=3)
     assert [len(p) for p in parts] == [20] * 10
 
 
 def test_noniid_unbalanced_invariants():
     ds = synth_dataset(10, 200, 4, seed=8)
-    spec = PartitionSpec("noniid", "unbalanced", 2, 1.5, seed=5)
-    parts = partition(ds, spec, 10)
+    spec = PartitionSpec("noniid", "unbalanced", 2, 1.5)
+    parts = partition(ds, spec, 10, seed=5)
     sizes = [len(p) for p in parts]
     assert sum(sizes) == 2000
     assert max(sizes) >= 2 * min(sizes)  # visible power-law spread
@@ -285,24 +285,24 @@ def test_noniid_uneven_class_counts():
     labels = np.repeat([0, 1, 2], [50, 30, 20])
     rng = np.random.default_rng(0)
     ds = Dataset(rng.normal(size=(100, 2)), labels, 3)
-    parts = partition(ds, PartitionSpec("noniid", "balanced", 1, seed=7), 5)
+    parts = partition(ds, PartitionSpec("noniid", "balanced", 1), 5, seed=7)
     for p in parts:
         assert len(np.unique(p.labels)) == 1
     assert rows_multiset(parts) == rows_multiset([ds])
 
 
 def test_partition_deterministic(blob200):
-    spec = PartitionSpec("noniid", "unbalanced", 2, 1.5, seed=12)
-    a = partition(blob200, spec, 6)
-    b = partition(blob200, spec, 6)
+    spec = PartitionSpec("noniid", "unbalanced", 2, 1.5)
+    a = partition(blob200, spec, 6, seed=12)
+    b = partition(blob200, spec, 6, seed=12)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.inputs, pb.inputs)
         assert np.array_equal(pa.labels, pb.labels)
 
 
 def test_partition_seed_moves_data(blob200):
-    a = partition(blob200, PartitionSpec("iid", "balanced", seed=1), 5)
-    b = partition(blob200, PartitionSpec("iid", "balanced", seed=2), 5)
+    a = partition(blob200, PartitionSpec("iid", "balanced"), 5, seed=1)
+    b = partition(blob200, PartitionSpec("iid", "balanced"), 5, seed=2)
     assert any(
         pa.inputs.shape != pb.inputs.shape or not np.array_equal(pa.inputs, pb.inputs)
         for pa, pb in zip(a, b)
@@ -311,17 +311,26 @@ def test_partition_seed_moves_data(blob200):
 
 def test_partition_infeasible_configs(blob200):
     with pytest.raises(ConfigError, match="classes_per_client"):
-        partition(blob200, PartitionSpec("noniid", "balanced", 11), 5)
+        partition(blob200, PartitionSpec("noniid", "balanced", 11), 5, seed=0)
     with pytest.raises(ConfigError, match="clients"):
-        partition(blob200, PartitionSpec(), 0)
+        partition(blob200, PartitionSpec(), 0, seed=0)
     small = synth_dataset(10, 1, 2, seed=0)  # 10 examples
     with pytest.raises(ConfigError):
-        partition(small, PartitionSpec("iid", "unbalanced", 2), 10)
+        partition(small, PartitionSpec("iid", "unbalanced", 2), 10, seed=0)
     with pytest.raises(ConfigError, match="shards"):
-        partition(blob200, PartitionSpec("noniid", "balanced", 1), 5)
+        partition(blob200, PartitionSpec("noniid", "balanced", 1), 5, seed=0)
     tiny = synth_dataset(2, 2, 2, seed=0)  # 4 examples, 5 clients
     with pytest.raises(ConfigError):
-        partition(tiny, PartitionSpec("iid", "balanced"), 5)
+        partition(tiny, PartitionSpec("iid", "balanced"), 5, seed=0)
+
+
+def test_classes_per_client_binds_only_noniid_labels():
+    one_class = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6, dtype=int), 1)
+    parts = partition(one_class, PartitionSpec("iid", "balanced"), 3, seed=0)
+    assert [len(p) for p in parts] == [2, 2, 2]
+    assert rows_multiset(parts) == rows_multiset([one_class])
+    with pytest.raises(ConfigError, match="classes_per_client=2 exceeds class_count=1"):
+        partition(one_class, PartitionSpec("noniid", "balanced"), 3, seed=0)
 
 
 def test_partition_spec_validation():
@@ -352,15 +361,6 @@ def test_batches_seeded_shuffle():
     c = batches(ds, 4, epoch_seed=10)
     assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
     assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, c))
-
-
-def test_batches_validation():
-    ds = synth_dataset(1, 3, 2, seed=0)
-    with pytest.raises(ValueError):
-        batches(ds, 0, epoch_seed=0)
-    empty = Dataset(np.empty((0, 2)), np.empty(0, dtype=int), 1)
-    with pytest.raises(ValueError):
-        batches(empty, 2, epoch_seed=0)
 
 
 # ------------------------------------------------------------------ data paths

@@ -129,10 +129,8 @@ def test_dual_eval_matches_manual_average():
     )
     result = run_experiment(TRAIN, TEST, cfg)
 
-    from dataclasses import replace
     seed = cfg.schedule.seed
-    part_spec = replace(cfg.partition, seed=derive_seed(seed, 1))
-    parts = partition(TRAIN, part_spec, cfg.schedule.clients)
+    parts = partition(TRAIN, cfg.partition, cfg.schedule.clients, derive_seed(seed, 1))
     w0 = init_params(NET, derive_seed(seed, 0))
     round_seed = derive_seed(seed, 2, 1)
     updates = [
