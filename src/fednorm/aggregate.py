@@ -9,11 +9,11 @@ directions mostly cancelled.
 
 Every strategy is a corner of one rule, server momentum in the form of
 FedAvgM with an optional norm rescaling: the server keeps a direction d,
-sets d' = gamma*d + s*u and steps to w + d'. momentum and fednnnn take
-gamma from the strategy, the other kinds 0; normnorm and fednnnn take
-s = beta*E/N (0 when N is too small to divide by), the other kinds 1.
-Hence fednnnn with gamma=0 is normnorm and momentum with gamma=0 is fedavg,
-bit for bit; tests pin both reductions.
+sets d <- gamma*d + s*u and steps w <- w + d, both in place. momentum and
+fednnnn take gamma from the strategy, the other kinds 0; normnorm and
+fednnnn take s = beta*E/N (0 when N is too small to divide by), the other
+kinds 1. Hence fednnnn with gamma=0 is normnorm and momentum with gamma=0 is
+fedavg, bit for bit; tests pin both reductions.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeMismatchError
-from .params import ParamVector, Segment, axpy, squared_norms, weighted_rows
+from .errors import ConfigError, DivergenceError, ShapeMismatchError
+from .params import Segment, all_finite, squared_norms, weighted_rows
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
 
@@ -69,13 +69,14 @@ class AggregationStrategy:
 
 @dataclass(frozen=True)
 class NwdaReport:
-    """One round's divergence numbers plus the combined update they describe.
+    """One round's divergence numbers plus the combined update u they
+    describe, a flat array laid out by the round's segments.
 
     ratio is None when the mean local norm is zero (no client moved); the
     per_layer rows are (segment name, aggregate norm, mean local norm).
     """
 
-    combined: ParamVector
+    combined: np.ndarray
     aggregate_norm: float
     mean_local_norm: float
     ratio: float | None
@@ -90,7 +91,7 @@ class UpdateFold:
     front, so each block is reduced into the running sum u and its norms are
     taken while later clients still train. Overflow warnings are silenced on
     every thread: a diverging client is reported by its own finiteness
-    check, and a sum that overflows by the ParamVector check in report.
+    check, and a sum that overflows by the finiteness check in report.
     """
 
     def __init__(self, weights: Sequence[float], segments: tuple[Segment, ...]):
@@ -123,8 +124,9 @@ class UpdateFold:
         if self.count != len(self.weights):
             raise ShapeMismatchError(
                 f"nwda: {self.count} rows folded, expected {len(self.weights)}")
-        combined = ParamVector(self.combined, self.segments)
-        u_sq, u_segment_sq = squared_norms(combined.values[None, :], self.segments)
+        if not all_finite(self.combined):
+            raise DivergenceError("parameter vector contains NaN or Inf")
+        u_sq, u_segment_sq = squared_norms(self.combined[None, :], self.segments)
         aggregate = math.sqrt(u_sq[0])
         mean_local = 0.0
         layer_means = [0.0] * len(self.segments)
@@ -135,7 +137,7 @@ class UpdateFold:
         ratio = aggregate / mean_local if mean_local > 0 else None
         per_layer = [(seg.name, math.sqrt(u_segment_sq[i, 0]), layer_means[i])
                      for i, seg in enumerate(self.segments)]
-        return NwdaReport(combined, aggregate, mean_local, ratio, per_layer)
+        return NwdaReport(self.combined, aggregate, mean_local, ratio, per_layer)
 
 
 def nwda(weights: Sequence[float], deltas: np.ndarray,
@@ -154,23 +156,28 @@ def nwda(weights: Sequence[float], deltas: np.ndarray,
     return fold.report()
 
 
-def apply_strategy(params: ParamVector, report: NwdaReport,
-                   strategy: AggregationStrategy,
-                   direction: ParamVector) -> tuple[ParamVector, ParamVector]:
-    """One server step: d' = gamma*d + s*u, then w + d'; returns (w + d', d').
+def apply_strategy(params: np.ndarray, report: NwdaReport,
+                   strategy: AggregationStrategy, direction: np.ndarray) -> None:
+    """One server step on the flat arrays w = params and d = direction, in
+    place: d <- gamma*d + s*u, then w <- w + d.
 
     gamma is strategy.gamma for momentum and fednnnn, else 0. s is
     beta*E/N for the normalized kinds, else 1. When N is degenerate
     (N <= epsilon*max(1, E)) s is 0: the update term vanishes but the
     momentum still decays, so a degenerate round damps rather than freezes
     the direction.
+
+    Raises:
+        DivergenceError: if w holds NaN or Inf after the step (s*u or w + d
+            overflowed); w and d are then spoiled.
     """
     gamma = strategy.gamma if strategy.kind in ("momentum", "fednnnn") else 0.0
     scale = 1.0
     if strategy.normalized:
         n, e = report.aggregate_norm, report.mean_local_norm
         scale = 0.0 if n <= strategy.epsilon * max(1.0, e) else strategy.beta * (e / n)
-    update = report.combined
-    step = ParamVector(gamma * direction.values + scale * update.values, update.segments)
-    return axpy(1.0, step, params), step
-
+    direction *= gamma
+    direction += scale * report.combined
+    params += direction
+    if not all_finite(params):
+        raise DivergenceError("parameter vector contains NaN or Inf")

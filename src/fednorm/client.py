@@ -20,7 +20,7 @@ import numpy as np
 from .data import Dataset, batches
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
-from .params import ParamVector, all_finite
+from .params import all_finite
 
 WEIGHT_MODES = ("uniform", "by_sample_count")
 
@@ -52,11 +52,12 @@ class ClientConfig:
             raise ConfigError(f"mu: must be non-negative, got {self.mu}")
 
 
-def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
+def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
                 config: ClientConfig, round_seed: int, client_id: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Run local_epochs of mini-batch SGD from `start` and return the delta
-    (trained minus distributed parameters, laid out like `start`).
+    """Run local_epochs of mini-batch SGD from the flat parameters `start`
+    and return the delta (trained minus distributed parameters, a flat array
+    of the same length). `start` is only read.
 
     Training runs inside `out` (a row buffer of the round loop) when
     given, else inside a new array; the one returned holds the delta. The
@@ -71,12 +72,11 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
     """
     if len(data) == 0:
         raise ValueError(f"client {client_id} has no data")
-    anchor = start.values
-    params = np.empty_like(anchor) if out is None else out
-    if not (params.dtype == np.float64 and params.shape == anchor.shape
+    params = np.empty_like(start) if out is None else out
+    if not (params.dtype == np.float64 and params.shape == start.shape
             and params.flags.c_contiguous and params.flags.writeable):
-        raise ValueError(f"out must be a writable C-contiguous float64 ({anchor.size},) array")
-    np.copyto(params, anchor)
+        raise ValueError(f"out must be a writable C-contiguous float64 ({start.size},) array")
+    np.copyto(params, start)
     grad, scratch = np.empty_like(params), np.empty_like(params)
     layers = layer_views(net_spec, params)
     grads = layer_views(net_spec, grad)
@@ -88,10 +88,10 @@ def local_train(net_spec: NetworkSpec, start: ParamVector, data: Dataset,
                                           derive_seed(round_seed, client_id, epoch)):
                 gradient_into(layers, grads, inputs, labels)
                 if config.mu > 0:
-                    prox_addend_into(scratch, params, anchor, config.mu)
+                    prox_addend_into(scratch, params, start, config.mu)
                     grad += scratch
                 sgd_update(params, grad, config.learning_rate, config.weight_decay, scratch)
-        np.subtract(params, anchor, out=params)
+        np.subtract(params, start, out=params)
     if not all_finite(params):
         raise DivergenceError(f"client {client_id}: parameter vector contains NaN or Inf")
     return params

@@ -2,9 +2,11 @@
 
 Implements exactly what the federated experiments need: ReLU hidden layers,
 mean cross-entropy via log-sum-exp, plain SGD with coupled weight decay, and
-the proximal gradient addend used by FedProx clients. The parameters live in
-a ParamVector with one segment per weight matrix ("fc{i}.weight") and one per
-bias vector ("fc{i}.bias"), so aggregation code never sees layer structure.
+the proximal gradient addend used by FedProx clients. The parameters are one
+flat float64 vector laid out by `NetworkSpec.segments()`, one segment per
+weight matrix ("fc{i}.weight") and one per bias vector ("fc{i}.bias"), so
+aggregation code never sees layer structure; `init_params` returns it as a
+ParamVector.
 
 The kernels take flat float64 arrays and (inputs, labels) array pairs and
 check no batch: data is checked once where it enters (`Dataset` keeps labels

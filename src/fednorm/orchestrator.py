@@ -27,7 +27,7 @@ from .client import WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, loc
 from .data import Dataset, PartitionSpec, partition
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, forward_loss, init_params
-from .params import ParamVector, axpy, l2_norm, zeros_like
+from .params import ParamVector, l2_norm
 
 # seed namespaces under the experiment seed
 _INIT = 0
@@ -120,9 +120,10 @@ def sample_clients(client_count: int, clients_per_round: int, round_seed: int) -
     return sorted(int(c) for c in picked)
 
 
-def evaluate(network: NetworkSpec, params: ParamVector, ds: Dataset) -> float:
-    """Accuracy on ds; raises DivergenceError when the loss is NaN or Inf."""
-    loss, acc = forward_loss(network, params.values, ds.inputs, ds.labels)
+def evaluate(network: NetworkSpec, params: np.ndarray, ds: Dataset) -> float:
+    """Accuracy on ds of the flat parameters params; raises DivergenceError
+    when the loss is NaN or Inf."""
+    loss, acc = forward_loss(network, params, ds.inputs, ds.labels)
     if not math.isfinite(loss):
         raise DivergenceError(f"loss is {loss}")
     return acc
@@ -172,13 +173,14 @@ def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
                 executor.shutdown(cancel_futures=True)
 
 
-def run_round(params: ParamVector, direction: ParamVector,
+def run_round(params: np.ndarray, direction: np.ndarray,
               parts: list[Dataset], test: Dataset, config: ExperimentConfig,
               round_index: int, integrated_so_far: float, ring: np.ndarray,
-              ) -> tuple[ParamVector, ParamVector, RoundMetrics]:
-    """One round from the distributed parameters and the server's direction;
-    returns both updated and the round's metrics. ring holds the row buffers
-    the sampled clients train in (see ring_shape).
+              ) -> RoundMetrics:
+    """One round from the distributed parameters w and the server's
+    direction d, flat arrays that the server step updates in place; returns
+    the round's metrics. ring holds the row buffers the sampled clients train
+    in (see ring_shape).
 
     A NaN or Inf raises DivergenceError naming the round and the client, the
     server or the evaluation where it appeared."""
@@ -186,8 +188,12 @@ def run_round(params: ParamVector, direction: ParamVector,
     round_seed = derive_seed(schedule.seed, _ROUND, round_index)
     sampled = sample_clients(schedule.clients, schedule.clients_per_round, round_seed)
     weights = assign_weights([len(parts[cid]) for cid in sampled], schedule.weight_mode)
-    fold = UpdateFold(weights, params.segments)
+    segments = config.network.segments()
+    fold = UpdateFold(weights, segments)
 
+    # pool threads read params while they train, without a lock: params and
+    # direction are written only by apply_strategy, after train_and_fold has
+    # returned, and it returns or raises only once its threads have stopped
     def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
         return local_train(config.network, params, parts[cid], config.client,
@@ -199,16 +205,16 @@ def run_round(params: ParamVector, direction: ParamVector,
         with np.errstate(over="ignore", invalid="ignore"):
             stage = "server: "
             report = fold.report()
-            new_params, direction = apply_strategy(params, report, config.strategy, direction)
-            step_norm = l2_norm(direction)
+            # the plain average w + u, built before the step moves w
+            average = report.combined + params if config.strategy.normalized else None
+            apply_strategy(params, report, config.strategy, direction)
+            step_norm = l2_norm(direction, segments)
             norms = (report.aggregate_norm, report.mean_local_norm, step_norm)
             if not all(map(math.isfinite, norms)):
                 raise DivergenceError("N, E or the step norm is NaN or Inf")
             stage = "evaluation: "
-            averaged = None
-            if config.strategy.normalized:
-                averaged = evaluate(config.network, axpy(1.0, report.combined, params), test)
-            distributed = evaluate(config.network, new_params, test)
+            averaged = None if average is None else evaluate(config.network, average, test)
+            distributed = evaluate(config.network, params, test)
     except DivergenceError as exc:
         raise DivergenceError(f"round {round_index} {stage}{exc}") from None
 
@@ -223,7 +229,7 @@ def run_round(params: ParamVector, direction: ParamVector,
         eval_acc_averaged=averaged,
         per_layer=report.per_layer,
     )
-    return new_params, direction, metrics
+    return metrics
 
 
 def run_experiment(train: Dataset, test: Dataset,
@@ -244,17 +250,16 @@ def run_experiment(train: Dataset, test: Dataset,
     schedule = config.schedule
     parts = partition(train, config.partition, schedule.clients,
                       derive_seed(schedule.seed, _PARTITION))
-    params = init_params(config.network, derive_seed(schedule.seed, _INIT))
-    direction = zeros_like(params)
+    start = init_params(config.network, derive_seed(schedule.seed, _INIT))
+    # the server's w and d, updated in place by every round
+    params, direction = start.values.copy(), np.zeros(start.size)
 
     # one ring of client row buffers for every round
-    ring = np.empty(ring_shape(schedule.clients_per_round, params.size, schedule.workers))
+    ring = np.empty(ring_shape(schedule.clients_per_round, start.size, schedule.workers))
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, schedule.rounds + 1):
-        params, direction, row = run_round(
-            params, direction, parts, test, config, round_index, integrated, ring
-        )
+        row = run_round(params, direction, parts, test, config, round_index, integrated, ring)
         integrated = row.integrated_norm
         metrics.append(row)
-    return ExperimentResult(metrics, params)
+    return ExperimentResult(metrics, ParamVector(params, start.segments))

@@ -1,11 +1,13 @@
-"""Layer-segmented flat parameter vectors and the vector algebra built on them.
+"""Layer-segmented flat parameter vectors and the reductions over them.
 
-Every aggregation rule in this package is expressed over ParamVector: a
-read-only float64 array tiled by named layer segments. Client updates
-travel as raw rows of a (K, n) matrix instead, one row per client, and
-`weighted_rows` and `squared_norms` reduce a block of them without building
-a ParamVector per row. Both continue from one block of rows to the next, so
-a round's rows can be reduced in client order as they arrive.
+A model's parameters are one flat float64 vector tiled by named layer
+segments. ParamVector is the read-only, checked form of such a vector that
+crosses the package boundary: `init_params` returns one and a run's final
+parameters are one. Inside a run the server keeps its weights and
+direction as plain arrays and updates them in place, and client updates
+travel as raw rows of a (K, n) matrix, one row per client. `weighted_rows` and `squared_norms`
+reduce a block of rows; both continue from one block to the next, so a
+round's rows can be reduced in client order as they arrive.
 
 All reductions here accumulate strictly left to right (no pairwise or
 threaded reduction), so repeated runs are bit-identical regardless of worker
@@ -38,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeMismatchError
+from .errors import DivergenceError
 
 # columns per block in weighted_rows and squared_norms: for 20 rows a block is
 # 640 KB, and each block is a few long NumPy calls
@@ -47,7 +49,7 @@ CHUNK = 4096
 
 @dataclass(frozen=True)
 class Segment:
-    """One named contiguous slice of a ParamVector."""
+    """One named contiguous slice of a flat parameter vector."""
 
     name: str
     offset: int
@@ -101,20 +103,6 @@ def all_finite(x: np.ndarray) -> bool:
         return bool(np.isfinite(np.add.reduce(x, axis=None)) or np.isfinite(x).all())
 
 
-def _require_compatible(a: ParamVector, b: ParamVector, op: str) -> None:
-    if a.segments == b.segments:
-        return
-    for sa, sb in zip(a.segments, b.segments):
-        if sa != sb:
-            raise ShapeMismatchError(
-                f"{op}: segment mismatch, {sa.name!r}{(sa.offset, sa.length)} vs "
-                f"{sb.name!r}{(sb.offset, sb.length)}"
-            )
-    raise ShapeMismatchError(
-        f"{op}: segment count mismatch, {len(a.segments)} vs {len(b.segments)}"
-    )
-
-
 def weighted_rows(weights: Sequence[float], rows: np.ndarray, *, out: np.ndarray) -> np.ndarray:
     """Add weights[k] * rows[k] of a (K, n) matrix into out, in row order;
     returns out.
@@ -138,9 +126,10 @@ def weighted_rows(weights: Sequence[float], rows: np.ndarray, *, out: np.ndarray
     return out
 
 
-def l2_norm(v: ParamVector) -> float:
-    """The L2 norm of v, from squared_norms over v as a one-row block."""
-    return math.sqrt(squared_norms(v.values[None, :], v.segments)[0][0])
+def l2_norm(values: np.ndarray, segments: tuple[Segment, ...]) -> float:
+    """The L2 norm of a flat vector laid out by segments, from squared_norms
+    over it as a one-row block."""
+    return math.sqrt(squared_norms(values[None, :], segments)[0][0])
 
 
 def squared_norms(rows: np.ndarray, segments: tuple[Segment, ...],
@@ -202,13 +191,3 @@ def openblas_threads(count: int | None = None) -> int | None:
         get.argtypes, get.restype = [], ctypes.c_int
         return get()
     return None
-
-
-def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """alpha * x + y."""
-    _require_compatible(x, y, "axpy")
-    return ParamVector(float(alpha) * x.values + y.values, x.segments)
-
-
-def zeros_like(v: ParamVector) -> ParamVector:
-    return ParamVector(np.zeros(v.size, dtype=np.float64), v.segments)

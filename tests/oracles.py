@@ -1,20 +1,56 @@
 """Reference forms of the library's kernels that tests compare against.
 
 The client and the server work in place on flat arrays (`gradient_into`,
-`sgd_update`, `prox_addend_into`, `weighted_rows`). These wrappers take and
-return ParamVectors instead, one step at a time, which is how a test rebuilds
-a client's trajectory or a round's sum by hand. `ordered_sum`,
-`ordered_norm` and `per_layer_norms` are the plain left-to-right sums the
-norm kernel `squared_norms` must match bit for bit.
+`sgd_update`, `prox_addend_into`, `weighted_rows`, `apply_strategy`). These
+wrappers take and return ParamVectors instead, one step at a time, which is
+how a test rebuilds a client's trajectory, a round's sum or a server step by
+hand; `axpy`, `zeros_like` and `delta` are the vector algebra they use.
+`ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
+left-to-right sums the norm kernel `squared_norms` must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from fednorm.aggregate import apply_strategy
 from fednorm.errors import ShapeMismatchError
 from fednorm.nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
-from fednorm.params import ParamVector, _require_compatible, weighted_rows
+from fednorm.params import ParamVector, weighted_rows
+
+
+def _require_compatible(a: ParamVector, b: ParamVector, op: str) -> None:
+    if a.segments == b.segments:
+        return
+    for sa, sb in zip(a.segments, b.segments):
+        if sa != sb:
+            raise ShapeMismatchError(
+                f"{op}: segment mismatch, {sa.name!r}{(sa.offset, sa.length)} vs "
+                f"{sb.name!r}{(sb.offset, sb.length)}"
+            )
+    raise ShapeMismatchError(
+        f"{op}: segment count mismatch, {len(a.segments)} vs {len(b.segments)}"
+    )
+
+
+def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
+    """alpha * x + y."""
+    _require_compatible(x, y, "axpy")
+    return ParamVector(float(alpha) * x.values + y.values, x.segments)
+
+
+def zeros_like(v: ParamVector) -> ParamVector:
+    return ParamVector(np.zeros(v.size, dtype=np.float64), v.segments)
+
+
+def server_step(params: ParamVector, report, strategy, direction: ParamVector,
+                ) -> tuple[ParamVector, ParamVector]:
+    """apply_strategy on copies of w and d: returns (w + d', d') and leaves
+    both arguments as they were."""
+    _require_compatible(params, direction, "server_step")
+    w, d = params.values.copy(), direction.values.copy()
+    apply_strategy(w, report, strategy, d)
+    return ParamVector(w, params.segments), ParamVector(d, params.segments)
 
 
 def backward(spec: NetworkSpec, params: ParamVector, inputs, labels) -> ParamVector:

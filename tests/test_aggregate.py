@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from fednorm.aggregate import (
     STRATEGY_KINDS,
     AggregationStrategy,
+    NwdaReport,
     UpdateFold,
     apply_strategy,
     nwda,
 )
-from fednorm.errors import ConfigError, ShapeMismatchError
-from fednorm.params import CHUNK, ParamVector, Segment, l2_norm, zeros_like
-from oracles import ordered_norm, per_layer_norms
+from fednorm.errors import ConfigError, DivergenceError, ShapeMismatchError
+from fednorm.params import CHUNK, ParamVector, Segment, l2_norm
+from oracles import ordered_norm, per_layer_norms, server_step, zeros_like
 
 
 def pv(vals, split=None):
@@ -52,14 +53,14 @@ def apply(w, report, kind, direction=None, **knobs):
     """apply_strategy from a zero direction unless one is given."""
     if direction is None:
         direction = zeros_like(w)
-    return apply_strategy(w, report, AggregationStrategy(kind, **knobs), direction)
+    return server_step(w, report, AggregationStrategy(kind, **knobs), direction)
 
 
 # ------------------------------------------------------------------- divergence
 
 def test_nwda_orthogonal_hand_values():
     report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))]))
-    assert np.array_equal(report.combined.values, [0.5, 0.5])
+    assert np.array_equal(report.combined, [0.5, 0.5])
     assert report.aggregate_norm == math.sqrt(0.5)
     assert report.mean_local_norm == 1.0
     assert report.ratio == math.sqrt(0.5)
@@ -132,7 +133,7 @@ def test_nwda_matrix_matches_per_vector_formulas():
         mean_local += weight * ordered_norm(vec)
         for i, (_, seg_norm) in enumerate(per_layer_norms(vec)):
             layer_means[i] += weight * seg_norm
-    assert np.array_equal(report.combined.values, combined.values)
+    assert np.array_equal(report.combined, combined.values)
     assert report.aggregate_norm == ordered_norm(combined)
     assert report.mean_local_norm == mean_local
     assert report.ratio == ordered_norm(combined) / mean_local
@@ -161,7 +162,7 @@ def test_fold_in_blocks_matches_nwda():
     fold.add(deltas[1:5])
     fold.add(deltas[5:])
     report = fold.report()
-    assert np.array_equal(report.combined.values, whole.combined.values)
+    assert np.array_equal(report.combined, whole.combined)
     assert (report.aggregate_norm, report.mean_local_norm, report.ratio, report.per_layer) \
         == (whole.aggregate_norm, whole.mean_local_norm, whole.ratio, whole.per_layer)
 
@@ -179,7 +180,7 @@ def test_fold_over_any_split_matches_nwda(lengths, count, cuts, seed):
     for start, end in zip(bounds, bounds[1:]):
         fold.add(deltas[start:end])
     report = fold.report()
-    assert np.array_equal(report.combined.values, whole.combined.values)
+    assert np.array_equal(report.combined, whole.combined)
     assert (report.aggregate_norm, report.mean_local_norm, report.ratio, report.per_layer) \
         == (whole.aggregate_norm, whole.mean_local_norm, whole.ratio, whole.per_layer)
 
@@ -198,8 +199,8 @@ def test_fold_report_norms_are_left_to_right_sums():
     fold.add(deltas[:3])
     fold.add(deltas[3:])
     report = fold.report()
-    u = report.combined
-    assert report.aggregate_norm == ordered_norm(u) == l2_norm(u)
+    u = ParamVector(report.combined, segs)
+    assert report.aggregate_norm == ordered_norm(u) == l2_norm(u.values, segs)
     assert report.aggregate_norm < 1e-6 * ordered_norm(pv(deltas[0]))  # pairs cancel
     rows = [ParamVector(r, segs) for r in deltas]
     mean_local, layer_means = 0.0, [0.0] * len(segs)
@@ -239,7 +240,7 @@ def test_normnorm_step_norm_is_beta_times_mean_local():
         beta = float(rng.uniform(0.3, 1.5))
         _, step = apply(w, report, "normnorm", beta=beta, epsilon=1e-9)
         target = beta * report.mean_local_norm
-        assert abs(l2_norm(step) - target) <= 1e-10 * target
+        assert abs(l2_norm(step.values, step.segments) - target) <= 1e-10 * target
 
 
 def test_normnorm_preserves_direction():
@@ -257,7 +258,7 @@ def test_normnorm_guard_returns_params_unchanged():
     report = nwda(*stacked([(0.5, pv([1.0, 1.0])), (0.5, pv([-1.0, -1.0]))]))
     new, step = apply(w, report, "normnorm", beta=1.0, epsilon=1e-9)
     assert np.array_equal(new.values, w.values)
-    assert l2_norm(step) == 0.0
+    assert l2_norm(step.values, step.segments) == 0.0
 
 
 def test_guard_boundary_is_leq():
@@ -265,10 +266,10 @@ def test_guard_boundary_is_leq():
     eps = 1e-9
     at = nwda(*stacked([(1.0, pv([eps]))]))  # N = E = eps, threshold eps*max(1,eps) = eps
     new, step = apply(w, at, "normnorm", beta=1.0, epsilon=eps)
-    assert l2_norm(step) == 0.0
+    assert l2_norm(step.values, step.segments) == 0.0
     above = nwda(*stacked([(1.0, pv([2 * eps]))]))
     _, step2 = apply(w, above, "normnorm", beta=1.0, epsilon=eps)
-    assert l2_norm(step2) > 0.0
+    assert l2_norm(step2.values, step2.segments) > 0.0
 
 
 def test_fednnnn_guard_still_decays_momentum():
@@ -285,12 +286,25 @@ def test_momentum_constant_update_geometric_sum():
     w = pv([0.0, 0.0])
     gamma = 0.6
     report = nwda(*stacked([(1.0, u)]))
-    assert np.array_equal(report.combined.values, u.values)
+    assert np.array_equal(report.combined, u.values)
     step = zeros_like(u)
     for t in range(1, 6):
         w, step = apply(w, report, "momentum", step, gamma=gamma)
         closed = (1 - gamma**t) / (1 - gamma)
         np.testing.assert_allclose(step.values, closed * u.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("w, d, u, kind", [
+    ([1.0, 2.0], [0.0, 0.0], [1e305, 0.0], "normnorm"),  # s*u overflows
+    ([1e308, 1.0], [0.0, 0.0], [1e308, 0.0], "fedavg"),  # d finite, w + d overflows
+])
+def test_step_that_overflows_raises(w, d, u, kind):
+    """A step that leaves w with an Inf is a DivergenceError, whether s*u
+    overflowed (s = beta*E/N = 1e8 here) or only the sum w + d did."""
+    report = NwdaReport(np.array(u), 1e2, 1e10, 1e-8, [])
+    w, d = np.array(w), np.array(d)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="NaN or Inf"):
+        apply_strategy(w, report, AggregationStrategy(kind), d)
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
@@ -308,7 +322,7 @@ def test_fednnnn_matches_independent_replay(kind):
         terms = random_terms(rng, 4)
         report = nwda(*stacked(terms))
         w, step = apply(w, report, kind, step, beta=beta, gamma=gamma, epsilon=1e-9)
-        u = report.combined.values
+        u = report.combined
         scale = beta * (report.mean_local_norm / report.aggregate_norm)
         if kind in ("fedavg", "fedprox"):  # w + u
             ref_d = u
@@ -366,7 +380,7 @@ def test_apply_strategy_dispatch_matches_direct_calls():
     report = nwda(*stacked(terms))
     w = pv(rng.standard_normal(8), split=(3, 5))
     d = pv(rng.standard_normal(8), split=(3, 5))
-    u = report.combined.values
+    u = report.combined
     scale = 0.9 * (report.mean_local_norm / report.aggregate_norm)
 
     def step_of(kind):

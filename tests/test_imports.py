@@ -1,13 +1,17 @@
 """Every name a library module imports is used in it: deletions must not
 leave dead imports behind. A name listed in the module's __all__ counts as
-used, since re-exporting it is its purpose."""
+used, since re-exporting it is its purpose. And every function and class a
+library module defines serves the library: one that only tests call belongs
+in tests/oracles.py."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "fednorm").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "fednorm").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -49,3 +53,61 @@ def test_unused_import_is_caught():
                      "@dataclass\nclass A: pass\n")
     unused = set(imported_names(tree)) - used_names(tree)
     assert unused == {"replace", "os"}
+
+
+def referenced_names(node: ast.AST) -> set[str]:
+    """Every name read, read as an attribute or imported under node."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def launcher_names(tree: ast.Module) -> set[str]:
+    """The names benchmark Targets point at: each attribute, and the class
+    of an owner written module:Class."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
+            owner, attr = (ast.literal_eval(arg) for arg in node.args[1:3])
+            names.update((attr, owner.partition(":")[2]))
+    return names
+
+
+def unreferenced(modules: dict[str, ast.Module], text: str, named: set[str]) -> list[str]:
+    """Top-level functions and classes of modules that no other top-level
+    statement of any module references, that text never mentions as a word,
+    and that are not in named."""
+    statements = [stmt for tree in modules.values() for stmt in tree.body]
+    references = [(stmt, referenced_names(stmt)) for stmt in statements]
+    return [f"{module}:{stmt.name}" for module, tree in modules.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not any(stmt.name in names for other, names in references if other is not stmt)
+            and not re.search(rf"\b{stmt.name}\b", text) and stmt.name not in named]
+
+
+def test_every_library_function_and_class_serves_the_library():
+    """Referenced elsewhere in src/, in README.md or in demos/, or timed by a
+    benchmarks/launch.py target."""
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    text = "\n".join(path.read_text(encoding="utf-8")
+                     for path in [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))])
+    launcher = ROOT / "benchmarks" / "launch.py"
+    named = launcher_names(ast.parse(launcher.read_text(encoding="utf-8")))
+    assert unreferenced(modules, text, named) == []
+
+
+def test_test_only_function_is_caught():
+    modules = {"a.py": ast.parse("def used(): pass\n"
+                                 "def recursive(): return recursive()\n"
+                                 "def in_readme(): pass\n"
+                                 "def traced(): pass\n"
+                                 "class Orphan: pass\n"),
+               "b.py": ast.parse("from .a import used\n")}
+    named = launcher_names(ast.parse('Target("x", "fednorm.a", "traced")\n'))
+    assert unreferenced(modules, "call in_readme()", named) == ["a.py:recursive", "a.py:Orphan"]

@@ -221,8 +221,8 @@ def test_sgd_step_norm_bound_exact():
     eta, lam = 1e-3, 0.01
     out = sgd_step(p, g, eta, lam)
     from fednorm.params import l2_norm
-    moved = l2_norm(seg1(out.values - p.values))
-    full = l2_norm(seg1(g.values + lam * p.values))
+    moved = l2_norm(out.values - p.values, p.segments)
+    full = l2_norm(g.values + lam * p.values, p.segments)
     assert moved <= eta * full * (1 + 1e-12)
 
 

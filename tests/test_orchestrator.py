@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fednorm.orchestrator as orchestrator
-from fednorm.aggregate import AggregationStrategy, UpdateFold, nwda
+import fednorm.aggregate as aggregate
+from fednorm.aggregate import AggregationStrategy, NwdaReport, UpdateFold, nwda
 from fednorm.cli import available_presets, load_preset, parse_config
 from fednorm.client import ClientConfig, derive_seed, local_train
 from fednorm.data import Dataset, PartitionSpec, partition, synth_split
@@ -27,8 +28,8 @@ from fednorm.orchestrator import (
     sample_clients,
     train_and_fold,
 )
-from fednorm.params import ParamVector, Segment, axpy
-from oracles import weighted_sum
+from fednorm.params import ParamVector, Segment
+from oracles import axpy, weighted_sum
 
 NET = NetworkSpec((4, 8, 3))
 TRAIN, TEST = synth_split(3, 20, 10, 4, seed=13)
@@ -134,12 +135,12 @@ def test_dual_eval_matches_manual_average():
     w0 = init_params(NET, derive_seed(seed, 0))
     round_seed = derive_seed(seed, 2, 1)
     updates = [
-        local_train(NET, w0, parts[cid], cfg.client, round_seed, cid)
+        local_train(NET, w0.values, parts[cid], cfg.client, round_seed, cid)
         for cid in range(cfg.schedule.clients)
     ]
     u = weighted_sum([(1.0 / len(updates), ParamVector(up, w0.segments))
                       for up in updates])
-    manual = evaluate(NET, axpy(1.0, u, w0), TEST)
+    manual = evaluate(NET, axpy(1.0, u, w0).values, TEST)
     assert result.metrics[0].eval_acc_averaged == manual
 
 
@@ -211,6 +212,39 @@ def test_divergence_at_the_server_or_in_evaluation_names_the_stage():
             with pytest.raises(DivergenceError) as info:
                 run_experiment(TRAIN, TEST, cfg)
         assert str(info.value) == message
+
+
+def test_server_step_that_overflows_fails_at_the_server(monkeypatch):
+    """A round whose update u is finite but whose normnorm step s*u is not
+    (s = beta*E/N = 1e8, u = 1e305): the check on w after the step stops the
+    run at the server, before the step norm is taken and without a warning."""
+    n = NET.param_count
+    report = NwdaReport(np.full(n, 1e305), 1e2, 1e10, 1e-8, [])
+    monkeypatch.setattr(aggregate.UpdateFold, "report", lambda fold: report)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(TRAIN, TEST, make_config(strategy=AggregationStrategy("normnorm")))
+    assert str(info.value) == "round 1 server: parameter vector contains NaN or Inf"
+
+
+@pytest.mark.parametrize("kind", ["fedavg", "fednnnn"])
+@pytest.mark.parametrize("rounds", [1, 8])
+def test_a_run_builds_param_vectors_only_at_its_boundaries(monkeypatch, kind, rounds):
+    """The server state stays in plain arrays for the whole run: the only
+    ParamVectors are the initial parameters and the final ones, however many
+    rounds run."""
+    built = []
+    post_init = ParamVector.__post_init__
+
+    def counted(vector):
+        built.append(vector)
+        post_init(vector)
+    monkeypatch.setattr(ParamVector, "__post_init__", counted)
+    result = run_experiment(TRAIN, TEST, make_config(
+        rounds=rounds, strategy=AggregationStrategy(kind, beta=0.7, gamma=0.8)))
+    assert len(built) == 2
+    assert built[-1] is result.final_params
 
 
 def test_seed_changes_everything():
@@ -324,7 +358,7 @@ def test_rows_fold_in_client_order_through_the_server_thread(monkeypatch, worker
     expected = np.stack([np.random.default_rng(i).standard_normal(6) for i in range(count)])
     want = nwda(weights, expected, SEGS)
     got = fold.report()
-    assert np.array_equal(got.combined.values, want.combined.values)
+    assert np.array_equal(got.combined, want.combined)
     assert (got.mean_local_norm, got.per_layer) == (want.mean_local_norm, want.per_layer)
     assert [rows for _, rows in where] == [3] * 5 + [2]
     assert all(name.startswith("fednorm-server") for name, _ in where[:-1])
@@ -391,7 +425,7 @@ def test_any_schedule_folds_nwda_or_raises_the_first_failing_client(schedule):
         train_and_fold(train, count, np.full((rows, 6), np.nan), fold, workers)
         expected = np.stack([np.random.default_rng(i).standard_normal(6) for i in range(count)])
         want, got = nwda(weights, expected, SEGS), fold.report()
-        assert np.array_equal(got.combined.values, want.combined.values)
+        assert np.array_equal(got.combined, want.combined)
         assert (got.aggregate_norm, got.mean_local_norm, got.ratio, got.per_layer) \
             == (want.aggregate_norm, want.mean_local_norm, want.ratio, want.per_layer)
     assert threading.active_count() == baseline
