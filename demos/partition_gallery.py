@@ -2,9 +2,10 @@
 The four partition flavors
 ==========================
 
-One dataset, 8 clients, four ways to slice it. Prints each client's shard
-size and per-class label counts so you can see exactly what the label_mode
-and size_mode knobs change.
+One dataset, 8 clients, four ways to slice it. Each client's shard is an
+array of row indices into the one dataset. Prints each client's shard size
+and per-class label counts so you can see exactly what the label_mode and
+size_mode knobs change.
 
     python3 demos/partition_gallery.py
 """
@@ -33,10 +34,10 @@ for title, spec in flavors:
     shards = partition(data, spec, CLIENTS, seed=3)
     print(title)
     print("-" * len(title))
-    for cid, shard in enumerate(shards):
-        counts = np.bincount(shard.labels, minlength=CLASSES)
+    for cid, rows in enumerate(shards):
+        counts = np.bincount(data.labels[rows], minlength=CLASSES)
         bars = " ".join(f"{c:>3}" for c in counts)
-        print(f"  client {cid}: n={len(shard):>3}  classes [{bars}]")
+        print(f"  client {cid}: n={len(rows):>3}  classes [{bars}]")
     sizes = [len(s) for s in shards]
     print(f"  sizes: min {min(sizes)}, max {max(sizes)}, "
           f"total {sum(sizes)} of {len(data)}")

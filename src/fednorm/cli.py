@@ -295,13 +295,17 @@ def load_config_file(path: str) -> dict:
 # ------------------------------------------------------------------- data load
 
 def _head(ds: Dataset, limit: int) -> Dataset:
+    """The first `limit` rows of ds in arrays of their own, so the rest of
+    ds is freed."""
     if limit >= len(ds):
         return ds
-    return Dataset(ds.inputs[:limit], ds.labels[:limit], ds.class_count)
+    return Dataset(ds.inputs[:limit].copy(), ds.labels[:limit].copy(), ds.class_count)
 
 
 def load_data(plan: RunPlan) -> tuple[Dataset, Dataset]:
-    """Materialize normalized train and test sets for a plan."""
+    """Materialize normalized train and test sets for a plan. Both are
+    normalized in place, in arrays this function made, with the train
+    set's stats."""
     if isinstance(plan.dataset, SynthData):
         d = plan.dataset
         train, test = synth_split(

@@ -3,9 +3,10 @@ mini-batch SGD for a fixed number of epochs, and ship back the weight delta.
 
 Training runs in place inside the delta itself: the caller's row buffer
 gets the distributed parameters, is trained there with one gradient and one
-scratch buffer, then has those parameters subtracted. Mini-batches are plain
-(inputs, labels) array pairs cut from the client's Dataset, which was checked
-once when it was built; no step checks them again.
+scratch buffer, then has those parameters subtracted. A client's data is
+its row indices into the shared training set; mini-batches are plain
+(inputs, labels) array pairs gathered from that set, which was checked once
+when it was built, and no step checks them again.
 
 The proximal term (when mu > 0) is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
@@ -53,11 +54,13 @@ class ClientConfig:
 
 
 def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
-                config: ClientConfig, round_seed: int, client_id: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+                rows: np.ndarray, config: ClientConfig, round_seed: int,
+                client_id: int, out: np.ndarray | None = None) -> np.ndarray:
     """Run local_epochs of mini-batch SGD from the flat parameters `start`
-    and return the delta (trained minus distributed parameters, a flat array
-    of the same length). `start` is only read.
+    on the rows of `data` that `rows` indexes (the client's part from
+    `partition`), and return the delta (trained minus distributed
+    parameters, a flat array of the same length). `start` and `data` are
+    only read.
 
     Training runs inside `out` (a row buffer of the round loop) when
     given, else inside a new array; the one returned holds the delta. The
@@ -70,7 +73,7 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
         ShapeMismatchError: if `start` does not fit net_spec.
         DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
-    if len(data) == 0:
+    if len(rows) == 0:
         raise ValueError(f"client {client_id} has no data")
     params = np.empty_like(start) if out is None else out
     if not (params.dtype == np.float64 and params.shape == start.shape
@@ -84,7 +87,7 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     # reports them once instead of a warning per step
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.local_epochs + 1):
-            for inputs, labels in batches(data, config.batch_size,
+            for inputs, labels in batches(data, rows, config.batch_size,
                                           derive_seed(round_seed, client_id, epoch)):
                 gradient_into(layers, grads, inputs, labels)
                 if config.mu > 0:

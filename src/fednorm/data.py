@@ -1,12 +1,18 @@
-"""Dataset ingestion (IDX files and synthetic blobs), normalization, and the
-four client-partition regimes: {IID, NonIID} x {Balanced, Unbalanced}.
+"""Dataset ingestion (IDX files and synthetic blobs), normalization, the
+four client-partition regimes: {IID, NonIID} x {Balanced, Unbalanced}, and
+mini-batching.
 
-Partitioning guarantees, all exact: the union of client indices is the input
-multiset; under NonIID every client sees at most classes_per_client distinct
-labels (shard cuts are aligned to class boundaries, never across them); under
-Unbalanced the client sizes are non-increasing in power-law rank. Balanced
-sizes are equal within +-1 under IID and as equal as label-pure shard
-granularity allows under NonIID.
+A run holds one copy of each data set. `normalize` rescales a set's inputs
+in place, and a client holds no rows of its own: `partition` gives each
+client an int64 array of row indices into the shared set, and `batches`
+gathers each mini-batch from the shared set through them.
+
+Partitioning guarantees, all exact: the client index arrays together hold
+every row index once; under NonIID every client sees at most
+classes_per_client distinct labels (shard cuts are aligned to class
+boundaries, never across them); under Unbalanced the client sizes are
+non-increasing in power-law rank. Balanced sizes are equal within +-1 under
+IID and as equal as label-pure shard granularity allows under NonIID.
 """
 
 from __future__ import annotations
@@ -151,7 +157,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         )
     if count == 0:
         raise IdxCountError(f"{images_path}: zero examples")
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    inputs = pixels.reshape(count, rows * cols).astype(np.float64)
+    inputs /= 255.0
     return Dataset(inputs, labels.astype(np.int64), int(labels.max()) + 1)
 
 
@@ -169,13 +176,17 @@ def normalization_stats(ds: Dataset) -> tuple[float, float]:
 
 
 def normalize(ds: Dataset, stats: tuple[float, float] | None = None) -> Dataset:
-    """Subtract the global mean and divide by the global std.
+    """Subtract the global mean and divide by the global std, in place:
+    ds.inputs is overwritten, must be writable, and ds is returned.
 
     With stats=None the statistics are fitted on ds itself; pass the training
     set's stats to transform a test set consistently.
     """
     mean, std = normalization_stats(ds) if stats is None else stats
-    return Dataset((ds.inputs - mean) / std, ds.labels, ds.class_count)
+    inputs = ds.inputs
+    inputs -= mean
+    inputs /= std
+    return ds
 
 
 # synthetic data --------------------------------------------------------------
@@ -226,7 +237,8 @@ def synth_split(class_count: int, train_per_class: int, test_per_class: int,
     te = np.concatenate(
         [np.arange(c * per + train_per_class, (c + 1) * per) for c in range(class_count)]
     )
-    return _subset(full, tr), _subset(full, te)
+    return (Dataset(full.inputs[tr], full.labels[tr], class_count),
+            Dataset(full.inputs[te], full.labels[te], class_count))
 
 
 # partitioning ----------------------------------------------------------------
@@ -281,13 +293,12 @@ def _power_law_sizes(n: int, clients: int, exponent: float, min_size: int) -> li
     return sizes
 
 
-def _subset(ds: Dataset, idx: np.ndarray) -> Dataset:
-    return Dataset(ds.inputs[idx], ds.labels[idx], ds.class_count)
-
-
-def partition(ds: Dataset, spec: PartitionSpec, clients: int, seed: int) -> list[Dataset]:
-    """Split ds into `clients` client datasets per the partition spec, with
-    the client order and the shuffles drawn from `seed`.
+def partition(ds: Dataset, spec: PartitionSpec, clients: int,
+              seed: int) -> list[np.ndarray]:
+    """Split ds over `clients` clients per the partition spec, with the
+    client order and the shuffles drawn from `seed`: client c's rows are
+    ds.inputs[parts[c]], in that order. Each part is an int64 array of row
+    indices into ds, so no row is copied.
 
     Deterministic in (ds, spec, clients, seed). Raises ConfigError when the
     shard arithmetic is infeasible, stating the required minimum.
@@ -321,14 +332,14 @@ def partition(ds: Dataset, spec: PartitionSpec, clients: int, seed: int) -> list
         for r in range(clients):
             client_idx[rank_to_client[r]] = order[pos : pos + sizes[r]]
             pos += sizes[r]
-        return [_subset(ds, idx) for idx in client_idx]
+        return client_idx
 
     return _partition_noniid(ds, spec, clients, rank_to_client, rng)
 
 
 def _partition_noniid(ds: Dataset, spec: PartitionSpec, clients: int,
                       rank_to_client: np.ndarray,
-                      rng: np.random.Generator) -> list[Dataset]:
+                      rng: np.random.Generator) -> list[np.ndarray]:
     n = len(ds)
     cpc = spec.classes_per_client
     if cpc > ds.class_count:
@@ -385,18 +396,19 @@ def _partition_noniid(ds: Dataset, spec: PartitionSpec, clients: int,
     client_idx: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * clients
     for r in range(clients):
         client_idx[rank_to_client[r]] = np.concatenate(bundle_chunks[by_size[r]])
-    return [_subset(ds, idx) for idx in client_idx]
+    return client_idx
 
 
 # batching --------------------------------------------------------------------
 
-def batches(ds: Dataset, batch_size: int,
+def batches(ds: Dataset, rows: np.ndarray, batch_size: int,
             epoch_seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(inputs, labels) pairs: a seeded shuffle of ds cut into consecutive
+    """(inputs, labels) pairs gathered from ds: a seeded shuffle of the row
+    indices `rows` (one client's part from `partition`) cut into consecutive
     chunks of batch_size (the last may be short). batch_size >= 1 comes
-    from ClientConfig; an empty ds gives no batches."""
-    n = len(ds)
-    order = np.random.default_rng(epoch_seed).permutation(n)
+    from ClientConfig; empty rows give no batches."""
+    n = len(rows)
+    order = rows[np.random.default_rng(epoch_seed).permutation(n)]
     chunks = (order[i : i + batch_size] for i in range(0, n, batch_size))
     return [(ds.inputs[idx], ds.labels[idx]) for idx in chunks]
 

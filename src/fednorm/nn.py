@@ -17,7 +17,7 @@ spec, checks the vector's length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,9 +27,15 @@ from .params import ParamVector, Segment
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description: layer_sizes runs input -> hidden... -> output."""
+    """Architecture description: layer_sizes runs input -> hidden... -> output.
+
+    The flat layout (segments and param_count) is computed once, when the
+    spec is built; layer_views reads it for every client and evaluation.
+    """
 
     layer_sizes: tuple[int, ...]
+    param_count: int = field(init=False, repr=False, compare=False)
+    _segments: tuple[Segment, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.layer_sizes)
@@ -38,25 +44,23 @@ class NetworkSpec:
             raise ValueError("need at least input and output layer sizes")
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
+        segs: list[Segment] = []
+        pos = 0
+        for i in range(1, len(sizes)):
+            fan_in, fan_out = sizes[i - 1], sizes[i]
+            segs.append(Segment(f"fc{i}.weight", pos, fan_in * fan_out))
+            pos += fan_in * fan_out
+            segs.append(Segment(f"fc{i}.bias", pos, fan_out))
+            pos += fan_out
+        object.__setattr__(self, "_segments", tuple(segs))
+        object.__setattr__(self, "param_count", pos)
 
     @property
     def class_count(self) -> int:
         return self.layer_sizes[-1]
 
     def segments(self) -> tuple[Segment, ...]:
-        segs: list[Segment] = []
-        pos = 0
-        for i in range(1, len(self.layer_sizes)):
-            fan_in, fan_out = self.layer_sizes[i - 1], self.layer_sizes[i]
-            segs.append(Segment(f"fc{i}.weight", pos, fan_in * fan_out))
-            pos += fan_in * fan_out
-            segs.append(Segment(f"fc{i}.bias", pos, fan_out))
-            pos += fan_out
-        return tuple(segs)
-
-    @property
-    def param_count(self) -> int:
-        return sum(s.length for s in self.segments())
+        return self._segments
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ParamVector:

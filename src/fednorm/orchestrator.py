@@ -72,7 +72,12 @@ class Schedule:
 
     @property
     def clients_per_round(self) -> int:
-        return max(int(math.floor(self.participation * self.clients)), 1)
+        """The largest count k whose share k / clients, rounded to a float
+        as participation was, is at most participation; at least 1. The
+        float product alone can fall short: 0.29 * 100 is 28.999999999999996,
+        while 29 / 100 is 0.29."""
+        k = math.floor(self.participation * self.clients)
+        return max(k + 1 if (k + 1) / self.clients <= self.participation else k, 1)
 
 
 @dataclass(frozen=True)
@@ -173,14 +178,15 @@ def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
                 executor.shutdown(cancel_futures=True)
 
 
-def run_round(params: np.ndarray, direction: np.ndarray,
-              parts: list[Dataset], test: Dataset, config: ExperimentConfig,
+def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
+              parts: list[np.ndarray], test: Dataset, config: ExperimentConfig,
               round_index: int, integrated_so_far: float, ring: np.ndarray,
               ) -> RoundMetrics:
     """One round from the distributed parameters w and the server's
     direction d, flat arrays that the server step updates in place; returns
-    the round's metrics. ring holds the row buffers the sampled clients train
-    in (see ring_shape).
+    the round's metrics. Client c trains on the rows parts[c] of train (see
+    partition); ring holds the row buffers the sampled clients train in
+    (see ring_shape).
 
     A NaN or Inf raises DivergenceError naming the round and the client, the
     server or the evaluation where it appeared."""
@@ -196,7 +202,7 @@ def run_round(params: np.ndarray, direction: np.ndarray,
     # returned, and it returns or raises only once its threads have stopped
     def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
-        return local_train(config.network, params, parts[cid], config.client,
+        return local_train(config.network, params, train, parts[cid], config.client,
                            round_seed, cid, out=row)
     stage = ""  # a client names itself
     try:
@@ -259,7 +265,8 @@ def run_experiment(train: Dataset, test: Dataset,
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, schedule.rounds + 1):
-        row = run_round(params, direction, parts, test, config, round_index, integrated, ring)
+        row = run_round(params, direction, train, parts, test, config, round_index,
+                        integrated, ring)
         integrated = row.integrated_norm
         metrics.append(row)
     return ExperimentResult(metrics, ParamVector(params, start.segments))

@@ -1,13 +1,15 @@
 """Data layer tests: IDX parsing, normalization, synthetic blobs, partitions,
-and batching. Partition invariants are checked against an independent
-largest-remainder oracle written here."""
+batching and the CLI's loader. Partition invariants are checked against an
+independent largest-remainder oracle written here."""
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fednorm.cli import load_data, parse_config
 from fednorm.data import (
     DATA_DIR_ENV,
     Dataset,
@@ -134,6 +136,27 @@ def test_normalized_data_has_zero_mean_unit_std():
     assert abs(std - 1.0) < 1e-12
 
 
+def traced_peak(call, *args):
+    """call(*args) and the most memory, in bytes, that tracemalloc saw it
+    hold at once (numpy reports its array buffers to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normalize_writes_in_place():
+    ds = synth_dataset(10, 200, 784, seed=0)
+    stats = normalization_stats(ds)
+    expected = (ds.inputs - stats[0]) / stats[1]
+    inputs = ds.inputs
+    assert traced_peak(normalize, ds, stats) < 0.01 * inputs.nbytes
+    assert ds.inputs is inputs
+    assert np.array_equal(inputs.view(np.int64), expected.view(np.int64))
+
+
 def test_constant_pixels_degenerate():
     ds = Dataset(np.full((5, 3), 0.25), np.zeros(5, dtype=int), 1)
     with pytest.raises(DegenerateDataError):
@@ -224,12 +247,10 @@ def oracle_largest_remainder(total, weights):
     return parts
 
 
-def rows_multiset(datasets):
-    return sorted(
-        (int(lbl), row.tobytes())
-        for ds in datasets
-        for row, lbl in zip(ds.inputs, ds.labels)
-    )
+def assert_every_row_once(parts, n):
+    """The parts are int64 row indices that together name each of n rows once."""
+    assert all(p.dtype == np.int64 for p in parts)
+    assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(n))
 
 
 @pytest.fixture
@@ -242,7 +263,7 @@ def test_iid_balanced_sizes_within_one(blob200):
     sizes = sorted(len(p) for p in parts)
     assert sum(sizes) == 200
     assert sizes[-1] - sizes[0] <= 1
-    assert rows_multiset(parts) == rows_multiset([blob200])
+    assert_every_row_once(parts, 200)
 
 
 def test_iid_unbalanced_matches_apportionment_oracle():
@@ -252,14 +273,14 @@ def test_iid_unbalanced_matches_apportionment_oracle():
     weights = [(r + 1) ** -1.5 for r in range(7)]
     expected = sorted(oracle_largest_remainder(1000, weights), reverse=True)
     assert sizes == expected
-    assert rows_multiset(parts) == rows_multiset([ds])
+    assert_every_row_once(parts, 1000)
 
 
 def test_noniid_label_bound_and_conservation(blob200):
     parts = partition(blob200, PartitionSpec("noniid", "balanced", 2), 10, seed=3)
     for p in parts:
-        assert len(np.unique(p.labels)) <= 2
-    assert rows_multiset(parts) == rows_multiset([blob200])
+        assert len(np.unique(blob200.labels[p])) <= 2
+    assert_every_row_once(parts, 200)
 
 
 def test_noniid_balanced_equal_sizes_on_balanced_classes(blob200):
@@ -275,9 +296,9 @@ def test_noniid_unbalanced_invariants():
     assert sum(sizes) == 2000
     assert max(sizes) >= 2 * min(sizes)  # visible power-law spread
     for p in parts:
-        assert len(np.unique(p.labels)) <= 2
+        assert len(np.unique(ds.labels[p])) <= 2
         assert len(p) >= 2
-    assert rows_multiset(parts) == rows_multiset([ds])
+    assert_every_row_once(parts, 2000)
 
 
 def test_noniid_uneven_class_counts():
@@ -287,8 +308,21 @@ def test_noniid_uneven_class_counts():
     ds = Dataset(rng.normal(size=(100, 2)), labels, 3)
     parts = partition(ds, PartitionSpec("noniid", "balanced", 1), 5, seed=7)
     for p in parts:
-        assert len(np.unique(p.labels)) == 1
-    assert rows_multiset(parts) == rows_multiset([ds])
+        assert len(np.unique(ds.labels[p])) == 1
+    assert_every_row_once(parts, 100)
+
+
+@pytest.fixture(scope="module")
+def wide2000():
+    return synth_dataset(10, 200, 784, seed=0)
+
+
+@pytest.mark.parametrize("label_mode", ["iid", "noniid"])
+@pytest.mark.parametrize("size_mode", ["balanced", "unbalanced"])
+def test_partition_copies_no_rows(wide2000, label_mode, size_mode):
+    spec = PartitionSpec(label_mode, size_mode)
+    assert traced_peak(partition, wide2000, spec, 100, 3) < 0.01 * wide2000.inputs.nbytes
+    assert_every_row_once(partition(wide2000, spec, 100, seed=3), 2000)
 
 
 def test_partition_deterministic(blob200):
@@ -296,17 +330,13 @@ def test_partition_deterministic(blob200):
     a = partition(blob200, spec, 6, seed=12)
     b = partition(blob200, spec, 6, seed=12)
     for pa, pb in zip(a, b):
-        assert np.array_equal(pa.inputs, pb.inputs)
-        assert np.array_equal(pa.labels, pb.labels)
+        assert np.array_equal(pa, pb)
 
 
 def test_partition_seed_moves_data(blob200):
     a = partition(blob200, PartitionSpec("iid", "balanced"), 5, seed=1)
     b = partition(blob200, PartitionSpec("iid", "balanced"), 5, seed=2)
-    assert any(
-        pa.inputs.shape != pb.inputs.shape or not np.array_equal(pa.inputs, pb.inputs)
-        for pa, pb in zip(a, b)
-    )
+    assert any(not np.array_equal(pa, pb) for pa, pb in zip(a, b))
 
 
 def test_partition_infeasible_configs(blob200):
@@ -328,7 +358,7 @@ def test_classes_per_client_binds_only_noniid_labels():
     one_class = Dataset(np.arange(12.0).reshape(6, 2), np.zeros(6, dtype=int), 1)
     parts = partition(one_class, PartitionSpec("iid", "balanced"), 3, seed=0)
     assert [len(p) for p in parts] == [2, 2, 2]
-    assert rows_multiset(parts) == rows_multiset([one_class])
+    assert_every_row_once(parts, 6)
     with pytest.raises(ConfigError, match="classes_per_client=2 exceeds class_count=1"):
         partition(one_class, PartitionSpec("noniid", "balanced"), 3, seed=0)
 
@@ -348,22 +378,55 @@ def test_partition_spec_validation():
 
 def test_batches_chunk_sizes():
     ds = synth_dataset(1, 7, 3, seed=0)
-    out = batches(ds, 3, epoch_seed=4)
+    out = batches(ds, np.arange(7), 3, epoch_seed=4)
     assert [len(labels) for _, labels in out] == [3, 3, 1]
     got = sorted(r.tobytes() for inputs, _ in out for r in inputs)
     assert got == sorted(r.tobytes() for r in ds.inputs)
 
 
+def test_batches_gather_client_rows_from_the_shared_set():
+    """Batches of a client's rows are bitwise those of a set holding copies
+    of just those rows, in that order."""
+    ds = synth_dataset(3, 10, 2, seed=2)
+    rows = np.array([29, 4, 17, 8, 0, 21, 13])
+    copy = Dataset(ds.inputs[rows], ds.labels[rows], 3)
+    got = batches(ds, rows, 3, epoch_seed=5)
+    want = batches(copy, np.arange(7), 3, epoch_seed=5)
+    assert len(got) == len(want) == 3
+    for (gx, gy), (wx, wy) in zip(got, want):
+        assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
+
+
 def test_batches_seeded_shuffle():
     ds = synth_dataset(2, 10, 3, seed=1)
-    a = batches(ds, 4, epoch_seed=9)
-    b = batches(ds, 4, epoch_seed=9)
-    c = batches(ds, 4, epoch_seed=10)
+    rows = np.arange(len(ds))
+    a = batches(ds, rows, 4, epoch_seed=9)
+    b = batches(ds, rows, 4, epoch_seed=9)
+    c = batches(ds, rows, 4, epoch_seed=10)
     assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
     assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, c))
 
 
 # ------------------------------------------------------------------ data paths
+
+def test_load_data_keeps_and_normalizes_only_the_train_limit(monkeypatch, tmp_path):
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    pixels = [(7 * i) % 256 for i in range(6 * 4)]
+    write_idx_pair(tmp_path, pixels, [0, 1, 2, 0, 1, 2], prefix="train_")
+    write_idx_pair(tmp_path, pixels[:8], [1, 0], prefix="test_")
+    plan = parse_config({"dataset": {
+        "kind": "idx", "dir": str(tmp_path), "train_limit": 4,
+        "train_images": "train_images.idx", "train_labels": "train_labels.idx",
+        "test_images": "test_images.idx", "test_labels": "test_labels.idx"}})
+    train, test = load_data(plan)
+    head = np.array(pixels[:16], dtype=np.float64).reshape(4, 4) / 255.0
+    mean, std = head.mean(), head.std()
+    assert len(train) == 4 and train.class_count == 3
+    assert train.inputs.base is None and train.labels.base is None
+    assert np.array_equal(train.inputs, (head - mean) / std)
+    assert np.array_equal(train.labels, [0, 1, 2, 0])
+    assert np.array_equal(test.inputs, (head[:2] - mean) / std)
+
 
 def test_mnist_dir_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))

@@ -79,6 +79,18 @@ def test_clients_per_round_floor():
     assert Schedule(clients=10, participation=0.25).clients_per_round == 2
     assert Schedule(clients=10, participation=0.05).clients_per_round == 1
     assert Schedule(clients=10, participation=1.0).clients_per_round == 10
+    # the float products are 28.999999999999996, 56.99999999999999 and
+    # 28.999999999999996, but 29 / 100, 57 / 100 and 29 / 50 are the floats given
+    assert Schedule(clients=100, participation=0.29).clients_per_round == 29
+    assert Schedule(clients=100, participation=0.57).clients_per_round == 57
+    assert Schedule(clients=50, participation=0.58).clients_per_round == 29
+    assert Schedule(clients=30, participation=1 / 3).clients_per_round == 10
+    assert Schedule(clients=30, participation=2 / 3).clients_per_round == 20
+    assert Schedule(clients=100, participation=0.999).clients_per_round == 99
+    for clients in (10, 20, 50, 100, 200, 1000):
+        for k in range(1, 101):
+            schedule = Schedule(clients=clients, participation=k / 100)
+            assert schedule.clients_per_round == max(k * clients // 100, 1), (k, clients)
 
 
 def test_fedavg_step_norm_is_aggregate_norm():
@@ -135,7 +147,7 @@ def test_dual_eval_matches_manual_average():
     w0 = init_params(NET, derive_seed(seed, 0))
     round_seed = derive_seed(seed, 2, 1)
     updates = [
-        local_train(NET, w0.values, parts[cid], cfg.client, round_seed, cid)
+        local_train(NET, w0.values, TRAIN, parts[cid], cfg.client, round_seed, cid)
         for cid in range(cfg.schedule.clients)
     ]
     u = weighted_sum([(1.0 / len(updates), ParamVector(up, w0.segments))
