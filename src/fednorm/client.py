@@ -14,7 +14,9 @@ distributed for this round; the anchor never moves between local epochs.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +32,116 @@ def derive_seed(*parts: int) -> int:
     """Deterministically mix integer identifiers (experiment seed, round,
     client, epoch) into one RNG seed."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence mixing (numpy/random/bit_generator.pyx), every operand
+# a uint32 so it wraps the same under every numpy's promotion rules (0-d
+# arrays, which numpy combines with an array faster than scalars)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_POOL = 4
+# the pool words each source word is mixed into
+_OTHERS = [np.array([d for d in range(_POOL) if d != src]) for src in range(_POOL)]
+
+
+@cache
+def _hash_steps(h: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hash constant before and after each of count steps, as uint32
+    columns; they do not depend on the data, so every lane shares them."""
+    consts = [h]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    column = np.array(consts, np.uint32)[:, None]
+    column.setflags(write=False)  # cached: every call shares it
+    return column[:-1], column[1:]
+
+
+def _hashmix(value: np.ndarray, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    value = (value ^ before) * after
+    return value ^ (value >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> _SHIFT)
+
+
+def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence(words).generate_state(n_words) for every lane at once:
+    column k of the (words, lanes) uint32 entropy is lane k's entropy, and
+    column k of the result its state. numpy mixes a pool word with each
+    other one in turn, and those steps of one source word are independent,
+    so each runs as one array operation. Words beyond the lanes' entropy
+    are zeros, which numpy's own pool padding matches while the entropy
+    holds at most 4 words."""
+    extra = max(len(entropy) - _POOL, 0)
+    before, after = _hash_steps(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
+    pool = np.zeros((_POOL, entropy.shape[1]), np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL]
+    pool = _hashmix(pool, before[:_POOL], after[:_POOL])
+    k = _POOL
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[k : k + 3], after[k : k + 3]))
+        k += 3
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, before[k : k + _POOL], after[k : k + _POOL]))
+        k += _POOL
+    before, after = _hash_steps(_INIT_B, _MULT_B, n_words)
+    return _hashmix(pool[np.arange(n_words) % _POOL], before, after)
+
+
+def _lane_states(round_seed: int, clients: np.ndarray, epochs: np.ndarray) -> np.ndarray:
+    """Row k is SeedSequence(derive_seed(round_seed, clients[k], epochs[k]))
+    .generate_state(4, np.uint64), the state a PCG64 is seeded with; clients
+    and epochs are uint64 arrays. The second hash reads each derived seed
+    as its two 32-bit words, exact also below 2**32 (see _seed_words); a
+    client id or epoch of 2**32 or more would add an entropy word to its
+    lane, so numpy derives that lane."""
+    round_seed = int(round_seed)
+    if round_seed < 0:
+        raise ValueError(f"round_seed must be non-negative, got {round_seed}")
+    head = [round_seed >> s & 0xFFFFFFFF for s in range(0, max(round_seed.bit_length(), 1), 32)]
+    entropy = np.empty((len(head) + 2, len(clients)), np.uint32)
+    entropy[:-2] = np.array(head, np.uint32)[:, None]
+    entropy[-2], entropy[-1] = clients, epochs
+    state = _seed_words(_seed_words(entropy, 2), 8).T
+    states = state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+    for k in np.flatnonzero((clients | epochs) >> np.uint64(32)):
+        seed = derive_seed(round_seed, int(clients[k]), int(epochs[k]))
+        states[k] = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    return states
+
+
+@cache
+def _preset_seed():
+    """The seed class epoch_seeds hands out, built on first use: numpy.random,
+    where ISeedSequence lives, is not loaded by `import numpy`."""
+
+    class PresetSeed(np.random.bit_generator.ISeedSequence):
+        """A seed whose PCG64 state words are already derived."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a preset seed holds just 4 uint64 words")
+            return self.words
+
+    return PresetSeed
+
+
+def epoch_seeds(round_seed: int, client_ids: Sequence[int], epochs: int) -> list[list]:
+    """The batch-order seeds of a round: item i holds client_ids[i]'s seeds
+    for epochs 1..epochs. np.random.default_rng builds from each bitwise the
+    generator of default_rng(derive_seed(round_seed, client, epoch)), but
+    the seeds are derived in one vectorized pass instead of two SeedSequence
+    hashes per client-epoch."""
+    clients = np.repeat(np.array(client_ids, dtype=np.uint64), epochs)
+    numbers = np.tile(np.arange(1, epochs + 1, dtype=np.uint64), len(client_ids))
+    preset = _preset_seed()
+    seeds = [preset(words) for words in _lane_states(round_seed, clients, numbers)]
+    return [seeds[i : i + epochs] for i in range(0, len(seeds), epochs)]
 
 
 @dataclass(frozen=True)
@@ -54,7 +166,7 @@ class ClientConfig:
 
 
 def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
-                rows: np.ndarray, config: ClientConfig, round_seed: int,
+                rows: np.ndarray, config: ClientConfig, seeds: Sequence,
                 client_id: int, out: np.ndarray | None = None) -> np.ndarray:
     """Run local_epochs of mini-batch SGD from the flat parameters `start`
     on the rows of `data` that `rows` indexes (the client's part from
@@ -63,18 +175,24 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     only read.
 
     Training runs inside `out` (a row buffer of the round loop) when
-    given, else inside a new array; the one returned holds the delta. The
-    batch order is drawn from derive_seed(round_seed, client_id, epoch), so the
-    result depends only on those identifiers, never on scheduling.
+    given, else inside a new array; the one returned holds the delta.
+    Epoch e's batch order is drawn from seeds[e - 1], one seed per local
+    epoch, anything np.random.default_rng accepts: the round loop passes
+    the client's epoch_seeds, which draw what the ints
+    derive_seed(round_seed, client_id, e) would, so the result depends
+    only on those identifiers, never on scheduling.
 
     Raises:
-        ValueError: if `out` is not a writable C-contiguous float64 vector
+        ValueError: if seeds does not hold one seed per local epoch, or if
+            `out` is not a writable C-contiguous float64 vector
             (layer_views would reshape a copy of any other array and train that).
         ShapeMismatchError: if `start` does not fit net_spec.
         DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
     if len(rows) == 0:
         raise ValueError(f"client {client_id} has no data")
+    if len(seeds) != config.local_epochs:
+        raise ValueError(f"{len(seeds)} seeds for {config.local_epochs} local epochs")
     params = np.empty_like(start) if out is None else out
     if not (params.dtype == np.float64 and params.shape == start.shape
             and params.flags.c_contiguous and params.flags.writeable):
@@ -86,9 +204,8 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     # overflow and NaN are sticky under the update; the check on the delta
     # reports them once instead of a warning per step
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, config.local_epochs + 1):
-            for inputs, labels in batches(data, rows, config.batch_size,
-                                          derive_seed(round_seed, client_id, epoch)):
+        for seed in seeds:
+            for inputs, labels in batches(data, rows, config.batch_size, seed):
                 gradient_into(layers, grads, inputs, labels)
                 if config.mu > 0:
                     prox_addend_into(scratch, params, start, config.mu)

@@ -5,7 +5,7 @@ mini-batching.
 A run holds one copy of each data set. `normalize` rescales a set's inputs
 in place, and a client holds no rows of its own: `partition` gives each
 client an int64 array of row indices into the shared set, and `batches`
-gathers each mini-batch from the shared set through them.
+gathers each mini-batch from the shared set through them, one at a time.
 
 Partitioning guarantees, all exact: the client index arrays together hold
 every row index once; under NonIID every client sees at most
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -402,15 +403,18 @@ def _partition_noniid(ds: Dataset, spec: PartitionSpec, clients: int,
 # batching --------------------------------------------------------------------
 
 def batches(ds: Dataset, rows: np.ndarray, batch_size: int,
-            epoch_seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+            epoch_seed) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(inputs, labels) pairs gathered from ds: a seeded shuffle of the row
     indices `rows` (one client's part from `partition`) cut into consecutive
-    chunks of batch_size (the last may be short). batch_size >= 1 comes
-    from ClientConfig; empty rows give no batches."""
+    chunks of batch_size (the last may be short). The shuffle runs in this
+    call and each pair is gathered as the iterator reaches it, so an epoch
+    holds one batch at a time. epoch_seed is anything np.random.default_rng
+    accepts; batch_size >= 1 comes from ClientConfig; empty rows give no
+    batches."""
     n = len(rows)
     order = rows[np.random.default_rng(epoch_seed).permutation(n)]
     chunks = (order[i : i + batch_size] for i in range(0, n, batch_size))
-    return [(ds.inputs[idx], ds.labels[idx]) for idx in chunks]
+    return ((ds.inputs[idx], ds.labels[idx]) for idx in chunks)
 
 
 def mnist_dir(configured: str | None = None) -> Path | None:

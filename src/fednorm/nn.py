@@ -140,19 +140,19 @@ def gradient_into(layers: list[tuple[np.ndarray, np.ndarray]],
     Both are layer_views lists, of the parameters and of a same-sized
     gradient buffer; every gradient element is overwritten.
     """
-    logits, pre, post = _forward(layers, inputs)
-    n = logits.shape[0]
-    rowmax = logits.max(axis=1, keepdims=True)
-    ez = np.exp(logits - rowmax)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    g = probs
+    g, pre, post = _forward(layers, inputs)
+    n = g.shape[0]
+    # softmax in place in the logits, which backprop does not read again
+    g -= np.maximum.reduce(g, axis=1, keepdims=True)
+    np.exp(g, out=g)
+    g /= np.add.reduce(g, axis=1, keepdims=True)
     g[np.arange(n), labels] -= 1.0
     g /= n
 
     for li in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grads[li]
         np.matmul(post[li].T, g, out=grad_w)
-        np.sum(g, axis=0, out=grad_b)
+        np.add.reduce(g, axis=0, out=grad_b)
         if li > 0:
             g = (g @ layers[li][0].T) * (pre[li - 1] > 0.0)
 

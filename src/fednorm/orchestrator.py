@@ -9,8 +9,9 @@ samples.
 
 Everything is keyed off one experiment seed. Parameter init, the partition,
 and each round get their own derived seed, and per-client batch orders depend
-only on (round seed, client id, epoch), so a run is reproducible bit for bit
-regardless of worker count or scheduling order.
+only on (round seed, client id, epoch), derived for the whole round in one
+pass (epoch_seeds), so a run is reproducible bit for bit regardless of worker
+count or scheduling order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .aggregate import AggregationStrategy, UpdateFold, apply_strategy
-from .client import WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, local_train
+from .client import (WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, epoch_seeds,
+                     local_train)
 from .data import Dataset, PartitionSpec, partition
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, forward_loss, init_params
@@ -194,6 +196,7 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     round_seed = derive_seed(schedule.seed, _ROUND, round_index)
     sampled = sample_clients(schedule.clients, schedule.clients_per_round, round_seed)
     weights = assign_weights([len(parts[cid]) for cid in sampled], schedule.weight_mode)
+    seeds = epoch_seeds(round_seed, sampled, config.client.local_epochs)
     segments = config.network.segments()
     fold = UpdateFold(weights, segments)
 
@@ -203,7 +206,7 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
         return local_train(config.network, params, train, parts[cid], config.client,
-                           round_seed, cid, out=row)
+                           seeds[i], cid, out=row)
     stage = ""  # a client names itself
     try:
         train_and_fold(train_one, len(sampled), ring, fold, schedule.workers)

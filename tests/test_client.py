@@ -4,8 +4,11 @@ trains on row indices into a shared set; ROWS is every row of the blob."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from fednorm.client import ClientConfig, assign_weights, derive_seed, local_train
+from fednorm.client import (ClientConfig, _lane_states, _seed_words, assign_weights, derive_seed,
+                            epoch_seeds, local_train)
 from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
@@ -16,6 +19,11 @@ SPEC = NetworkSpec((4, 6, 3))
 ROWS = np.arange(60)
 
 
+def derived(round_seed, client_id, epochs=5):
+    """The batch-order seeds run_round's epoch_seeds stand for, as ints."""
+    return [derive_seed(round_seed, client_id, e) for e in range(1, epochs + 1)]
+
+
 @pytest.fixture
 def blob():
     return synth_dataset(3, 20, 4, seed=1)
@@ -23,7 +31,8 @@ def blob():
 
 def test_zero_learning_rate_zero_delta(blob):
     start = init_params(SPEC, seed=0)
-    up = local_train(SPEC, start.values, blob, ROWS, ClientConfig(learning_rate=0.0), 5, 2)
+    up = local_train(SPEC, start.values, blob, ROWS, ClientConfig(learning_rate=0.0),
+                     derived(5, 2), 2)
     assert np.array_equal(up, np.zeros(SPEC.param_count))
 
 
@@ -32,7 +41,7 @@ def test_single_batch_delta_is_one_sgd_step(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig(learning_rate=0.1, batch_size=100, local_epochs=1,
                        weight_decay=0.001)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, round_seed=7, client_id=0)
+    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(7, 0, 1), client_id=0)
     (batch,) = batches(blob, ROWS, 100, derive_seed(7, 0, 1))
     stepped = sgd_step(start, backward(SPEC, start, *batch), 0.1, 0.001)
     assert np.array_equal(up, delta(stepped, start).values)
@@ -44,7 +53,7 @@ def test_single_batch_delta_is_one_sgd_step(blob):
 def test_multi_epoch_matches_manual_loop(blob):
     start = init_params(SPEC, seed=3)
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=0.4)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, round_seed=11, client_id=4)
+    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4)
 
     params = start
     for epoch in (1, 2, 3):
@@ -60,7 +69,7 @@ def test_prox_anchor_is_round_start_not_epoch_start(blob):
     anchor stays at the distributed parameters."""
     start = init_params(SPEC, seed=3)
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=5.0)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, round_seed=11, client_id=4)
+    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4)
 
     params = start
     for epoch in (1, 2, 3):
@@ -77,7 +86,7 @@ def test_large_mu_shrinks_delta(blob):
     start = init_params(SPEC, seed=0)
     norms = [
         l2_norm(local_train(SPEC, start.values, blob, ROWS,
-                            ClientConfig(learning_rate=0.001, mu=mu), 2, 0),
+                            ClientConfig(learning_rate=0.001, mu=mu), derived(2, 0), 0),
                 start.segments)
         for mu in (0.0, 10.0, 100.0, 1000.0)
     ]
@@ -88,9 +97,9 @@ def test_large_mu_shrinks_delta(blob):
 def test_determinism_and_client_separation(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
-    a = local_train(SPEC, start.values, blob, ROWS, cfg, 9, 1)
-    b = local_train(SPEC, start.values, blob, ROWS, cfg, 9, 1)
-    other = local_train(SPEC, start.values, blob, ROWS, cfg, 9, 2)
+    a = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1), 1)
+    b = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1), 1)
+    other = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 2), 2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, other)
 
@@ -101,7 +110,7 @@ def test_diverging_training_raises(blob):
     start = init_params(SPEC, seed=0)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
         local_train(SPEC, start.values, blob, ROWS, ClientConfig(learning_rate=1e100),
-                    0, 0)
+                    derived(0, 0), 0)
 
 
 def test_delta_written_into_given_row(blob):
@@ -111,9 +120,10 @@ def test_delta_written_into_given_row(blob):
     for cfg in (ClientConfig(batch_size=16, local_epochs=2),
                 ClientConfig(batch_size=16, local_epochs=2, weight_decay=1e-3, mu=0.4)):
         matrix = np.full((3, SPEC.param_count), np.nan)
-        up = local_train(SPEC, start.values, blob, ROWS, cfg, 9, 1, out=matrix[1])
+        up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+                         out=matrix[1])
         assert np.shares_memory(up, matrix)
-        fresh = local_train(SPEC, start.values, blob, ROWS, cfg, 9, 1)
+        fresh = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1)
         assert np.array_equal(matrix[1].view(np.int64), fresh.view(np.int64))
         assert np.isnan(matrix[0]).all() and np.isnan(matrix[2]).all()
 
@@ -129,7 +139,8 @@ def test_out_that_is_not_a_writable_contiguous_row_is_rejected(blob):
                 np.zeros(n, dtype=np.float32),
                 read_only):
         with pytest.raises(ValueError, match="out must be"):
-            local_train(SPEC, start.values, blob, ROWS, ClientConfig(), 9, 1, out=bad)
+            local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1), 1,
+                        out=bad)
 
 
 def test_derive_seed_is_stable_and_injective_enough():
@@ -138,10 +149,86 @@ def test_derive_seed_is_stable_and_injective_enough():
     assert len(seen) == 400
 
 
+def numpys_words(round_seed, client_id, epoch):
+    """The PCG64 state default_rng(derive_seed(...)) is seeded with."""
+    seed = derive_seed(round_seed, client_id, epoch)
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+@given(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                 st.integers(2**64, 2**200)),
+       st.integers(1, 5))
+@example(0, 1)
+@example(2**32 - 1, 2)
+@example(2**32, 2)
+@example(2**64 - 1, 3)
+@example(2**64, 3)
+def test_epoch_seeds_hold_numpys_seed_sequence_words(round_seed, epochs):
+    """Round seeds of one, two and more 32-bit words: the entropy of
+    derive_seed grows past SeedSequence's 4-word pool from three words on."""
+    (seeds,) = epoch_seeds(round_seed, [0], epochs)
+    assert len(seeds) == epochs
+    for epoch, seed in enumerate(seeds, 1):
+        assert np.array_equal(seed.generate_state(4, np.uint64),
+                              numpys_words(round_seed, 0, epoch))
+
+
+def test_epoch_seeds_draw_what_derived_ints_draw():
+    round_seed = derive_seed(5, 2, 3)
+    clients = [0, 3, 9, 2**31, 2**32 - 1]
+    for cid, seeds in zip(clients, epoch_seeds(round_seed, clients, 2)):
+        for epoch, seed in enumerate(seeds, 1):
+            assert np.array_equal(np.random.default_rng(seed).permutation(50),
+                                  np.random.default_rng(derive_seed(round_seed, cid, epoch))
+                                  .permutation(50))
+
+
+def test_epoch_seeds_leave_wide_clients_and_epochs_to_numpy():
+    """A client id or epoch of 2**32 or more is two entropy words, so the
+    lane takes numpy's SeedSequence; its neighbours stay exact."""
+    lanes = [(2**32, 1), (3, 2**32), (2**40 + 1, 2**33 + 5), (7, 4)]
+    clients, epochs = (np.array(column, dtype=np.uint64) for column in zip(*lanes))
+    for round_seed in (0, 2**40 + 3, 2**70):
+        states = _lane_states(round_seed, clients, epochs)
+        for state, (cid, epoch) in zip(states, lanes):
+            assert np.array_equal(state, numpys_words(round_seed, cid, epoch))
+    (seeds,) = epoch_seeds(11, [2**33], 2)
+    for epoch, seed in enumerate(seeds, 1):
+        assert np.array_equal(seed.generate_state(4, np.uint64), numpys_words(11, 2**33, epoch))
+
+
+def test_derived_seeds_below_2_to_32_need_no_fallback():
+    """A derived seed below 2**32 is one entropy word, where the vectorized
+    pass reads two: numpy pads its pool with the hash of zero words, so the
+    zero high word gives the same state."""
+    seeds = [0, 1, 12345, 2**32 - 1]
+    entropy = np.array([seeds, [0] * len(seeds)], dtype=np.uint32)
+    words = _seed_words(entropy, 8)
+    for lane, seed in enumerate(seeds):
+        assert np.array_equal(words[:, lane],
+                              np.random.SeedSequence(seed).generate_state(8, np.uint32))
+
+
+def test_local_train_same_delta_from_epoch_seeds_and_derived_ints(blob):
+    start = init_params(SPEC, seed=2)
+    cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=0.1)
+    round_seed = derive_seed(5, 2, 1)
+    seeds = epoch_seeds(round_seed, [2, 4], 3)[1]
+    vectorized = local_train(SPEC, start.values, blob, ROWS, cfg, seeds, 4)
+    ints = local_train(SPEC, start.values, blob, ROWS, cfg, derived(round_seed, 4, 3), 4)
+    assert np.array_equal(vectorized.view(np.int64), ints.view(np.int64))
+
+
+def test_one_seed_per_local_epoch(blob):
+    start = init_params(SPEC, seed=0)
+    with pytest.raises(ValueError, match="4 seeds for 5 local epochs"):
+        local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1, 4), 1)
+
+
 def test_empty_client_rejected(blob):
     start = init_params(SPEC, seed=0)
     with pytest.raises(ValueError, match="no data"):
-        local_train(SPEC, start.values, blob, ROWS[:0], ClientConfig(), 0, 0)
+        local_train(SPEC, start.values, blob, ROWS[:0], ClientConfig(), derived(0, 0), 0)
 
 
 def test_client_config_validation():

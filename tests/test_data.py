@@ -5,6 +5,7 @@ independent largest-remainder oracle written here."""
 import math
 import struct
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def test_partition_spec_validation():
 
 def test_batches_chunk_sizes():
     ds = synth_dataset(1, 7, 3, seed=0)
-    out = batches(ds, np.arange(7), 3, epoch_seed=4)
+    out = list(batches(ds, np.arange(7), 3, epoch_seed=4))
     assert [len(labels) for _, labels in out] == [3, 3, 1]
     got = sorted(r.tobytes() for inputs, _ in out for r in inputs)
     assert got == sorted(r.tobytes() for r in ds.inputs)
@@ -390,8 +391,8 @@ def test_batches_gather_client_rows_from_the_shared_set():
     ds = synth_dataset(3, 10, 2, seed=2)
     rows = np.array([29, 4, 17, 8, 0, 21, 13])
     copy = Dataset(ds.inputs[rows], ds.labels[rows], 3)
-    got = batches(ds, rows, 3, epoch_seed=5)
-    want = batches(copy, np.arange(7), 3, epoch_seed=5)
+    got = list(batches(ds, rows, 3, epoch_seed=5))
+    want = list(batches(copy, np.arange(7), 3, epoch_seed=5))
     assert len(got) == len(want) == 3
     for (gx, gy), (wx, wy) in zip(got, want):
         assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
@@ -400,11 +401,23 @@ def test_batches_gather_client_rows_from_the_shared_set():
 def test_batches_seeded_shuffle():
     ds = synth_dataset(2, 10, 3, seed=1)
     rows = np.arange(len(ds))
-    a = batches(ds, rows, 4, epoch_seed=9)
-    b = batches(ds, rows, 4, epoch_seed=9)
-    c = batches(ds, rows, 4, epoch_seed=10)
+    a = list(batches(ds, rows, 4, epoch_seed=9))
+    b = list(batches(ds, rows, 4, epoch_seed=9))
+    c = list(batches(ds, rows, 4, epoch_seed=10))
     assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
     assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, c))
+
+
+def test_batches_gather_one_batch_at_a_time():
+    """An epoch of a 2,000-row client never holds much more than the batch
+    it is at: each pair is gathered when the iterator reaches it."""
+    ds = synth_dataset(10, 250, 784, seed=0)
+    rows = np.random.default_rng(0).permutation(len(ds))[:2000]
+    batch_bytes = 50 * (784 + 1) * 8
+
+    def one_epoch():  # drops each pair before the next is gathered
+        deque(batches(ds, rows, 50, epoch_seed=3), maxlen=0)
+    assert traced_peak(one_epoch) < 2 * batch_bytes
 
 
 # ------------------------------------------------------------------ data paths

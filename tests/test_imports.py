@@ -2,10 +2,14 @@
 leave dead imports behind. A name listed in the module's __all__ counts as
 used, since re-exporting it is its purpose. And every function and class a
 library module defines serves the library: one that only tests call belongs
-in tests/oracles.py."""
+in tests/oracles.py. Importing the CLI loads no numpy module it does not
+need yet."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +115,16 @@ def test_test_only_function_is_caught():
                "b.py": ast.parse("from .a import used\n")}
     named = launcher_names(ast.parse('Target("x", "fednorm.a", "traced")\n'))
     assert unreferenced(modules, "call in_readme()", named) == ["a.py:recursive", "a.py:Orphan"]
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """numpy 2 loads numpy.random on first use, and the CLI's import must
+    not load it either: the seed class that needs it is built on first use."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def loads_random(module):
+        probe = f"import sys, {module}; print('numpy.random' in sys.modules)"
+        return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=120, check=True).stdout.strip()
+    assert loads_random("fednorm.cli") == loads_random("numpy")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import fednorm.orchestrator as orchestrator
 import fednorm.aggregate as aggregate
+import fednorm.client as client
 from fednorm.aggregate import AggregationStrategy, NwdaReport, UpdateFold, nwda
 from fednorm.cli import available_presets, load_preset, parse_config
 from fednorm.client import ClientConfig, derive_seed, local_train
@@ -147,7 +148,9 @@ def test_dual_eval_matches_manual_average():
     w0 = init_params(NET, derive_seed(seed, 0))
     round_seed = derive_seed(seed, 2, 1)
     updates = [
-        local_train(NET, w0.values, TRAIN, parts[cid], cfg.client, round_seed, cid)
+        local_train(NET, w0.values, TRAIN, parts[cid], cfg.client,
+                    [derive_seed(round_seed, cid, e)
+                     for e in range(1, cfg.client.local_epochs + 1)], cid)
         for cid in range(cfg.schedule.clients)
     ]
     u = weighted_sum([(1.0 / len(updates), ParamVector(up, w0.segments))
@@ -257,6 +260,23 @@ def test_a_run_builds_param_vectors_only_at_its_boundaries(monkeypatch, kind, ro
         rounds=rounds, strategy=AggregationStrategy(kind, beta=0.7, gamma=0.8)))
     assert len(built) == 2
     assert built[-1] is result.final_params
+
+
+def test_a_run_derives_seeds_per_round_not_per_client_epoch(monkeypatch):
+    """A desk_quick-sized run (8 rounds of 10 clients, 5 local epochs each)
+    derives its init and partition seeds and one seed per round; the
+    round's batch-order seeds come from one epoch_seeds pass."""
+    calls = []
+    derive = client.derive_seed
+
+    def counted(*parts):
+        calls.append(parts)
+        return derive(*parts)
+    for module in (client, orchestrator):
+        monkeypatch.setattr(module, "derive_seed", counted)
+    run_experiment(TRAIN, TEST, make_config(
+        rounds=8, clients=10, client=ClientConfig(batch_size=50, local_epochs=5)))
+    assert len(calls) == 8 + 2
 
 
 def test_seed_changes_everything():
