@@ -288,7 +288,12 @@ def load_config_file(path: str) -> dict:
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from None
+        # one line, not PyYAML's snippets: the problem, at the start of the
+        # construct it broke when PyYAML names one, else where it was found
+        mark = getattr(exc, "context_mark", None) or getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        problem = " ".join(str(getattr(exc, "problem", None) or exc).split())
+        raise ConfigError(f"config {path} is not valid YAML: {where}{problem}") from None
     return raw
 
 

@@ -165,9 +165,18 @@ class ClientConfig:
             raise ConfigError(f"mu: must be non-negative, got {self.mu}")
 
 
+def _require_buffer(buf: np.ndarray, shape: tuple[int, ...], name: str) -> None:
+    """layer_views would reshape a copy of any buffer but a writable
+    C-contiguous float64 one, and training would write that copy."""
+    if not (buf.dtype == np.float64 and buf.shape == shape
+            and buf.flags.c_contiguous and buf.flags.writeable):
+        raise ValueError(f"{name} must be a writable C-contiguous float64 {shape} array")
+
+
 def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
                 rows: np.ndarray, config: ClientConfig, seeds: Sequence,
-                client_id: int, out: np.ndarray | None = None) -> np.ndarray:
+                client_id: int, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Run local_epochs of mini-batch SGD from the flat parameters `start`
     on the rows of `data` that `rows` indexes (the client's part from
     `partition`), and return the delta (trained minus distributed
@@ -176,6 +185,9 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
 
     Training runs inside `out` (a row buffer of the round loop) when
     given, else inside a new array; the one returned holds the delta.
+    The gradient and the update's scratch vector are the two rows of
+    `work` when given (overwritten; a thread that trains client after
+    client passes the same one), else of a new (2, n) array.
     Epoch e's batch order is drawn from seeds[e - 1], one seed per local
     epoch, anything np.random.default_rng accepts: the round loop passes
     the client's epoch_seeds, which draw what the ints
@@ -184,8 +196,8 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
 
     Raises:
         ValueError: if seeds does not hold one seed per local epoch, or if
-            `out` is not a writable C-contiguous float64 vector
-            (layer_views would reshape a copy of any other array and train that).
+            `out` is not a writable C-contiguous float64 vector of start's
+            length or `work` not such a (2, n) array.
         ShapeMismatchError: if `start` does not fit net_spec.
         DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
@@ -194,11 +206,11 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     if len(seeds) != config.local_epochs:
         raise ValueError(f"{len(seeds)} seeds for {config.local_epochs} local epochs")
     params = np.empty_like(start) if out is None else out
-    if not (params.dtype == np.float64 and params.shape == start.shape
-            and params.flags.c_contiguous and params.flags.writeable):
-        raise ValueError(f"out must be a writable C-contiguous float64 ({start.size},) array")
+    work = np.empty((2, start.size)) if work is None else work
+    _require_buffer(params, start.shape, "out")
+    _require_buffer(work, (2, start.size), "work")
     np.copyto(params, start)
-    grad, scratch = np.empty_like(params), np.empty_like(params)
+    grad, scratch = work
     layers = layer_views(net_spec, params)
     grads = layer_views(net_spec, grad)
     # overflow and NaN are sticky under the update; the check on the delta

@@ -165,12 +165,41 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 
 # normalization ---------------------------------------------------------------
 
+# values of (x - mean)**2 held at once by normalization_stats
+_STD_BLOCK = 1 << 16
+
+
+def _squared_deviation_sum(x: np.ndarray, mean: float, buf: np.ndarray) -> float:
+    """The sum of (x - mean)**2 over the 1-D array x in numpy's pairwise
+    order: np.add.reduce splits n values at n // 2 rounded down to a
+    multiple of 8, down to runs of at most 128, and the split depends on n
+    alone, so a subtree of at most len(buf) values is the reduce of its
+    squares in buf, and larger ones add their halves' sums."""
+    n = x.size
+    if n <= buf.size:
+        squares = buf[:n]
+        np.subtract(x, mean, out=squares)
+        np.multiply(squares, squares, out=squares)
+        return float(np.add.reduce(squares))
+    half = n // 2 - n // 2 % 8
+    return (_squared_deviation_sum(x[:half], mean, buf)
+            + _squared_deviation_sum(x[half:], mean, buf))
+
+
 def normalization_stats(ds: Dataset) -> tuple[float, float]:
-    """Global scalar mean and population std over every input value."""
+    """Global scalar mean and population std over every input value.
+
+    For C-contiguous inputs (every set this package builds) both equal
+    numpy's mean() and std() bit for bit, but the squared deviations are
+    summed in blocks of at most _STD_BLOCK values, so no full-size x - mean
+    temporary is made.
+    """
     if len(ds) < 2:
         raise DegenerateDataError("need at least 2 examples to fit normalization")
-    mean = float(ds.inputs.mean())
-    std = float(ds.inputs.std())
+    x = ds.inputs.reshape(-1)
+    mean = float(x.mean())
+    buf = np.empty(min(x.size, _STD_BLOCK))
+    std = math.sqrt(_squared_deviation_sum(x, mean, buf) / x.size)
     if std <= 1e-12 * max(1.0, abs(mean)):
         raise DegenerateDataError(f"zero pixel std (mean={mean})")
     return mean, std
@@ -192,6 +221,41 @@ def normalize(ds: Dataset, stats: tuple[float, float] | None = None) -> Dataset:
 
 # synthetic data --------------------------------------------------------------
 
+def _blob_sets(class_count: int, sizes: tuple[int, ...], feature_dim: int, seed: int,
+               center_scale: float, components_per_class: int) -> list[Dataset]:
+    """Gaussian blob sets on one set of class centers: set s holds sizes[s]
+    rows of each class, class by class, and example i of a class (counted
+    over the sets in order) is drawn around center i % components_per_class.
+
+    Each class's rows are drawn in place, set by set, from the one generator:
+    noise z, then 0.5 * z, then the center added. The draws consume the
+    stream in the order a single (classes * sum(sizes), feature_dim) draw
+    would, and center + 0.5 * z is commutative, so the bits are those of
+    drawing the whole set at once and slicing it, without its temporaries.
+    """
+    if class_count < 1 or min(sizes) < 1 or feature_dim < 1:
+        raise ValueError("class_count, per_class, feature_dim must all be >= 1")
+    if components_per_class < 1:
+        raise ValueError("components_per_class must be >= 1")
+    if not center_scale > 0:
+        raise ValueError("center_scale must be positive")
+    rng = np.random.default_rng(seed)
+    k = components_per_class
+    centers = center_scale * rng.standard_normal((class_count, k, feature_dim))
+    inputs = [np.empty((class_count * size, feature_dim)) for size in sizes]
+    for c in range(class_count):
+        first = 0  # the class's examples drawn before this block
+        for size, x in zip(sizes, inputs):
+            block = x[c * size : (c + 1) * size]
+            rng.standard_normal(out=block)
+            block *= 0.5
+            for j in range(k):
+                block[(j - first) % k :: k] += centers[c, j]
+            first += size
+    return [Dataset(x, np.repeat(np.arange(class_count), size), class_count)
+            for size, x in zip(sizes, inputs)]
+
+
 def synth_dataset(class_count: int, per_class: int, feature_dim: int, seed: int,
                   center_scale: float = 1.0,
                   components_per_class: int = 1) -> Dataset:
@@ -202,44 +266,26 @@ def synth_dataset(class_count: int, per_class: int, feature_dim: int, seed: int,
     through them), so the task stops being linearly separable. Defaults keep
     the plain one-blob-per-class behavior.
     """
-    if class_count < 1 or per_class < 1 or feature_dim < 1:
-        raise ValueError("class_count, per_class, feature_dim must all be >= 1")
-    if components_per_class < 1:
-        raise ValueError("components_per_class must be >= 1")
-    if not center_scale > 0:
-        raise ValueError("center_scale must be positive")
-    rng = np.random.default_rng(seed)
-    centers = center_scale * rng.standard_normal(
-        (class_count, components_per_class, feature_dim)
-    )
-    n = class_count * per_class
-    labels = np.repeat(np.arange(class_count), per_class)
-    comp = np.tile(np.arange(per_class) % components_per_class, class_count)
-    inputs = centers[labels, comp] + 0.5 * rng.standard_normal((n, feature_dim))
-    return Dataset(inputs, labels, class_count)
+    return _blob_sets(class_count, (per_class,), feature_dim, seed, center_scale,
+                      components_per_class)[0]
 
 
 def synth_split(class_count: int, train_per_class: int, test_per_class: int,
                 feature_dim: int, seed: int, center_scale: float = 1.0,
                 components_per_class: int = 1) -> tuple[Dataset, Dataset]:
-    """Draw one blob dataset and slice each class block into train/test halves.
+    """The blob dataset of synth_dataset with train_per_class + test_per_class
+    rows per class, each class block sliced into its first train_per_class
+    rows (train) and the rest (test), bit for bit; each split is drawn in
+    its own arrays, so no full-size set is built.
 
     Both splits share the same class centers, so the test set measures the
     same task the clients train on.
     """
     if train_per_class < 1 or test_per_class < 1:
         raise ValueError("train_per_class and test_per_class must be >= 1")
-    per = train_per_class + test_per_class
-    full = synth_dataset(class_count, per, feature_dim, seed,
-                         center_scale, components_per_class)
-    tr = np.concatenate(
-        [np.arange(c * per, c * per + train_per_class) for c in range(class_count)]
-    )
-    te = np.concatenate(
-        [np.arange(c * per + train_per_class, (c + 1) * per) for c in range(class_count)]
-    )
-    return (Dataset(full.inputs[tr], full.labels[tr], class_count),
-            Dataset(full.inputs[te], full.labels[te], class_count))
+    train, test = _blob_sets(class_count, (train_per_class, test_per_class), feature_dim,
+                             seed, center_scale, components_per_class)
+    return train, test
 
 
 # partitioning ----------------------------------------------------------------

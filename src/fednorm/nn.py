@@ -102,18 +102,21 @@ def layer_views(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray,
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray):
-    """Returns (logits, pre, post) for backprop reuse: every layer's x @ w + b,
-    and every layer's input x."""
-    pre: list[np.ndarray] = []
+    """Returns (logits, post): post[i] is layer i's input x, kept for
+    backprop. Each layer's x @ w + b is built in one array and, below the
+    output layer, rectified in place, so no pre-activation is kept: a layer
+    boundary holds the layer's input and its output. ReLU(a) > 0 exactly
+    when a > 0, NaN included, so post[i] > 0 is the ReLU mask of layer
+    i - 1."""
     post: list[np.ndarray] = [inputs]
     x = inputs
     for li, (w, b) in enumerate(layers):
-        a = x @ w + b
-        pre.append(a)
+        x = x @ w
+        x += b
         if li < len(layers) - 1:
-            x = np.maximum(a, 0.0)
+            np.maximum(x, 0.0, out=x)
             post.append(x)
-    return pre[-1], pre, post
+    return x, post
 
 
 def forward_loss(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
@@ -123,7 +126,7 @@ def forward_loss(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
 
     Argmax ties resolve to the lowest class index so accuracy is reproducible.
     """
-    logits, _, _ = _forward(layer_views(spec, values), inputs)
+    logits = _forward(layer_views(spec, values), inputs)[0]
     rows = np.arange(logits.shape[0])
     rowmax = logits.max(axis=1, keepdims=True)
     lse = rowmax[:, 0] + np.log(np.exp(logits - rowmax).sum(axis=1))
@@ -140,7 +143,7 @@ def gradient_into(layers: list[tuple[np.ndarray, np.ndarray]],
     Both are layer_views lists, of the parameters and of a same-sized
     gradient buffer; every gradient element is overwritten.
     """
-    g, pre, post = _forward(layers, inputs)
+    g, post = _forward(layers, inputs)
     n = g.shape[0]
     # softmax in place in the logits, which backprop does not read again
     g -= np.maximum.reduce(g, axis=1, keepdims=True)
@@ -154,7 +157,7 @@ def gradient_into(layers: list[tuple[np.ndarray, np.ndarray]],
         np.matmul(post[li].T, g, out=grad_w)
         np.add.reduce(g, axis=0, out=grad_b)
         if li > 0:
-            g = (g @ layers[li][0].T) * (pre[li - 1] > 0.0)
+            g = (g @ layers[li][0].T) * (post[li] > 0.0)
 
 
 def sgd_update(params: np.ndarray, grad: np.ndarray, eta: float, lam: float,

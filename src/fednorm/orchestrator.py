@@ -17,6 +17,7 @@ count or scheduling order.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -188,7 +189,8 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     direction d, flat arrays that the server step updates in place; returns
     the round's metrics. Client c trains on the rows parts[c] of train (see
     partition); ring holds the row buffers the sampled clients train in
-    (see ring_shape).
+    (see ring_shape), and its first row then the plain average w + u of the
+    normalized strategies.
 
     A NaN or Inf raises DivergenceError naming the round and the client, the
     server or the evaluation where it appeared."""
@@ -200,22 +202,33 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     segments = config.network.segments()
     fold = UpdateFold(weights, segments)
 
+    # each training thread keeps one gradient and scratch pair for all its
+    # clients: a pair allocated per client is freed at the top of the heap,
+    # where glibc returns it to the OS once it outgrows the trim threshold,
+    # and the next client faults its pages in again
+    spare = threading.local()
+
     # pool threads read params while they train, without a lock: params and
     # direction are written only by apply_strategy, after train_and_fold has
     # returned, and it returns or raises only once its threads have stopped
     def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
+        if not hasattr(spare, "work"):
+            spare.work = np.empty((2, params.size))
         return local_train(config.network, params, train, parts[cid], config.client,
-                           seeds[i], cid, out=row)
+                           seeds[i], cid, out=row, work=spare.work)
     stage = ""  # a client names itself
     try:
         train_and_fold(train_one, len(sampled), ring, fold, schedule.workers)
+        del spare  # the threads' pairs, freed before the evaluation's activations
         # overflow and NaN surface as one error below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             stage = "server: "
             report = fold.report()
-            # the plain average w + u, built before the step moves w
-            average = report.combined + params if config.strategy.normalized else None
+            # the plain average w + u, built before the step moves w, in a
+            # ring row: every row is folded once train_and_fold returns
+            average = (np.add(report.combined, params, out=ring[0])
+                       if config.strategy.normalized else None)
             apply_strategy(params, report, config.strategy, direction)
             step_norm = l2_norm(direction, segments)
             norms = (report.aggregate_norm, report.mean_local_norm, step_norm)
@@ -259,12 +272,12 @@ def run_experiment(train: Dataset, test: Dataset,
     schedule = config.schedule
     parts = partition(train, config.partition, schedule.clients,
                       derive_seed(schedule.seed, _PARTITION))
-    start = init_params(config.network, derive_seed(schedule.seed, _INIT))
     # the server's w and d, updated in place by every round
-    params, direction = start.values.copy(), np.zeros(start.size)
+    params = init_params(config.network, derive_seed(schedule.seed, _INIT)).values.copy()
+    direction = np.zeros_like(params)
 
     # one ring of client row buffers for every round
-    ring = np.empty(ring_shape(schedule.clients_per_round, start.size, schedule.workers))
+    ring = np.empty(ring_shape(schedule.clients_per_round, params.size, schedule.workers))
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, schedule.rounds + 1):
@@ -272,4 +285,4 @@ def run_experiment(train: Dataset, test: Dataset,
                         integrated, ring)
         integrated = row.integrated_norm
         metrics.append(row)
-    return ExperimentResult(metrics, ParamVector(params, start.segments))
+    return ExperimentResult(metrics, ParamVector(params, config.network.segments()))

@@ -7,6 +7,8 @@ how a test rebuilds a client's trajectory, a round's sum or a server step by
 hand; `axpy`, `zeros_like` and `delta` are the vector algebra they use.
 `ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
 left-to-right sums the norm kernel `squared_norms` must match bit for bit.
+`synth_blobs` is the one-shot draw that `synth_dataset` and `synth_split`
+make in place, block by block, and must match bit for bit.
 """
 
 import math
@@ -125,3 +127,18 @@ def segment_values(v: ParamVector, name: str) -> np.ndarray:
         if seg.name == name:
             return v.values[seg.offset : seg.offset + seg.length]
     raise KeyError(name)
+
+
+def synth_blobs(class_count: int, per_class: int, feature_dim: int, seed: int,
+                center_scale: float = 1.0,
+                components_per_class: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(inputs, labels) of synth_dataset drawn in one shot: every class
+    center, then every row's noise, and each row its center plus half its
+    noise, the rows of a class cycling through its components."""
+    rng = np.random.default_rng(seed)
+    centers = center_scale * rng.standard_normal(
+        (class_count, components_per_class, feature_dim))
+    labels = np.repeat(np.arange(class_count), per_class)
+    comp = np.tile(np.arange(per_class) % components_per_class, class_count)
+    noise = rng.standard_normal((class_count * per_class, feature_dim))
+    return centers[labels, comp] + 0.5 * noise, labels

@@ -499,6 +499,21 @@ def test_out_naming_a_file_fails_with_one_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("training:\n  rounds: [1, 2\n",
+     "line 2, column 11: expected ',' or ']', but got '<stream end>'"),
+    ("training:\n\trounds: 2\n",
+     "line 2, column 1: found character '\\t' that cannot start any token"),
+], ids=["unterminated_flow_sequence", "tab_indented_block"])
+def test_malformed_yaml_fails_with_one_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == f"error: config {cfg} is not valid YAML: {message}\n"
+
+
 def test_float_without_dot_gets_yaml_spelling_hint(tmp_path, capsys):
     cfg = tmp_path / "exp.yaml"
     cfg.write_text("training:\n  learning_rate: 1e6\n")

@@ -114,14 +114,16 @@ def test_diverging_training_raises(blob):
 
 
 def test_delta_written_into_given_row(blob):
-    """Training runs inside the row; its neighbours stay untouched and the
-    row ends bitwise equal to the delta trained in a fresh array."""
+    """Training runs inside the row, with its gradient and scratch in a
+    reused work pair; the row's neighbours stay untouched and the row ends
+    bitwise equal to the delta trained in fresh arrays."""
     start = init_params(SPEC, seed=0)
+    work = np.full((2, SPEC.param_count), np.nan)
     for cfg in (ClientConfig(batch_size=16, local_epochs=2),
                 ClientConfig(batch_size=16, local_epochs=2, weight_decay=1e-3, mu=0.4)):
         matrix = np.full((3, SPEC.param_count), np.nan)
         up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
-                         out=matrix[1])
+                         out=matrix[1], work=work)
         assert np.shares_memory(up, matrix)
         fresh = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1)
         assert np.array_equal(matrix[1].view(np.int64), fresh.view(np.int64))
@@ -141,6 +143,14 @@ def test_out_that_is_not_a_writable_contiguous_row_is_rejected(blob):
         with pytest.raises(ValueError, match="out must be"):
             local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1), 1,
                         out=bad)
+    for bad in (np.zeros((n, 2)).T,           # Fortran order: rows are strided
+                np.zeros((2, n + 1)),
+                np.zeros((3, n)),
+                np.zeros((2, n), dtype=np.float32),
+                np.broadcast_to(np.zeros(n), (2, n))):  # read-only
+        with pytest.raises(ValueError, match="work must be"):
+            local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1), 1,
+                        work=bad)
 
 
 def test_derive_seed_is_stable_and_injective_enough():

@@ -9,6 +9,8 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fednorm.cli import load_data, parse_config
 from fednorm.data import (
@@ -31,7 +33,7 @@ from fednorm.data import (
 )
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, forward_loss, init_params
-from oracles import backward, sgd_step
+from oracles import backward, sgd_step, synth_blobs
 
 
 # ---------------------------------------------------------------- IDX fixtures
@@ -158,6 +160,26 @@ def test_normalize_writes_in_place():
     assert np.array_equal(inputs.view(np.int64), expected.view(np.int64))
 
 
+@given(rows=st.integers(2, 300), cols=st.integers(1, 700), seed=st.integers(0, 2**32 - 1),
+       loc=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3))
+@example(rows=2, cols=64, seed=0, loc=0.5, scale=1.0)  # one 128-value leaf
+@example(rows=3, cols=43, seed=1, loc=0.5, scale=1.0)  # 129 values: the first split
+@example(rows=2, cols=32768, seed=2, loc=0.5, scale=1.0)  # one full block
+@example(rows=65537, cols=1, seed=3, loc=0.5, scale=1.0)  # one value past a block
+@example(rows=131073, cols=1, seed=4, loc=0.5, scale=1.0)
+def test_stats_equal_numpy_mean_and_std_bitwise(rows, cols, seed, loc, scale):
+    inputs = loc + scale * np.random.default_rng(seed).standard_normal((rows, cols))
+    mean, std = normalization_stats(Dataset(inputs, np.zeros(rows, dtype=int), 1))
+    assert (mean, std) == (float(inputs.mean()), float(inputs.std()))
+
+
+def test_stats_make_no_full_size_temporary():
+    """np.std would hold a copy of x - mean (12.5 MB here); the blocked sum
+    holds one 64K-value buffer."""
+    ds = synth_dataset(10, 200, 784, seed=0)
+    assert traced_peak(normalization_stats, ds) < 1 << 20
+
+
 def test_constant_pixels_degenerate():
     ds = Dataset(np.full((5, 3), 0.25), np.zeros(5, dtype=int), 1)
     with pytest.raises(DegenerateDataError):
@@ -214,6 +236,31 @@ def test_synth_split_matches_full_draw():
     assert np.array_equal(train.inputs[0:5], full.inputs[0:7][0:5])
     assert np.array_equal(test.inputs[0:2], full.inputs[5:7])
     assert np.bincount(test.labels).tolist() == [2, 2, 2]
+
+
+@pytest.mark.parametrize("components", [1, 2, 3, 4])
+@pytest.mark.parametrize("train_per_class, test_per_class", [(1, 1), (5, 2), (3, 7), (6, 5)])
+def test_synth_equals_the_one_shot_draw_bitwise(components, train_per_class, test_per_class):
+    per = train_per_class + test_per_class
+    inputs, labels = synth_blobs(3, per, 5, 17, 0.7, components)
+    full = synth_dataset(3, per, 5, 17, center_scale=0.7, components_per_class=components)
+    assert full.inputs.tobytes() == inputs.tobytes()
+    assert np.array_equal(full.labels, labels)
+    train, test = synth_split(3, train_per_class, test_per_class, 5, 17, center_scale=0.7,
+                              components_per_class=components)
+    blocks = inputs.reshape(3, per, 5)
+    assert train.inputs.tobytes() == blocks[:, :train_per_class].tobytes()
+    assert test.inputs.tobytes() == blocks[:, train_per_class:].tobytes()
+    assert np.array_equal(train.labels, np.repeat(np.arange(3), train_per_class))
+    assert np.array_equal(test.labels, np.repeat(np.arange(3), test_per_class))
+
+
+def test_synth_split_holds_only_its_outputs():
+    """Each split is drawn in its own arrays: the peak stays within 10% of
+    the outputs (the one-shot draw held twice as much)."""
+    outputs = 10 * (200 + 100) * (784 + 1) * 8  # inputs and int64 labels
+    peak = traced_peak(synth_split, 10, 200, 100, 784, 0)
+    assert peak < 1.1 * outputs
 
 
 def test_synth_is_learnable_centrally():

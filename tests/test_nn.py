@@ -1,6 +1,7 @@
 """Network tests: analytic loss values, finite-difference gradient oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,10 +99,26 @@ def test_loss_matches_direct_softmax_oracle():
 
     # naive oracle: explicit softmax probabilities
     from fednorm.nn import _forward  # test-only access to cached forward
-    logits, _, _ = _forward(layer_views(spec, params), inputs)
+    logits, post = _forward(layer_views(spec, params), inputs)
+    assert len(post) == 2 and post[0] is inputs  # each layer's input
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     expected = -np.mean(np.log(probs[np.arange(11), labels]))
     assert abs(loss - expected) <= 1e-10 * abs(expected)
+
+
+def test_forward_loss_holds_two_activations_per_layer_boundary():
+    """Evaluating 1,000 rows of 784-200-200-10 holds the two hidden
+    activations, not also their pre-activations (4.14 of them before)."""
+    spec = NetworkSpec((784, 200, 200, 10))
+    params = init_params(spec, 0).values
+    inputs, labels = make_batch(np.random.default_rng(5), 1000, spec)
+    tracemalloc.start()
+    try:
+        forward_loss(spec, params, inputs, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 1000 * 200 * 8
 
 
 def test_forward_loss_permutation_invariant():

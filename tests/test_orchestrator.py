@@ -1,10 +1,12 @@
 """Round-loop tests: seed plumbing, worker independence, dual evaluation,
 divergence reporting, and the metric identities each strategy implies."""
 
+import gc
 import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fednorm.orchestrator import (
     evaluate,
     ring_shape,
     run_experiment,
+    run_round,
     sample_clients,
     train_and_fold,
 )
@@ -260,6 +263,27 @@ def test_a_run_builds_param_vectors_only_at_its_boundaries(monkeypatch, kind, ro
         rounds=rounds, strategy=AggregationStrategy(kind, beta=0.7, gamma=0.8)))
     assert len(built) == 2
     assert built[-1] is result.final_params
+
+
+def test_no_param_vector_is_alive_during_a_round(monkeypatch):
+    """The run keeps only its writable copy of the initial parameters: the
+    ParamVector init_params returns is freed before the first round."""
+    built = []
+    post_init = ParamVector.__post_init__
+
+    def tracked(vector):
+        built.append(weakref.ref(vector))
+        post_init(vector)
+    rounds = []
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        rounds.append([ref for ref in built if ref() is not None])
+        return run_round(*args, **kwargs)
+    monkeypatch.setattr(ParamVector, "__post_init__", tracked)
+    monkeypatch.setattr(orchestrator, "run_round", checked)
+    run_experiment(TRAIN, TEST, make_config(strategy=AggregationStrategy("fednnnn")))
+    assert len(built) == 2 and rounds == [[], [], []]
 
 
 def test_a_run_derives_seeds_per_round_not_per_client_epoch(monkeypatch):
