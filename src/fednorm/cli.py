@@ -422,15 +422,18 @@ def cmd_run(args) -> int:
     try:
         for entry in plan.strategies:
             try:
-                result = run_experiment(train, test, plan.experiment(entry, features, classes))
+                # only the metrics: the final parameters would stay alive
+                # while the next strategy trains
+                metrics = run_experiment(train, test,
+                                         plan.experiment(entry, features, classes)).metrics
             except DivergenceError as exc:
                 raise DivergenceError(f"{entry.label} {exc}") from None
             metrics_name = f"{entry.label}_metrics.csv"
             layers_name = f"{entry.label}_layers.csv"
-            write_metrics_csv(out / metrics_name, entry.label, result.metrics)
-            write_layers_csv(out / layers_name, entry.label, result.metrics)
+            write_metrics_csv(out / metrics_name, entry.label, metrics)
+            write_layers_csv(out / layers_name, entry.label, metrics)
             files[entry.label] = {"metrics": metrics_name, "layers": layers_name}
-            final = result.metrics[-1]
+            final = metrics[-1]
             shown = final.eval_acc_averaged
             extra = "" if shown is None else f" (averaged {shown:.4f})"
             print(f"{entry.label}: {plan.schedule.rounds} rounds, "

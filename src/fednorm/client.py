@@ -2,11 +2,12 @@
 mini-batch SGD for a fixed number of epochs, and ship back the weight delta.
 
 Training runs in place inside the delta itself: the caller's row buffer
-gets the distributed parameters, is trained there with one gradient and one
-scratch buffer, then has those parameters subtracted. A client's data is
-its row indices into the shared training set; mini-batches are plain
-(inputs, labels) array pairs gathered from that set, which was checked once
-when it was built, and no step checks them again.
+gets the distributed parameters, is trained there with one gradient buffer
+(plus a scratch buffer under weight decay or a proximal term), then has
+those parameters subtracted. A client's data is its row indices into the
+shared training set; mini-batches are plain (inputs, labels) array pairs
+gathered from that set into one reused pair of buffers. The set was checked
+once when it was built, and no step checks it again.
 
 The proximal term (when mu > 0) is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
@@ -20,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .data import Dataset, batches
+from .data import Dataset, batch_buffers, batches
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 from .params import all_finite
@@ -165,18 +166,26 @@ class ClientConfig:
             raise ConfigError(f"mu: must be non-negative, got {self.mu}")
 
 
-def _require_buffer(buf: np.ndarray, shape: tuple[int, ...], name: str) -> None:
+def work_rows(config: ClientConfig) -> int:
+    """The parameter-sized rows local_train's `work` needs: the gradient,
+    and a scratch row when weight decay or the proximal term is on."""
+    return 2 if config.weight_decay > 0 or config.mu > 0 else 1
+
+
+def _require_buffer(buf: np.ndarray, shapes: Sequence[tuple[int, ...]], name: str) -> None:
     """layer_views would reshape a copy of any buffer but a writable
     C-contiguous float64 one, and training would write that copy."""
-    if not (buf.dtype == np.float64 and buf.shape == shape
+    if not (buf.dtype == np.float64 and buf.shape in shapes
             and buf.flags.c_contiguous and buf.flags.writeable):
-        raise ValueError(f"{name} must be a writable C-contiguous float64 {shape} array")
+        raise ValueError(f"{name} must be a writable C-contiguous float64 "
+                         f"{' or '.join(map(str, shapes))} array")
 
 
 def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
                 rows: np.ndarray, config: ClientConfig, seeds: Sequence,
                 client_id: int, out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+                work: np.ndarray | None = None,
+                batch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Run local_epochs of mini-batch SGD from the flat parameters `start`
     on the rows of `data` that `rows` indexes (the client's part from
     `partition`), and return the delta (trained minus distributed
@@ -185,9 +194,13 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
 
     Training runs inside `out` (a row buffer of the round loop) when
     given, else inside a new array; the one returned holds the delta.
-    The gradient and the update's scratch vector are the two rows of
-    `work` when given (overwritten; a thread that trains client after
-    client passes the same one), else of a new (2, n) array.
+    The gradient is work[0], and the update's scratch vector, needed only
+    under weight decay or mu > 0, work[1]: `work` holds work_rows(config)
+    or 2 parameter-sized rows (overwritten; a thread that trains client
+    after client passes the same one), else is a new array. Without a
+    scratch row the step scales the gradient in place (see sgd_update).
+    Mini-batches are gathered into `batch` (see data.batch_buffers, at
+    least min(batch_size, len(rows)) rows) when given, else into a new pair.
     Epoch e's batch order is drawn from seeds[e - 1], one seed per local
     epoch, anything np.random.default_rng accepts: the round loop passes
     the client's epoch_seeds, which draw what the ints
@@ -197,7 +210,7 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     Raises:
         ValueError: if seeds does not hold one seed per local epoch, or if
             `out` is not a writable C-contiguous float64 vector of start's
-            length or `work` not such a (2, n) array.
+            length or `work` not such an array of those rows.
         ShapeMismatchError: if `start` does not fit net_spec.
         DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
@@ -205,19 +218,22 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
         raise ValueError(f"client {client_id} has no data")
     if len(seeds) != config.local_epochs:
         raise ValueError(f"{len(seeds)} seeds for {config.local_epochs} local epochs")
+    need = work_rows(config)
     params = np.empty_like(start) if out is None else out
-    work = np.empty((2, start.size)) if work is None else work
-    _require_buffer(params, start.shape, "out")
-    _require_buffer(work, (2, start.size), "work")
+    work = np.empty((need, start.size)) if work is None else work
+    batch = batch_buffers(data, min(config.batch_size, len(rows))) if batch is None else batch
+    _require_buffer(params, [start.shape], "out")
+    _require_buffer(work, [(k, start.size) for k in range(need, 3)], "work")
     np.copyto(params, start)
-    grad, scratch = work
+    grad = work[0]
+    scratch = work[1] if need == 2 else None
     layers = layer_views(net_spec, params)
     grads = layer_views(net_spec, grad)
     # overflow and NaN are sticky under the update; the check on the delta
     # reports them once instead of a warning per step
     with np.errstate(over="ignore", invalid="ignore"):
         for seed in seeds:
-            for inputs, labels in batches(data, rows, config.batch_size, seed):
+            for inputs, labels in batches(data, rows, config.batch_size, seed, batch):
                 gradient_into(layers, grads, inputs, labels)
                 if config.mu > 0:
                     prox_addend_into(scratch, params, start, config.mu)

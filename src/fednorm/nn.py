@@ -101,17 +101,28 @@ def layer_views(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray,
     return out
 
 
-def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray):
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
+             space: np.ndarray | None = None):
     """Returns (logits, post): post[i] is layer i's input x, kept for
     backprop. Each layer's x @ w + b is built in one array and, below the
     output layer, rectified in place, so no pre-activation is kept: a layer
     boundary holds the layer's input and its output. ReLU(a) > 0 exactly
     when a > 0, NaN included, so post[i] > 0 is the ReLU mask of layer
-    i - 1."""
+    i - 1.
+
+    `space`, a flat float64 array, takes the outputs when it holds two of
+    the widest: layer i writes into half i % 2 of that room, by the same
+    matmul, so post[1:] are overwritten as the pass goes on and only the
+    logits are left for the caller. Otherwise each output is a new array."""
     post: list[np.ndarray] = [inputs]
+    rows = inputs.shape[0]
+    room = rows * max(w.shape[1] for w, _ in layers)
+    halves = (None if space is None or space.size < 2 * room
+              else (space[:room], space[room : 2 * room]))
     x = inputs
     for li, (w, b) in enumerate(layers):
-        x = x @ w
+        out = None if halves is None else halves[li % 2][: rows * w.shape[1]].reshape(rows, -1)
+        x = np.matmul(x, w, out=out)
         x += b
         if li < len(layers) - 1:
             np.maximum(x, 0.0, out=x)
@@ -120,13 +131,16 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray):
 
 
 def forward_loss(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
-                 labels: np.ndarray) -> tuple[float, float]:
+                 labels: np.ndarray, space: np.ndarray | None = None) -> tuple[float, float]:
     """Mean cross-entropy (stable log-sum-exp) and argmax accuracy of the
     network with parameters `values` on a batch of inputs and their labels.
 
-    Argmax ties resolve to the lowest class index so accuracy is reproducible.
+    The activations are written into `space`, a flat float64 array that
+    nothing else reads or writes meanwhile, when it holds two of rows x the
+    widest layer (see _forward); otherwise they are new arrays. Argmax ties
+    resolve to the lowest class index so accuracy is reproducible.
     """
-    logits = _forward(layer_views(spec, values), inputs)[0]
+    logits = _forward(layer_views(spec, values), inputs, space)[0]
     rows = np.arange(logits.shape[0])
     rowmax = logits.max(axis=1, keepdims=True)
     lse = rowmax[:, 0] + np.log(np.exp(logits - rowmax).sum(axis=1))
@@ -161,22 +175,28 @@ def gradient_into(layers: list[tuple[np.ndarray, np.ndarray]],
 
 
 def sgd_update(params: np.ndarray, grad: np.ndarray, eta: float, lam: float,
-               scratch: np.ndarray) -> None:
-    """params -= eta * (grad + lam * params), in place; scratch is overwritten.
+               scratch: np.ndarray | None = None) -> None:
+    """params -= eta * (grad + lam * params), in place.
 
     The operations run in the order the expression reads, so the result is
     bitwise that of evaluating it. lam = 0 skips lam * params, exactly for
     finite params: that term is a signed zero, adding it can only turn a -0
     grad into +0 (for params >= +0), and such params minus +0 or -0 agree.
     An Inf parameter stays Inf instead of turning NaN (the delta check
-    rejects both). grad is only read.
+    rejects both). With scratch, eta * (grad + lam * params) is built there
+    and grad is only read. Without it, lam must be 0 and grad is
+    overwritten by eta * grad, the same product: a training step then needs
+    no buffer beyond the gradient.
     """
-    if lam == 0:
-        np.multiply(grad, eta, out=scratch)
-    else:
+    if lam != 0:
         np.multiply(params, lam, out=scratch)
         scratch += grad
         scratch *= eta
+    elif scratch is None:
+        scratch = grad
+        grad *= eta
+    else:
+        np.multiply(grad, eta, out=scratch)
     params -= scratch
 
 

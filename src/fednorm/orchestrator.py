@@ -5,7 +5,9 @@ Clients train into blocks of row buffers, on the calling thread or on
 `workers` pool threads. A round that spans several blocks trains each block
 while one server thread folds the previous one in client-id order, so the
 memory a round's updates take does not grow with the number of clients it
-samples.
+samples. Once a round is folded the ring's rows are free: the first
+holds the normalized strategies' plain average w + u, and the evaluation
+writes its activations into the others when they fit.
 
 Everything is keyed off one experiment seed. Parameter init, the partition,
 and each round get their own derived seed, and per-client batch orders depend
@@ -26,8 +28,8 @@ import numpy as np
 
 from .aggregate import AggregationStrategy, UpdateFold, apply_strategy
 from .client import (WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, epoch_seeds,
-                     local_train)
-from .data import Dataset, PartitionSpec, partition
+                     local_train, work_rows)
+from .data import Dataset, PartitionSpec, batch_buffers, partition
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, forward_loss, init_params
 from .params import ParamVector, l2_norm
@@ -128,10 +130,13 @@ def sample_clients(client_count: int, clients_per_round: int, round_seed: int) -
     return sorted(int(c) for c in picked)
 
 
-def evaluate(network: NetworkSpec, params: np.ndarray, ds: Dataset) -> float:
+def evaluate(network: NetworkSpec, params: np.ndarray, ds: Dataset,
+             space: np.ndarray | None = None) -> float:
     """Accuracy on ds of the flat parameters params; raises DivergenceError
-    when the loss is NaN or Inf."""
-    loss, acc = forward_loss(network, params, ds.inputs, ds.labels)
+    when the loss is NaN or Inf. The activations go into `space`, a flat
+    float64 array free for the call, when it holds two of len(ds) x the
+    widest layer (see forward_loss)."""
+    loss, acc = forward_loss(network, params, ds.inputs, ds.labels, space)
     if not math.isfinite(loss):
         raise DivergenceError(f"loss is {loss}")
     return acc
@@ -189,8 +194,8 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     direction d, flat arrays that the server step updates in place; returns
     the round's metrics. Client c trains on the rows parts[c] of train (see
     partition); ring holds the row buffers the sampled clients train in
-    (see ring_shape), and its first row then the plain average w + u of the
-    normalized strategies.
+    (see ring_shape), its first row then the plain average w + u of the
+    normalized strategies, and its other rows the evaluation's activations.
 
     A NaN or Inf raises DivergenceError naming the round and the client, the
     server or the evaluation where it appeared."""
@@ -202,11 +207,12 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     segments = config.network.segments()
     fold = UpdateFold(weights, segments)
 
-    # each training thread keeps one gradient and scratch pair for all its
-    # clients: a pair allocated per client is freed at the top of the heap,
-    # where glibc returns it to the OS once it outgrows the trim threshold,
-    # and the next client faults its pages in again
+    # each training thread keeps its work rows and batch buffers for all its
+    # clients: buffers allocated per client are freed at the top of the
+    # heap, where glibc returns them to the OS once they outgrow the trim
+    # threshold, and the next client faults their pages in again
     spare = threading.local()
+    batch_rows = min(config.client.batch_size, max(len(parts[cid]) for cid in sampled))
 
     # pool threads read params while they train, without a lock: params and
     # direction are written only by apply_strategy, after train_and_fold has
@@ -214,13 +220,14 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
         if not hasattr(spare, "work"):
-            spare.work = np.empty((2, params.size))
+            spare.work = np.empty((work_rows(config.client), params.size))
+            spare.batch = batch_buffers(train, batch_rows)
         return local_train(config.network, params, train, parts[cid], config.client,
-                           seeds[i], cid, out=row, work=spare.work)
+                           seeds[i], cid, out=row, work=spare.work, batch=spare.batch)
     stage = ""  # a client names itself
     try:
         train_and_fold(train_one, len(sampled), ring, fold, schedule.workers)
-        del spare  # the threads' pairs, freed before the evaluation's activations
+        del spare  # the threads' buffers, freed before the server step
         # overflow and NaN surface as one error below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             stage = "server: "
@@ -235,8 +242,10 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
             if not all(map(math.isfinite, norms)):
                 raise DivergenceError("N, E or the step norm is NaN or Inf")
             stage = "evaluation: "
-            averaged = None if average is None else evaluate(config.network, average, test)
-            distributed = evaluate(config.network, params, test)
+            free = ring[1:].reshape(-1)  # all rows but the average's
+            averaged = (None if average is None
+                        else evaluate(config.network, average, test, free))
+            distributed = evaluate(config.network, params, test, free)
     except DivergenceError as exc:
         raise DivergenceError(f"round {round_index} {stage}{exc}") from None
 

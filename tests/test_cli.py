@@ -4,11 +4,13 @@ CSV/manifest contracts, and byte-identical reruns."""
 import csv
 import dataclasses
 import json
+import gc
 import os
 import re
 import struct
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 import yaml
 
 import fednorm
+import fednorm.cli as cli
 from fednorm.aggregate import AggregationStrategy
 from fednorm.cli import (
     METRIC_COLUMNS,
@@ -31,6 +34,7 @@ from fednorm.client import ClientConfig
 from fednorm.data import PartitionSpec
 from fednorm.errors import ConfigError
 from fednorm.orchestrator import Schedule
+from fednorm.params import ParamVector
 
 SMALL = {
     "dataset": {"kind": "synth", "classes": 3, "train_per_class": 20,
@@ -635,3 +639,27 @@ def test_flag_overrides_are_checked_under_the_flag_name(tmp_path, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_a_strategy_trains_without_the_previous_strategys_result(monkeypatch, tmp_path):
+    """`run` keeps a strategy's metrics, not its result: no ParamVector of
+    an earlier strategy (its final parameters) is alive while the next one
+    trains."""
+    built = []
+    post_init = ParamVector.__post_init__
+
+    def tracked(vector):
+        built.append(weakref.ref(vector))
+        post_init(vector)
+    alive = []
+    run_experiment = cli.run_experiment
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+        return run_experiment(*args, **kwargs)
+    monkeypatch.setattr(ParamVector, "__post_init__", tracked)
+    monkeypatch.setattr(cli, "run_experiment", checked)
+    assert main(["run", "--preset", "desk_quick", "--strategies", "fedavg,fednnnn,momentum",
+                 "--out", str(tmp_path)]) == 0
+    assert len(built) == 6 and alive == [0, 0, 0]

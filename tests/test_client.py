@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fednorm.client import (ClientConfig, _lane_states, _seed_words, assign_weights, derive_seed,
-                            epoch_seeds, local_train)
+                            epoch_seeds, local_train, work_rows)
 from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
@@ -151,6 +151,27 @@ def test_out_that_is_not_a_writable_contiguous_row_is_rejected(blob):
         with pytest.raises(ValueError, match="work must be"):
             local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1), 1,
                         work=bad)
+
+
+def test_one_row_work_buffer_suffices_without_weight_decay_or_mu(blob):
+    """Without weight decay and mu the step scales the gradient in place,
+    so a (1, n) work buffer suffices and trains the delta a (2, n) one
+    does, bit for bit; the scratch row those two need is still required."""
+    start = init_params(SPEC, seed=0)
+    n = SPEC.param_count
+    for cfg in (ClientConfig(weight_decay=1e-3), ClientConfig(mu=0.4),
+                ClientConfig(weight_decay=1e-3, mu=0.4)):
+        assert work_rows(cfg) == 2
+        with pytest.raises(ValueError, match="work must be"):
+            local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1), 1,
+                        work=np.zeros((1, n)))
+    cfg = ClientConfig(batch_size=16, local_epochs=2)
+    assert work_rows(cfg) == 1
+    one = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+                      work=np.full((1, n), np.nan))
+    two = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+                      work=np.full((2, n), np.nan))
+    assert np.array_equal(one.view(np.int64), two.view(np.int64))
 
 
 def test_derive_seed_is_stable_and_injective_enough():

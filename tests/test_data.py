@@ -22,6 +22,7 @@ from fednorm.data import (
     IdxMagicError,
     IdxTruncatedError,
     PartitionSpec,
+    batch_buffers,
     batches,
     load_idx,
     mnist_dir,
@@ -453,6 +454,23 @@ def test_batches_seeded_shuffle():
     c = list(batches(ds, rows, 4, epoch_seed=10))
     assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
     assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, c))
+
+
+def test_batches_gathered_into_given_buffers():
+    """Given buffers, each pair is their leading rows, bitwise the pair
+    gathered into new arrays; the next pair overwrites it."""
+    ds = synth_dataset(3, 10, 5, seed=4)
+    rows = np.array([29, 4, 17, 8, 0, 21, 13])
+    buffers = batch_buffers(ds, 3)
+    want = list(batches(ds, rows, 3, epoch_seed=6))
+    got = []
+    for inputs, labels in batches(ds, rows, 3, epoch_seed=6, out=buffers):
+        assert np.shares_memory(inputs, buffers[0]) and np.shares_memory(labels, buffers[1])
+        got.append((inputs.copy(), labels.copy()))
+    assert [len(y) for _, y in got] == [3, 3, 1]
+    for (gx, gy), (wx, wy) in zip(got, want, strict=True):
+        assert np.array_equal(gx.view(np.int64), wx.view(np.int64))
+        assert np.array_equal(gy, wy)
 
 
 def test_batches_gather_one_batch_at_a_time():

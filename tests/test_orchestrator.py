@@ -5,6 +5,7 @@ import gc
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -284,6 +285,61 @@ def test_no_param_vector_is_alive_during_a_round(monkeypatch):
     monkeypatch.setattr(orchestrator, "run_round", checked)
     run_experiment(TRAIN, TEST, make_config(strategy=AggregationStrategy("fednnnn")))
     assert len(built) == 2 and rounds == [[], [], []]
+
+
+WIDE = NetworkSpec((784, 200, 200, 10))
+
+
+def traced_round(monkeypatch, stage, **over):
+    """One seed-0 round of 4 clients of the 784-200-200-10 net (80 training
+    rows, 300 test rows, batches of 10, fednnnn) under tracemalloc, which
+    sees numpy's array buffers. orchestrator.<stage> is wrapped: returns,
+    for each of its calls, the most memory it held at once beyond what was
+    held when it started, in bytes."""
+    train, test = synth_split(10, 8, 30, 784, seed=3)
+    config = make_config(network=WIDE, client=ClientConfig(batch_size=10, local_epochs=1),
+                         strategy=AggregationStrategy("fednnnn", beta=0.7, gamma=0.8),
+                         **over)
+    schedule = config.schedule
+    parts = partition(train, config.partition, schedule.clients, 1)
+    params = init_params(WIDE, 0).values.copy()
+    direction = np.zeros_like(params)
+    ring = np.empty(ring_shape(schedule.clients_per_round, params.size, schedule.workers))
+    peaks = []
+    real = getattr(orchestrator, stage)
+
+    def traced(*args, **kwargs):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    monkeypatch.setattr(orchestrator, stage, traced)
+    tracemalloc.start()
+    try:
+        run_round(params, direction, train, parts, test, config, 1, 0.0, ring)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_training_holds_one_work_row_per_thread(monkeypatch, workers):
+    """Without weight decay and mu a training thread scales its gradient in
+    place, so it holds one parameter-sized work row, not a gradient and a
+    scratch row; its batch buffers and activations take far less."""
+    row = WIDE.param_count * 8
+    (peak,) = traced_round(monkeypatch, "train_and_fold", workers=workers)
+    assert peak < (workers + 0.5) * row
+
+
+def test_evaluation_writes_its_activations_into_the_free_ring_rows(monkeypatch):
+    """Both evaluations of a normalized round write their activations into
+    the ring rows the fold has freed: neither allocates one activation."""
+    activation = 300 * 200 * 8
+    peaks = traced_round(monkeypatch, "evaluate")
+    assert len(peaks) == 2 and max(peaks) < activation
 
 
 def test_a_run_derives_seeds_per_round_not_per_client_epoch(monkeypatch):
