@@ -45,7 +45,7 @@ from .data import (
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec
 from .orchestrator import ExperimentConfig, RoundMetrics, Schedule, run_experiment
-from .params import openblas_threads
+from .params import openblas_kernel, openblas_threads
 
 METRIC_COLUMNS = [
     "round", "strategy", "N", "E", "ratio", "integrated_norm", "step_norm",
@@ -363,14 +363,15 @@ def write_layers_csv(path: Path, label: str, metrics: list[RoundMetrics]) -> Non
 
 def _numeric_environment() -> dict:
     """What output bytes may depend on beyond config and seed: numpy, its BLAS,
-    the BLAS thread settings (None when unset) and the thread count the BLAS
-    reports (None when it cannot say); no timestamps."""
+    the BLAS thread settings (None when unset), and the thread count and
+    kernel the BLAS reports (None when it cannot say); no timestamps."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 only prints its config
         blas = {}
     threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     return {"numpy": np.__version__, "threads": threads, "blas_threads": openblas_threads(),
+            "blas_kernel": openblas_kernel(),
             "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 

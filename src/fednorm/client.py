@@ -1,13 +1,13 @@
 """Client-side local training: take the distributed parameters, run seeded
 mini-batch SGD for a fixed number of epochs, and ship back the weight delta.
 
-Training runs in place inside the delta itself: the caller's row buffer
-gets the distributed parameters, is trained there with one gradient buffer
-(plus a scratch buffer under weight decay or a proximal term), then has
-those parameters subtracted. A client's data is its row indices into the
-shared training set; mini-batches are plain (inputs, labels) array pairs
-gathered from that set into one reused pair of buffers. The set was checked
-once when it was built, and no step checks it again.
+Training runs in place inside the delta itself, in buffers the caller
+owns: its row buffer gets the distributed parameters, is trained there
+with one gradient row (plus a scratch row under weight decay or a proximal
+term), then has those parameters subtracted. A client's data is its row
+indices into the shared training set; mini-batches are (inputs, labels)
+pairs gathered from that set into the caller's pair of batch buffers. The
+set was checked once when it was built, and no step checks it again.
 
 The proximal term (when mu > 0) is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .data import Dataset, batch_buffers, batches
+from .data import Dataset, batches
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 from .params import all_finite
@@ -172,35 +172,23 @@ def work_rows(config: ClientConfig) -> int:
     return 2 if config.weight_decay > 0 or config.mu > 0 else 1
 
 
-def _require_buffer(buf: np.ndarray, shapes: Sequence[tuple[int, ...]], name: str) -> None:
-    """layer_views would reshape a copy of any buffer but a writable
-    C-contiguous float64 one, and training would write that copy."""
-    if not (buf.dtype == np.float64 and buf.shape in shapes
-            and buf.flags.c_contiguous and buf.flags.writeable):
-        raise ValueError(f"{name} must be a writable C-contiguous float64 "
-                         f"{' or '.join(map(str, shapes))} array")
-
-
 def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
                 rows: np.ndarray, config: ClientConfig, seeds: Sequence,
-                client_id: int, out: np.ndarray | None = None,
-                work: np.ndarray | None = None,
-                batch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                client_id: int, out: np.ndarray, work: np.ndarray,
+                batch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Run local_epochs of mini-batch SGD from the flat parameters `start`
     on the rows of `data` that `rows` indexes (the client's part from
-    `partition`), and return the delta (trained minus distributed
-    parameters, a flat array of the same length). `start` and `data` are
-    only read.
+    `partition`), and return `out`, which then holds the delta (trained
+    minus distributed parameters). `start` and `data` are only read.
 
-    Training runs inside `out` (a row buffer of the round loop) when
-    given, else inside a new array; the one returned holds the delta.
-    The gradient is work[0], and the update's scratch vector, needed only
-    under weight decay or mu > 0, work[1]: `work` holds work_rows(config)
-    or 2 parameter-sized rows (overwritten; a thread that trains client
-    after client passes the same one), else is a new array. Without a
-    scratch row the step scales the gradient in place (see sgd_update).
-    Mini-batches are gathered into `batch` (see data.batch_buffers, at
-    least min(batch_size, len(rows)) rows) when given, else into a new pair.
+    Training runs inside `out`, a writable C-contiguous float64 row of
+    start's length (another layout would be reshaped into a copy, and
+    training would write the copy). work[0] takes the gradient and, under
+    weight decay or mu > 0, work[1] the scratch row: `work` holds
+    work_rows(config) or more such rows, which a thread reuses client after
+    client. Mini-batches are gathered into `batch` (data.batch_buffers of
+    at least min(batch_size, len(rows)) rows).
+
     Epoch e's batch order is drawn from seeds[e - 1], one seed per local
     epoch, anything np.random.default_rng accepts: the round loop passes
     the client's epoch_seeds, which draw what the ints
@@ -208,9 +196,8 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     only on those identifiers, never on scheduling.
 
     Raises:
-        ValueError: if seeds does not hold one seed per local epoch, or if
-            `out` is not a writable C-contiguous float64 vector of start's
-            length or `work` not such an array of those rows.
+        ValueError: if `rows` is empty or seeds does not hold one seed per
+            local epoch.
         ShapeMismatchError: if `start` does not fit net_spec.
         DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
@@ -218,16 +205,10 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
         raise ValueError(f"client {client_id} has no data")
     if len(seeds) != config.local_epochs:
         raise ValueError(f"{len(seeds)} seeds for {config.local_epochs} local epochs")
-    need = work_rows(config)
-    params = np.empty_like(start) if out is None else out
-    work = np.empty((need, start.size)) if work is None else work
-    batch = batch_buffers(data, min(config.batch_size, len(rows))) if batch is None else batch
-    _require_buffer(params, [start.shape], "out")
-    _require_buffer(work, [(k, start.size) for k in range(need, 3)], "work")
-    np.copyto(params, start)
+    np.copyto(out, start)
     grad = work[0]
-    scratch = work[1] if need == 2 else None
-    layers = layer_views(net_spec, params)
+    scratch = work[1] if work_rows(config) == 2 else None
+    layers = layer_views(net_spec, out)
     grads = layer_views(net_spec, grad)
     # overflow and NaN are sticky under the update; the check on the delta
     # reports them once instead of a warning per step
@@ -236,13 +217,13 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
             for inputs, labels in batches(data, rows, config.batch_size, seed, batch):
                 gradient_into(layers, grads, inputs, labels)
                 if config.mu > 0:
-                    prox_addend_into(scratch, params, start, config.mu)
+                    prox_addend_into(scratch, out, start, config.mu)
                     grad += scratch
-                sgd_update(params, grad, config.learning_rate, config.weight_decay, scratch)
-        np.subtract(params, start, out=params)
-    if not all_finite(params):
+                sgd_update(out, grad, config.learning_rate, config.weight_decay, scratch)
+        np.subtract(out, start, out=out)
+    if not all_finite(out):
         raise DivergenceError(f"client {client_id}: parameter vector contains NaN or Inf")
-    return params
+    return out
 
 
 def assign_weights(sample_counts: list[int], mode: str = "uniform") -> list[float]:

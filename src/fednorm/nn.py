@@ -110,18 +110,18 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
     when a > 0, NaN included, so post[i] > 0 is the ReLU mask of layer
     i - 1.
 
-    `space`, a flat float64 array, takes the outputs when it holds two of
-    the widest: layer i writes into half i % 2 of that room, by the same
+    Training passes no `space`, and each output is a new array. Evaluation
+    passes `space`, a flat float64 array that holds two of rows x the
+    widest layer: layer i writes into half i % 2 of that room, by the same
     matmul, so post[1:] are overwritten as the pass goes on and only the
-    logits are left for the caller. Otherwise each output is a new array."""
+    logits are left for the caller."""
     post: list[np.ndarray] = [inputs]
     rows = inputs.shape[0]
-    room = rows * max(w.shape[1] for w, _ in layers)
-    halves = (None if space is None or space.size < 2 * room
-              else (space[:room], space[room : 2 * room]))
+    if space is not None:
+        halves = space[: 2 * rows * max(w.shape[1] for w, _ in layers)].reshape(2, -1)
     x = inputs
     for li, (w, b) in enumerate(layers):
-        out = None if halves is None else halves[li % 2][: rows * w.shape[1]].reshape(rows, -1)
+        out = None if space is None else halves[li % 2][: rows * w.shape[1]].reshape(rows, -1)
         x = np.matmul(x, w, out=out)
         x += b
         if li < len(layers) - 1:
@@ -135,10 +135,10 @@ def forward_loss(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
     """Mean cross-entropy (stable log-sum-exp) and argmax accuracy of the
     network with parameters `values` on a batch of inputs and their labels.
 
-    The activations are written into `space`, a flat float64 array that
-    nothing else reads or writes meanwhile, when it holds two of rows x the
-    widest layer (see _forward); otherwise they are new arrays. Argmax ties
-    resolve to the lowest class index so accuracy is reproducible.
+    The activations are written into `space` when given (see _forward), a
+    flat float64 array that nothing else reads or writes meanwhile;
+    otherwise they are new arrays. Argmax ties resolve to the lowest class
+    index so accuracy is reproducible.
     """
     logits = _forward(layer_views(spec, values), inputs, space)[0]
     rows = np.arange(logits.shape[0])
@@ -179,25 +179,21 @@ def sgd_update(params: np.ndarray, grad: np.ndarray, eta: float, lam: float,
     """params -= eta * (grad + lam * params), in place.
 
     The operations run in the order the expression reads, so the result is
-    bitwise that of evaluating it. lam = 0 skips lam * params, exactly for
-    finite params: that term is a signed zero, adding it can only turn a -0
-    grad into +0 (for params >= +0), and such params minus +0 or -0 agree.
-    An Inf parameter stays Inf instead of turning NaN (the delta check
-    rejects both). With scratch, eta * (grad + lam * params) is built there
-    and grad is only read. Without it, lam must be 0 and grad is
-    overwritten by eta * grad, the same product: a training step then needs
-    no buffer beyond the gradient.
+    bitwise that of evaluating it. With weight decay (lam != 0) the step is
+    built in `scratch`, a parameter-sized buffer, and grad is only read.
+    Without it the step is grad, scaled in place to eta * grad, and lam *
+    params is skipped, exactly for finite params: that term is a signed
+    zero, adding it can only turn a -0 grad into +0 (for params >= +0), and
+    such params minus +0 or -0 agree. An Inf parameter stays Inf instead of
+    turning NaN (the delta check rejects both).
     """
     if lam != 0:
-        np.multiply(params, lam, out=scratch)
-        scratch += grad
-        scratch *= eta
-    elif scratch is None:
-        scratch = grad
-        grad *= eta
+        step = np.multiply(params, lam, out=scratch)
+        step += grad
     else:
-        np.multiply(grad, eta, out=scratch)
-    params -= scratch
+        step = grad
+    step *= eta
+    params -= step
 
 
 def prox_addend_into(out: np.ndarray, params: np.ndarray, anchor: np.ndarray,

@@ -5,9 +5,11 @@ Clients train into blocks of row buffers, on the calling thread or on
 `workers` pool threads. A round that spans several blocks trains each block
 while one server thread folds the previous one in client-id order, so the
 memory a round's updates take does not grow with the number of clients it
-samples. Once a round is folded the ring's rows are free: the first
-holds the normalized strategies' plain average w + u, and the evaluation
-writes its activations into the others when they fit.
+samples. The run owns every buffer the kernels write: the ring, and each
+training thread's work rows and batch buffers, freed before the server
+step. Once a round is folded the ring's rows are free: the first holds the
+normalized strategies' plain average w + u, and the evaluation writes its
+activations into the others, which the ring is sized to hold.
 
 Everything is keyed off one experiment seed. Parameter init, the partition,
 and each round get their own derived seed, and per-client batch orders depend
@@ -20,7 +22,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,11 +132,10 @@ def sample_clients(client_count: int, clients_per_round: int, round_seed: int) -
 
 
 def evaluate(network: NetworkSpec, params: np.ndarray, ds: Dataset,
-             space: np.ndarray | None = None) -> float:
+             space: np.ndarray) -> float:
     """Accuracy on ds of the flat parameters params; raises DivergenceError
-    when the loss is NaN or Inf. The activations go into `space`, a flat
-    float64 array free for the call, when it holds two of len(ds) x the
-    widest layer (see forward_loss)."""
+    when the loss is NaN or Inf. The activations go into `space`, free for
+    the call, which holds two of len(ds) x the widest layer (see _forward)."""
     loss, acc = forward_loss(network, params, ds.inputs, ds.labels, space)
     if not math.isfinite(loss):
         raise DivergenceError(f"loss is {loss}")
@@ -148,6 +148,13 @@ def ring_shape(clients: int, param_count: int, workers: int) -> tuple[int, int]:
     two blocks when the round needs more than one."""
     block = min(clients, max(workers, HANDOFF_BYTES // (8 * param_count)))
     return (block if block == clients else 2 * block), param_count
+
+
+def _thread_pool() -> type:
+    """ThreadPoolExecutor, imported by a run that starts threads: it loads
+    logging, queue and traceback (0.7 MB), which the others never use."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor
 
 
 def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
@@ -163,7 +170,7 @@ def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
     exception propagates, in client order, after every thread has stopped.
     """
     block = count if count <= len(ring) else len(ring) // 2
-    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    pool = _thread_pool()(workers) if workers > 1 else None
     server = None  # started by the first of several blocks
     folding = None  # the server's fold of the previous block
     try:
@@ -178,7 +185,7 @@ def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
             if end == count:
                 fold.add(rows)
             else:
-                server = server or ThreadPoolExecutor(1, thread_name_prefix="fednorm-server")
+                server = server or _thread_pool()(1, thread_name_prefix="fednorm-server")
                 folding = server.submit(fold.add, rows)
     finally:
         for executor in (pool, server):
@@ -193,9 +200,9 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     """One round from the distributed parameters w and the server's
     direction d, flat arrays that the server step updates in place; returns
     the round's metrics. Client c trains on the rows parts[c] of train (see
-    partition); ring holds the row buffers the sampled clients train in
-    (see ring_shape), its first row then the plain average w + u of the
-    normalized strategies, and its other rows the evaluation's activations.
+    partition); the sampled clients train in the first ring_shape rows of
+    ring, and then its first row holds the plain average w + u of the
+    normalized strategies and its other rows the evaluation's activations.
 
     A NaN or Inf raises DivergenceError naming the round and the client, the
     server or the evaluation where it appeared."""
@@ -208,9 +215,8 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     fold = UpdateFold(weights, segments)
 
     # each training thread keeps its work rows and batch buffers for all its
-    # clients: buffers allocated per client are freed at the top of the
-    # heap, where glibc returns them to the OS once they outgrow the trim
-    # threshold, and the next client faults their pages in again
+    # clients: glibc would return per-client buffers to the OS at the top of
+    # the heap, and the next client would fault their pages in again
     spare = threading.local()
     batch_rows = min(config.client.batch_size, max(len(parts[cid]) for cid in sampled))
 
@@ -226,7 +232,8 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
                            seeds[i], cid, out=row, work=spare.work, batch=spare.batch)
     stage = ""  # a client names itself
     try:
-        train_and_fold(train_one, len(sampled), ring, fold, schedule.workers)
+        blocks = ring[: ring_shape(len(sampled), params.size, schedule.workers)[0]]
+        train_and_fold(train_one, len(sampled), blocks, fold, schedule.workers)
         del spare  # the threads' buffers, freed before the server step
         # overflow and NaN surface as one error below, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -249,7 +256,7 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     except DivergenceError as exc:
         raise DivergenceError(f"round {round_index} {stage}{exc}") from None
 
-    metrics = RoundMetrics(
+    return RoundMetrics(
         round=round_index,
         aggregate_norm=report.aggregate_norm,
         mean_local_norm=report.mean_local_norm,
@@ -260,7 +267,6 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
         eval_acc_averaged=averaged,
         per_layer=report.per_layer,
     )
-    return metrics
 
 
 def run_experiment(train: Dataset, test: Dataset,
@@ -285,8 +291,13 @@ def run_experiment(train: Dataset, test: Dataset,
     params = init_params(config.network, derive_seed(schedule.seed, _INIT)).values.copy()
     direction = np.zeros_like(params)
 
-    # one ring of client row buffers for every round
-    ring = np.empty(ring_shape(schedule.clients_per_round, params.size, schedule.workers))
+    # one ring for every round: the blocks its clients train in, and after
+    # row 0 room for the two test x widest activations of an evaluation
+    rows, size = ring_shape(schedule.clients_per_round, params.size, schedule.workers)
+    activations = 2 * len(test) * max(config.network.layer_sizes[1:])
+    ring = np.empty((max(rows, 1 + -(-activations // size)), size))
+    if schedule.workers > 1 or rows < schedule.clients_per_round:
+        _thread_pool()  # a run that starts threads loads them before round 1
     metrics: list[RoundMetrics] = []
     integrated = 0.0
     for round_index in range(1, schedule.rounds + 1):

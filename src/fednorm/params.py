@@ -175,19 +175,29 @@ def squared_norms(rows: np.ndarray, segments: tuple[Segment, ...],
     return whole, per_segment
 
 
+def _openblas(symbol: str, argtypes: list, restype):
+    """The function `symbol` of numpy's bundled OpenBLAS (the copy numpy
+    loaded), typed; None for a BLAS build without it."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
+        fn = getattr(ctypes.CDLL(str(path)), symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = argtypes, restype
+            return fn
+    return None
+
+
 def openblas_threads(count: int | None = None) -> int | None:
     """The thread count of numpy's bundled OpenBLAS, after setting it to
-    `count` when given; None when numpy's BLAS does not export the
-    scipy-openblas thread functions (other BLAS builds)."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"):
-        lib = ctypes.CDLL(str(path))  # the copy numpy loaded
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        if get is None:
-            continue
-        if count is not None:
-            pin = lib.scipy_openblas_set_num_threads64_
-            pin.argtypes, pin.restype = [ctypes.c_int], None
-            pin(count)
-        get.argtypes, get.restype = [], ctypes.c_int
-        return get()
-    return None
+    `count` when given; None for another BLAS."""
+    get = _openblas("scipy_openblas_get_num_threads64_", [], ctypes.c_int)
+    if get is not None and count is not None:
+        _openblas("scipy_openblas_set_num_threads64_", [ctypes.c_int], None)(count)
+    return None if get is None else get()
+
+
+def openblas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS chose for this CPU when it loaded
+    ("SkylakeX", "Haswell", ...), which output bytes depend on: kernels
+    round matrix products differently. None for another BLAS."""
+    get = _openblas("scipy_openblas_get_corename64_", [], ctypes.c_char_p)
+    return None if get is None else get().decode()

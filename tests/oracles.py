@@ -5,6 +5,7 @@ The client and the server work in place on flat arrays (`gradient_into`,
 wrappers take and return ParamVectors instead, one step at a time, which is
 how a test rebuilds a client's trajectory, a round's sum or a server step by
 hand; `axpy`, `zeros_like` and `delta` are the vector algebra they use.
+`client_buffers` builds the buffers the round loop hands `local_train`.
 `ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
 left-to-right sums the norm kernel `squared_norms` must match bit for bit.
 `synth_blobs` is the one-shot draw that `synth_dataset` and `synth_split`
@@ -16,6 +17,8 @@ import math
 import numpy as np
 
 from fednorm.aggregate import apply_strategy
+from fednorm.client import work_rows
+from fednorm.data import batch_buffers
 from fednorm.errors import ShapeMismatchError
 from fednorm.nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 from fednorm.params import ParamVector, weighted_rows
@@ -55,6 +58,14 @@ def server_step(params: ParamVector, report, strategy, direction: ParamVector,
     return ParamVector(w, params.segments), ParamVector(d, params.segments)
 
 
+def client_buffers(spec: NetworkSpec, data, rows, config) -> dict:
+    """New out, work and batch buffers for one local_train call on the rows
+    of data under config, as keyword arguments, shaped as run_round's."""
+    return {"out": np.empty(spec.param_count),
+            "work": np.empty((work_rows(config), spec.param_count)),
+            "batch": batch_buffers(data, min(config.batch_size, len(rows)))}
+
+
 def backward(spec: NetworkSpec, params: ParamVector, inputs, labels) -> ParamVector:
     """Gradient of the mean cross-entropy with respect to every parameter."""
     grad = np.empty(params.size)
@@ -90,7 +101,8 @@ def sgd_step(params: ParamVector, grad: ParamVector, eta: float, lam: float) -> 
     if params.segments != grad.segments:
         raise ShapeMismatchError("sgd_step: params and grad segments differ")
     stepped = params.values.copy()
-    sgd_update(stepped, grad.values, eta, lam, np.empty_like(stepped))
+    # without weight decay the step scales a gradient in place
+    sgd_update(stepped, grad.values.copy(), eta, lam, np.empty_like(stepped))
     return ParamVector(stepped, params.segments)
 
 

@@ -34,7 +34,7 @@ from fednorm.client import ClientConfig
 from fednorm.data import PartitionSpec
 from fednorm.errors import ConfigError
 from fednorm.orchestrator import Schedule
-from fednorm.params import ParamVector
+from fednorm.params import ParamVector, openblas_kernel
 
 SMALL = {
     "dataset": {"kind": "synth", "classes": 3, "train_per_class": 20,
@@ -340,6 +340,7 @@ def test_manifest_records_numeric_environment_deterministically(tmp_path, monkey
         "blas": {"name": blas["name"], "version": blas["version"]},
         "threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None},
         "blas_threads": 1,
+        "blas_kernel": openblas_kernel(),
     }
 
 

@@ -13,7 +13,7 @@ from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
 from fednorm.params import l2_norm
-from oracles import axpy, backward, delta, prox_gradient_addend, sgd_step
+from oracles import axpy, backward, client_buffers, delta, prox_gradient_addend, sgd_step
 
 SPEC = NetworkSpec((4, 6, 3))
 ROWS = np.arange(60)
@@ -31,8 +31,9 @@ def blob():
 
 def test_zero_learning_rate_zero_delta(blob):
     start = init_params(SPEC, seed=0)
-    up = local_train(SPEC, start.values, blob, ROWS, ClientConfig(learning_rate=0.0),
-                     derived(5, 2), 2)
+    cfg = ClientConfig(learning_rate=0.0)
+    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(5, 2), 2,
+                     **client_buffers(SPEC, blob, ROWS, cfg))
     assert np.array_equal(up, np.zeros(SPEC.param_count))
 
 
@@ -41,7 +42,8 @@ def test_single_batch_delta_is_one_sgd_step(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig(learning_rate=0.1, batch_size=100, local_epochs=1,
                        weight_decay=0.001)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(7, 0, 1), client_id=0)
+    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(7, 0, 1), client_id=0,
+                     **client_buffers(SPEC, blob, ROWS, cfg))
     (batch,) = batches(blob, ROWS, 100, derive_seed(7, 0, 1))
     stepped = sgd_step(start, backward(SPEC, start, *batch), 0.1, 0.001)
     assert np.array_equal(up, delta(stepped, start).values)
@@ -53,7 +55,8 @@ def test_single_batch_delta_is_one_sgd_step(blob):
 def test_multi_epoch_matches_manual_loop(blob):
     start = init_params(SPEC, seed=3)
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=0.4)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4)
+    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
+                     **client_buffers(SPEC, blob, ROWS, cfg))
 
     params = start
     for epoch in (1, 2, 3):
@@ -69,7 +72,8 @@ def test_prox_anchor_is_round_start_not_epoch_start(blob):
     anchor stays at the distributed parameters."""
     start = init_params(SPEC, seed=3)
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=5.0)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4)
+    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
+                     **client_buffers(SPEC, blob, ROWS, cfg))
 
     params = start
     for epoch in (1, 2, 3):
@@ -84,12 +88,12 @@ def test_prox_anchor_is_round_start_not_epoch_start(blob):
 def test_large_mu_shrinks_delta(blob):
     # eta * mu must stay <= 1 or the explicit prox step overshoots the anchor
     start = init_params(SPEC, seed=0)
-    norms = [
-        l2_norm(local_train(SPEC, start.values, blob, ROWS,
-                            ClientConfig(learning_rate=0.001, mu=mu), derived(2, 0), 0),
-                start.segments)
-        for mu in (0.0, 10.0, 100.0, 1000.0)
-    ]
+    norms = []
+    for mu in (0.0, 10.0, 100.0, 1000.0):
+        cfg = ClientConfig(learning_rate=0.001, mu=mu)
+        up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(2, 0), 0,
+                         **client_buffers(SPEC, blob, ROWS, cfg))
+        norms.append(l2_norm(up, start.segments))
     assert norms == sorted(norms, reverse=True)
     assert norms[-1] < 0.15 * norms[0]
 
@@ -97,9 +101,8 @@ def test_large_mu_shrinks_delta(blob):
 def test_determinism_and_client_separation(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
-    a = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1), 1)
-    b = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1), 1)
-    other = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 2), 2)
+    a, b, other = (local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, cid), cid,
+                               **client_buffers(SPEC, blob, ROWS, cfg)) for cid in (1, 1, 2))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, other)
 
@@ -108,9 +111,10 @@ def test_diverging_training_raises(blob):
     """Parameters overflow to Inf and then NaN; the check on the delta
     reports it even though no check runs between the SGD steps."""
     start = init_params(SPEC, seed=0)
+    cfg = ClientConfig(learning_rate=1e100)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
-        local_train(SPEC, start.values, blob, ROWS, ClientConfig(learning_rate=1e100),
-                    derived(0, 0), 0)
+        local_train(SPEC, start.values, blob, ROWS, cfg, derived(0, 0), 0,
+                    **client_buffers(SPEC, blob, ROWS, cfg))
 
 
 def test_delta_written_into_given_row(blob):
@@ -122,55 +126,31 @@ def test_delta_written_into_given_row(blob):
     for cfg in (ClientConfig(batch_size=16, local_epochs=2),
                 ClientConfig(batch_size=16, local_epochs=2, weight_decay=1e-3, mu=0.4)):
         matrix = np.full((3, SPEC.param_count), np.nan)
+        buffers = client_buffers(SPEC, blob, ROWS, cfg)
         up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
-                         out=matrix[1], work=work)
+                         out=matrix[1], work=work, batch=buffers["batch"])
         assert np.shares_memory(up, matrix)
-        fresh = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1)
+        fresh = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+                            **buffers)
         assert np.array_equal(matrix[1].view(np.int64), fresh.view(np.int64))
         assert np.isnan(matrix[0]).all() and np.isnan(matrix[2]).all()
-
-
-def test_out_that_is_not_a_writable_contiguous_row_is_rejected(blob):
-    start = init_params(SPEC, seed=0)
-    n = SPEC.param_count
-    read_only = np.zeros(n)
-    read_only.setflags(write=False)
-    for bad in (np.zeros((n, 2))[:, 0],       # a column view: strided
-                np.zeros(n + 1),              # wrong length
-                np.zeros((1, n)),             # not 1-D
-                np.zeros(n, dtype=np.float32),
-                read_only):
-        with pytest.raises(ValueError, match="out must be"):
-            local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1), 1,
-                        out=bad)
-    for bad in (np.zeros((n, 2)).T,           # Fortran order: rows are strided
-                np.zeros((2, n + 1)),
-                np.zeros((3, n)),
-                np.zeros((2, n), dtype=np.float32),
-                np.broadcast_to(np.zeros(n), (2, n))):  # read-only
-        with pytest.raises(ValueError, match="work must be"):
-            local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1), 1,
-                        work=bad)
 
 
 def test_one_row_work_buffer_suffices_without_weight_decay_or_mu(blob):
     """Without weight decay and mu the step scales the gradient in place,
     so a (1, n) work buffer suffices and trains the delta a (2, n) one
-    does, bit for bit; the scratch row those two need is still required."""
+    does, bit for bit; with either of them work_rows asks for two rows."""
     start = init_params(SPEC, seed=0)
     n = SPEC.param_count
     for cfg in (ClientConfig(weight_decay=1e-3), ClientConfig(mu=0.4),
                 ClientConfig(weight_decay=1e-3, mu=0.4)):
         assert work_rows(cfg) == 2
-        with pytest.raises(ValueError, match="work must be"):
-            local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1), 1,
-                        work=np.zeros((1, n)))
     cfg = ClientConfig(batch_size=16, local_epochs=2)
     assert work_rows(cfg) == 1
-    one = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
-                      work=np.full((1, n), np.nan))
-    two = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
-                      work=np.full((2, n), np.nan))
+    one, two = (local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+                            **{**client_buffers(SPEC, blob, ROWS, cfg),
+                               "work": np.full((rows, n), np.nan)})
+                for rows in (1, 2))
     assert np.array_equal(one.view(np.int64), two.view(np.int64))
 
 
@@ -245,21 +225,26 @@ def test_local_train_same_delta_from_epoch_seeds_and_derived_ints(blob):
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=0.1)
     round_seed = derive_seed(5, 2, 1)
     seeds = epoch_seeds(round_seed, [2, 4], 3)[1]
-    vectorized = local_train(SPEC, start.values, blob, ROWS, cfg, seeds, 4)
-    ints = local_train(SPEC, start.values, blob, ROWS, cfg, derived(round_seed, 4, 3), 4)
+    vectorized, ints = (local_train(SPEC, start.values, blob, ROWS, cfg, s, 4,
+                                    **client_buffers(SPEC, blob, ROWS, cfg))
+                        for s in (seeds, derived(round_seed, 4, 3)))
     assert np.array_equal(vectorized.view(np.int64), ints.view(np.int64))
 
 
 def test_one_seed_per_local_epoch(blob):
     start = init_params(SPEC, seed=0)
+    cfg = ClientConfig()
     with pytest.raises(ValueError, match="4 seeds for 5 local epochs"):
-        local_train(SPEC, start.values, blob, ROWS, ClientConfig(), derived(9, 1, 4), 1)
+        local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 4), 1,
+                    **client_buffers(SPEC, blob, ROWS, cfg))
 
 
 def test_empty_client_rejected(blob):
     start = init_params(SPEC, seed=0)
+    cfg = ClientConfig()
     with pytest.raises(ValueError, match="no data"):
-        local_train(SPEC, start.values, blob, ROWS[:0], ClientConfig(), derived(0, 0), 0)
+        local_train(SPEC, start.values, blob, ROWS[:0], cfg, derived(0, 0), 0,
+                    **client_buffers(SPEC, blob, ROWS[:0], cfg))
 
 
 def test_client_config_validation():

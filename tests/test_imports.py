@@ -3,7 +3,7 @@ leave dead imports behind. A name listed in the module's __all__ counts as
 used, since re-exporting it is its purpose. And every function and class a
 library module defines serves the library: one that only tests call belongs
 in tests/oracles.py. Importing the CLI loads no numpy module it does not
-need yet."""
+need yet, and no thread pool."""
 
 import ast
 import os
@@ -117,14 +117,32 @@ def test_test_only_function_is_caught():
     assert unreferenced(modules, "call in_readme()", named) == ["a.py:recursive", "a.py:Orphan"]
 
 
+def loaded(code: str, module: str) -> bool:
+    """Whether `module` is in sys.modules after a fresh interpreter runs code."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True).stdout.split()[-1] == "True"
+
+
 def test_importing_the_cli_leaves_numpy_random_unloaded():
     """numpy 2 loads numpy.random on first use, and the CLI's import must
     not load it either: the seed class that needs it is built on first use."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    assert (loaded("import fednorm.cli", "numpy.random")
+            == loaded("import numpy", "numpy.random"))
 
-    def loads_random(module):
-        probe = f"import sys, {module}; print('numpy.random' in sys.modules)"
-        return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, timeout=120, check=True).stdout.strip()
-    assert loads_random("fednorm.cli") == loads_random("numpy")
+
+def test_only_a_run_that_starts_threads_loads_concurrent_futures(tmp_path):
+    """The CLI's import does not load concurrent.futures (with logging,
+    queue and traceback), nor does a run of one worker whose rounds fit
+    in one block, like desk_quick; a run with a pool does."""
+    def run(workers):
+        out = str(tmp_path / f"workers{workers}")
+        return ("import fednorm.cli\n"
+                "fednorm.cli.main(['run', '--preset', 'desk_quick', '--strategies', 'fedavg',"
+                f" '--out', {out!r}, '--workers', '{workers}'])")
+    baseline = loaded("import numpy, yaml", "concurrent.futures")
+    assert loaded("import fednorm.cli", "concurrent.futures") == baseline
+    assert loaded(run(1), "concurrent.futures") == baseline
+    assert loaded(run(2), "concurrent.futures")

@@ -124,7 +124,7 @@ def test_forward_loss_holds_two_activations_per_layer_boundary():
 def test_forward_pass_in_given_space_is_bitwise_the_allocating_pass():
     """Given room for two of the widest activations, the outputs are written
     into two fixed halves of it by the same matmul, so the logits and the
-    loss keep their bits; with less room every output is a new array."""
+    loss keep their bits; room beyond the two halves is left untouched."""
     from fednorm.nn import _forward  # test-only access to the forward pass
     spec = NetworkSpec((30, 40, 25, 40, 7))
     params = init_params(spec, 2).values
@@ -132,11 +132,11 @@ def test_forward_pass_in_given_space_is_bitwise_the_allocating_pass():
     inputs, labels = make_batch(np.random.default_rng(8), 13, spec)
     want = _forward(layers, inputs)[0]
     room = 2 * 13 * 40
-    for size in (room, room + 5, room - 1):
+    for size in (room, room + 5):
         space = np.full(size, np.nan)
         logits = _forward(layers, inputs, space)[0]
         assert np.array_equal(logits.view(np.int64), want.view(np.int64)), size
-        assert np.shares_memory(logits, space) == (size >= room)
+        assert np.shares_memory(logits, space)
         assert np.isnan(space[room:]).all()
         assert (forward_loss(spec, params, inputs, labels, space)
                 == forward_loss(spec, params, inputs, labels))
@@ -235,8 +235,8 @@ def test_sgd_step_weight_decay_matches_scalar_loop():
 def test_sgd_update_without_weight_decay_is_bitwise_the_four_operations():
     """lam = 0 skips the lam * params term; over signed zeros, subnormals
     and large values every result keeps the bits of the full expression.
-    Without a scratch vector the step scales grad in place: the same
-    product, so the same bits, and grad ends as eta * grad."""
+    The step scales grad in place: the same product, so the same bits, and
+    grad ends as eta * grad."""
     tiny = np.finfo(np.float64).smallest_subnormal
     grid = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny, 1.0, -1.0,
                      1e300, -1e300])
@@ -248,11 +248,6 @@ def test_sgd_update_without_weight_decay_is_bitwise_the_four_operations():
         scratch += grad0
         scratch *= eta
         expected -= scratch
-        params, grad = params0.copy(), grad0.copy()
-        grad.setflags(write=False)
-        sgd_update(params, grad, eta, 0.0, np.empty_like(params))
-        assert np.array_equal(params.view(np.int64), expected.view(np.int64)), eta
-        assert np.array_equal(grad.view(np.int64), grad0.view(np.int64))
         params, grad = params0.copy(), grad0.copy()
         sgd_update(params, grad, eta, 0.0)
         assert np.array_equal(params.view(np.int64), expected.view(np.int64)), eta

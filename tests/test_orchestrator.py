@@ -34,7 +34,7 @@ from fednorm.orchestrator import (
     train_and_fold,
 )
 from fednorm.params import ParamVector, Segment
-from oracles import axpy, weighted_sum
+from oracles import axpy, client_buffers, weighted_sum
 
 NET = NetworkSpec((4, 8, 3))
 TRAIN, TEST = synth_split(3, 20, 10, 4, seed=13)
@@ -154,12 +154,13 @@ def test_dual_eval_matches_manual_average():
     updates = [
         local_train(NET, w0.values, TRAIN, parts[cid], cfg.client,
                     [derive_seed(round_seed, cid, e)
-                     for e in range(1, cfg.client.local_epochs + 1)], cid)
+                     for e in range(1, cfg.client.local_epochs + 1)], cid,
+                    **client_buffers(NET, TRAIN, parts[cid], cfg.client))
         for cid in range(cfg.schedule.clients)
     ]
     u = weighted_sum([(1.0 / len(updates), ParamVector(up, w0.segments))
                       for up in updates])
-    manual = evaluate(NET, axpy(1.0, u, w0).values, TEST)
+    manual = evaluate(NET, axpy(1.0, u, w0).values, TEST, np.empty(2 * len(TEST) * 8))
     assert result.metrics[0].eval_acc_averaged == manual
 
 
@@ -290,21 +291,17 @@ def test_no_param_vector_is_alive_during_a_round(monkeypatch):
 WIDE = NetworkSpec((784, 200, 200, 10))
 
 
-def traced_round(monkeypatch, stage, **over):
-    """One seed-0 round of 4 clients of the 784-200-200-10 net (80 training
-    rows, 300 test rows, batches of 10, fednnnn) under tracemalloc, which
-    sees numpy's array buffers. orchestrator.<stage> is wrapped: returns,
-    for each of its calls, the most memory it held at once beyond what was
-    held when it started, in bytes."""
-    train, test = synth_split(10, 8, 30, 784, seed=3)
+def traced_round(monkeypatch, stage, test_per_class=30, **over):
+    """One round of 4 clients of the 784-200-200-10 net (80 training rows,
+    test_per_class rows of each of 10 classes to test on, batches of 10,
+    fednnnn), run by run_experiment under tracemalloc, which sees numpy's
+    array buffers. orchestrator.<stage> is wrapped: returns, for each of
+    its calls, the most memory it held at once beyond what was held when
+    it started, in bytes."""
+    train, test = synth_split(10, 8, test_per_class, 784, seed=3)
     config = make_config(network=WIDE, client=ClientConfig(batch_size=10, local_epochs=1),
                          strategy=AggregationStrategy("fednnnn", beta=0.7, gamma=0.8),
-                         **over)
-    schedule = config.schedule
-    parts = partition(train, config.partition, schedule.clients, 1)
-    params = init_params(WIDE, 0).values.copy()
-    direction = np.zeros_like(params)
-    ring = np.empty(ring_shape(schedule.clients_per_round, params.size, schedule.workers))
+                         rounds=1, **over)
     peaks = []
     real = getattr(orchestrator, stage)
 
@@ -318,7 +315,7 @@ def traced_round(monkeypatch, stage, **over):
     monkeypatch.setattr(orchestrator, stage, traced)
     tracemalloc.start()
     try:
-        run_round(params, direction, train, parts, test, config, 1, 0.0, ring)
+        run_experiment(train, test, config)
     finally:
         tracemalloc.stop()
     return peaks
@@ -340,6 +337,35 @@ def test_evaluation_writes_its_activations_into_the_free_ring_rows(monkeypatch):
     activation = 300 * 200 * 8
     peaks = traced_round(monkeypatch, "evaluate")
     assert len(peaks) == 2 and max(peaks) < activation
+
+
+def test_evaluation_beyond_the_training_rows_still_writes_into_the_ring(monkeypatch):
+    """1,500 test rows need two 1,500 x 200 activations, more than the 3
+    rows after row 0 of a 4-client round's ring: the run sizes its ring for
+    them, so neither evaluation allocates one."""
+    activation = 1500 * 200 * 8
+    peaks = traced_round(monkeypatch, "evaluate", test_per_class=150)
+    assert len(peaks) == 2 and max(peaks) < activation
+
+
+def test_a_large_test_set_leaves_the_training_blocks_alone(monkeypatch):
+    """The ring grows to hold a large test set's activations, but clients
+    still train in ring_shape's rows, in the same blocks, so every norm is
+    the same as with a small test set."""
+    monkeypatch.setattr(orchestrator, "ring_shape", lambda clients, size, workers: (3, size))
+    seen = []
+    real = orchestrator.train_and_fold
+
+    def recorded(train, count, ring, fold, workers):
+        seen.append((len(ring), len(ring.base)))  # the blocks, the whole ring
+        real(train, count, ring, fold, workers)
+    monkeypatch.setattr(orchestrator, "train_and_fold", recorded)
+    large = synth_split(3, 20, 400, 4, seed=13)[1]
+    small_run, large_run = (run_experiment(TRAIN, test, make_config()) for test in (TEST, large))
+    assert [blocks for blocks, _ in seen] == [3] * 6
+    assert all(whole > 3 for _, whole in seen)
+    assert ([(m.aggregate_norm, m.mean_local_norm, m.per_layer) for m in small_run.metrics]
+            == [(m.aggregate_norm, m.mean_local_norm, m.per_layer) for m in large_run.metrics])
 
 
 def test_a_run_derives_seeds_per_round_not_per_client_epoch(monkeypatch):
