@@ -21,12 +21,10 @@ from functools import cache
 
 import numpy as np
 
-from .data import Dataset, batches
+from .data import Dataset, batch_buffers, batches
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 from .params import all_finite
-
-WEIGHT_MODES = ("uniform", "by_sample_count")
 
 
 def derive_seed(*parts: int) -> int:
@@ -172,6 +170,15 @@ def work_rows(config: ClientConfig) -> int:
     return 2 if config.weight_decay > 0 or config.mu > 0 else 1
 
 
+def thread_buffers(config: ClientConfig, data: Dataset, rows: int, size: int,
+                   ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """New (work, batch) buffers for local_train, which a thread reuses for
+    clients of at most `rows` rows of `data` and `size` parameters:
+    work_rows(config) rows, and a batch pair of min(batch_size, rows) rows."""
+    return (np.empty((work_rows(config), size)),
+            batch_buffers(data, min(config.batch_size, rows)))
+
+
 def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
                 rows: np.ndarray, config: ClientConfig, seeds: Sequence,
                 client_id: int, out: np.ndarray, work: np.ndarray,
@@ -183,11 +190,10 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
 
     Training runs inside `out`, a writable C-contiguous float64 row of
     start's length (another layout would be reshaped into a copy, and
-    training would write the copy). work[0] takes the gradient and, under
-    weight decay or mu > 0, work[1] the scratch row: `work` holds
-    work_rows(config) or more such rows, which a thread reuses client after
-    client. Mini-batches are gathered into `batch` (data.batch_buffers of
-    at least min(batch_size, len(rows)) rows).
+    training would write the copy). `work` and `batch` are a thread's
+    buffers from thread_buffers for at least len(rows) rows: work[0] takes
+    the gradient and, under weight decay or mu > 0, work[1] the scratch
+    row, and mini-batches are gathered into `batch`.
 
     Epoch e's batch order is drawn from seeds[e - 1], one seed per local
     epoch, anything np.random.default_rng accepts: the round loop passes
@@ -225,14 +231,3 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
         raise DivergenceError(f"client {client_id}: parameter vector contains NaN or Inf")
     return out
 
-
-def assign_weights(sample_counts: list[int], mode: str = "uniform") -> list[float]:
-    """Aggregation weights for a round's sampled clients, from their sample
-    counts in client order; they sum to 1 and are known before training.
-    mode is one of WEIGHT_MODES, which Schedule checks."""
-    if not sample_counts:
-        raise ValueError("no clients to weight")
-    if mode == "uniform":
-        return [1.0 / len(sample_counts)] * len(sample_counts)
-    total = sum(sample_counts)
-    return [count / total for count in sample_counts]

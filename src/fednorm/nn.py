@@ -47,11 +47,9 @@ class NetworkSpec:
         segs: list[Segment] = []
         pos = 0
         for i in range(1, len(sizes)):
-            fan_in, fan_out = sizes[i - 1], sizes[i]
-            segs.append(Segment(f"fc{i}.weight", pos, fan_in * fan_out))
-            pos += fan_in * fan_out
-            segs.append(Segment(f"fc{i}.bias", pos, fan_out))
-            pos += fan_out
+            for kind, length in (("weight", sizes[i - 1] * sizes[i]), ("bias", sizes[i])):
+                segs.append(Segment(f"fc{i}.{kind}", pos, length))
+                pos += length
         object.__setattr__(self, "_segments", tuple(segs))
         object.__setattr__(self, "param_count", pos)
 
@@ -70,13 +68,11 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     identical (spec, seed) pairs give bitwise-identical vectors.
     """
     rng = np.random.default_rng(seed)
-    chunks: list[np.ndarray] = []
-    for i in range(1, len(spec.layer_sizes)):
-        fan_in, fan_out = spec.layer_sizes[i - 1], spec.layer_sizes[i]
-        bound = np.sqrt(6.0 / fan_in)
-        chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-        chunks.append(np.zeros(fan_out))
-    return ParamVector(np.concatenate(chunks), spec.segments())
+    values = np.zeros(spec.param_count)
+    for w, _ in layer_views(spec, values):
+        bound = np.sqrt(6.0 / w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return ParamVector(values, spec.segments())
 
 
 def layer_views(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -90,19 +86,20 @@ def layer_views(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray,
         raise ShapeMismatchError(
             f"parameters shaped {values.shape} do not fit a network of "
             f"{spec.param_count} parameters")
-    out = []
-    pos = 0
-    for i in range(1, len(spec.layer_sizes)):
-        fan_in, fan_out = spec.layer_sizes[i - 1], spec.layer_sizes[i]
-        w = values[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
-        pos += fan_in * fan_out
-        out.append((w, values[pos : pos + fan_out]))
-        pos += fan_out
-    return out
+    segs = spec.segments()
+    return [(values[w.offset :][: w.length].reshape(-1, b.length), values[b.offset :][: b.length])
+            for w, b in zip(segs[::2], segs[1::2])]
+
+
+def forward_space(spec: NetworkSpec, rows: int) -> int:
+    """The float64 values forward_loss's `space` holds for a batch of `rows`
+    rows: two of rows x the widest layer after the input, the halves that
+    successive layers write their outputs into."""
+    return 2 * rows * max(spec.layer_sizes[1:])
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
-             space: np.ndarray | None = None):
+             halves: np.ndarray | None = None):
     """Returns (logits, post): post[i] is layer i's input x, kept for
     backprop. Each layer's x @ w + b is built in one array and, below the
     output layer, rectified in place, so no pre-activation is kept: a layer
@@ -110,18 +107,16 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
     when a > 0, NaN included, so post[i] > 0 is the ReLU mask of layer
     i - 1.
 
-    Training passes no `space`, and each output is a new array. Evaluation
-    passes `space`, a flat float64 array that holds two of rows x the
-    widest layer: layer i writes into half i % 2 of that room, by the same
-    matmul, so post[1:] are overwritten as the pass goes on and only the
-    logits are left for the caller."""
+    Training passes no `halves`, and each output is a new array. Evaluation
+    passes `halves`, a (2, m) float64 array of m >= rows x the widest layer
+    (forward_space counts both): layer i writes into halves[i % 2] by the
+    same matmul, so post[1:] are overwritten as the pass goes on and only
+    the logits are left for the caller."""
     post: list[np.ndarray] = [inputs]
     rows = inputs.shape[0]
-    if space is not None:
-        halves = space[: 2 * rows * max(w.shape[1] for w, _ in layers)].reshape(2, -1)
     x = inputs
     for li, (w, b) in enumerate(layers):
-        out = None if space is None else halves[li % 2][: rows * w.shape[1]].reshape(rows, -1)
+        out = None if halves is None else halves[li % 2][: rows * w.shape[1]].reshape(rows, -1)
         x = np.matmul(x, w, out=out)
         x += b
         if li < len(layers) - 1:
@@ -135,12 +130,13 @@ def forward_loss(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
     """Mean cross-entropy (stable log-sum-exp) and argmax accuracy of the
     network with parameters `values` on a batch of inputs and their labels.
 
-    The activations are written into `space` when given (see _forward), a
-    flat float64 array that nothing else reads or writes meanwhile;
-    otherwise they are new arrays. Argmax ties resolve to the lowest class
-    index so accuracy is reproducible.
+    The activations go into `space` when given, a flat float64 array of at
+    least forward_space(spec, len(inputs)) values that nothing else uses
+    meanwhile; otherwise they are new arrays. Argmax ties resolve to the
+    lowest class index so accuracy is reproducible.
     """
-    logits = _forward(layer_views(spec, values), inputs, space)[0]
+    halves = None if space is None else space[: forward_space(spec, len(inputs))].reshape(2, -1)
+    logits = _forward(layer_views(spec, values), inputs, halves)[0]
     rows = np.arange(logits.shape[0])
     rowmax = logits.max(axis=1, keepdims=True)
     lse = rowmax[:, 0] + np.log(np.exp(logits - rowmax).sum(axis=1))

@@ -28,11 +28,10 @@ from typing import Callable
 import numpy as np
 
 from .aggregate import AggregationStrategy, UpdateFold, apply_strategy
-from .client import (WEIGHT_MODES, ClientConfig, assign_weights, derive_seed, epoch_seeds,
-                     local_train, work_rows)
-from .data import Dataset, PartitionSpec, batch_buffers, partition
+from .client import ClientConfig, derive_seed, epoch_seeds, local_train, thread_buffers
+from .data import Dataset, PartitionSpec, partition
 from .errors import ConfigError, DivergenceError
-from .nn import NetworkSpec, forward_loss, init_params
+from .nn import NetworkSpec, forward_loss, forward_space, init_params
 from .params import ParamVector, l2_norm
 
 # seed namespaces under the experiment seed
@@ -43,11 +42,12 @@ _ROUND = 2
 # a block of client rows holds this many bytes (10 rows of the 784-200-200-10
 # net, so a 100-client round folds in a ring of 20 rows). A round that spans
 # several blocks trains one while the server thread folds the other, in a ring
-# of two blocks. Each block costs the fold a fixed amount, so 8 MiB blocks cut
-# wide_round's peak memory by another 13% but its CPU time rose 7-11%; they
-# would also split the 10-client rounds of a 10% sample of 100 clients into two
-# blocks, and the pool would wait at the boundary.
+# of two blocks. Each block costs the fold a fixed amount: 8 MiB blocks cut
+# wide_round's peak RSS by 16% but cost 21% more CPU time, and would split the
+# 10-client rounds of a 10% sample of 100 clients, where the pool would wait.
 HANDOFF_BYTES = 16 << 20
+
+WEIGHT_MODES = ("uniform", "by_sample_count")
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,23 @@ def sample_clients(client_count: int, clients_per_round: int, round_seed: int) -
     return sorted(int(c) for c in picked)
 
 
+def assign_weights(sample_counts: list[int], mode: str = "uniform") -> list[float]:
+    """Aggregation weights for a round's sampled clients, from their sample
+    counts in client order; they sum to 1 and are known before training.
+    mode is one of WEIGHT_MODES, which Schedule checks."""
+    if not sample_counts:
+        raise ValueError("no clients to weight")
+    if mode == "uniform":
+        return [1.0 / len(sample_counts)] * len(sample_counts)
+    total = sum(sample_counts)
+    return [count / total for count in sample_counts]
+
+
 def evaluate(network: NetworkSpec, params: np.ndarray, ds: Dataset,
              space: np.ndarray) -> float:
     """Accuracy on ds of the flat parameters params; raises DivergenceError
     when the loss is NaN or Inf. The activations go into `space`, free for
-    the call, which holds two of len(ds) x the widest layer (see _forward)."""
+    the call, which holds forward_space(network, len(ds)) values."""
     loss, acc = forward_loss(network, params, ds.inputs, ds.labels, space)
     if not math.isfinite(loss):
         raise DivergenceError(f"loss is {loss}")
@@ -196,13 +208,14 @@ def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
 def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
               parts: list[np.ndarray], test: Dataset, config: ExperimentConfig,
               round_index: int, integrated_so_far: float, ring: np.ndarray,
-              ) -> RoundMetrics:
+              blocks: np.ndarray) -> RoundMetrics:
     """One round from the distributed parameters w and the server's
     direction d, flat arrays that the server step updates in place; returns
     the round's metrics. Client c trains on the rows parts[c] of train (see
-    partition); the sampled clients train in the first ring_shape rows of
-    ring, and then its first row holds the plain average w + u of the
-    normalized strategies and its other rows the evaluation's activations.
+    partition); the sampled clients train in `blocks`, the first ring_shape
+    rows of ring, and then its first row holds the plain average w + u of
+    the normalized strategies and its other rows the evaluation's
+    activations.
 
     A NaN or Inf raises DivergenceError naming the round and the client, the
     server or the evaluation where it appeared."""
@@ -218,21 +231,19 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     # clients: glibc would return per-client buffers to the OS at the top of
     # the heap, and the next client would fault their pages in again
     spare = threading.local()
-    batch_rows = min(config.client.batch_size, max(len(parts[cid]) for cid in sampled))
+    largest = max(len(parts[cid]) for cid in sampled)
 
     # pool threads read params while they train, without a lock: params and
     # direction are written only by apply_strategy, after train_and_fold has
     # returned, and it returns or raises only once its threads have stopped
     def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
-        if not hasattr(spare, "work"):
-            spare.work = np.empty((work_rows(config.client), params.size))
-            spare.batch = batch_buffers(train, batch_rows)
+        if not hasattr(spare, "buffers"):
+            spare.buffers = thread_buffers(config.client, train, largest, params.size)
         return local_train(config.network, params, train, parts[cid], config.client,
-                           seeds[i], cid, out=row, work=spare.work, batch=spare.batch)
+                           seeds[i], cid, row, *spare.buffers)
     stage = ""  # a client names itself
     try:
-        blocks = ring[: ring_shape(len(sampled), params.size, schedule.workers)[0]]
         train_and_fold(train_one, len(sampled), blocks, fold, schedule.workers)
         del spare  # the threads' buffers, freed before the server step
         # overflow and NaN surface as one error below, not as warnings
@@ -292,9 +303,9 @@ def run_experiment(train: Dataset, test: Dataset,
     direction = np.zeros_like(params)
 
     # one ring for every round: the blocks its clients train in, and after
-    # row 0 room for the two test x widest activations of an evaluation
+    # row 0 room for an evaluation's activations
     rows, size = ring_shape(schedule.clients_per_round, params.size, schedule.workers)
-    activations = 2 * len(test) * max(config.network.layer_sizes[1:])
+    activations = forward_space(config.network, len(test))
     ring = np.empty((max(rows, 1 + -(-activations // size)), size))
     if schedule.workers > 1 or rows < schedule.clients_per_round:
         _thread_pool()  # a run that starts threads loads them before round 1
@@ -302,7 +313,7 @@ def run_experiment(train: Dataset, test: Dataset,
     integrated = 0.0
     for round_index in range(1, schedule.rounds + 1):
         row = run_round(params, direction, train, parts, test, config, round_index,
-                        integrated, ring)
+                        integrated, ring, ring[:rows])
         integrated = row.integrated_norm
         metrics.append(row)
     return ExperimentResult(metrics, ParamVector(params, config.network.segments()))

@@ -104,16 +104,13 @@ def all_finite(x: np.ndarray) -> bool:
 
 
 def weighted_rows(weights: Sequence[float], rows: np.ndarray, *, out: np.ndarray) -> np.ndarray:
-    """Add weights[k] * rows[k] of a (K, n) matrix into out, in row order;
-    returns out.
+    """Add weights[k] * rows[k] of a (K, n) matrix into the n values of out,
+    in row order; returns out. Its caller UpdateFold.add checks the shapes.
 
     Each element of out adds the same terms in the same order whether the
     rows come in one call or in consecutive blocks, so folding a round's rows
     block by block from zeros gives the bits of one call over all of them.
     """
-    if len(weights) != rows.shape[0] or rows.shape[1:] != out.shape:
-        raise ValueError(f"weighted_rows: {len(weights)} weights for rows shaped "
-                         f"{rows.shape} into {out.shape}")
     column = np.array(weights, dtype=np.float64)[:, None]
     terms = np.empty((len(weights), min(out.size, CHUNK)))
     for start in range(0, out.size, CHUNK):

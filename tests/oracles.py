@@ -9,19 +9,26 @@ hand; `axpy`, `zeros_like` and `delta` are the vector algebra they use.
 `ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
 left-to-right sums the norm kernel `squared_norms` must match bit for bit.
 `synth_blobs` is the one-shot draw that `synth_dataset` and `synth_split`
-make in place, block by block, and must match bit for bit.
+make in place, block by block, and must match bit for bit. `cli_process`
+runs `fednorm` in a fresh process, and `kernel_digests` picks a golden
+table's digests for the OpenBLAS kernel that runs.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import fednorm
 from fednorm.aggregate import apply_strategy
-from fednorm.client import work_rows
-from fednorm.data import batch_buffers
+from fednorm.client import thread_buffers
 from fednorm.errors import ShapeMismatchError
 from fednorm.nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
-from fednorm.params import ParamVector, weighted_rows
+from fednorm.params import ParamVector, openblas_kernel, weighted_rows
 
 
 def _require_compatible(a: ParamVector, b: ParamVector, op: str) -> None:
@@ -60,10 +67,10 @@ def server_step(params: ParamVector, report, strategy, direction: ParamVector,
 
 def client_buffers(spec: NetworkSpec, data, rows, config) -> dict:
     """New out, work and batch buffers for one local_train call on the rows
-    of data under config, as keyword arguments, shaped as run_round's."""
-    return {"out": np.empty(spec.param_count),
-            "work": np.empty((work_rows(config), spec.param_count)),
-            "batch": batch_buffers(data, min(config.batch_size, len(rows)))}
+    of data under config, as keyword arguments: work and batch are the ones
+    thread_buffers gives a round's thread whose largest client is this one."""
+    work, batch = thread_buffers(config, data, len(rows), spec.param_count)
+    return {"out": np.empty(spec.param_count), "work": work, "batch": batch}
 
 
 def backward(spec: NetworkSpec, params: ParamVector, inputs, labels) -> ParamVector:
@@ -154,3 +161,26 @@ def synth_blobs(class_count: int, per_class: int, feature_dim: int, seed: int,
     comp = np.tile(np.arange(per_class) % components_per_class, class_count)
     noise = rng.standard_normal((class_count * per_class, feature_dim))
     return centers[labels, comp] + 0.5 * noise, labels
+
+
+def cli_process(*argv, flags=(), **env):
+    """`fednorm *argv` in a fresh process, run by this interpreter with the
+    options `flags` and the extra environment variables `env`, so that numpy
+    warnings and tracebacks would reach its stderr; FEDNORM_DATA_DIR is
+    unset."""
+    src = str(Path(fednorm.__file__).resolve().parents[1])
+    environ = {**os.environ, **env,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    environ.pop("FEDNORM_DATA_DIR", None)
+    return subprocess.run([sys.executable, *flags, "-m", "fednorm.cli", *argv],
+                          capture_output=True, text=True, env=environ, timeout=300)
+
+
+def kernel_digests(table: dict) -> dict:
+    """The digests a golden table, keyed by OpenBLAS kernel, holds for the
+    kernel this process runs (a child process inherits it); skips the test
+    on a kernel with no entry, whose matrix products round differently."""
+    kernel = openblas_kernel()
+    if kernel not in table:
+        pytest.skip(f"no digests recorded for the OpenBLAS kernel {kernel!r}")
+    return table[kernel]

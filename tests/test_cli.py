@@ -5,11 +5,8 @@ import csv
 import dataclasses
 import json
 import gc
-import os
 import re
 import struct
-import subprocess
-import sys
 import weakref
 from pathlib import Path
 
@@ -17,7 +14,6 @@ import numpy as np
 import pytest
 import yaml
 
-import fednorm
 import fednorm.cli as cli
 from fednorm.aggregate import AggregationStrategy
 from fednorm.cli import (
@@ -35,6 +31,7 @@ from fednorm.data import PartitionSpec
 from fednorm.errors import ConfigError
 from fednorm.orchestrator import Schedule
 from fednorm.params import ParamVector, openblas_kernel
+from oracles import cli_process
 
 SMALL = {
     "dataset": {"kind": "synth", "classes": 3, "train_per_class": 20,
@@ -426,24 +423,23 @@ def test_failure_mid_run_marks_manifest(tmp_path, monkeypatch):
     assert manifest["status"] == "failed"
 
 
-def run_cli_process(*argv):
-    """`fednorm *argv` in a fresh process, so that numpy warnings and
-    tracebacks would reach its stderr; FEDNORM_DATA_DIR is unset."""
-    src = str(Path(fednorm.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("FEDNORM_DATA_DIR", None)
-    return subprocess.run([sys.executable, "-m", "fednorm.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
-
-
 def run_desk_quick_process(tmp_path, *args, **training):
     """`fednorm run` on desk_quick with training overrides, in a fresh process."""
     raw = load_preset("desk_quick")
     raw["training"].update(training)
     cfg = tmp_path / "diverge.yaml"
     cfg.write_text(yaml.safe_dump(raw))
-    return run_cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "out"), *args)
+    return cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "out"), *args)
+
+
+def test_a_run_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
+    """Under `python -X dev -W error`, desk_quick on one worker and on two
+    exits 0 with nothing on stderr: overflow and NaN surface as one error,
+    never as a numpy warning, and no file is left unclosed."""
+    for workers in ("1", "2"):
+        proc = cli_process("run", "--preset", "desk_quick", "--seed", "0", "--workers", workers,
+                           "--out", str(tmp_path / workers), flags=("-X", "dev", "-W", "error"))
+        assert (proc.returncode, proc.stderr) == (0, ""), workers
 
 
 def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):
@@ -488,7 +484,7 @@ def test_test_labels_beyond_the_training_classes_fail_with_one_line(tmp_path):
         "network": {"hidden": [4]},
         "training": {"rounds": 1, "clients": 2, "batch_size": 4, "local_epochs": 1},
     }))
-    proc = run_cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    proc = cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == 2
     assert proc.stderr == ("error: network has 4 outputs but data has 4 (train) / "
                            "6 (test) classes\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from fednorm.client import (ClientConfig, _lane_states, _seed_words, assign_weights, derive_seed,
+from fednorm.client import (ClientConfig, _lane_states, _seed_words, derive_seed,
                             epoch_seeds, local_train, work_rows)
 from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
@@ -258,16 +258,3 @@ def test_client_config_validation():
         ClientConfig(weight_decay=-1e-9)
     with pytest.raises(ConfigError):
         ClientConfig(mu=-0.5)
-
-
-def test_assign_weights_uniform_and_by_count():
-    assert assign_weights([10, 30]) == [0.5, 0.5]
-    assert assign_weights([10, 30], "by_sample_count") == [0.25, 0.75]
-    w = assign_weights([5, 5, 5], "uniform")
-    assert all(x == 1.0 / 3.0 for x in w)
-    assert abs(sum(w) - 1.0) < 1e-12
-
-
-def test_assign_weights_validation():
-    with pytest.raises(ValueError):
-        assign_weights([])

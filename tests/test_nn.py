@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from fednorm.errors import ShapeMismatchError
-from fednorm.nn import NetworkSpec, forward_loss, init_params, layer_views, sgd_update
+from fednorm.nn import (NetworkSpec, forward_loss, forward_space, init_params, layer_views,
+                        sgd_update)
 from fednorm.params import ParamVector, Segment
 from oracles import backward, prox_gradient_addend, segment_values, sgd_step
 
@@ -122,24 +123,27 @@ def test_forward_loss_holds_two_activations_per_layer_boundary():
 
 
 def test_forward_pass_in_given_space_is_bitwise_the_allocating_pass():
-    """Given room for two of the widest activations, the outputs are written
-    into two fixed halves of it by the same matmul, so the logits and the
-    loss keep their bits; room beyond the two halves is left untouched."""
+    """Given two halves of the widest activation each, the outputs are
+    written into them by the same matmul, so the logits and the loss keep
+    their bits; forward_loss cuts the halves from the first forward_space
+    values of its space and leaves the rest untouched."""
     from fednorm.nn import _forward  # test-only access to the forward pass
     spec = NetworkSpec((30, 40, 25, 40, 7))
     params = init_params(spec, 2).values
     layers = layer_views(spec, params)
     inputs, labels = make_batch(np.random.default_rng(8), 13, spec)
     want = _forward(layers, inputs)[0]
-    room = 2 * 13 * 40
+    room = forward_space(spec, 13)
+    assert room == 2 * 13 * 40
+    halves = np.full((2, room // 2), np.nan)
+    logits = _forward(layers, inputs, halves)[0]
+    assert np.array_equal(logits.view(np.int64), want.view(np.int64))
+    assert np.shares_memory(logits, halves)
     for size in (room, room + 5):
         space = np.full(size, np.nan)
-        logits = _forward(layers, inputs, space)[0]
-        assert np.array_equal(logits.view(np.int64), want.view(np.int64)), size
-        assert np.shares_memory(logits, space)
-        assert np.isnan(space[room:]).all()
         assert (forward_loss(spec, params, inputs, labels, space)
-                == forward_loss(spec, params, inputs, labels))
+                == forward_loss(spec, params, inputs, labels)), size
+        assert not np.isnan(space[: room // 2]).any() and np.isnan(space[room:]).all()
 
 
 def test_forward_loss_permutation_invariant():

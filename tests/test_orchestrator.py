@@ -26,6 +26,7 @@ from fednorm.nn import NetworkSpec, init_params
 from fednorm.orchestrator import (
     ExperimentConfig,
     Schedule,
+    assign_weights,
     evaluate,
     ring_shape,
     run_experiment,
@@ -400,6 +401,19 @@ def test_sample_clients_properties():
     assert sample_clients(10, 3, round_seed=9) == picked
     others = {tuple(sample_clients(10, 3, round_seed=s)) for s in range(12)}
     assert len(others) > 1
+
+
+def test_assign_weights_uniform_and_by_count():
+    assert assign_weights([10, 30]) == [0.5, 0.5]
+    assert assign_weights([10, 30], "by_sample_count") == [0.25, 0.75]
+    w = assign_weights([5, 5, 5], "uniform")
+    assert all(x == 1.0 / 3.0 for x in w)
+    assert abs(sum(w) - 1.0) < 1e-12
+
+
+def test_assign_weights_validation():
+    with pytest.raises(ValueError):
+        assign_weights([])
 
 
 def test_partial_participation_runs():
