@@ -86,18 +86,21 @@ class NwdaReport:
 class UpdateFold:
     """One round's nwda, folded block by block as the clients' rows arrive.
 
-    `add` takes the next rows in client order; `report` then gives what
-    `nwda` gives over all of them, bit for bit. The weights are fixed up
-    front, so each block is reduced into the running sum u and its norms are
-    taken while later clients still train. Overflow warnings are silenced on
-    every thread: a diverging client is reported by its own finiteness
-    check, and a sum that overflows by the finiteness check in report.
+    `add` takes the next rows in client order, row k from client clients[k];
+    `report` then gives what `nwda` gives over all of them, bit for bit. The
+    weights are fixed up front, so each block is reduced into the running sum
+    u and its norms are taken while later clients still train. A row, or u,
+    whose squared norm is NaN or Inf is read again and raises DivergenceError
+    if it holds NaN or Inf; a finite one whose squares overflow is left to
+    the caller's check on N and E. Overflow warnings are silenced in add.
     """
 
-    def __init__(self, weights: Sequence[float], segments: tuple[Segment, ...]):
+    def __init__(self, weights: Sequence[float], segments: tuple[Segment, ...],
+                 clients: Sequence[int]):
         if len(weights) == 0:
             raise ValueError("nwda of an empty update list")
         self.weights = [float(w) for w in weights]
+        self.clients = clients
         self.segments = segments
         self.size = sum(seg.length for seg in segments)
         self.combined = np.zeros(self.size)
@@ -107,7 +110,8 @@ class UpdateFold:
 
     def add(self, rows: np.ndarray) -> None:
         """Fold the (B, n) updates of the next B clients: their weighted sum
-        into u, in client order, and their norms."""
+        into u, in client order, and their norms; the first of them whose
+        row holds NaN or Inf raises DivergenceError, naming the client."""
         first, end = self.count, self.count + rows.shape[0]
         if rows.shape[1:] != (self.size,) or end > len(self.weights):
             raise ShapeMismatchError(
@@ -117,6 +121,10 @@ class UpdateFold:
             weighted_rows(self.weights[first:end], rows, out=self.combined)
             squared_norms(rows, self.segments,
                           out=(self.whole_sq[first:end], self.segment_sq[:, first:end]))
+        for k in np.flatnonzero(~np.isfinite(self.whole_sq[first:end])):
+            if not all_finite(rows[k]):
+                raise DivergenceError(
+                    f"client {self.clients[first + k]}: parameter vector contains NaN or Inf")
         self.count = end
 
     def report(self) -> NwdaReport:
@@ -124,9 +132,9 @@ class UpdateFold:
         if self.count != len(self.weights):
             raise ShapeMismatchError(
                 f"nwda: {self.count} rows folded, expected {len(self.weights)}")
-        if not all_finite(self.combined):
-            raise DivergenceError("parameter vector contains NaN or Inf")
         u_sq, u_segment_sq = squared_norms(self.combined[None, :], self.segments)
+        if not math.isfinite(u_sq[0]) and not all_finite(self.combined):
+            raise DivergenceError("parameter vector contains NaN or Inf")
         aggregate = math.sqrt(u_sq[0])
         mean_local = 0.0
         layer_means = [0.0] * len(self.segments)
@@ -147,11 +155,10 @@ def nwda(weights: Sequence[float], deltas: np.ndarray,
     Row k of the (K, n) deltas matrix is Delta w_k with weight alpha_k =
     weights[k], laid out by segments. Rows are combined in list order and
     every norm sums left to right, so the result is reproducible bit for bit.
+    Deltas of another shape raise ShapeMismatchError, and the first row k
+    that holds NaN or Inf raises DivergenceError naming client k.
     """
-    fold = UpdateFold(weights, segments)
-    expected = (len(weights), fold.size)
-    if deltas.shape != expected:
-        raise ShapeMismatchError(f"nwda: deltas shaped {deltas.shape}, expected {expected}")
+    fold = UpdateFold(weights, segments, range(len(weights)))
     fold.add(deltas)
     return fold.report()
 

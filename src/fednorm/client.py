@@ -22,9 +22,8 @@ from functools import cache
 import numpy as np
 
 from .data import Dataset, batch_buffers, batches
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError
 from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
-from .params import all_finite
 
 
 def derive_seed(*parts: int) -> int:
@@ -186,7 +185,8 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     """Run local_epochs of mini-batch SGD from the flat parameters `start`
     on the rows of `data` that `rows` indexes (the client's part from
     `partition`), and return `out`, which then holds the delta (trained
-    minus distributed parameters). `start` and `data` are only read.
+    minus distributed parameters). `start` and `data` are only read. A
+    diverged delta, NaN or Inf, is returned as is for UpdateFold to report.
 
     Training runs inside `out`, a writable C-contiguous float64 row of
     start's length (another layout would be reshaped into a copy, and
@@ -205,7 +205,6 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
         ValueError: if `rows` is empty or seeds does not hold one seed per
             local epoch.
         ShapeMismatchError: if `start` does not fit net_spec.
-        DivergenceError: if the delta holds NaN or Inf (training diverged).
     """
     if len(rows) == 0:
         raise ValueError(f"client {client_id} has no data")
@@ -216,8 +215,7 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
     scratch = work[1] if work_rows(config) == 2 else None
     layers = layer_views(net_spec, out)
     grads = layer_views(net_spec, grad)
-    # overflow and NaN are sticky under the update; the check on the delta
-    # reports them once instead of a warning per step
+    # overflow and NaN are sticky: the fold reports them once, not a warning per step
     with np.errstate(over="ignore", invalid="ignore"):
         for seed in seeds:
             for inputs, labels in batches(data, rows, config.batch_size, seed, batch):
@@ -227,7 +225,5 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
                     grad += scratch
                 sgd_update(out, grad, config.learning_rate, config.weight_decay, scratch)
         np.subtract(out, start, out=out)
-    if not all_finite(out):
-        raise DivergenceError(f"client {client_id}: parameter vector contains NaN or Inf")
     return out
 

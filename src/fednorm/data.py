@@ -205,14 +205,12 @@ def normalization_stats(ds: Dataset) -> tuple[float, float]:
     return mean, std
 
 
-def normalize(ds: Dataset, stats: tuple[float, float] | None = None) -> Dataset:
-    """Subtract the global mean and divide by the global std, in place:
-    ds.inputs is overwritten, must be writable, and ds is returned.
-
-    With stats=None the statistics are fitted on ds itself; pass the training
-    set's stats to transform a test set consistently.
+def normalize(ds: Dataset, stats: tuple[float, float]) -> Dataset:
+    """Subtract the mean and divide by the std of `stats` (the training
+    set's normalization_stats, for every set), in place: ds.inputs is
+    overwritten, must be writable, and ds is returned.
     """
-    mean, std = normalization_stats(ds) if stats is None else stats
+    mean, std = stats
     inputs = ds.inputs
     inputs -= mean
     inputs /= std

@@ -126,16 +126,15 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], inputs: np.ndarray,
 
 
 def forward_loss(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
-                 labels: np.ndarray, space: np.ndarray | None = None) -> tuple[float, float]:
+                 labels: np.ndarray, space: np.ndarray) -> tuple[float, float]:
     """Mean cross-entropy (stable log-sum-exp) and argmax accuracy of the
     network with parameters `values` on a batch of inputs and their labels.
 
-    The activations go into `space` when given, a flat float64 array of at
-    least forward_space(spec, len(inputs)) values that nothing else uses
-    meanwhile; otherwise they are new arrays. Argmax ties resolve to the
-    lowest class index so accuracy is reproducible.
+    The activations go into `space`, a flat float64 array of at least
+    forward_space(spec, len(inputs)) values that nothing else uses meanwhile.
+    Argmax ties resolve to the lowest class index so accuracy is reproducible.
     """
-    halves = None if space is None else space[: forward_space(spec, len(inputs))].reshape(2, -1)
+    halves = space[: forward_space(spec, len(inputs))].reshape(2, -1)
     logits = _forward(layer_views(spec, values), inputs, halves)[0]
     rows = np.arange(logits.shape[0])
     rowmax = logits.max(axis=1, keepdims=True)

@@ -178,8 +178,8 @@ def train_and_fold(train: Callable[[int, np.ndarray], object], count: int,
     of ring: once block b has trained, the server thread finishes folding
     block b-1, whose half block b+1 reuses, and is handed block b; this
     thread folds the last block. Client i trains by train(i, row), on this
-    thread when workers is 1, else on a pool. The first failing client's
-    exception propagates, in client order, after every thread has stopped.
+    thread when workers is 1, else on a pool. A block's first training error
+    in client order, or its fold's, propagates once every thread has stopped.
     """
     block = count if count <= len(ring) else len(ring) // 2
     pool = _thread_pool()(workers) if workers > 1 else None
@@ -225,7 +225,7 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     weights = assign_weights([len(parts[cid]) for cid in sampled], schedule.weight_mode)
     seeds = epoch_seeds(round_seed, sampled, config.client.local_epochs)
     segments = config.network.segments()
-    fold = UpdateFold(weights, segments)
+    fold = UpdateFold(weights, segments, sampled)
 
     # each training thread keeps its work rows and batch buffers for all its
     # clients: glibc would return per-client buffers to the OS at the top of

@@ -5,7 +5,8 @@ The client and the server work in place on flat arrays (`gradient_into`,
 wrappers take and return ParamVectors instead, one step at a time, which is
 how a test rebuilds a client's trajectory, a round's sum or a server step by
 hand; `axpy`, `zeros_like` and `delta` are the vector algebra they use.
-`client_buffers` builds the buffers the round loop hands `local_train`.
+`client_buffers` builds the buffers the round loop hands `local_train`,
+and `loss_and_accuracy` the space the round loop hands `forward_loss`.
 `ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
 left-to-right sums the norm kernel `squared_norms` must match bit for bit.
 `synth_blobs` is the one-shot draw that `synth_dataset` and `synth_split`
@@ -27,7 +28,8 @@ import fednorm
 from fednorm.aggregate import apply_strategy
 from fednorm.client import thread_buffers
 from fednorm.errors import ShapeMismatchError
-from fednorm.nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
+from fednorm.nn import (NetworkSpec, forward_loss, forward_space, gradient_into, layer_views,
+                        prox_addend_into, sgd_update)
 from fednorm.params import ParamVector, openblas_kernel, weighted_rows
 
 
@@ -71,6 +73,14 @@ def client_buffers(spec: NetworkSpec, data, rows, config) -> dict:
     thread_buffers gives a round's thread whose largest client is this one."""
     work, batch = thread_buffers(config, data, len(rows), spec.param_count)
     return {"out": np.empty(spec.param_count), "work": work, "batch": batch}
+
+
+def loss_and_accuracy(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
+                      labels: np.ndarray) -> tuple[float, float]:
+    """forward_loss with its activations in a fresh space of
+    forward_space(spec, len(inputs)) values."""
+    return forward_loss(spec, values, inputs, labels,
+                        np.empty(forward_space(spec, len(inputs))))
 
 
 def backward(spec: NetworkSpec, params: ParamVector, inputs, labels) -> ParamVector:

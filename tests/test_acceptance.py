@@ -29,9 +29,9 @@ from fednorm import (
 )
 from fednorm.cli import main as cli_main
 from fednorm.data import IdxCountError, IdxMagicError, IdxTruncatedError, load_idx
-from fednorm.nn import forward_loss, init_params
+from fednorm.nn import init_params
 from fednorm.params import ParamVector, l2_norm
-from oracles import backward, server_step, zeros_like
+from oracles import backward, loss_and_accuracy, server_step, zeros_like
 
 
 def report(criterion: int, text: str) -> None:
@@ -196,7 +196,7 @@ def test_criterion_04_backprop_matches_finite_differences():
         analytic = backward(spec, params, inputs, labels).values
 
         def loss_at(vals):
-            return forward_loss(spec, vals, inputs, labels)[0]
+            return loss_and_accuracy(spec, vals, inputs, labels)[0]
 
         h = 1e-5
         numeric = np.empty_like(analytic)

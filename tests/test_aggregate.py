@@ -145,11 +145,22 @@ def test_nwda_matrix_matches_per_vector_formulas():
 
 def test_nwda_shape_mismatch_rejected():
     segs = pv([0.0] * 4).segments
-    with pytest.raises(ShapeMismatchError, match="deltas shaped"):
+    with pytest.raises(ShapeMismatchError, match=r"2 rows of \(3,\) values, expected at most 2"):
         nwda([0.5, 0.5], np.zeros((2, 3)), segs)
-    with pytest.raises(ShapeMismatchError, match="deltas shaped"):
+    with pytest.raises(ShapeMismatchError, match=r"2 rows of \(4,\) values, expected at most 1"):
         nwda([1.0], np.zeros((2, 4)), segs)
+    with pytest.raises(ShapeMismatchError, match="1 rows folded, expected 2"):
+        nwda([0.5, 0.5], np.zeros((1, 4)), segs)
 
+
+def test_nwda_names_a_nan_or_inf_row_as_its_client():
+    segs = pv([0.0] * 4).segments
+    for bad in (np.nan, np.inf, -np.inf):
+        deltas = np.ones((3, 4))
+        deltas[1:, 2] = bad
+        with pytest.raises(DivergenceError) as info:
+            nwda([0.2, 0.3, 0.5], deltas, segs)
+        assert str(info.value) == "client 1: parameter vector contains NaN or Inf"
 
 
 def test_fold_in_blocks_matches_nwda():
@@ -157,7 +168,7 @@ def test_fold_in_blocks_matches_nwda():
     rng = np.random.default_rng(22)
     weights, deltas, segs = stacked(random_terms(rng, 7, segs=(CHUNK + 3, 0, 9)))
     whole = nwda(weights, deltas, segs)
-    fold = UpdateFold(weights, segs)
+    fold = UpdateFold(weights, segs, range(len(weights)))
     fold.add(deltas[:1])
     fold.add(deltas[1:5])
     fold.add(deltas[5:])
@@ -175,7 +186,7 @@ def test_fold_over_any_split_matches_nwda(lengths, count, cuts, seed):
     weights, deltas, segs = stacked(random_terms(np.random.default_rng(seed), count,
                                                  segs=tuple(lengths)))
     whole = nwda(weights, deltas, segs)
-    fold = UpdateFold(weights, segs)
+    fold = UpdateFold(weights, segs, range(len(weights)))
     bounds = [0, *sorted(c for c in cuts if c < count), count]
     for start, end in zip(bounds, bounds[1:]):
         fold.add(deltas[start:end])
@@ -195,7 +206,7 @@ def test_fold_report_norms_are_left_to_right_sums():
     deltas = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape)
     deltas[1::2] = -deltas[::2] * (1.0 + rng.uniform(-1e-9, 1e-9, (5, shape[1])))
     weights = [0.1] * 10
-    fold = UpdateFold(weights, segs)
+    fold = UpdateFold(weights, segs, range(len(weights)))
     fold.add(deltas[:3])
     fold.add(deltas[3:])
     report = fold.report()
@@ -215,7 +226,7 @@ def test_fold_report_norms_are_left_to_right_sums():
 
 def test_fold_rejects_missing_and_extra_rows():
     weights, deltas, segs = stacked(random_terms(np.random.default_rng(23), 3))
-    fold = UpdateFold(weights, segs)
+    fold = UpdateFold(weights, segs, range(len(weights)))
     fold.add(deltas[:2])
     with pytest.raises(ShapeMismatchError, match="2 rows folded, expected 3"):
         fold.report()

@@ -32,6 +32,7 @@ from fednorm.errors import ConfigError
 from fednorm.orchestrator import Schedule
 from fednorm.params import ParamVector, openblas_kernel
 from oracles import cli_process
+from test_server_thread import diverging_config
 
 SMALL = {
     "dataset": {"kind": "synth", "classes": 3, "train_per_class": 20,
@@ -435,11 +436,20 @@ def run_desk_quick_process(tmp_path, *args, **training):
 def test_a_run_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
     """Under `python -X dev -W error`, desk_quick on one worker and on two
     exits 0 with nothing on stderr: overflow and NaN surface as one error,
-    never as a numpy warning, and no file is left unclosed."""
+    never as a numpy warning, and no file is left unclosed. A diverging
+    50-client wide run, whose error rises from the server thread's fold,
+    prints that one line and nothing else."""
+    dev = ("-X", "dev", "-W", "error")
     for workers in ("1", "2"):
         proc = cli_process("run", "--preset", "desk_quick", "--seed", "0", "--workers", workers,
-                           "--out", str(tmp_path / workers), flags=("-X", "dev", "-W", "error"))
+                           "--out", str(tmp_path / workers), flags=dev)
         assert (proc.returncode, proc.stderr) == (0, ""), workers
+    cfg = tmp_path / "diverge.yaml"
+    cfg.write_text(yaml.safe_dump(diverging_config()))
+    proc = cli_process("run", "--config", str(cfg), "--seed", "0",
+                       "--out", str(tmp_path / "diverge"), flags=dev)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: normnorm round 1 client 48: parameter vector contains NaN or Inf\n")
 
 
 def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):

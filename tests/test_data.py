@@ -33,8 +33,8 @@ from fednorm.data import (
     synth_split,
 )
 from fednorm.errors import ConfigError
-from fednorm.nn import NetworkSpec, forward_loss, init_params
-from oracles import backward, sgd_step, synth_blobs
+from fednorm.nn import NetworkSpec, init_params
+from oracles import backward, loss_and_accuracy, sgd_step, synth_blobs
 
 
 # ---------------------------------------------------------------- IDX fixtures
@@ -119,7 +119,7 @@ def test_stats_population_std():
 
 def test_normalize_binary_to_plus_minus_one():
     ds = Dataset(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0, 1]), 2)
-    out = normalize(ds)
+    out = normalize(ds, normalization_stats(ds))
     assert np.array_equal(out.inputs, [[-1.0, 1.0], [1.0, -1.0]])
     assert np.array_equal(out.labels, ds.labels)
 
@@ -134,7 +134,7 @@ def test_normalize_test_set_with_train_stats():
 def test_normalized_data_has_zero_mean_unit_std():
     rng = np.random.default_rng(3)
     ds = Dataset(rng.uniform(0, 1, (50, 7)), rng.integers(0, 3, 50), 3)
-    out = normalize(ds)
+    out = normalize(ds, normalization_stats(ds))
     mean, std = normalization_stats(out)
     assert abs(mean) < 1e-12
     assert abs(std - 1.0) < 1e-12
@@ -267,7 +267,8 @@ def test_synth_split_holds_only_its_outputs():
 def test_synth_is_learnable_centrally():
     """A small network trained on the whole blob dataset should get well past
     chance; this pins the default center scale to a separable regime."""
-    ds = normalize(synth_dataset(10, 200, 20, seed=0))
+    ds = synth_dataset(10, 200, 20, seed=0)
+    normalize(ds, normalization_stats(ds))
     spec = NetworkSpec((20, 64, 10))
     params = init_params(spec, seed=0)
     rng = np.random.default_rng(1)
@@ -277,7 +278,7 @@ def test_synth_is_learnable_centrally():
             idx = order[i : i + 50]
             grad = backward(spec, params, ds.inputs[idx], ds.labels[idx])
             params = sgd_step(params, grad, 0.05, 0.0)
-    _, acc = forward_loss(spec, params.values, ds.inputs, ds.labels)
+    _, acc = loss_and_accuracy(spec, params.values, ds.inputs, ds.labels)
     assert acc >= 0.9
 
 

@@ -10,7 +10,8 @@ from fednorm.errors import ShapeMismatchError
 from fednorm.nn import (NetworkSpec, forward_loss, forward_space, init_params, layer_views,
                         sgd_update)
 from fednorm.params import ParamVector, Segment
-from oracles import backward, prox_gradient_addend, segment_values, sgd_step
+from oracles import (backward, loss_and_accuracy, prox_gradient_addend, segment_values,
+                     sgd_step)
 
 
 def make_batch(rng, n, spec):
@@ -28,8 +29,8 @@ def fd_gradient(spec, pv, batch, h=1e-5):
         vp[i] += h
         vm = base.copy()
         vm[i] -= h
-        lp, _ = forward_loss(spec, vp, *batch)
-        lm, _ = forward_loss(spec, vm, *batch)
+        lp, _ = loss_and_accuracy(spec, vp, *batch)
+        lm, _ = loss_and_accuracy(spec, vm, *batch)
         out[i] = (lp - lm) / (2.0 * h)
     return out
 
@@ -78,7 +79,7 @@ def test_uniform_logits_loss_is_log_class_count():
     spec = NetworkSpec((8, 6, 10))
     zeros = np.zeros(spec.param_count)
     rng = np.random.default_rng(1)
-    loss, _ = forward_loss(spec, zeros, *make_batch(rng, 32, spec))
+    loss, _ = loss_and_accuracy(spec, zeros, *make_batch(rng, 32, spec))
     assert abs(loss - math.log(10.0)) <= 1e-12
 
 
@@ -86,7 +87,7 @@ def test_perfect_prediction_loss_near_zero():
     spec = NetworkSpec((2, 2))
     w = np.array([[40.0, -40.0], [-40.0, 40.0]]).ravel()
     params = np.concatenate([w, np.zeros(2)])  # zero biases
-    loss, acc = forward_loss(spec, params, np.array([[1.0, 0.0]]), np.array([0]))
+    loss, acc = loss_and_accuracy(spec, params, np.array([[1.0, 0.0]]), np.array([0]))
     assert loss < 1e-12
     assert acc == 1.0
 
@@ -96,7 +97,7 @@ def test_loss_matches_direct_softmax_oracle():
     spec = NetworkSpec((5, 7, 3))
     params = init_params(spec, 3).values
     inputs, labels = make_batch(rng, 11, spec)
-    loss, _ = forward_loss(spec, params, inputs, labels)
+    loss, _ = loss_and_accuracy(spec, params, inputs, labels)
 
     # naive oracle: explicit softmax probabilities
     from fednorm.nn import _forward  # test-only access to cached forward
@@ -115,7 +116,7 @@ def test_forward_loss_holds_two_activations_per_layer_boundary():
     inputs, labels = make_batch(np.random.default_rng(5), 1000, spec)
     tracemalloc.start()
     try:
-        forward_loss(spec, params, inputs, labels)
+        loss_and_accuracy(spec, params, inputs, labels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -142,7 +143,7 @@ def test_forward_pass_in_given_space_is_bitwise_the_allocating_pass():
     for size in (room, room + 5):
         space = np.full(size, np.nan)
         assert (forward_loss(spec, params, inputs, labels, space)
-                == forward_loss(spec, params, inputs, labels)), size
+                == loss_and_accuracy(spec, params, inputs, labels)), size
         assert not np.isnan(space[: room // 2]).any() and np.isnan(space[room:]).all()
 
 
@@ -152,8 +153,8 @@ def test_forward_loss_permutation_invariant():
     params = init_params(spec, 4).values
     inputs, labels = make_batch(rng, 20, spec)
     perm = rng.permutation(20)
-    la, aa = forward_loss(spec, params, inputs, labels)
-    lb, ab = forward_loss(spec, params, inputs[perm], labels[perm])
+    la, aa = loss_and_accuracy(spec, params, inputs, labels)
+    lb, ab = loss_and_accuracy(spec, params, inputs[perm], labels[perm])
     assert abs(la - lb) <= 1e-12 * abs(la)
     assert aa == ab
 
@@ -161,7 +162,7 @@ def test_forward_loss_permutation_invariant():
 def test_argmax_ties_break_to_lowest_class():
     spec = NetworkSpec((3, 4))
     zeros = np.zeros(spec.param_count)  # zero weights and zero biases
-    _, acc = forward_loss(spec, zeros, np.array([[1.0, 2.0, 3.0]] * 2), np.array([0, 3]))
+    _, acc = loss_and_accuracy(spec, zeros, np.array([[1.0, 2.0, 3.0]] * 2), np.array([0, 3]))
     assert acc == 0.5  # all logits zero, prediction is class 0
 
 
@@ -277,9 +278,9 @@ def test_single_step_decreases_loss_on_smooth_point():
         rng = np.random.default_rng(100 + seed)
         params = init_params(spec, seed)
         batch = make_batch(rng, 12, spec)
-        before, _ = forward_loss(spec, params.values, *batch)
+        before, _ = loss_and_accuracy(spec, params.values, *batch)
         stepped = sgd_step(params, backward(spec, params, *batch), 1e-4, 0.0)
-        after, _ = forward_loss(spec, stepped.values, *batch)
+        after, _ = loss_and_accuracy(spec, stepped.values, *batch)
         if after < before:
             return
     pytest.fail("loss never decreased across 5 seeds")

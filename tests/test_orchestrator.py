@@ -495,7 +495,7 @@ def test_rows_fold_in_client_order_through_the_server_thread(monkeypatch, worker
     equals nwda over all rows."""
     count = 17
     weights = list(np.random.default_rng(1).uniform(0.1, 1.0, count))
-    fold = UpdateFold(weights, SEGS)
+    fold = UpdateFold(weights, SEGS, range(count))
     where = []
     add = fold.add
 
@@ -520,7 +520,7 @@ def test_rows_fold_in_client_order_through_the_server_thread(monkeypatch, worker
 def test_rows_below_the_handoff_fold_on_the_calling_thread(monkeypatch):
     """A round that fits in the ring (every desk-sized round) is one block,
     folded on the calling thread: no server thread at all."""
-    fold = UpdateFold([0.25] * 4, SEGS)
+    fold = UpdateFold([0.25] * 4, SEGS, range(4))
     where = []
     add = fold.add
     monkeypatch.setattr(fold, "add", lambda rows: (
@@ -536,11 +536,56 @@ def test_first_failing_client_stops_the_round_without_leftover_threads(workers):
     fails first in time on the pool, but the error names client 7, and no
     pool or server thread outlives the call."""
     baseline = threading.active_count()
-    fold = UpdateFold([0.1] * 12, SEGS)
+    fold = UpdateFold([0.1] * 12, SEGS, range(12))
     train = fake_train(fail=(7, 9), delay=lambda i: 0.05 if i == 7 else 0.0)
     with pytest.raises(DivergenceError, match="client 7:"):
         train_and_fold(train, 12, np.empty((10, 6)), fold, workers)
     assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_the_fold_names_the_client_of_a_nan_or_inf_row(monkeypatch, workers):
+    """Clients train without a finiteness check, and the fold catches a NaN
+    or Inf row where it folds the row's block: on the server thread (row 7,
+    in the second of three blocks of 5) or on the calling thread (row 11, in
+    the last), naming the client id, not the row. A finite row whose squares
+    overflow passes the fold, and the round fails at the server, without a
+    numpy warning."""
+    ids = list(range(100, 112))
+    for bad in (np.nan, np.inf):
+        for row, thread in ((7, "fednorm-server"), (11, threading.main_thread().name)):
+            fold = UpdateFold([1 / 12] * 12, SEGS, ids)
+            raised = []
+            add = fold.add
+
+            def checked(rows):
+                try:
+                    add(rows)
+                except DivergenceError:
+                    raised.append(threading.current_thread().name)
+                    raise
+            fold.add = checked
+            plain = fake_train()
+
+            def train(i, out, row=row, bad=bad):
+                plain(i, out)
+                if i == row:
+                    out[3] = bad
+            with pytest.raises(DivergenceError) as info:
+                train_and_fold(train, 12, np.empty((10, 6)), fold, workers)
+            assert str(info.value) == (f"client {ids[row]}: parameter vector "
+                                       "contains NaN or Inf")
+            assert len(raised) == 1 and raised[0].startswith(thread), (bad, row)
+
+    def huge(*args):
+        args[7].fill(1e300)  # the client's row
+        return args[7]
+    monkeypatch.setattr(orchestrator, "local_train", huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as info:
+            run_experiment(TRAIN, TEST, make_config(workers=workers))
+    assert str(info.value) == "round 1 server: N, E or the step norm is NaN or Inf"
 
 
 @st.composite
@@ -566,7 +611,7 @@ def test_any_schedule_folds_nwda_or_raises_the_first_failing_client(schedule):
     count, rows, workers, fail = schedule
     baseline = threading.active_count()
     weights = list(np.random.default_rng(count).uniform(0.1, 1.0, count))
-    fold = UpdateFold(weights, SEGS)
+    fold = UpdateFold(weights, SEGS, range(count))
     add = fold.add
     fold.add = lambda block: (time.sleep(0.002), add(block))
     train = fake_train(fail, delay=lambda i: 0.004 if fail and i == min(fail) else 0.0)

@@ -67,7 +67,7 @@ DIVERGING = {"learning_rate": 1000.0, "local_epochs": 8}
 
 
 def run_cli(config: dict, out: Path, blas_threads: str | None,
-            numpy_first: bool = False) -> subprocess.CompletedProcess:
+            numpy_first: bool = False, args: tuple = ()) -> subprocess.CompletedProcess:
     path = out.parent / f"{out.name}.yaml"
     path.write_text(yaml.safe_dump(config))
     src = str(Path(fednorm.__file__).resolve().parents[1])
@@ -80,7 +80,7 @@ def run_cli(config: dict, out: Path, blas_threads: str | None,
              if numpy_first else ["-m", "fednorm.cli"])
     return subprocess.run(
         [sys.executable, *entry, "run", "--config", str(path), "--seed", "0",
-         "--out", str(out)],
+         "--out", str(out), *args],
         capture_output=True, text=True, env=env, timeout=600,
     )
 
@@ -133,9 +133,12 @@ def diverging_config(**training) -> dict:
     return config
 
 
-def test_diverging_client_fails_with_one_line_after_handoffs(tmp_path):
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_diverging_client_fails_with_one_line_after_handoffs(tmp_path, workers):
+    """Client 48's NaN is caught where its block is folded, in client order,
+    on one worker as on a pool."""
     out = tmp_path / "out"
-    proc = run_cli(diverging_config(), out, None)
+    proc = run_cli(diverging_config(), out, None, args=("--workers", workers))
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr == ("error: normnorm round 1 client 48: parameter vector "
