@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ShapeMismatchError
-from .params import Segment, all_finite, squared_norms, weighted_rows
+from .params import Segment, all_finite, squared_norms, tiled_length, weighted_rows
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
 
@@ -89,10 +89,11 @@ class UpdateFold:
     `add` takes the next rows in client order, row k from client clients[k];
     `report` then gives what `nwda` gives over all of them, bit for bit. The
     weights are fixed up front, so each block is reduced into the running sum
-    u and its norms are taken while later clients still train. A row, or u,
-    whose squared norm is NaN or Inf is read again and raises DivergenceError
-    if it holds NaN or Inf; a finite one whose squares overflow is left to
-    the caller's check on N and E. Overflow warnings are silenced in add.
+    u and its norms are taken while later clients still train. The weights
+    and segments are checked as `nwda` says. A row, or u, whose squared norm
+    is NaN or Inf is read again and raises DivergenceError if it holds NaN
+    or Inf; a finite one whose squares overflow is left to the caller's
+    check on N and E. Overflow warnings are silenced in add.
     """
 
     def __init__(self, weights: Sequence[float], segments: tuple[Segment, ...],
@@ -100,9 +101,13 @@ class UpdateFold:
         if len(weights) == 0:
             raise ValueError("nwda of an empty update list")
         self.weights = [float(w) for w in weights]
+        for k, weight in enumerate(self.weights):
+            if not 0.0 <= weight < math.inf:
+                raise ValueError(
+                    f"client {clients[k]}: weight must be finite and non-negative, got {weight}")
         self.clients = clients
         self.segments = segments
-        self.size = sum(seg.length for seg in segments)
+        self.size = tiled_length(segments)
         self.combined = np.zeros(self.size)
         self.whole_sq = np.empty(len(weights))
         self.segment_sq = np.empty((len(segments), len(weights)))
@@ -153,10 +158,12 @@ def nwda(weights: Sequence[float], deltas: np.ndarray,
     """Analyze one round's weighted updates.
 
     Row k of the (K, n) deltas matrix is Delta w_k with weight alpha_k =
-    weights[k], laid out by segments. Rows are combined in list order and
+    weights[k] >= 0, laid out by segments. Rows are combined in list order and
     every norm sums left to right, so the result is reproducible bit for bit.
-    Deltas of another shape raise ShapeMismatchError, and the first row k
-    that holds NaN or Inf raises DivergenceError naming client k.
+    Segments that do not tile [0, n) and deltas of another shape raise
+    ShapeMismatchError. A NaN, Inf or negative weight k raises ValueError,
+    and the first row k that holds NaN or Inf DivergenceError, both naming
+    client k.
     """
     fold = UpdateFold(weights, segments, range(len(weights)))
     fold.add(deltas)

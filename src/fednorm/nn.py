@@ -6,7 +6,7 @@ the proximal gradient addend used by FedProx clients. The parameters are one
 flat float64 vector laid out by `NetworkSpec.segments()`, one segment per
 weight matrix ("fc{i}.weight") and one per bias vector ("fc{i}.bias"), so
 aggregation code never sees layer structure; `init_params` returns it as a
-ParamVector.
+plain writable array, the server's weights for a run.
 
 The kernels take flat float64 arrays and (inputs, labels) array pairs and
 check no batch: data is checked once where it enters (`Dataset` keeps labels
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .params import ParamVector, Segment
+from .params import Segment
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class NetworkSpec:
         return self._segments
 
 
-def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
-    """Seeded uniform fan-in initialization, biases zero.
+def init_params(spec: NetworkSpec, seed: int) -> np.ndarray:
+    """Seeded uniform fan-in initialization, biases zero, in a new flat array.
 
     Weights of layer i are drawn uniform in [-sqrt(6/fan_in), +sqrt(6/fan_in)];
     identical (spec, seed) pairs give bitwise-identical vectors.
@@ -72,7 +72,7 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     for w, _ in layer_views(spec, values):
         bound = np.sqrt(6.0 / w.shape[0])
         w[...] = rng.uniform(-bound, bound, size=w.shape)
-    return ParamVector(values, spec.segments())
+    return values
 
 
 def layer_views(spec: NetworkSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

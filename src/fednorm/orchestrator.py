@@ -299,7 +299,7 @@ def run_experiment(train: Dataset, test: Dataset,
     parts = partition(train, config.partition, schedule.clients,
                       derive_seed(schedule.seed, _PARTITION))
     # the server's w and d, updated in place by every round
-    params = init_params(config.network, derive_seed(schedule.seed, _INIT)).values.copy()
+    params = init_params(config.network, derive_seed(schedule.seed, _INIT))
     direction = np.zeros_like(params)
 
     # one ring for every round: the blocks its clients train in, and after

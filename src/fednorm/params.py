@@ -1,10 +1,11 @@
 """Layer-segmented flat parameter vectors and the reductions over them.
 
 A model's parameters are one flat float64 vector tiled by named layer
-segments. ParamVector is the read-only, checked form of such a vector that
-crosses the package boundary: `init_params` returns one and a run's final
-parameters are one. Inside a run the server keeps its weights and
-direction as plain arrays and updates them in place, and client updates
+segments, by the one layout rule `tiled_length`, which ParamVector and the
+fold behind `nwda` check. ParamVector is the read-only, checked form of such
+a vector that crosses the package boundary: a run builds one, its final
+parameters. Inside a run the server keeps its weights (from `init_params`)
+and direction as plain arrays and updates them in place, and client updates
 travel as raw rows of a (K, n) matrix, one row per client. `weighted_rows` and `squared_norms`
 reduce a block of rows; both continue from one block to the next, so a
 round's rows can be reduced in client order as they arrive.
@@ -40,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import DivergenceError, ShapeMismatchError
 
 # columns per block in weighted_rows and squared_norms: for 20 rows a block is
 # 640 KB, and each block is a few long NumPy calls
@@ -77,15 +78,7 @@ class ParamVector:
         object.__setattr__(self, "values", vals)
         segs = tuple(self.segments)
         object.__setattr__(self, "segments", segs)
-        pos = 0
-        for seg in segs:
-            if seg.length < 0:
-                raise ValueError(f"segment {seg.name!r} has negative length")
-            if seg.offset != pos:
-                raise ValueError(
-                    f"segment {seg.name!r} starts at {seg.offset}, expected {pos}"
-                )
-            pos += seg.length
+        pos = tiled_length(segs)
         if pos != vals.size:
             raise ValueError(f"segments tile {pos} values but vector has {vals.size}")
         if not all_finite(vals):
@@ -94,6 +87,21 @@ class ParamVector:
     @property
     def size(self) -> int:
         return int(self.values.size)
+
+
+def tiled_length(segments: Sequence[Segment]) -> int:
+    """The length of the vector that segments tile: the first starts at 0 and
+    each where the one before it ends, none with a negative length. Raises
+    ShapeMismatchError naming the first segment that breaks this."""
+    pos = 0
+    for seg in segments:
+        if seg.length < 0:
+            raise ShapeMismatchError(f"segment {seg.name!r} has negative length")
+        if seg.offset != pos:
+            raise ShapeMismatchError(
+                f"segment {seg.name!r} starts at {seg.offset}, expected {pos}")
+        pos += seg.length
+    return pos
 
 
 def all_finite(x: np.ndarray) -> bool:

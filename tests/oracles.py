@@ -10,7 +10,9 @@ and `loss_and_accuracy` the space the round loop hands `forward_loss`.
 `ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
 left-to-right sums the norm kernel `squared_norms` must match bit for bit.
 `synth_blobs` is the one-shot draw that `synth_dataset` and `synth_split`
-make in place, block by block, and must match bit for bit. `cli_process`
+make in place, block by block, and must match bit for bit. `paper_run` is
+a whole run written from the paper's equations in plain numpy, which
+`run_experiment` must match bit for bit. `cli_process`
 runs `fednorm` in a fresh process, and `kernel_digests` picks a golden
 table's digests for the OpenBLAS kernel that runs.
 """
@@ -26,10 +28,12 @@ import pytest
 
 import fednorm
 from fednorm.aggregate import apply_strategy
-from fednorm.client import thread_buffers
+from fednorm.client import derive_seed, thread_buffers
+from fednorm.data import partition
 from fednorm.errors import ShapeMismatchError
-from fednorm.nn import (NetworkSpec, forward_loss, forward_space, gradient_into, layer_views,
-                        prox_addend_into, sgd_update)
+from fednorm.nn import (NetworkSpec, forward_loss, forward_space, gradient_into, init_params,
+                        layer_views, prox_addend_into, sgd_update)
+from fednorm.orchestrator import RoundMetrics
 from fednorm.params import ParamVector, openblas_kernel, weighted_rows
 
 
@@ -171,6 +175,114 @@ def synth_blobs(class_count: int, per_class: int, feature_dim: int, seed: int,
     comp = np.tile(np.arange(per_class) % components_per_class, class_count)
     noise = rng.standard_normal((class_count * per_class, feature_dim))
     return centers[labels, comp] + 0.5 * noise, labels
+
+
+def _segments(sizes):
+    """(name, slice) of each segment of a flat parameter vector: fc1's
+    (fan_in, fan_out) weight, then its bias, then fc2's, and so on."""
+    out, pos = [], 0
+    for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:]), 1):
+        for kind, size in (("weight", fan_in * fan_out), ("bias", fan_out)):
+            out.append((f"fc{i}.{kind}", slice(pos, pos + size)))
+            pos += size
+    return out
+
+
+def _layers(sizes, p):
+    """(weight, bias) views of each layer of the flat parameters p."""
+    parts = [p[part] for _, part in _segments(sizes)]
+    return [(w.reshape(fan_in, -1), b) for w, b, fan_in in zip(parts[::2], parts[1::2], sizes)]
+
+
+def _forward(sizes, p, x):
+    """The logits and every layer's input: x @ W + b, ReLU below the top."""
+    layers, inputs = _layers(sizes, p), []
+    for i, (w, b) in enumerate(layers):
+        inputs.append(x)
+        x = x @ w + b
+        if i < len(layers) - 1:
+            x = np.maximum(x, 0.0)
+    return x, inputs
+
+
+def _gradient(sizes, p, x, y):
+    """The mean cross-entropy gradient, by backprop through the softmax."""
+    z, inputs = _forward(sizes, p, x)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    g = (e / e.sum(axis=1, keepdims=True) - np.eye(sizes[-1])[y]) / len(y)
+    grad = []
+    for (w, _), x in reversed(list(zip(_layers(sizes, p), inputs))):
+        grad[:0] = [(x.T @ g).ravel(), g.sum(axis=0)]
+        g = (g @ w.T) * (x > 0)
+    return np.concatenate(grad)
+
+
+def _client(sizes, w, train, rows, cfg, round_seed, cid):
+    """Delta w_k: local_epochs of SGD from w, each in its own seeded order."""
+    p = w.copy()
+    for epoch in range(1, cfg.local_epochs + 1):
+        order = rows[np.random.default_rng(derive_seed(round_seed, cid, epoch))
+                     .permutation(len(rows))]
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            g = _gradient(sizes, p, train.inputs[idx], train.labels[idx])
+            if cfg.mu > 0:
+                g = g + cfg.mu * (p - w)
+            p = p - cfg.learning_rate * (g + cfg.weight_decay * p)
+    return p - w
+
+
+def _running_sum(terms):
+    return float(np.cumsum(terms)[-1])
+
+
+def _norm(x):
+    return math.sqrt(_running_sum(x * x))
+
+
+def _accuracy(sizes, p, ds):
+    return float(np.mean(_forward(sizes, p, ds.inputs)[0].argmax(axis=1) == ds.labels))
+
+
+def paper_run(train, test, config):
+    """run_experiment's (metrics, final parameters), from the paper's
+    equations: u = sum_k a_k Delta w_k, N = ||u||, E = sum_k a_k ||Delta w_k||
+    and s = beta E / N, every sum taken left to right."""
+    sizes, sched, strategy = config.network.layer_sizes, config.schedule, config.strategy
+    normalized = strategy.kind in ("normnorm", "fednnnn")
+    gamma = strategy.gamma if strategy.kind in ("momentum", "fednnnn") else 0.0
+    parts = partition(train, config.partition, sched.clients, derive_seed(sched.seed, 1))
+    w = init_params(config.network, derive_seed(sched.seed, 0))
+    d = np.zeros_like(w)
+    metrics, integrated = [], 0.0
+    for r in range(1, sched.rounds + 1):
+        round_seed = derive_seed(sched.seed, 2, r)
+        sampled = sorted(np.random.default_rng(round_seed).choice(
+            sched.clients, sched.clients_per_round, replace=False).tolist())
+        counts = [len(parts[c]) for c in sampled]
+        alphas = ([1.0 / len(counts)] * len(counts) if sched.weight_mode == "uniform"
+                  else [n / sum(counts) for n in counts])
+        deltas = [_client(sizes, w, train, parts[c], config.client, round_seed, c)
+                  for c in sampled]
+        u = np.zeros_like(w)
+        for a, dk in zip(alphas, deltas):
+            u = u + a * dk
+        n = _norm(u)
+        e = _running_sum([a * _norm(dk) for a, dk in zip(alphas, deltas)])
+        per_layer = [(name, _norm(u[part]),
+                      _running_sum([a * _norm(dk[part]) for a, dk in zip(alphas, deltas)]))
+                     for name, part in _segments(sizes)]
+        s = 1.0
+        if normalized:
+            s = 0.0 if n <= strategy.epsilon * max(1.0, e) else strategy.beta * (e / n)
+        averaged = _accuracy(sizes, u + w, test) if normalized else None
+        d = gamma * d + s * u
+        w = w + d
+        step = _norm(d)
+        integrated += step
+        metrics.append(RoundMetrics(r, n, e, n / e if e > 0 else None, integrated, step,
+                                    _accuracy(sizes, w, test), averaged, per_layer))
+    return metrics, w
 
 
 def cli_process(*argv, flags=(), **env):

@@ -181,7 +181,7 @@ def test_criterion_04_backprop_matches_finite_differences():
             spec = NetworkSpec(sizes)
             if spec.param_count <= 1000:
                 break
-        params = init_params(spec, seed=int(rng.integers(1 << 30)))
+        params = ParamVector(init_params(spec, seed=int(rng.integers(1 << 30))), spec.segments())
         while True:
             inputs = rng.standard_normal((6, sizes[0]))
             labels = rng.integers(0, sizes[-1], 6)

@@ -163,6 +163,19 @@ def test_nwda_names_a_nan_or_inf_row_as_its_client():
         assert str(info.value) == "client 1: parameter vector contains NaN or Inf"
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_a_nan_inf_or_negative_weight_is_rejected_naming_its_client(bad):
+    """Before the check a weight of -1 gave E = -5 (against N <= E), and a
+    NaN weight surfaced as a parameter vector holding NaN."""
+    segs = pv([0.0] * 2).segments
+    for build, client in ((lambda: nwda([0.5, bad], np.array([[3.0, 4.0]] * 2), segs), 1),
+                          (lambda: UpdateFold([bad, 0.5], segs, [7, 9]), 7)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == (f"client {client}: weight must be finite and "
+                                   f"non-negative, got {bad}")
+
+
 def test_fold_in_blocks_matches_nwda():
     """Rows folded in uneven blocks report nwda's numbers."""
     rng = np.random.default_rng(22)

@@ -669,4 +669,4 @@ def test_a_strategy_trains_without_the_previous_strategys_result(monkeypatch, tm
     monkeypatch.setattr(cli, "run_experiment", checked)
     assert main(["run", "--preset", "desk_quick", "--strategies", "fedavg,fednnnn,momentum",
                  "--out", str(tmp_path)]) == 0
-    assert len(built) == 6 and alive == [0, 0, 0]
+    assert len(built) == 3 and alive == [0, 0, 0]

@@ -12,7 +12,7 @@ from fednorm.client import (ClientConfig, _lane_states, _seed_words, derive_seed
 from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
-from fednorm.params import l2_norm
+from fednorm.params import ParamVector, l2_norm
 from oracles import axpy, backward, client_buffers, delta, prox_gradient_addend, sgd_step
 
 SPEC = NetworkSpec((4, 6, 3))
@@ -32,14 +32,14 @@ def blob():
 def test_zero_learning_rate_zero_delta(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig(learning_rate=0.0)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(5, 2), 2,
+    up = local_train(SPEC, start, blob, ROWS, cfg, derived(5, 2), 2,
                      **client_buffers(SPEC, blob, ROWS, cfg))
     assert np.array_equal(up, np.zeros(SPEC.param_count))
 
 
 def test_single_batch_delta_is_one_sgd_step(blob):
     """With batch_size >= n and one epoch the delta is exactly one SGD step."""
-    start = init_params(SPEC, seed=0)
+    start = ParamVector(init_params(SPEC, seed=0), SPEC.segments())
     cfg = ClientConfig(learning_rate=0.1, batch_size=100, local_epochs=1,
                        weight_decay=0.001)
     up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(7, 0, 1), client_id=0,
@@ -53,7 +53,7 @@ def test_single_batch_delta_is_one_sgd_step(blob):
 
 
 def test_multi_epoch_matches_manual_loop(blob):
-    start = init_params(SPEC, seed=3)
+    start = ParamVector(init_params(SPEC, seed=3), SPEC.segments())
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=0.4)
     up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
                      **client_buffers(SPEC, blob, ROWS, cfg))
@@ -70,7 +70,7 @@ def test_multi_epoch_matches_manual_loop(blob):
 def test_prox_anchor_is_round_start_not_epoch_start(blob):
     """Re-anchoring each epoch would give a different trajectory; the real
     anchor stays at the distributed parameters."""
-    start = init_params(SPEC, seed=3)
+    start = ParamVector(init_params(SPEC, seed=3), SPEC.segments())
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=5.0)
     up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
                      **client_buffers(SPEC, blob, ROWS, cfg))
@@ -91,9 +91,9 @@ def test_large_mu_shrinks_delta(blob):
     norms = []
     for mu in (0.0, 10.0, 100.0, 1000.0):
         cfg = ClientConfig(learning_rate=0.001, mu=mu)
-        up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(2, 0), 0,
+        up = local_train(SPEC, start, blob, ROWS, cfg, derived(2, 0), 0,
                          **client_buffers(SPEC, blob, ROWS, cfg))
-        norms.append(l2_norm(up, start.segments))
+        norms.append(l2_norm(up, SPEC.segments()))
     assert norms == sorted(norms, reverse=True)
     assert norms[-1] < 0.15 * norms[0]
 
@@ -101,7 +101,7 @@ def test_large_mu_shrinks_delta(blob):
 def test_determinism_and_client_separation(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
-    a, b, other = (local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, cid), cid,
+    a, b, other = (local_train(SPEC, start, blob, ROWS, cfg, derived(9, cid), cid,
                                **client_buffers(SPEC, blob, ROWS, cfg)) for cid in (1, 1, 2))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, other)
@@ -117,10 +117,10 @@ def test_delta_written_into_given_row(blob):
                 ClientConfig(batch_size=16, local_epochs=2, weight_decay=1e-3, mu=0.4)):
         matrix = np.full((3, SPEC.param_count), np.nan)
         buffers = client_buffers(SPEC, blob, ROWS, cfg)
-        up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+        up = local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 2), 1,
                          out=matrix[1], work=work, batch=buffers["batch"])
         assert np.shares_memory(up, matrix)
-        fresh = local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+        fresh = local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 2), 1,
                             **buffers)
         assert np.array_equal(matrix[1].view(np.int64), fresh.view(np.int64))
         assert np.isnan(matrix[0]).all() and np.isnan(matrix[2]).all()
@@ -137,7 +137,7 @@ def test_one_row_work_buffer_suffices_without_weight_decay_or_mu(blob):
         assert work_rows(cfg) == 2
     cfg = ClientConfig(batch_size=16, local_epochs=2)
     assert work_rows(cfg) == 1
-    one, two = (local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 2), 1,
+    one, two = (local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 2), 1,
                             **{**client_buffers(SPEC, blob, ROWS, cfg),
                                "work": np.full((rows, n), np.nan)})
                 for rows in (1, 2))
@@ -215,7 +215,7 @@ def test_local_train_same_delta_from_epoch_seeds_and_derived_ints(blob):
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=0.1)
     round_seed = derive_seed(5, 2, 1)
     seeds = epoch_seeds(round_seed, [2, 4], 3)[1]
-    vectorized, ints = (local_train(SPEC, start.values, blob, ROWS, cfg, s, 4,
+    vectorized, ints = (local_train(SPEC, start, blob, ROWS, cfg, s, 4,
                                     **client_buffers(SPEC, blob, ROWS, cfg))
                         for s in (seeds, derived(round_seed, 4, 3)))
     assert np.array_equal(vectorized.view(np.int64), ints.view(np.int64))
@@ -225,7 +225,7 @@ def test_one_seed_per_local_epoch(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
     with pytest.raises(ValueError, match="4 seeds for 5 local epochs"):
-        local_train(SPEC, start.values, blob, ROWS, cfg, derived(9, 1, 4), 1,
+        local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 4), 1,
                     **client_buffers(SPEC, blob, ROWS, cfg))
 
 
@@ -233,7 +233,7 @@ def test_empty_client_rejected(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
     with pytest.raises(ValueError, match="no data"):
-        local_train(SPEC, start.values, blob, ROWS[:0], cfg, derived(0, 0), 0,
+        local_train(SPEC, start, blob, ROWS[:0], cfg, derived(0, 0), 0,
                     **client_buffers(SPEC, blob, ROWS[:0], cfg))
 
 

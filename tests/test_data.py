@@ -34,6 +34,7 @@ from fednorm.data import (
 )
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
+from fednorm.params import ParamVector
 from oracles import backward, loss_and_accuracy, sgd_step, synth_blobs
 
 
@@ -270,7 +271,7 @@ def test_synth_is_learnable_centrally():
     ds = synth_dataset(10, 200, 20, seed=0)
     normalize(ds, normalization_stats(ds))
     spec = NetworkSpec((20, 64, 10))
-    params = init_params(spec, seed=0)
+    params = ParamVector(init_params(spec, seed=0), spec.segments())
     rng = np.random.default_rng(1)
     for _ in range(5):
         order = rng.permutation(len(ds))

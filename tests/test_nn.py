@@ -45,14 +45,15 @@ def gradient_rel_error(analytic, numeric):
 def test_init_deterministic_bitwise():
     spec = NetworkSpec((12, 7, 4))
     a, b = init_params(spec, 42), init_params(spec, 42)
-    assert np.array_equal(a.values, b.values)
+    assert a.dtype == np.float64 and a.shape == (spec.param_count,) and a.flags.writeable
+    assert np.array_equal(a, b)
     c = init_params(spec, 43)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_init_biases_zero_and_weights_bounded():
     spec = NetworkSpec((30, 20, 5))
-    pv = init_params(spec, 0)
+    pv = ParamVector(init_params(spec, 0), spec.segments())
     assert not segment_values(pv, "fc1.bias").any()
     assert not segment_values(pv, "fc2.bias").any()
     for i, fan_in in ((1, 30), (2, 20)):
@@ -65,7 +66,7 @@ def test_init_weight_mean_moment_check():
     # uniform[-b, b] has mean 0, variance b^2/3; check the empirical mean of
     # >= 10^4 draws sits within 3 standard errors
     spec = NetworkSpec((100, 120, 10))
-    pv = init_params(spec, 7)
+    pv = ParamVector(init_params(spec, 7), spec.segments())
     w = segment_values(pv, "fc1.weight")
     assert w.size >= 10_000
     bound = math.sqrt(6.0 / 100)
@@ -95,7 +96,7 @@ def test_perfect_prediction_loss_near_zero():
 def test_loss_matches_direct_softmax_oracle():
     rng = np.random.default_rng(2)
     spec = NetworkSpec((5, 7, 3))
-    params = init_params(spec, 3).values
+    params = init_params(spec, 3)
     inputs, labels = make_batch(rng, 11, spec)
     loss, _ = loss_and_accuracy(spec, params, inputs, labels)
 
@@ -112,7 +113,7 @@ def test_forward_loss_holds_two_activations_per_layer_boundary():
     """Evaluating 1,000 rows of 784-200-200-10 holds the two hidden
     activations, not also their pre-activations (4.14 of them before)."""
     spec = NetworkSpec((784, 200, 200, 10))
-    params = init_params(spec, 0).values
+    params = init_params(spec, 0)
     inputs, labels = make_batch(np.random.default_rng(5), 1000, spec)
     tracemalloc.start()
     try:
@@ -130,7 +131,7 @@ def test_forward_pass_in_given_space_is_bitwise_the_allocating_pass():
     values of its space and leaves the rest untouched."""
     from fednorm.nn import _forward  # test-only access to the forward pass
     spec = NetworkSpec((30, 40, 25, 40, 7))
-    params = init_params(spec, 2).values
+    params = init_params(spec, 2)
     layers = layer_views(spec, params)
     inputs, labels = make_batch(np.random.default_rng(8), 13, spec)
     want = _forward(layers, inputs)[0]
@@ -150,7 +151,7 @@ def test_forward_pass_in_given_space_is_bitwise_the_allocating_pass():
 def test_forward_loss_permutation_invariant():
     rng = np.random.default_rng(3)
     spec = NetworkSpec((6, 9, 4))
-    params = init_params(spec, 4).values
+    params = init_params(spec, 4)
     inputs, labels = make_batch(rng, 20, spec)
     perm = rng.permutation(20)
     la, aa = loss_and_accuracy(spec, params, inputs, labels)
@@ -178,7 +179,7 @@ def test_zero_inputs_zero_weights_first_layer_grad_zero():
 def test_duplicated_batch_same_gradient():
     rng = np.random.default_rng(5)
     spec = NetworkSpec((4, 6, 3))
-    params = init_params(spec, 5)
+    params = ParamVector(init_params(spec, 5), spec.segments())
     inputs, labels = make_batch(rng, 9, spec)
     g1 = backward(spec, params, inputs, labels)
     g2 = backward(spec, params, np.vstack([inputs, inputs]), np.concatenate([labels, labels]))
@@ -188,7 +189,7 @@ def test_duplicated_batch_same_gradient():
 def test_gradient_matches_finite_differences_4_8_3():
     rng = np.random.default_rng(6)
     spec = NetworkSpec((4, 8, 3))
-    params = init_params(spec, 6)
+    params = ParamVector(init_params(spec, 6), spec.segments())
     batch = make_batch(rng, 10, spec)
     analytic = backward(spec, params, *batch).values
     numeric = fd_gradient(spec, params, batch)
@@ -198,7 +199,7 @@ def test_gradient_matches_finite_differences_4_8_3():
 def test_gradient_matches_finite_differences_deeper():
     rng = np.random.default_rng(7)
     spec = NetworkSpec((6, 10, 7, 4))
-    params = init_params(spec, 8)
+    params = ParamVector(init_params(spec, 8), spec.segments())
     batch = make_batch(rng, 8, spec)
     assert spec.param_count <= 1000
     analytic = backward(spec, params, *batch).values
@@ -276,7 +277,7 @@ def test_single_step_decreases_loss_on_smooth_point():
     spec = NetworkSpec((5, 8, 3))
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        params = init_params(spec, seed)
+        params = ParamVector(init_params(spec, seed), spec.segments())
         batch = make_batch(rng, 12, spec)
         before, _ = loss_and_accuracy(spec, params.values, *batch)
         stepped = sgd_step(params, backward(spec, params, *batch), 1e-4, 0.0)
@@ -309,7 +310,7 @@ def test_network_rejects_mismatched_params():
     spec = NetworkSpec((4, 3))
     other = NetworkSpec((4, 2))
     with pytest.raises(ShapeMismatchError):
-        layer_views(spec, init_params(other, 0).values)
+        layer_views(spec, init_params(other, 0))
 
 
 def test_spec_rejects_degenerate_shapes():

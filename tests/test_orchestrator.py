@@ -150,7 +150,7 @@ def test_dual_eval_matches_manual_average():
 
     seed = cfg.schedule.seed
     parts = partition(TRAIN, cfg.partition, cfg.schedule.clients, derive_seed(seed, 1))
-    w0 = init_params(NET, derive_seed(seed, 0))
+    w0 = ParamVector(init_params(NET, derive_seed(seed, 0)), NET.segments())
     round_seed = derive_seed(seed, 2, 1)
     updates = [
         local_train(NET, w0.values, TRAIN, parts[cid], cfg.client,
@@ -252,9 +252,9 @@ def test_server_step_that_overflows_fails_at_the_server(monkeypatch):
 @pytest.mark.parametrize("kind", ["fedavg", "fednnnn"])
 @pytest.mark.parametrize("rounds", [1, 8])
 def test_a_run_builds_param_vectors_only_at_its_boundaries(monkeypatch, kind, rounds):
-    """The server state stays in plain arrays for the whole run: the only
-    ParamVectors are the initial parameters and the final ones, however many
-    rounds run."""
+    """The server state stays in plain arrays for the whole run, from
+    init_params on: the only ParamVector is the final parameters, however
+    many rounds run."""
     built = []
     post_init = ParamVector.__post_init__
 
@@ -264,13 +264,13 @@ def test_a_run_builds_param_vectors_only_at_its_boundaries(monkeypatch, kind, ro
     monkeypatch.setattr(ParamVector, "__post_init__", counted)
     result = run_experiment(TRAIN, TEST, make_config(
         rounds=rounds, strategy=AggregationStrategy(kind, beta=0.7, gamma=0.8)))
-    assert len(built) == 2
-    assert built[-1] is result.final_params
+    assert len(built) == 1
+    assert built[0] is result.final_params
 
 
 def test_no_param_vector_is_alive_during_a_round(monkeypatch):
-    """The run keeps only its writable copy of the initial parameters: the
-    ParamVector init_params returns is freed before the first round."""
+    """The run's weights are the plain array init_params returns: no
+    ParamVector exists until the run ends."""
     built = []
     post_init = ParamVector.__post_init__
 
@@ -286,7 +286,7 @@ def test_no_param_vector_is_alive_during_a_round(monkeypatch):
     monkeypatch.setattr(ParamVector, "__post_init__", tracked)
     monkeypatch.setattr(orchestrator, "run_round", checked)
     run_experiment(TRAIN, TEST, make_config(strategy=AggregationStrategy("fednnnn")))
-    assert len(built) == 2 and rounds == [[], [], []]
+    assert len(built) == 1 and rounds == [[], [], []]
 
 
 WIDE = NetworkSpec((784, 200, 200, 10))

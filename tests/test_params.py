@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fednorm.aggregate import nwda
 from fednorm.errors import ShapeMismatchError
 from fednorm.params import (
     CHUNK,
@@ -357,10 +358,44 @@ def test_axpy_matches_scalar_loop():
 # structure and purity -------------------------------------------------------
 
 def test_segments_must_tile_exactly():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="segments tile 2 values but vector has 3"):
         ParamVector(np.zeros(3), (Segment("a", 0, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeMismatchError, match="segment 'a' starts at 1, expected 0"):
         ParamVector(np.zeros(3), (Segment("a", 1, 2),))
+
+
+# each layout breaks the tiling rule at segment b. Without the rule nwda read
+# the overlap's N as sqrt(25 + 16) = 6.403 instead of 13, took b before a, and
+# failed inside numpy on the segment past the row's end
+BAD_LAYOUTS = {
+    "overlap": ((Segment("a", 0, 2), Segment("b", 1, 2)), "starts at 1, expected 2"),
+    "past the end": ((Segment("a", 0, 2), Segment("b", 3, 2)), "starts at 3, expected 2"),
+    "out of order": ((Segment("b", 2, 2), Segment("a", 0, 2)), "starts at 2, expected 0"),
+    "gap": ((Segment("a", 0, 1), Segment("b", 2, 2)), "starts at 2, expected 1"),
+    "negative": ((Segment("a", 0, 4), Segment("b", 4, -1)), "has negative length"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(BAD_LAYOUTS))
+def test_both_boundaries_reject_a_bad_layout_naming_its_segment(layout):
+    """ParamVector and nwda, the two places a layout enters the package,
+    hold it to one rule, with one message."""
+    segments, message = BAD_LAYOUTS[layout]
+    row = np.array([3.0, 4.0, 0.0, 12.0])
+    for build in (lambda: ParamVector(row, segments), lambda: nwda([1.0], row[None], segments)):
+        with pytest.raises(ShapeMismatchError) as info:
+            build()
+        assert str(info.value) == f"segment 'b' {message}"
+
+
+def test_zero_length_segments_still_tile():
+    segments = (Segment("a", 0, 2), Segment("e", 2, 0), Segment("b", 2, 2), Segment("z", 4, 0))
+    row = np.array([3.0, 4.0, 0.0, 12.0])
+    assert ParamVector(row, segments).segments == segments
+    report = nwda([1.0], row[None], segments)
+    assert report.aggregate_norm == report.mean_local_norm == 13.0
+    assert report.per_layer == [("a", 5.0, 5.0), ("e", 0.0, 0.0), ("b", 12.0, 12.0),
+                                ("z", 0.0, 0.0)]
 
 
 def test_non_finite_rejected():
