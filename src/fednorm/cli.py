@@ -299,14 +299,6 @@ def load_config_file(path: str) -> dict:
 
 # ------------------------------------------------------------------- data load
 
-def _head(ds: Dataset, limit: int) -> Dataset:
-    """The first `limit` rows of ds in arrays of their own, so the rest of
-    ds is freed."""
-    if limit >= len(ds):
-        return ds
-    return Dataset(ds.inputs[:limit].copy(), ds.labels[:limit].copy(), ds.class_count)
-
-
 def load_data(plan: RunPlan) -> tuple[Dataset, Dataset]:
     """Materialize normalized train and test sets for a plan. Both are
     normalized in place, in arrays this function made, with the train
@@ -325,10 +317,8 @@ def load_data(plan: RunPlan) -> tuple[Dataset, Dataset]:
             raise ConfigError(
                 "dataset.dir: no IDX directory configured and none in the environment"
             )
-        train = load_idx(base / d.train_images, base / d.train_labels)
+        train = load_idx(base / d.train_images, base / d.train_labels, d.train_limit)
         test = load_idx(base / d.test_images, base / d.test_labels)
-        if d.train_limit is not None:
-            train = _head(train, d.train_limit)
     stats = normalization_stats(train)
     return normalize(train, stats), normalize(test, stats)
 
@@ -521,26 +511,24 @@ def cmd_analyze_nwda(args) -> int:
     tabulate N/E per round; label skew should show the smallest ratios."""
     schedule = _build("--", Schedule, rounds=args.rounds, seed=args.seed,
                       workers=args.workers)
-    base = {
+    plan = replace(parse_config({
         "dataset": {"kind": "synth", "classes": 10, "train_per_class": 50,
                     "test_per_class": 20, "features": 20, "center_scale": 0.5,
                     "components_per_class": 2},
         "network": {"hidden": [64]},
         "strategies": [{"kind": "fedavg"}],
-    }
+    }), schedule=schedule)
+    train, test = load_data(plan)
+    config = plan.experiment(plan.strategies[0], train.inputs.shape[1], train.class_count)
     scenarios = [
-        ("k1", {"label_mode": "iid", "size_mode": "balanced"}, 1),
-        ("iid", {"label_mode": "iid", "size_mode": "balanced"}, 10),
-        ("noniid", {"label_mode": "noniid", "size_mode": "balanced",
-                    "classes_per_client": 2}, 10),
+        ("k1", PartitionSpec("iid", "balanced"), 1),
+        ("iid", PartitionSpec("iid", "balanced"), 10),
+        ("noniid", PartitionSpec("noniid", "balanced", classes_per_client=2), 10),
     ]
     columns = {}
     for name, part, clients in scenarios:
-        plan = replace(parse_config({**base, "partition": part}),
-                       schedule=replace(schedule, clients=clients))
-        train, test = load_data(plan)
-        result = run_experiment(train, test, plan.experiment(
-            plan.strategies[0], train.inputs.shape[1], train.class_count))
+        result = run_experiment(train, test, replace(
+            config, partition=part, schedule=replace(schedule, clients=clients)))
         columns[name] = result.metrics
         if args.out:
             out = Path(args.out)

@@ -125,11 +125,15 @@ def _read_header(buf: bytes, path: Path, expect_magic: int, words: int) -> tuple
     return struct.unpack_from(f">{words}I", buf, 4)
 
 
-def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
-    """Parse an IDX image/label file pair into a Dataset.
+def load_idx(images_path: str | Path, labels_path: str | Path,
+             limit: int | None = None) -> Dataset:
+    """Parse an IDX image/label file pair into a Dataset of its first `limit`
+    examples (every example when limit is None).
 
-    Pixels are mapped to [0, 1] by dividing by 255. Raises IdxMagicError,
-    IdxTruncatedError, or IdxCountError with byte offsets on malformed input.
+    Pixels are mapped to [0, 1] by dividing by 255; only the rows kept are
+    converted. The class count comes from every label in the file. Raises
+    IdxMagicError, IdxTruncatedError, or IdxCountError with byte offsets on
+    malformed input, checked over the whole files.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     ibuf = images_path.read_bytes()
@@ -158,9 +162,10 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         )
     if count == 0:
         raise IdxCountError(f"{images_path}: zero examples")
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64)
+    kept = count if limit is None else min(limit, count)
+    inputs = pixels.reshape(count, rows * cols)[:kept].astype(np.float64)
     inputs /= 255.0
-    return Dataset(inputs, labels.astype(np.int64), int(labels.max()) + 1)
+    return Dataset(inputs, labels[:kept].astype(np.int64), int(labels.max()) + 1)
 
 
 # normalization ---------------------------------------------------------------

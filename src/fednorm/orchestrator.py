@@ -32,7 +32,7 @@ from .client import ClientConfig, derive_seed, epoch_seeds, local_train, thread_
 from .data import Dataset, PartitionSpec, partition
 from .errors import ConfigError, DivergenceError
 from .nn import NetworkSpec, forward_loss, forward_space, init_params
-from .params import ParamVector, l2_norm
+from .params import l2_norm
 
 # seed namespaces under the experiment seed
 _INIT = 0
@@ -119,8 +119,12 @@ class RoundMetrics:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A run's per-round metrics and its final distributed parameters: the
+    run's own weights, a read-only flat float64 array of
+    config.network.param_count values laid out by config.network.segments()."""
+
     metrics: list[RoundMetrics]
-    final_params: ParamVector
+    final_params: np.ndarray
 
 
 def sample_clients(client_count: int, clients_per_round: int, round_seed: int) -> list[int]:
@@ -316,4 +320,5 @@ def run_experiment(train: Dataset, test: Dataset,
                         integrated, ring, ring[:rows])
         integrated = row.integrated_norm
         metrics.append(row)
-    return ExperimentResult(metrics, ParamVector(params, config.network.segments()))
+    params.setflags(write=False)
+    return ExperimentResult(metrics, params)

@@ -1,14 +1,14 @@
 """Layer-segmented flat parameter vectors and the reductions over them.
 
 A model's parameters are one flat float64 vector tiled by named layer
-segments, by the one layout rule `tiled_length`, which ParamVector and the
-fold behind `nwda` check. ParamVector is the read-only, checked form of such
-a vector that crosses the package boundary: a run builds one, its final
-parameters. Inside a run the server keeps its weights (from `init_params`)
-and direction as plain arrays and updates them in place, and client updates
-travel as raw rows of a (K, n) matrix, one row per client. `weighted_rows` and `squared_norms`
-reduce a block of rows; both continue from one block to the next, so a
-round's rows can be reduced in client order as they arrive.
+segments, by the one layout rule `tiled_length`, which the fold behind
+`nwda` checks on a caller's layout. Parameters are plain flat arrays
+everywhere: the server keeps its weights (from `init_params`) and direction
+as arrays and updates them in place, a run returns its weights as its final
+parameters, and client updates travel as raw rows of a (K, n) matrix, one
+row per client. `weighted_rows` and `squared_norms` reduce a block of rows;
+both continue from one block to the next, so a round's rows can be reduced
+in client order as they arrive.
 
 All reductions here accumulate strictly left to right (no pairwise or
 threaded reduction), so repeated runs are bit-identical regardless of worker
@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 # columns per block in weighted_rows and squared_norms: for 20 rows a block is
 # 640 KB, and each block is a few long NumPy calls
@@ -55,38 +55,6 @@ class Segment:
     name: str
     offset: int
     length: int
-
-
-@dataclass(frozen=True, eq=False)
-class ParamVector:
-    """Immutable float64 vector whose segments exactly tile [0, size).
-
-    The values array is copied on construction and marked read-only, so a
-    ParamVector can be shared freely across threads. NaN or Inf values raise
-    DivergenceError.
-    """
-
-    values: np.ndarray
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self) -> None:
-        raw = np.asarray(self.values, dtype=np.float64)
-        if raw.ndim != 1:
-            raise ValueError(f"values must be 1-D, got shape {raw.shape}")
-        vals = raw.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        segs = tuple(self.segments)
-        object.__setattr__(self, "segments", segs)
-        pos = tiled_length(segs)
-        if pos != vals.size:
-            raise ValueError(f"segments tile {pos} values but vector has {vals.size}")
-        if not all_finite(vals):
-            raise DivergenceError("parameter vector contains NaN or Inf")
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
 
 
 def tiled_length(segments: Sequence[Segment]) -> int:

@@ -2,9 +2,9 @@
 
 The client and the server work in place on flat arrays (`gradient_into`,
 `sgd_update`, `prox_addend_into`, `weighted_rows`, `apply_strategy`). These
-wrappers take and return ParamVectors instead, one step at a time, which is
-how a test rebuilds a client's trajectory, a round's sum or a server step by
-hand; `axpy`, `zeros_like` and `delta` are the vector algebra they use.
+wrappers return new flat arrays instead and leave their arguments as they
+were, one step at a time, which is how a test rebuilds a client's
+trajectory, a round's sum or a server step by hand.
 `client_buffers` builds the buffers the round loop hands `local_train`,
 and `loss_and_accuracy` the space the round loop hands `forward_loss`.
 `ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
@@ -30,45 +30,19 @@ import fednorm
 from fednorm.aggregate import apply_strategy
 from fednorm.client import derive_seed, thread_buffers
 from fednorm.data import partition
-from fednorm.errors import ShapeMismatchError
 from fednorm.nn import (NetworkSpec, forward_loss, forward_space, gradient_into, init_params,
                         layer_views, prox_addend_into, sgd_update)
 from fednorm.orchestrator import RoundMetrics
-from fednorm.params import ParamVector, openblas_kernel, weighted_rows
+from fednorm.params import openblas_kernel, weighted_rows
 
 
-def _require_compatible(a: ParamVector, b: ParamVector, op: str) -> None:
-    if a.segments == b.segments:
-        return
-    for sa, sb in zip(a.segments, b.segments):
-        if sa != sb:
-            raise ShapeMismatchError(
-                f"{op}: segment mismatch, {sa.name!r}{(sa.offset, sa.length)} vs "
-                f"{sb.name!r}{(sb.offset, sb.length)}"
-            )
-    raise ShapeMismatchError(
-        f"{op}: segment count mismatch, {len(a.segments)} vs {len(b.segments)}"
-    )
-
-
-def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """alpha * x + y."""
-    _require_compatible(x, y, "axpy")
-    return ParamVector(float(alpha) * x.values + y.values, x.segments)
-
-
-def zeros_like(v: ParamVector) -> ParamVector:
-    return ParamVector(np.zeros(v.size, dtype=np.float64), v.segments)
-
-
-def server_step(params: ParamVector, report, strategy, direction: ParamVector,
-                ) -> tuple[ParamVector, ParamVector]:
+def server_step(params: np.ndarray, report, strategy, direction: np.ndarray,
+                ) -> tuple[np.ndarray, np.ndarray]:
     """apply_strategy on copies of w and d: returns (w + d', d') and leaves
     both arguments as they were."""
-    _require_compatible(params, direction, "server_step")
-    w, d = params.values.copy(), direction.values.copy()
+    w, d = params.copy(), direction.copy()
     apply_strategy(w, report, strategy, d)
-    return ParamVector(w, params.segments), ParamVector(d, params.segments)
+    return w, d
 
 
 def client_buffers(spec: NetworkSpec, data, rows, config) -> dict:
@@ -87,12 +61,12 @@ def loss_and_accuracy(spec: NetworkSpec, values: np.ndarray, inputs: np.ndarray,
                         np.empty(forward_space(spec, len(inputs))))
 
 
-def backward(spec: NetworkSpec, params: ParamVector, inputs, labels) -> ParamVector:
+def backward(spec: NetworkSpec, params: np.ndarray, inputs, labels) -> np.ndarray:
     """Gradient of the mean cross-entropy with respect to every parameter."""
     grad = np.empty(params.size)
-    gradient_into(layer_views(spec, params.values), layer_views(spec, grad),
+    gradient_into(layer_views(spec, params), layer_views(spec, grad),
                   np.asarray(inputs, dtype=np.float64), np.asarray(labels, dtype=np.int64))
-    return ParamVector(grad, params.segments)
+    return grad
 
 
 def ordered_sum(x: np.ndarray) -> float:
@@ -103,62 +77,46 @@ def ordered_sum(x: np.ndarray) -> float:
     return float(np.cumsum(x)[-1])
 
 
-def ordered_norm(v: ParamVector) -> float:
-    """L2 norm of v, summed left to right."""
-    return math.sqrt(ordered_sum(v.values * v.values))
+def ordered_norm(values: np.ndarray) -> float:
+    """L2 norm of values, summed left to right."""
+    return math.sqrt(ordered_sum(values * values))
 
 
-def per_layer_norms(v: ParamVector) -> list[tuple[str, float]]:
-    """L2 norm of each segment, in segment order, summed left to right."""
-    out = []
-    for seg in v.segments:
-        part = v.values[seg.offset : seg.offset + seg.length]
-        out.append((seg.name, math.sqrt(ordered_sum(part * part))))
-    return out
+def per_layer_norms(values: np.ndarray, segments) -> list[tuple[str, float]]:
+    """L2 norm of each segment of values, in segment order, summed left to
+    right."""
+    return [(seg.name, ordered_norm(values[seg.offset : seg.offset + seg.length]))
+            for seg in segments]
 
 
-def sgd_step(params: ParamVector, grad: ParamVector, eta: float, lam: float) -> ParamVector:
+def sgd_step(params: np.ndarray, grad: np.ndarray, eta: float, lam: float) -> np.ndarray:
     """params - eta * (grad + lam * params); plain SGD with coupled weight decay."""
-    if params.segments != grad.segments:
-        raise ShapeMismatchError("sgd_step: params and grad segments differ")
-    stepped = params.values.copy()
+    stepped = params.copy()
     # without weight decay the step scales a gradient in place
-    sgd_update(stepped, grad.values.copy(), eta, lam, np.empty_like(stepped))
-    return ParamVector(stepped, params.segments)
+    sgd_update(stepped, grad.copy(), eta, lam, np.empty_like(stepped))
+    return stepped
 
 
-def prox_gradient_addend(params: ParamVector, anchor: ParamVector, mu: float) -> ParamVector:
+def prox_gradient_addend(params: np.ndarray, anchor: np.ndarray, mu: float) -> np.ndarray:
     """mu * (params - anchor): gradient of the proximal penalty (mu/2)||w - w_t||^2."""
-    if params.segments != anchor.segments:
-        raise ShapeMismatchError("prox_gradient_addend: params and anchor segments differ")
     addend = np.empty(params.size)
-    prox_addend_into(addend, params.values, anchor.values, mu)
-    return ParamVector(addend, params.segments)
+    prox_addend_into(addend, params, anchor, mu)
+    return addend
 
 
-def delta(w_new: ParamVector, w_old: ParamVector) -> ParamVector:
-    """Update vector: trained weights minus the weights they started from."""
-    _require_compatible(w_new, w_old, "delta")
-    return ParamVector(w_new.values - w_old.values, w_new.segments)
-
-
-def weighted_sum(terms) -> ParamVector:
-    """Sum of weight_k * v_k over (weight, ParamVector) terms, in list order."""
+def weighted_sum(terms) -> np.ndarray:
+    """Sum of weight_k * v_k over (weight, flat array) terms, in list order."""
     if len(terms) == 0:
         raise ValueError("weighted_sum of an empty term list")
-    first = terms[0][1]
-    for _, vec in terms:
-        _require_compatible(first, vec, "weighted_sum")
-    acc = np.zeros(first.size)
-    weighted_rows([w for w, _ in terms], np.stack([v.values for _, v in terms]), out=acc)
-    return ParamVector(acc, first.segments)
+    return weighted_rows([w for w, _ in terms], np.stack([v for _, v in terms]),
+                         out=np.zeros(terms[0][1].size))
 
 
-def segment_values(v: ParamVector, name: str) -> np.ndarray:
-    """The values of v's segment called name."""
-    for seg in v.segments:
+def segment_values(values: np.ndarray, segments, name: str) -> np.ndarray:
+    """The values of the segment called name."""
+    for seg in segments:
         if seg.name == name:
-            return v.values[seg.offset : seg.offset + seg.length]
+            return values[seg.offset : seg.offset + seg.length]
     raise KeyError(name)
 
 

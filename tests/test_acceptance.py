@@ -30,15 +30,17 @@ from fednorm import (
 from fednorm.cli import main as cli_main
 from fednorm.data import IdxCountError, IdxMagicError, IdxTruncatedError, load_idx
 from fednorm.nn import init_params
-from fednorm.params import ParamVector, l2_norm
-from oracles import backward, loss_and_accuracy, server_step, zeros_like
+from fednorm.params import l2_norm
+from oracles import backward, loss_and_accuracy, server_step
 
 
 def report(criterion: int, text: str) -> None:
     print(f"\n[criterion {criterion}] PASS: {text}")
 
 
-def random_terms(rng, m, segs):
+def random_round(rng, m, segs):
+    """m random updates laid out by segments fc1.weight, fc2.weight, ... of
+    the lengths segs, as nwda's (weights, deltas, segments)."""
     size = sum(segs)
     raw = rng.uniform(0.05, 1.0, m)
     weights = raw / raw.sum()
@@ -46,22 +48,13 @@ def random_terms(rng, m, segs):
     for i, ln in enumerate(segs):
         segments.append(Segment(f"fc{i + 1}.weight", pos, ln))
         pos += ln
-    return [
-        (float(weights[k]),
-         ParamVector(rng.standard_normal(size) * rng.uniform(0.1, 10), tuple(segments)))
-        for k in range(m)
-    ]
-
-
-def stacked(terms):
-    """(alpha_k, Delta w_k) pairs as nwda's (weights, deltas, segments)."""
-    return ([w for w, _ in terms], np.stack([v.values for _, v in terms]),
-            terms[0][1].segments)
+    deltas = np.array([rng.standard_normal(size) * rng.uniform(0.1, 10) for _ in range(m)])
+    return [float(w) for w in weights], deltas, tuple(segments)
 
 
 def apply(w, rep, kind, **knobs):
     """One apply_strategy step from a zero server direction."""
-    return server_step(w, rep, AggregationStrategy(kind, **knobs), zeros_like(w))
+    return server_step(w, rep, AggregationStrategy(kind, **knobs), np.zeros_like(w))
 
 
 # -------------------------------------------------- shared desk-scale training
@@ -105,7 +98,7 @@ def test_criterion_01_aggregate_norm_never_exceeds_mean_local_norm():
     for _ in range(1000):
         m = int(rng.integers(1, 12))
         segs = tuple(int(s) for s in rng.integers(1, 40, size=rng.integers(1, 4)))
-        rep = nwda(*stacked(random_terms(rng, m, segs)))
+        rep = nwda(*random_round(rng, m, segs))
         slack = 1e-12 * max(1.0, rep.mean_local_norm)
         assert rep.aggregate_norm <= rep.mean_local_norm + slack
         worst = max(worst, rep.aggregate_norm - rep.mean_local_norm)
@@ -121,16 +114,14 @@ def test_criterion_02_normalized_step_norm_equals_beta_times_mean_local():
     checked = 0
     while checked < 100:
         m = int(rng.integers(2, 10))
-        terms = random_terms(rng, m, (8, 24, 5))
-        rep = nwda(*stacked(terms))
+        rep = nwda(*random_round(rng, m, (8, 24, 5)))
         if rep.aggregate_norm <= 1e-9 * max(1.0, rep.mean_local_norm):
             continue
         beta = float(rng.uniform(0.2, 1.8))
-        w = ParamVector(rng.standard_normal(rep.combined.size),
-                        terms[0][1].segments)
+        w = rng.standard_normal(rep.combined.size)
         _, step = apply(w, rep, "normnorm", beta=beta, epsilon=1e-9)
         target = beta * rep.mean_local_norm
-        assert abs(l2_norm(step.values, step.segments) - target) <= 1e-10 * target
+        assert abs(l2_norm(step, (Segment("w", 0, step.size),)) - target) <= 1e-10 * target
         checked += 1
     report(2, "||step|| = beta*E to rel 1e-10 on 100 random rounds")
 
@@ -140,25 +131,22 @@ def test_criterion_03_reduction_identities():
     normnorm(m=1, beta=1) == fedavg within 1e-15 per element."""
     rng = np.random.default_rng(3)
     for _ in range(25):
-        terms = random_terms(rng, int(rng.integers(2, 8)), (6, 14))
-        rep = nwda(*stacked(terms))
-        w = ParamVector(rng.standard_normal(rep.combined.size), terms[0][1].segments)
+        rep = nwda(*random_round(rng, int(rng.integers(2, 8)), (6, 14)))
+        w = rng.standard_normal(rep.combined.size)
 
         nn_new, nn_step = apply(w, rep, "normnorm", beta=0.9, epsilon=1e-9)
         fn_new, fn_step = apply(w, rep, "fednnnn", beta=0.9, gamma=0.0, epsilon=1e-9)
-        assert np.array_equal(nn_new.values, fn_new.values)
-        assert np.array_equal(nn_step.values, fn_step.values)
+        assert np.array_equal(nn_new, fn_new)
+        assert np.array_equal(nn_step, fn_step)
 
         avg, _ = apply(w, rep, "fedavg")
         mom, _ = apply(w, rep, "momentum", gamma=0.0)
-        assert np.array_equal(avg.values, mom.values)
+        assert np.array_equal(avg, mom)
 
-        solo_terms = random_terms(rng, 1, (6, 14))
-        solo = nwda(*stacked(solo_terms))
-        w1 = ParamVector(rng.standard_normal(solo.combined.size), solo_terms[0][1].segments)
+        solo = nwda(*random_round(rng, 1, (6, 14)))
+        w1 = rng.standard_normal(solo.combined.size)
         one_new, _ = apply(w1, solo, "normnorm", beta=1.0, epsilon=1e-9)
-        assert np.max(np.abs(apply(w1, solo, "fedavg")[0].values
-                             - one_new.values)) <= 1e-15
+        assert np.max(np.abs(apply(w1, solo, "fedavg")[0] - one_new)) <= 1e-15
     report(3, "fednnnn(gamma=0) == normnorm and momentum(gamma=0) == fedavg "
               "bitwise; normnorm(m=1, beta=1) == fedavg within 1e-15/element, "
               "25 fixtures")
@@ -181,28 +169,27 @@ def test_criterion_04_backprop_matches_finite_differences():
             spec = NetworkSpec(sizes)
             if spec.param_count <= 1000:
                 break
-        params = ParamVector(init_params(spec, seed=int(rng.integers(1 << 30))), spec.segments())
+        params = init_params(spec, seed=int(rng.integers(1 << 30)))
         while True:
             inputs = rng.standard_normal((6, sizes[0]))
             labels = rng.integers(0, sizes[-1], 6)
             # central differences are invalid within h of a relu kink, so
             # keep every hidden pre-activation at least 100*h away from zero
             pre, x = [], inputs
-            for w, b in layer_views(spec, params.values)[:-1]:
+            for w, b in layer_views(spec, params)[:-1]:
                 pre.append(x @ w + b)
                 x = np.maximum(pre[-1], 0.0)
             if all(np.min(np.abs(z)) > 1e-3 for z in pre):
                 break
-        analytic = backward(spec, params, inputs, labels).values
+        analytic = backward(spec, params, inputs, labels)
 
         def loss_at(vals):
             return loss_and_accuracy(spec, vals, inputs, labels)[0]
 
         h = 1e-5
         numeric = np.empty_like(analytic)
-        base = params.values.copy()
-        for i in range(base.size):
-            up, down = base.copy(), base.copy()
+        for i in range(params.size):
+            up, down = params.copy(), params.copy()
             up[i] += h
             down[i] -= h
             numeric[i] = (loss_at(up) - loss_at(down)) / (2 * h)

@@ -18,48 +18,51 @@ from fednorm.aggregate import (
     nwda,
 )
 from fednorm.errors import ConfigError, DivergenceError, ShapeMismatchError
-from fednorm.params import CHUNK, ParamVector, Segment, l2_norm
-from oracles import ordered_norm, per_layer_norms, server_step, zeros_like
+from fednorm.params import CHUNK, Segment, l2_norm
+from oracles import ordered_norm, per_layer_norms, server_step
 
 
-def pv(vals, split=None):
-    vals = np.asarray(vals, dtype=np.float64)
+def layout(size, split=None):
+    """One segment "w" over size values, or segments fc1.weight, fc2.weight,
+    ... of the lengths in split."""
     if split is None:
-        return ParamVector(vals, (Segment("w", 0, vals.size),))
+        return (Segment("w", 0, size),)
     segs, pos = [], 0
     for i, ln in enumerate(split):
         segs.append(Segment(f"fc{i + 1}.weight", pos, ln))
         pos += ln
-    return ParamVector(vals, tuple(segs))
+    return tuple(segs)
 
 
-def random_terms(rng, m, segs=(3, 5)):
-    size = sum(segs)
+def stacked(terms, split=None):
+    """(alpha_k, Delta w_k) pairs as nwda's (weights, deltas, segments)."""
+    deltas = np.array([v for _, v in terms], dtype=np.float64)
+    return [w for w, _ in terms], deltas, layout(deltas.shape[1], split)
+
+
+def random_round(rng, m, split=(3, 5)):
+    """m random updates under weights that sum to 1, as stacked gives them."""
     raw = rng.uniform(0.1, 1.0, m)
     weights = raw / raw.sum()
-    return [
-        (float(weights[k]), pv(rng.standard_normal(size), split=segs))
-        for k in range(m)
-    ]
+    return stacked([(float(weights[k]), rng.standard_normal(sum(split))) for k in range(m)],
+                   split)
 
 
-def stacked(terms):
-    """(alpha_k, Delta w_k) pairs as nwda's (weights, deltas, segments)."""
-    return ([w for w, _ in terms], np.stack([v.values for _, v in terms]),
-            terms[0][1].segments)
+def norm(x):
+    return l2_norm(x, layout(x.size))
 
 
 def apply(w, report, kind, direction=None, **knobs):
     """apply_strategy from a zero direction unless one is given."""
     if direction is None:
-        direction = zeros_like(w)
+        direction = np.zeros_like(w)
     return server_step(w, report, AggregationStrategy(kind, **knobs), direction)
 
 
 # ------------------------------------------------------------------- divergence
 
 def test_nwda_orthogonal_hand_values():
-    report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))]))
+    report = nwda(*stacked([(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])]))
     assert np.array_equal(report.combined, [0.5, 0.5])
     assert report.aggregate_norm == math.sqrt(0.5)
     assert report.mean_local_norm == 1.0
@@ -67,30 +70,28 @@ def test_nwda_orthogonal_hand_values():
 
 
 def test_nwda_full_cancellation():
-    report = nwda(*stacked([(0.5, pv([2.0, -1.0])), (0.5, pv([-2.0, 1.0]))]))
+    report = nwda(*stacked([(0.5, [2.0, -1.0]), (0.5, [-2.0, 1.0])]))
     assert report.aggregate_norm == 0.0
     assert report.mean_local_norm == math.sqrt(5.0)
     assert report.ratio == 0.0
 
 
 def test_nwda_all_zero_updates():
-    report = nwda(*stacked([(1.0, pv([0.0, 0.0, 0.0]))]))
+    report = nwda(*stacked([(1.0, [0.0, 0.0, 0.0])]))
     assert report.mean_local_norm == 0.0
     assert report.ratio is None
 
 
 def test_nwda_single_client_ratio_one():
     rng = np.random.default_rng(2)
-    vec = pv(rng.standard_normal(8))
-    report = nwda(*stacked([(1.0, vec)]))
+    report = nwda(*stacked([(1.0, rng.standard_normal(8))]))
     assert report.aggregate_norm == report.mean_local_norm
     assert report.ratio == 1.0
 
 
 def test_nwda_per_layer_rows():
-    a = pv([3.0, 4.0, 0.0, 0.0], split=(2, 2))
-    b = pv([0.0, 0.0, 5.0, 12.0], split=(2, 2))
-    report = nwda(*stacked([(0.5, a), (0.5, b)]))
+    report = nwda(*stacked([(0.5, [3.0, 4.0, 0.0, 0.0]), (0.5, [0.0, 0.0, 5.0, 12.0])],
+                           split=(2, 2)))
     names = [row[0] for row in report.per_layer]
     assert names == ["fc1.weight", "fc2.weight"]
     (_, n1, e1), (_, n2, e2) = report.per_layer
@@ -104,7 +105,7 @@ def test_nwda_triangle_inequality_property():
     rng = np.random.default_rng(7)
     for _ in range(100):
         m = int(rng.integers(1, 8))
-        report = nwda(*stacked(random_terms(rng, m)))
+        report = nwda(*random_round(rng, m))
         assert report.aggregate_norm <= report.mean_local_norm + 1e-12 * max(
             1.0, report.mean_local_norm
         )
@@ -116,35 +117,33 @@ def test_nwda_empty_rejected():
 
 
 def test_nwda_matrix_matches_per_vector_formulas():
-    """The matrix pass against the per-ParamVector formulas nwda used before
-    it took a round matrix, compared with == and no tolerance."""
+    """The matrix pass against the per-vector formulas nwda used before it
+    took a round matrix, compared with == and no tolerance."""
     rng = np.random.default_rng(21)
-    split = (CHUNK + 3, 7, 1)
-    terms = random_terms(rng, 5, segs=split)
-    report = nwda(*stacked(terms))
+    weights, deltas, segs = random_round(rng, 5, split=(CHUNK + 3, 7, 1))
+    report = nwda(weights, deltas, segs)
 
-    acc = np.zeros(sum(split))
-    for weight, vec in terms:
-        acc += float(weight) * vec.values
-    combined = pv(acc, split=split)
+    combined = np.zeros(deltas.shape[1])
+    for weight, vec in zip(weights, deltas):
+        combined += float(weight) * vec
     mean_local = 0.0
-    layer_means = [0.0] * len(split)
-    for weight, vec in terms:
+    layer_means = [0.0] * len(segs)
+    for weight, vec in zip(weights, deltas):
         mean_local += weight * ordered_norm(vec)
-        for i, (_, seg_norm) in enumerate(per_layer_norms(vec)):
+        for i, (_, seg_norm) in enumerate(per_layer_norms(vec, segs)):
             layer_means[i] += weight * seg_norm
-    assert np.array_equal(report.combined, combined.values)
+    assert np.array_equal(report.combined, combined)
     assert report.aggregate_norm == ordered_norm(combined)
     assert report.mean_local_norm == mean_local
     assert report.ratio == ordered_norm(combined) / mean_local
     assert report.per_layer == [
         (name, seg_norm, layer_means[i])
-        for i, (name, seg_norm) in enumerate(per_layer_norms(combined))
+        for i, (name, seg_norm) in enumerate(per_layer_norms(combined, segs))
     ]
 
 
 def test_nwda_shape_mismatch_rejected():
-    segs = pv([0.0] * 4).segments
+    segs = layout(4)
     with pytest.raises(ShapeMismatchError, match=r"2 rows of \(3,\) values, expected at most 2"):
         nwda([0.5, 0.5], np.zeros((2, 3)), segs)
     with pytest.raises(ShapeMismatchError, match=r"2 rows of \(4,\) values, expected at most 1"):
@@ -154,7 +153,7 @@ def test_nwda_shape_mismatch_rejected():
 
 
 def test_nwda_names_a_nan_or_inf_row_as_its_client():
-    segs = pv([0.0] * 4).segments
+    segs = layout(4)
     for bad in (np.nan, np.inf, -np.inf):
         deltas = np.ones((3, 4))
         deltas[1:, 2] = bad
@@ -167,7 +166,7 @@ def test_nwda_names_a_nan_or_inf_row_as_its_client():
 def test_a_nan_inf_or_negative_weight_is_rejected_naming_its_client(bad):
     """Before the check a weight of -1 gave E = -5 (against N <= E), and a
     NaN weight surfaced as a parameter vector holding NaN."""
-    segs = pv([0.0] * 2).segments
+    segs = layout(2)
     for build, client in ((lambda: nwda([0.5, bad], np.array([[3.0, 4.0]] * 2), segs), 1),
                           (lambda: UpdateFold([bad, 0.5], segs, [7, 9]), 7)):
         with pytest.raises(ValueError) as info:
@@ -179,7 +178,7 @@ def test_a_nan_inf_or_negative_weight_is_rejected_naming_its_client(bad):
 def test_fold_in_blocks_matches_nwda():
     """Rows folded in uneven blocks report nwda's numbers."""
     rng = np.random.default_rng(22)
-    weights, deltas, segs = stacked(random_terms(rng, 7, segs=(CHUNK + 3, 0, 9)))
+    weights, deltas, segs = random_round(rng, 7, split=(CHUNK + 3, 0, 9))
     whole = nwda(weights, deltas, segs)
     fold = UpdateFold(weights, segs, range(len(weights)))
     fold.add(deltas[:1])
@@ -196,8 +195,8 @@ def test_fold_in_blocks_matches_nwda():
 def test_fold_over_any_split_matches_nwda(lengths, count, cuts, seed):
     """UpdateFold.add over any split of the rows into blocks gives the bits of
     one-shot nwda."""
-    weights, deltas, segs = stacked(random_terms(np.random.default_rng(seed), count,
-                                                 segs=tuple(lengths)))
+    weights, deltas, segs = random_round(np.random.default_rng(seed), count,
+                                         split=tuple(lengths))
     whole = nwda(weights, deltas, segs)
     fold = UpdateFold(weights, segs, range(len(weights)))
     bounds = [0, *sorted(c for c in cuts if c < count), count]
@@ -214,7 +213,7 @@ def test_fold_report_norms_are_left_to_right_sums():
     left-to-right sum, on rows whose magnitudes span 1e-30 to 1e30 and whose
     pairs nearly cancel in u."""
     rng = np.random.default_rng(24)
-    segs = pv(np.zeros(3 * CHUNK + 12), split=(CHUNK + 3, 0, 9, 2 * CHUNK)).segments
+    segs = layout(3 * CHUNK + 12, split=(CHUNK + 3, 0, 9, 2 * CHUNK))
     shape = (10, 3 * CHUNK + 12)
     deltas = rng.standard_normal(shape) * 10.0 ** rng.uniform(-30, 30, shape)
     deltas[1::2] = -deltas[::2] * (1.0 + rng.uniform(-1e-9, 1e-9, (5, shape[1])))
@@ -223,22 +222,21 @@ def test_fold_report_norms_are_left_to_right_sums():
     fold.add(deltas[:3])
     fold.add(deltas[3:])
     report = fold.report()
-    u = ParamVector(report.combined, segs)
-    assert report.aggregate_norm == ordered_norm(u) == l2_norm(u.values, segs)
-    assert report.aggregate_norm < 1e-6 * ordered_norm(pv(deltas[0]))  # pairs cancel
-    rows = [ParamVector(r, segs) for r in deltas]
+    u = report.combined
+    assert report.aggregate_norm == ordered_norm(u) == l2_norm(u, segs)
+    assert report.aggregate_norm < 1e-6 * ordered_norm(deltas[0])  # pairs cancel
     mean_local, layer_means = 0.0, [0.0] * len(segs)
-    for weight, row in zip(weights, rows):
+    for weight, row in zip(weights, deltas):
         mean_local += weight * ordered_norm(row)
-        for i, (_, norm) in enumerate(per_layer_norms(row)):
-            layer_means[i] += weight * norm
+        for i, (_, seg_norm) in enumerate(per_layer_norms(row, segs)):
+            layer_means[i] += weight * seg_norm
     assert report.mean_local_norm == mean_local
-    assert report.per_layer == [(name, norm, mean) for (name, norm), mean
-                                in zip(per_layer_norms(u), layer_means)]
+    assert report.per_layer == [(name, seg_norm, mean) for (name, seg_norm), mean
+                                in zip(per_layer_norms(u, segs), layer_means)]
 
 
 def test_fold_rejects_missing_and_extra_rows():
-    weights, deltas, segs = stacked(random_terms(np.random.default_rng(23), 3))
+    weights, deltas, segs = random_round(np.random.default_rng(23), 3)
     fold = UpdateFold(weights, segs, range(len(weights)))
     fold.add(deltas[:2])
     with pytest.raises(ShapeMismatchError, match="2 rows folded, expected 3"):
@@ -251,71 +249,69 @@ def test_fold_rejects_missing_and_extra_rows():
 # -------------------------------------------------------------------- appliers
 
 def test_fedavg_adds_update():
-    w = pv([1.0, 2.0])
-    new, _ = apply(w, nwda(*stacked([(1.0, pv([0.25, -0.5]))])), "fedavg")
-    assert np.array_equal(new.values, [1.25, 1.5])
+    new, _ = apply(np.array([1.0, 2.0]), nwda(*stacked([(1.0, [0.25, -0.5])])), "fedavg")
+    assert np.array_equal(new, [1.25, 1.5])
 
 
 def test_normnorm_step_norm_is_beta_times_mean_local():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        report = nwda(*stacked(random_terms(rng, int(rng.integers(2, 6)))))
-        w = pv(rng.standard_normal(report.combined.size), split=(3, 5))
+        report = nwda(*random_round(rng, int(rng.integers(2, 6))))
+        w = rng.standard_normal(report.combined.size)
         beta = float(rng.uniform(0.3, 1.5))
         _, step = apply(w, report, "normnorm", beta=beta, epsilon=1e-9)
         target = beta * report.mean_local_norm
-        assert abs(l2_norm(step.values, step.segments) - target) <= 1e-10 * target
+        assert abs(norm(step) - target) <= 1e-10 * target
 
 
 def test_normnorm_preserves_direction():
-    report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([0.0, 1.0]))]))
-    w = pv([0.0, 0.0])
-    new, step = apply(w, report, "normnorm", beta=0.9, epsilon=1e-9)
+    report = nwda(*stacked([(0.5, [1.0, 0.0]), (0.5, [0.0, 1.0])]))
+    new, step = apply(np.zeros(2), report, "normnorm", beta=0.9, epsilon=1e-9)
     scale = 0.9 * (1.0 / math.sqrt(0.5))
-    np.testing.assert_allclose(step.values, scale * np.array([0.5, 0.5]), rtol=1e-14)
-    assert np.array_equal(new.values, step.values)
+    np.testing.assert_allclose(step, scale * np.array([0.5, 0.5]), rtol=1e-14)
+    assert np.array_equal(new, step)
 
 
 def test_normnorm_guard_returns_params_unchanged():
-    w = pv([1.0, -2.0])
+    w = np.array([1.0, -2.0])
     # full cancellation: N = 0, E > 0
-    report = nwda(*stacked([(0.5, pv([1.0, 1.0])), (0.5, pv([-1.0, -1.0]))]))
+    report = nwda(*stacked([(0.5, [1.0, 1.0]), (0.5, [-1.0, -1.0])]))
     new, step = apply(w, report, "normnorm", beta=1.0, epsilon=1e-9)
-    assert np.array_equal(new.values, w.values)
-    assert l2_norm(step.values, step.segments) == 0.0
+    assert np.array_equal(new, w)
+    assert norm(step) == 0.0
 
 
 def test_guard_boundary_is_leq():
-    w = pv([0.0])
+    w = np.zeros(1)
     eps = 1e-9
-    at = nwda(*stacked([(1.0, pv([eps]))]))  # N = E = eps, threshold eps*max(1,eps) = eps
+    at = nwda(*stacked([(1.0, [eps])]))  # N = E = eps, threshold eps*max(1,eps) = eps
     new, step = apply(w, at, "normnorm", beta=1.0, epsilon=eps)
-    assert l2_norm(step.values, step.segments) == 0.0
-    above = nwda(*stacked([(1.0, pv([2 * eps]))]))
+    assert norm(step) == 0.0
+    above = nwda(*stacked([(1.0, [2 * eps])]))
     _, step2 = apply(w, above, "normnorm", beta=1.0, epsilon=eps)
-    assert l2_norm(step2.values, step2.segments) > 0.0
+    assert norm(step2) > 0.0
 
 
 def test_fednnnn_guard_still_decays_momentum():
-    w = pv([1.0, 1.0])
-    direction = pv([0.5, -0.5])
-    report = nwda(*stacked([(0.5, pv([1.0, 0.0])), (0.5, pv([-1.0, 0.0]))]))
+    w = np.array([1.0, 1.0])
+    direction = np.array([0.5, -0.5])
+    report = nwda(*stacked([(0.5, [1.0, 0.0]), (0.5, [-1.0, 0.0])]))
     new, step = apply(w, report, "fednnnn", direction, beta=0.7, gamma=0.8, epsilon=1e-9)
-    assert np.array_equal(step.values, 0.8 * np.array([0.5, -0.5]))
-    assert np.array_equal(new.values, w.values + step.values)
+    assert np.array_equal(step, 0.8 * np.array([0.5, -0.5]))
+    assert np.array_equal(new, w + step)
 
 
 def test_momentum_constant_update_geometric_sum():
-    u = pv([1.0, -2.0])
-    w = pv([0.0, 0.0])
+    u = np.array([1.0, -2.0])
+    w = np.zeros(2)
     gamma = 0.6
     report = nwda(*stacked([(1.0, u)]))
-    assert np.array_equal(report.combined, u.values)
-    step = zeros_like(u)
+    assert np.array_equal(report.combined, u)
+    step = np.zeros_like(u)
     for t in range(1, 6):
         w, step = apply(w, report, "momentum", step, gamma=gamma)
         closed = (1 - gamma**t) / (1 - gamma)
-        np.testing.assert_allclose(step.values, closed * u.values, rtol=1e-12)
+        np.testing.assert_allclose(step, closed * u, rtol=1e-12)
 
 
 @pytest.mark.parametrize("w, d, u, kind", [
@@ -338,13 +334,12 @@ def test_fednnnn_matches_independent_replay(kind):
     gets beta and gamma, so the kinds that ignore a knob are checked too."""
     rng = np.random.default_rng(11)
     beta, gamma = 0.7, 0.8
-    w = pv(rng.standard_normal(8), split=(3, 5))
-    step = zeros_like(w)
-    ref_w = w.values.copy()
+    w = rng.standard_normal(8)
+    step = np.zeros_like(w)
+    ref_w = w.copy()
     ref_d = np.zeros(8)
     for _ in range(6):
-        terms = random_terms(rng, 4)
-        report = nwda(*stacked(terms))
+        report = nwda(*random_round(rng, 4))
         w, step = apply(w, report, kind, step, beta=beta, gamma=gamma, epsilon=1e-9)
         u = report.combined
         scale = beta * (report.mean_local_norm / report.aggregate_norm)
@@ -357,8 +352,8 @@ def test_fednnnn_matches_independent_replay(kind):
         else:  # d' = gamma*d + beta*(E/N)*u, then w + d'
             ref_d = gamma * ref_d + scale * u
         ref_w = ref_w + ref_d
-        assert np.array_equal(step.values, ref_d)
-        assert np.array_equal(w.values, ref_w)
+        assert np.array_equal(step, ref_d)
+        assert np.array_equal(w, ref_w)
 
 
 # ---------------------------------------------------------- reduction identities
@@ -366,32 +361,32 @@ def test_fednnnn_matches_independent_replay(kind):
 def test_fednnnn_gamma_zero_is_normnorm_bitwise():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        report = nwda(*stacked(random_terms(rng, 3)))
-        w = pv(rng.standard_normal(8), split=(3, 5))
+        report = nwda(*random_round(rng, 3))
+        w = rng.standard_normal(8)
         beta = float(rng.uniform(0.3, 1.5))
         nn_new, nn_step = apply(w, report, "normnorm", beta=beta, epsilon=1e-9)
         fn_new, fn_step = apply(w, report, "fednnnn", beta=beta, gamma=0.0, epsilon=1e-9)
-        assert np.array_equal(nn_new.values, fn_new.values)
-        assert np.array_equal(nn_step.values, fn_step.values)
+        assert np.array_equal(nn_new, fn_new)
+        assert np.array_equal(nn_step, fn_step)
 
 
 def test_momentum_gamma_zero_is_fedavg():
     rng = np.random.default_rng(6)
-    report = nwda(*stacked(random_terms(rng, 4)))
-    w = pv(rng.standard_normal(8), split=(3, 5))
+    report = nwda(*random_round(rng, 4))
+    w = rng.standard_normal(8)
     avg, _ = apply(w, report, "fedavg")
     mom, _ = apply(w, report, "momentum", gamma=0.0)
-    assert np.array_equal(avg.values, mom.values)
+    assert np.array_equal(avg, mom)
 
 
 def test_normnorm_single_client_beta_one_is_fedavg():
     rng = np.random.default_rng(8)
-    vec = pv(rng.standard_normal(8), split=(3, 5))
-    w = pv(rng.standard_normal(8), split=(3, 5))
-    report = nwda(*stacked([(1.0, vec)]))
+    vec = rng.standard_normal(8)
+    w = rng.standard_normal(8)
+    report = nwda(*stacked([(1.0, vec)], split=(3, 5)))
     avg, _ = apply(w, report, "fedavg")
     nn_new, _ = apply(w, report, "normnorm", beta=1.0, epsilon=1e-9)
-    assert np.max(np.abs(avg.values - nn_new.values)) <= 1e-15
+    assert np.max(np.abs(avg - nn_new)) <= 1e-15
 
 
 # ------------------------------------------------------------------- dispatcher
@@ -400,24 +395,23 @@ def test_apply_strategy_dispatch_matches_direct_calls():
     """Each kind is its corner of d' = gamma*d + s*u from a non-zero d, with
     beta and gamma set even where the kind ignores them."""
     rng = np.random.default_rng(9)
-    terms = random_terms(rng, 3)
-    report = nwda(*stacked(terms))
-    w = pv(rng.standard_normal(8), split=(3, 5))
-    d = pv(rng.standard_normal(8), split=(3, 5))
+    report = nwda(*random_round(rng, 3))
+    w = rng.standard_normal(8)
+    d = rng.standard_normal(8)
     u = report.combined
     scale = 0.9 * (report.mean_local_norm / report.aggregate_norm)
 
     def step_of(kind):
         new, step = apply(w, report, kind, d, beta=0.9, gamma=0.5)
-        assert np.array_equal(new.values, step.values + w.values)
-        return step.values
+        assert np.array_equal(new, step + w)
+        return step
 
     # plain averaging carries no momentum: the step is u whatever d holds
     assert np.array_equal(step_of("fedavg"), u)
     assert np.array_equal(step_of("fedprox"), u)
     assert np.array_equal(step_of("normnorm"), scale * u)
-    assert np.array_equal(step_of("momentum"), 0.5 * d.values + u)
-    assert np.array_equal(step_of("fednnnn"), 0.5 * d.values + scale * u)
+    assert np.array_equal(step_of("momentum"), 0.5 * d + u)
+    assert np.array_equal(step_of("fednnnn"), 0.5 * d + scale * u)
 
 
 def test_strategy_validation():

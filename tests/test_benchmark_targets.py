@@ -23,6 +23,7 @@ DEAD = {
     ("fednorm.client", "prox_gradient_addend"),
     ("fednorm.client", "delta"),
     ("fednorm.orchestrator", "nwda"),
+    ("fednorm.params:ParamVector", "__post_init__"),
 }
 
 
@@ -39,7 +40,7 @@ def resolves(target) -> bool:
     module_name, _, class_name = target.owner.partition(":")
     owner = importlib.import_module(module_name)
     if class_name:
-        owner = getattr(owner, class_name)
+        owner = getattr(owner, class_name, None)
     return callable(getattr(owner, target.attr, None))
 
 

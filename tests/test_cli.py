@@ -30,7 +30,7 @@ from fednorm.client import ClientConfig
 from fednorm.data import PartitionSpec
 from fednorm.errors import ConfigError
 from fednorm.orchestrator import Schedule
-from fednorm.params import ParamVector, openblas_kernel
+from fednorm.params import openblas_kernel
 from oracles import cli_process
 from test_server_thread import diverging_config
 
@@ -649,24 +649,19 @@ def test_flag_overrides_are_checked_under_the_flag_name(tmp_path, capsys):
 
 
 def test_a_strategy_trains_without_the_previous_strategys_result(monkeypatch, tmp_path):
-    """`run` keeps a strategy's metrics, not its result: no ParamVector of
-    an earlier strategy (its final parameters) is alive while the next one
-    trains."""
-    built = []
-    post_init = ParamVector.__post_init__
-
-    def tracked(vector):
-        built.append(weakref.ref(vector))
-        post_init(vector)
+    """`run` keeps a strategy's metrics, not its result: no earlier
+    strategy's final parameters are alive while the next one trains."""
+    finals = []
     alive = []
     run_experiment = cli.run_experiment
 
     def checked(*args, **kwargs):
         gc.collect()
-        alive.append(sum(ref() is not None for ref in built))
-        return run_experiment(*args, **kwargs)
-    monkeypatch.setattr(ParamVector, "__post_init__", tracked)
+        alive.append(sum(ref() is not None for ref in finals))
+        result = run_experiment(*args, **kwargs)
+        finals.append(weakref.ref(result.final_params))
+        return result
     monkeypatch.setattr(cli, "run_experiment", checked)
     assert main(["run", "--preset", "desk_quick", "--strategies", "fedavg,fednnnn,momentum",
                  "--out", str(tmp_path)]) == 0
-    assert len(built) == 3 and alive == [0, 0, 0]
+    assert len(finals) == 3 and alive == [0, 0, 0]

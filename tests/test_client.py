@@ -12,8 +12,8 @@ from fednorm.client import (ClientConfig, _lane_states, _seed_words, derive_seed
 from fednorm.data import batches, synth_dataset
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
-from fednorm.params import ParamVector, l2_norm
-from oracles import axpy, backward, client_buffers, delta, prox_gradient_addend, sgd_step
+from fednorm.params import l2_norm
+from oracles import backward, client_buffers, prox_gradient_addend, sgd_step
 
 SPEC = NetworkSpec((4, 6, 3))
 ROWS = np.arange(60)
@@ -39,40 +39,40 @@ def test_zero_learning_rate_zero_delta(blob):
 
 def test_single_batch_delta_is_one_sgd_step(blob):
     """With batch_size >= n and one epoch the delta is exactly one SGD step."""
-    start = ParamVector(init_params(SPEC, seed=0), SPEC.segments())
+    start = init_params(SPEC, seed=0)
     cfg = ClientConfig(learning_rate=0.1, batch_size=100, local_epochs=1,
                        weight_decay=0.001)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(7, 0, 1), client_id=0,
+    up = local_train(SPEC, start, blob, ROWS, cfg, derived(7, 0, 1), client_id=0,
                      **client_buffers(SPEC, blob, ROWS, cfg))
     (batch,) = batches(blob, ROWS, 100, derive_seed(7, 0, 1))
     stepped = sgd_step(start, backward(SPEC, start, *batch), 0.1, 0.001)
-    assert np.array_equal(up, delta(stepped, start).values)
+    assert np.array_equal(up, stepped - start)
     grad = backward(SPEC, start, *batch)
-    manual = -0.1 * (grad.values + 0.001 * start.values)
+    manual = -0.1 * (grad + 0.001 * start)
     np.testing.assert_allclose(up, manual, rtol=1e-12, atol=1e-15)
 
 
 def test_multi_epoch_matches_manual_loop(blob):
-    start = ParamVector(init_params(SPEC, seed=3), SPEC.segments())
+    start = init_params(SPEC, seed=3)
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=0.4)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
+    up = local_train(SPEC, start, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
                      **client_buffers(SPEC, blob, ROWS, cfg))
 
     params = start
     for epoch in (1, 2, 3):
         for batch in batches(blob, ROWS, 16, derive_seed(11, 4, epoch)):
             grad = backward(SPEC, params, *batch)
-            grad = axpy(1.0, prox_gradient_addend(params, start, 0.4), grad)
+            grad = prox_gradient_addend(params, start, 0.4) + grad
             params = sgd_step(params, grad, 0.05, 0.0)
-    assert np.array_equal(up, delta(params, start).values)
+    assert np.array_equal(up, params - start)
 
 
 def test_prox_anchor_is_round_start_not_epoch_start(blob):
     """Re-anchoring each epoch would give a different trajectory; the real
     anchor stays at the distributed parameters."""
-    start = ParamVector(init_params(SPEC, seed=3), SPEC.segments())
+    start = init_params(SPEC, seed=3)
     cfg = ClientConfig(learning_rate=0.05, batch_size=16, local_epochs=3, mu=5.0)
-    up = local_train(SPEC, start.values, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
+    up = local_train(SPEC, start, blob, ROWS, cfg, derived(11, 4, 3), client_id=4,
                      **client_buffers(SPEC, blob, ROWS, cfg))
 
     params = start
@@ -80,9 +80,9 @@ def test_prox_anchor_is_round_start_not_epoch_start(blob):
         anchor = params  # wrong on purpose
         for batch in batches(blob, ROWS, 16, derive_seed(11, 4, epoch)):
             grad = backward(SPEC, params, *batch)
-            grad = axpy(1.0, prox_gradient_addend(params, anchor, 5.0), grad)
+            grad = prox_gradient_addend(params, anchor, 5.0) + grad
             params = sgd_step(params, grad, 0.05, 0.0)
-    assert not np.array_equal(up, delta(params, start).values)
+    assert not np.array_equal(up, params - start)
 
 
 def test_large_mu_shrinks_delta(blob):

@@ -34,7 +34,6 @@ from fednorm.data import (
 )
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
-from fednorm.params import ParamVector
 from oracles import backward, loss_and_accuracy, sgd_step, synth_blobs
 
 
@@ -59,6 +58,20 @@ def test_load_idx_roundtrip(tmp_path):
     assert ds.inputs[0, 3] == 1.0
     assert ds.inputs[0, 1] == 51 / 255
     assert ds.inputs.dtype == np.float64
+
+
+def test_load_idx_limit_keeps_the_first_rows_and_counts_every_label(tmp_path):
+    """The first `limit` rows are kept; the class count still comes from the
+    whole label file, whose top class 3 they lack."""
+    pixels = list(range(0, 240, 12))
+    ipath, lpath = write_idx_pair(tmp_path, pixels, [2, 0, 1, 3, 0])
+    whole = load_idx(ipath, lpath)
+    for limit in (1, 3, 5, 6):
+        ds = load_idx(ipath, lpath, limit)
+        kept = min(limit, 5)
+        assert ds.class_count == 4
+        assert ds.inputs.tobytes() == whole.inputs[:kept].tobytes()
+        assert np.array_equal(ds.labels, whole.labels[:kept])
 
 
 def test_load_idx_bad_magic(tmp_path):
@@ -271,7 +284,7 @@ def test_synth_is_learnable_centrally():
     ds = synth_dataset(10, 200, 20, seed=0)
     normalize(ds, normalization_stats(ds))
     spec = NetworkSpec((20, 64, 10))
-    params = ParamVector(init_params(spec, seed=0), spec.segments())
+    params = init_params(spec, seed=0)
     rng = np.random.default_rng(1)
     for _ in range(5):
         order = rng.permutation(len(ds))
@@ -279,7 +292,7 @@ def test_synth_is_learnable_centrally():
             idx = order[i : i + 50]
             grad = backward(spec, params, ds.inputs[idx], ds.labels[idx])
             params = sgd_step(params, grad, 0.05, 0.0)
-    _, acc = loss_and_accuracy(spec, params.values, ds.inputs, ds.labels)
+    _, acc = loss_and_accuracy(spec, params, ds.inputs, ds.labels)
     assert acc >= 0.9
 
 

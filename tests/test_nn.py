@@ -9,7 +9,7 @@ import pytest
 from fednorm.errors import ShapeMismatchError
 from fednorm.nn import (NetworkSpec, forward_loss, forward_space, init_params, layer_views,
                         sgd_update)
-from fednorm.params import ParamVector, Segment
+from fednorm.params import Segment, l2_norm
 from oracles import (backward, loss_and_accuracy, prox_gradient_addend, segment_values,
                      sgd_step)
 
@@ -20,9 +20,8 @@ def make_batch(rng, n, spec):
             rng.integers(0, spec.class_count, size=n))
 
 
-def fd_gradient(spec, pv, batch, h=1e-5):
+def fd_gradient(spec, base, batch, h=1e-5):
     """Central finite differences on the mean cross-entropy."""
-    base = pv.values
     out = np.empty(base.size)
     for i in range(base.size):
         vp = base.copy()
@@ -53,11 +52,11 @@ def test_init_deterministic_bitwise():
 
 def test_init_biases_zero_and_weights_bounded():
     spec = NetworkSpec((30, 20, 5))
-    pv = ParamVector(init_params(spec, 0), spec.segments())
-    assert not segment_values(pv, "fc1.bias").any()
-    assert not segment_values(pv, "fc2.bias").any()
+    params, segments = init_params(spec, 0), spec.segments()
+    assert not segment_values(params, segments, "fc1.bias").any()
+    assert not segment_values(params, segments, "fc2.bias").any()
     for i, fan_in in ((1, 30), (2, 20)):
-        w = segment_values(pv, f"fc{i}.weight")
+        w = segment_values(params, segments, f"fc{i}.weight")
         bound = math.sqrt(6.0 / fan_in)
         assert np.abs(w).max() <= bound
 
@@ -66,8 +65,7 @@ def test_init_weight_mean_moment_check():
     # uniform[-b, b] has mean 0, variance b^2/3; check the empirical mean of
     # >= 10^4 draws sits within 3 standard errors
     spec = NetworkSpec((100, 120, 10))
-    pv = ParamVector(init_params(spec, 7), spec.segments())
-    w = segment_values(pv, "fc1.weight")
+    w = segment_values(init_params(spec, 7), spec.segments(), "fc1.weight")
     assert w.size >= 10_000
     bound = math.sqrt(6.0 / 100)
     se = bound / math.sqrt(3.0 * w.size)
@@ -171,27 +169,26 @@ def test_argmax_ties_break_to_lowest_class():
 
 def test_zero_inputs_zero_weights_first_layer_grad_zero():
     spec = NetworkSpec((5, 4, 3))
-    zeros = ParamVector(np.zeros(spec.param_count), spec.segments())
-    grad = backward(spec, zeros, np.zeros((6, 5)), [0, 1, 2, 0, 1, 2])
-    assert not segment_values(grad, "fc1.weight").any()
+    grad = backward(spec, np.zeros(spec.param_count), np.zeros((6, 5)), [0, 1, 2, 0, 1, 2])
+    assert not segment_values(grad, spec.segments(), "fc1.weight").any()
 
 
 def test_duplicated_batch_same_gradient():
     rng = np.random.default_rng(5)
     spec = NetworkSpec((4, 6, 3))
-    params = ParamVector(init_params(spec, 5), spec.segments())
+    params = init_params(spec, 5)
     inputs, labels = make_batch(rng, 9, spec)
     g1 = backward(spec, params, inputs, labels)
     g2 = backward(spec, params, np.vstack([inputs, inputs]), np.concatenate([labels, labels]))
-    np.testing.assert_allclose(g1.values, g2.values, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 
 def test_gradient_matches_finite_differences_4_8_3():
     rng = np.random.default_rng(6)
     spec = NetworkSpec((4, 8, 3))
-    params = ParamVector(init_params(spec, 6), spec.segments())
+    params = init_params(spec, 6)
     batch = make_batch(rng, 10, spec)
-    analytic = backward(spec, params, *batch).values
+    analytic = backward(spec, params, *batch)
     numeric = fd_gradient(spec, params, batch)
     assert gradient_rel_error(analytic, numeric) < 1e-6
 
@@ -199,43 +196,37 @@ def test_gradient_matches_finite_differences_4_8_3():
 def test_gradient_matches_finite_differences_deeper():
     rng = np.random.default_rng(7)
     spec = NetworkSpec((6, 10, 7, 4))
-    params = ParamVector(init_params(spec, 8), spec.segments())
+    params = init_params(spec, 8)
     batch = make_batch(rng, 8, spec)
     assert spec.param_count <= 1000
-    analytic = backward(spec, params, *batch).values
+    analytic = backward(spec, params, *batch)
     numeric = fd_gradient(spec, params, batch)
     assert gradient_rel_error(analytic, numeric) < 1e-6
 
 
 # sgd_step / prox ------------------------------------------------------------
 
-def seg1(values):
-    values = np.asarray(values, dtype=np.float64)
-    return ParamVector(values, (Segment("all", 0, values.size),))
-
-
 def test_sgd_step_basic():
-    out = sgd_step(seg1([1.0]), seg1([2.0]), 0.5, 0.0)
-    assert np.array_equal(out.values, [0.0])
+    out = sgd_step(np.array([1.0]), np.array([2.0]), 0.5, 0.0)
+    assert np.array_equal(out, [0.0])
 
 
 def test_sgd_step_zero_grad_identity():
     rng = np.random.default_rng(9)
-    p = seg1(rng.standard_normal(30))
-    out = sgd_step(p, seg1(np.zeros(30)), 0.1, 0.0)
-    assert np.array_equal(out.values, p.values)
+    p = rng.standard_normal(30)
+    out = sgd_step(p, np.zeros(30), 0.1, 0.0)
+    assert np.array_equal(out, p)
 
 
 def test_sgd_step_weight_decay_matches_scalar_loop():
     rng = np.random.default_rng(10)
-    p, g = seg1(rng.standard_normal(40)), seg1(rng.standard_normal(40))
+    p, g = rng.standard_normal(40), rng.standard_normal(40)
     eta, lam = 0.05, 5e-4
     out = sgd_step(p, g, eta, lam)
     expected = np.array(
-        [float(p.values[i]) - eta * (float(g.values[i]) + lam * float(p.values[i]))
-         for i in range(40)]
+        [float(p[i]) - eta * (float(g[i]) + lam * float(p[i])) for i in range(40)]
     )
-    assert np.array_equal(out.values, expected)
+    assert np.array_equal(out, expected)
 
 
 def test_sgd_update_without_weight_decay_is_bitwise_the_four_operations():
@@ -262,12 +253,12 @@ def test_sgd_update_without_weight_decay_is_bitwise_the_four_operations():
 
 def test_sgd_step_norm_bound_exact():
     rng = np.random.default_rng(11)
-    p, g = seg1(rng.standard_normal(25)), seg1(rng.standard_normal(25))
+    p, g = rng.standard_normal(25), rng.standard_normal(25)
     eta, lam = 1e-3, 0.01
     out = sgd_step(p, g, eta, lam)
-    from fednorm.params import l2_norm
-    moved = l2_norm(out.values - p.values, p.segments)
-    full = l2_norm(g.values + lam * p.values, p.segments)
+    segments = (Segment("all", 0, 25),)
+    moved = l2_norm(out - p, segments)
+    full = l2_norm(g + lam * p, segments)
     assert moved <= eta * full * (1 + 1e-12)
 
 
@@ -277,11 +268,11 @@ def test_single_step_decreases_loss_on_smooth_point():
     spec = NetworkSpec((5, 8, 3))
     for seed in range(5):
         rng = np.random.default_rng(100 + seed)
-        params = ParamVector(init_params(spec, seed), spec.segments())
+        params = init_params(spec, seed)
         batch = make_batch(rng, 12, spec)
-        before, _ = loss_and_accuracy(spec, params.values, *batch)
+        before, _ = loss_and_accuracy(spec, params, *batch)
         stepped = sgd_step(params, backward(spec, params, *batch), 1e-4, 0.0)
-        after, _ = loss_and_accuracy(spec, stepped.values, *batch)
+        after, _ = loss_and_accuracy(spec, stepped, *batch)
         if after < before:
             return
     pytest.fail("loss never decreased across 5 seeds")
@@ -289,19 +280,19 @@ def test_single_step_decreases_loss_on_smooth_point():
 
 def test_prox_addend_at_anchor_is_zero():
     rng = np.random.default_rng(12)
-    p = seg1(rng.standard_normal(10))
-    assert not prox_gradient_addend(p, p, 0.5).values.any()
+    p = rng.standard_normal(10)
+    assert not prox_gradient_addend(p, p, 0.5).any()
 
 
 def test_prox_addend_mu_zero():
     rng = np.random.default_rng(13)
-    p, a = seg1(rng.standard_normal(10)), seg1(rng.standard_normal(10))
-    assert not prox_gradient_addend(p, a, 0.0).values.any()
+    p, a = rng.standard_normal(10), rng.standard_normal(10)
+    assert not prox_gradient_addend(p, a, 0.0).any()
 
 
 def test_prox_addend_hand_value():
-    out = prox_gradient_addend(seg1([2.0]), seg1([0.0]), 0.015)
-    assert np.array_equal(out.values, [0.03])
+    out = prox_gradient_addend(np.array([2.0]), np.array([0.0]), 0.015)
+    assert np.array_equal(out, [0.03])
 
 
 # structure ------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Round-loop tests: seed plumbing, worker independence, dual evaluation,
 divergence reporting, and the metric identities each strategy implies."""
 
-import gc
 import sys
 import threading
 import time
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -30,12 +28,11 @@ from fednorm.orchestrator import (
     evaluate,
     ring_shape,
     run_experiment,
-    run_round,
     sample_clients,
     train_and_fold,
 )
-from fednorm.params import ParamVector, Segment
-from oracles import axpy, client_buffers, weighted_sum
+from fednorm.params import Segment
+from oracles import client_buffers, weighted_sum
 
 NET = NetworkSpec((4, 8, 3))
 TRAIN, TEST = synth_split(3, 20, 10, 4, seed=13)
@@ -112,7 +109,7 @@ def test_momentum_gamma_zero_matches_fedavg():
         TRAIN, TEST, make_config(strategy=AggregationStrategy("momentum", gamma=0.0))
     )
     assert avg.metrics == mom.metrics
-    assert np.array_equal(avg.final_params.values, mom.final_params.values)
+    assert np.array_equal(avg.final_params, mom.final_params)
 
 
 def test_round_one_is_strategy_independent():
@@ -150,18 +147,17 @@ def test_dual_eval_matches_manual_average():
 
     seed = cfg.schedule.seed
     parts = partition(TRAIN, cfg.partition, cfg.schedule.clients, derive_seed(seed, 1))
-    w0 = ParamVector(init_params(NET, derive_seed(seed, 0)), NET.segments())
+    w0 = init_params(NET, derive_seed(seed, 0))
     round_seed = derive_seed(seed, 2, 1)
     updates = [
-        local_train(NET, w0.values, TRAIN, parts[cid], cfg.client,
+        local_train(NET, w0, TRAIN, parts[cid], cfg.client,
                     [derive_seed(round_seed, cid, e)
                      for e in range(1, cfg.client.local_epochs + 1)], cid,
                     **client_buffers(NET, TRAIN, parts[cid], cfg.client))
         for cid in range(cfg.schedule.clients)
     ]
-    u = weighted_sum([(1.0 / len(updates), ParamVector(up, w0.segments))
-                      for up in updates])
-    manual = evaluate(NET, axpy(1.0, u, w0).values, TEST, np.empty(2 * len(TEST) * 8))
+    u = weighted_sum([(1.0 / len(updates), up) for up in updates])
+    manual = evaluate(NET, u + w0, TEST, np.empty(2 * len(TEST) * 8))
     assert result.metrics[0].eval_acc_averaged == manual
 
 
@@ -178,7 +174,7 @@ def test_determinism_and_worker_count_independence():
     again = run_experiment(TRAIN, TEST, make_config(workers=1))
     four = run_experiment(TRAIN, TEST, make_config(workers=4))
     assert one.metrics == again.metrics == four.metrics
-    assert np.array_equal(one.final_params.values, four.final_params.values)
+    assert np.array_equal(one.final_params, four.final_params)
 
 
 def assert_six_workers_match_one():
@@ -202,7 +198,7 @@ def assert_six_workers_match_one():
     finally:
         sys.setswitchinterval(interval)
     assert many.metrics == one.metrics
-    assert np.array_equal(many.final_params.values, one.final_params.values)
+    assert np.array_equal(many.final_params, one.final_params)
 
 
 def test_pool_threads_fill_the_shared_round_matrix_like_one_worker():
@@ -251,42 +247,20 @@ def test_server_step_that_overflows_fails_at_the_server(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["fedavg", "fednnnn"])
 @pytest.mark.parametrize("rounds", [1, 8])
-def test_a_run_builds_param_vectors_only_at_its_boundaries(monkeypatch, kind, rounds):
-    """The server state stays in plain arrays for the whole run, from
-    init_params on: the only ParamVector is the final parameters, however
-    many rounds run."""
-    built = []
-    post_init = ParamVector.__post_init__
+def test_a_run_returns_its_own_weights_read_only(monkeypatch, kind, rounds):
+    """The final parameters are the array init_params returned, which every
+    round updated in place: not a copy, and read-only once the run ends."""
+    made = []
 
-    def counted(vector):
-        built.append(vector)
-        post_init(vector)
-    monkeypatch.setattr(ParamVector, "__post_init__", counted)
+    def recorded(*args):
+        made.append(init_params(*args))
+        return made[-1]
+    monkeypatch.setattr(orchestrator, "init_params", recorded)
     result = run_experiment(TRAIN, TEST, make_config(
         rounds=rounds, strategy=AggregationStrategy(kind, beta=0.7, gamma=0.8)))
-    assert len(built) == 1
-    assert built[0] is result.final_params
-
-
-def test_no_param_vector_is_alive_during_a_round(monkeypatch):
-    """The run's weights are the plain array init_params returns: no
-    ParamVector exists until the run ends."""
-    built = []
-    post_init = ParamVector.__post_init__
-
-    def tracked(vector):
-        built.append(weakref.ref(vector))
-        post_init(vector)
-    rounds = []
-
-    def checked(*args, **kwargs):
-        gc.collect()
-        rounds.append([ref for ref in built if ref() is not None])
-        return run_round(*args, **kwargs)
-    monkeypatch.setattr(ParamVector, "__post_init__", tracked)
-    monkeypatch.setattr(orchestrator, "run_round", checked)
-    run_experiment(TRAIN, TEST, make_config(strategy=AggregationStrategy("fednnnn")))
-    assert len(built) == 1 and rounds == [[], [], []]
+    assert len(made) == 1 and result.final_params is made[0]
+    assert result.final_params.shape == (NET.param_count,)
+    assert not result.final_params.flags.writeable
 
 
 WIDE = NetworkSpec((784, 200, 200, 10))

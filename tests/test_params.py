@@ -1,4 +1,5 @@
-"""Vector algebra tests, checked against independent scalar-path oracles."""
+"""Tests of the flat-layout rule and of the reductions over flat parameter
+arrays, checked against independent scalar-path oracles."""
 
 import math
 
@@ -9,35 +10,23 @@ from fednorm.aggregate import nwda
 from fednorm.errors import ShapeMismatchError
 from fednorm.params import (
     CHUNK,
-    ParamVector,
     Segment,
     all_finite,
     l2_norm,
     squared_norms,
+    tiled_length,
     weighted_rows,
 )
-from oracles import (
-    axpy,
-    delta,
-    ordered_norm,
-    ordered_sum,
-    per_layer_norms,
-    segment_values,
-    weighted_sum,
-    zeros_like,
-)
+from oracles import ordered_norm, ordered_sum, per_layer_norms, segment_values, weighted_sum
 
 
-def vec(values, segments=None):
-    values = np.asarray(values, dtype=np.float64)
-    if segments is None:
-        segments = (Segment("all", 0, values.size),)
-    return ParamVector(values, segments)
+def whole(n):
+    """The layout of a vector of n values as one segment."""
+    return (Segment("all", 0, n),)
 
 
 def random_vec(rng, segments):
-    total = sum(s.length for s in segments)
-    return ParamVector(rng.standard_normal(total), segments)
+    return rng.standard_normal(tiled_length(segments))
 
 
 # independent oracles -------------------------------------------------------
@@ -48,7 +37,7 @@ def oracle_weighted_sum(terms):
     for i in range(n):
         acc = 0.0
         for w, v in terms:
-            acc += w * float(v.values[i])
+            acc += w * float(v[i])
         out[i] = acc
     return out
 
@@ -61,52 +50,24 @@ def oracle_l2_compensated(values):
 THREE_SEGS = (Segment("fc1", 0, 40), Segment("fc2", 40, 100), Segment("fc3", 140, 7))
 
 
-# delta ----------------------------------------------------------------------
-
-def test_delta_elementwise():
-    d = delta(vec([3.0, 4.0]), vec([1.0, 1.0]))
-    assert np.array_equal(d.values, [2.0, 3.0])
-
-
-def test_delta_of_self_is_zero():
-    rng = np.random.default_rng(1)
-    w = random_vec(rng, THREE_SEGS)
-    assert np.array_equal(delta(w, w).values, np.zeros(w.size))
-
-
-def test_delta_matches_scalar_loop():
-    rng = np.random.default_rng(2)
-    segs = (Segment("a", 0, 100),)
-    a, b = random_vec(rng, segs), random_vec(rng, segs)
-    expected = np.array([float(a.values[i]) - float(b.values[i]) for i in range(100)])
-    assert np.array_equal(delta(a, b).values, expected)
-
-
-def test_delta_shape_mismatch_names_segment():
-    a = vec([1.0, 2.0], (Segment("fc1", 0, 2),))
-    b = vec([1.0, 2.0], (Segment("fc9", 0, 2),))
-    with pytest.raises(ShapeMismatchError, match="fc1"):
-        delta(a, b)
-
-
 # weighted_sum ---------------------------------------------------------------
 
 def test_weighted_sum_cancellation():
-    out = weighted_sum([(0.5, vec([1.0, 0.0])), (0.5, vec([-1.0, 0.0]))])
-    assert np.array_equal(out.values, [0.0, 0.0])
+    out = weighted_sum([(0.5, np.array([1.0, 0.0])), (0.5, np.array([-1.0, 0.0]))])
+    assert np.array_equal(out, [0.0, 0.0])
 
 
 def test_weighted_sum_identity():
     rng = np.random.default_rng(3)
     v = random_vec(rng, THREE_SEGS)
-    assert np.array_equal(weighted_sum([(1.0, v)]).values, v.values)
+    assert np.array_equal(weighted_sum([(1.0, v)]), v)
 
 
 def test_weighted_sum_matches_oracle_to_zero_ulp():
     rng = np.random.default_rng(4)
     terms = [(rng.uniform(-2, 2), random_vec(rng, THREE_SEGS)) for _ in range(5)]
     out = weighted_sum(terms)
-    assert np.array_equal(out.values, oracle_weighted_sum(terms))
+    assert np.array_equal(out, oracle_weighted_sum(terms))
 
 
 def test_weighted_sum_empty_is_usage_error():
@@ -119,35 +80,33 @@ def test_weighted_sum_mean_of_copies_recovers_vector():
     v = random_vec(rng, THREE_SEGS)
     for m in (1, 3, 7, 16):
         out = weighted_sum([(1.0 / m, v)] * m)
-        np.testing.assert_allclose(out.values, v.values, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(out, v, rtol=1e-14, atol=0.0)
 
 
 # l2_norm --------------------------------------------------------------------
 
 def test_l2_norm_pythagorean():
-    v = vec([3.0, 4.0])
-    assert l2_norm(v.values, v.segments) == 5.0
+    assert l2_norm(np.array([3.0, 4.0]), whole(2)) == 5.0
 
 
 def test_l2_norm_zero():
-    v = vec(np.zeros(17))
-    assert l2_norm(v.values, v.segments) == 0.0
+    assert l2_norm(np.zeros(17), whole(17)) == 0.0
 
 
 def test_l2_norm_matches_compensated_oracle():
     rng = np.random.default_rng(6)
-    v = vec(rng.standard_normal(1000) * rng.uniform(0.01, 100, 1000))
-    expected = oracle_l2_compensated(v.values)
-    assert abs(l2_norm(v.values, v.segments) - expected) <= 1e-12 * expected
+    v = rng.standard_normal(1000) * rng.uniform(0.01, 100, 1000)
+    expected = oracle_l2_compensated(v)
+    assert abs(l2_norm(v, whole(v.size)) - expected) <= 1e-12 * expected
 
 
 def test_l2_norm_is_strict_left_to_right():
     rng = np.random.default_rng(7)
-    v = vec(rng.standard_normal(513))
+    v = rng.standard_normal(513)
     acc = 0.0
-    for x in v.values.tolist():
+    for x in v.tolist():
         acc += x * x
-    assert l2_norm(v.values, v.segments) == math.sqrt(acc)
+    assert l2_norm(v, whole(v.size)) == math.sqrt(acc)
 
 
 def test_triangle_inequality_randomized():
@@ -156,8 +115,8 @@ def test_triangle_inequality_randomized():
         n = int(rng.integers(1, 300))
         segs = (Segment("s", 0, n),)
         x, y = random_vec(rng, segs), random_vec(rng, segs)
-        lhs = l2_norm(x.values + y.values, segs)
-        rhs = l2_norm(x.values, x.segments) + l2_norm(y.values, y.segments)
+        lhs = l2_norm(x + y, segs)
+        rhs = l2_norm(x, segs) + l2_norm(y, segs)
         assert lhs <= rhs + 1e-12 * rhs
 
 
@@ -165,21 +124,21 @@ def test_triangle_inequality_randomized():
 
 def test_per_layer_norms_basic():
     segs = (Segment("a", 0, 2), Segment("b", 2, 1))
-    out = per_layer_norms(vec([3.0, 4.0, 0.0], segs))
+    out = per_layer_norms(np.array([3.0, 4.0, 0.0]), segs)
     assert out == [("a", 5.0), ("b", 0.0)]
 
 
 def test_per_layer_norms_single_segment_equals_global():
     rng = np.random.default_rng(9)
-    v = vec(rng.standard_normal(64))
-    assert per_layer_norms(v) == [("all", l2_norm(v.values, v.segments))]
+    v = rng.standard_normal(64)
+    assert per_layer_norms(v, whole(64)) == [("all", l2_norm(v, whole(64)))]
 
 
 def test_per_layer_norms_match_slice_oracle():
     rng = np.random.default_rng(10)
     v = random_vec(rng, THREE_SEGS)
-    for seg, (name, norm) in zip(THREE_SEGS, per_layer_norms(v)):
-        part = v.values[seg.offset : seg.offset + seg.length]
+    for seg, (name, norm) in zip(THREE_SEGS, per_layer_norms(v, THREE_SEGS)):
+        part = v[seg.offset : seg.offset + seg.length]
         assert name == seg.name
         expected = oracle_l2_compensated(part)
         assert abs(norm - expected) <= 1e-12 * max(expected, 1e-300)
@@ -189,8 +148,8 @@ def test_per_layer_norms_aggregate_to_global():
     rng = np.random.default_rng(11)
     for _ in range(50):
         v = random_vec(rng, THREE_SEGS)
-        rss = math.sqrt(sum(n * n for _, n in per_layer_norms(v)))
-        norm = l2_norm(v.values, v.segments)
+        rss = math.sqrt(sum(n * n for _, n in per_layer_norms(v, THREE_SEGS)))
+        norm = l2_norm(v, THREE_SEGS)
         assert abs(rss - norm) <= 1e-12 * norm
 
 
@@ -224,22 +183,21 @@ def test_squared_norms_bitwise_equal_per_vector_norms(k):
 
 
 def check_squared_norms(k, segs, make_rows):
-    n = sum(s.length for s in segs)
+    n = tiled_length(segs)
     rng = np.random.default_rng(k)
     rows = make_rows(rng, k, n)
     rows[:, ::5] = 0.0
     rows[:, 1::7] = -0.0
     whole, per_segment = squared_norms(rows, segs)
     assert whole.shape == (k,) and per_segment.shape == (len(segs), k)
-    for i in range(k):
-        v = ParamVector(rows[i], segs)
-        assert whole[i] == ordered_sum(rows[i] * rows[i])
-        assert math.sqrt(whole[i]) == l2_norm(v.values, v.segments) == ordered_norm(v)
-        parts = [segment_values(v, s.name) for s in segs]
+    for i, v in enumerate(rows):
+        assert whole[i] == ordered_sum(v * v)
+        assert math.sqrt(whole[i]) == l2_norm(v, segs) == ordered_norm(v)
+        parts = [segment_values(v, segs, s.name) for s in segs]
         assert [per_segment[j, i] for j in range(len(segs))] == [
             ordered_sum(x * x) for x in parts]
         assert [(s.name, math.sqrt(per_segment[j, i])) for j, s in enumerate(segs)] \
-            == per_layer_norms(v)
+            == per_layer_norms(v, segs)
     # the data tell the orders apart: a pairwise sum, eight accumulators, and
     # a sum in memory order over the transposed rows each give other bits
     widest = max(segs, key=lambda s: s.length)
@@ -280,9 +238,9 @@ def test_weighted_rows_matches_weighted_sum():
     rows = rng.standard_normal((4, 147))
     weights = [0.1, 0.2, 0.3, 0.4]
     combined = weighted_rows(weights, rows, out=np.zeros(147))
-    terms = [(w, ParamVector(r, THREE_SEGS)) for w, r in zip(weights, rows)]
+    terms = list(zip(weights, rows))
     assert np.array_equal(combined, oracle_weighted_sum(terms))
-    assert np.array_equal(weighted_sum(terms).values, combined)
+    assert np.array_equal(weighted_sum(terms), combined)
 
 
 def weighted_rows_fixture(seed):
@@ -328,41 +286,9 @@ def test_all_finite_sum_overflow_and_every_position():
             x = np.ones(7)
             x[pos] = bad
             assert not all_finite(x), (bad, pos)
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        vec([1.0, -np.inf, 1e308])
-
-
-# axpy -----------------------------------------------------------------------
-
-def test_axpy_basic():
-    out = axpy(2.0, vec([1.0, 1.0]), vec([0.0, 1.0]))
-    assert np.array_equal(out.values, [2.0, 3.0])
-
-
-def test_axpy_alpha_zero_returns_y():
-    rng = np.random.default_rng(12)
-    x, y = random_vec(rng, THREE_SEGS), random_vec(rng, THREE_SEGS)
-    assert np.array_equal(axpy(0.0, x, y).values, y.values)
-
-
-def test_axpy_matches_scalar_loop():
-    rng = np.random.default_rng(13)
-    x, y = random_vec(rng, THREE_SEGS), random_vec(rng, THREE_SEGS)
-    alpha = 0.73
-    expected = np.array(
-        [alpha * float(x.values[i]) + float(y.values[i]) for i in range(x.size)]
-    )
-    assert np.array_equal(axpy(alpha, x, y).values, expected)
 
 
 # structure and purity -------------------------------------------------------
-
-def test_segments_must_tile_exactly():
-    with pytest.raises(ValueError, match="segments tile 2 values but vector has 3"):
-        ParamVector(np.zeros(3), (Segment("a", 0, 2),))
-    with pytest.raises(ShapeMismatchError, match="segment 'a' starts at 1, expected 0"):
-        ParamVector(np.zeros(3), (Segment("a", 1, 2),))
-
 
 # each layout breaks the tiling rule at segment b. Without the rule nwda read
 # the overlap's N as sqrt(25 + 16) = 6.403 instead of 13, took b before a, and
@@ -378,11 +304,11 @@ BAD_LAYOUTS = {
 
 @pytest.mark.parametrize("layout", sorted(BAD_LAYOUTS))
 def test_both_boundaries_reject_a_bad_layout_naming_its_segment(layout):
-    """ParamVector and nwda, the two places a layout enters the package,
-    hold it to one rule, with one message."""
+    """The rule tiled_length and nwda, where a caller's layout enters the
+    package, reject it with one message."""
     segments, message = BAD_LAYOUTS[layout]
     row = np.array([3.0, 4.0, 0.0, 12.0])
-    for build in (lambda: ParamVector(row, segments), lambda: nwda([1.0], row[None], segments)):
+    for build in (lambda: tiled_length(segments), lambda: nwda([1.0], row[None], segments)):
         with pytest.raises(ShapeMismatchError) as info:
             build()
         assert str(info.value) == f"segment 'b' {message}"
@@ -391,34 +317,24 @@ def test_both_boundaries_reject_a_bad_layout_naming_its_segment(layout):
 def test_zero_length_segments_still_tile():
     segments = (Segment("a", 0, 2), Segment("e", 2, 0), Segment("b", 2, 2), Segment("z", 4, 0))
     row = np.array([3.0, 4.0, 0.0, 12.0])
-    assert ParamVector(row, segments).segments == segments
     report = nwda([1.0], row[None], segments)
     assert report.aggregate_norm == report.mean_local_norm == 13.0
     assert report.per_layer == [("a", 5.0, 5.0), ("e", 0.0, 0.0), ("b", 12.0, 12.0),
                                 ("z", 0.0, 0.0)]
 
 
-def test_non_finite_rejected():
-    with pytest.raises(ValueError):
-        vec([1.0, float("nan")])
-
-
 def test_values_are_read_only_and_inputs_unmodified():
+    """The kernels take read-only arrays, such as a run's final parameters,
+    and leave every input as it was."""
     rng = np.random.default_rng(14)
-    x, y = random_vec(rng, THREE_SEGS), random_vec(rng, THREE_SEGS)
-    xv, yv = x.values.copy(), y.values.copy()
-    axpy(1.5, x, y)
-    delta(x, y)
+    rows = np.stack([random_vec(rng, THREE_SEGS), random_vec(rng, THREE_SEGS)])
+    before = rows.copy()
+    rows.setflags(write=False)
+    x, y = rows
     weighted_sum([(0.3, x), (0.7, y)])
-    l2_norm(x.values, x.segments)
-    per_layer_norms(y)
-    assert np.array_equal(x.values, xv) and np.array_equal(y.values, yv)
+    l2_norm(x, THREE_SEGS)
+    per_layer_norms(y, THREE_SEGS)
+    nwda([0.3, 0.7], rows, THREE_SEGS)
+    assert np.array_equal(rows, before)
     with pytest.raises(ValueError):
-        x.values[0] = 99.0
-
-
-def test_zeros_like():
-    rng = np.random.default_rng(15)
-    v = random_vec(rng, THREE_SEGS)
-    z = zeros_like(v)
-    assert z.segments == v.segments and not z.values.any()
+        x[0] = 99.0

@@ -36,7 +36,7 @@ def assert_matches_paper_run(train, test, config):
     metrics, final = paper_run(train, test, config)
     # repr tells every float apart, -0.0 from 0.0 included
     assert repr(result.metrics) == repr(metrics)
-    assert result.final_params.values.tobytes() == final.tobytes()
+    assert result.final_params.tobytes() == final.tobytes()
 
 
 def small(kind, hidden=(6,), weight_decay=0.0, label_mode="iid", participation=1.0,
@@ -81,26 +81,54 @@ def test_a_run_of_two_blocks_matches_the_paper_run():
 KERNELS = {**FORCED_KERNELS, "Nehalem": ("SSE42",), "Katmai": ()}
 
 
-@pytest.mark.parametrize("kernel", sorted(KERNELS))
-def test_runs_forced_onto_another_kernel_match_the_paper_run(kernel):
-    """The tests above in a process forced onto the kernel with
-    OPENBLAS_CORETYPE. A kernel this CPU lacks an instruction for is
-    skipped: its process would die on an illegal instruction."""
+def cannot_force(kernel):
+    """Why this process cannot start a run forced onto kernel, or None. A
+    kernel this CPU lacks an instruction for cannot run: its process would
+    die on an illegal instruction."""
     from numpy._core._multiarray_umath import __cpu_features__
     if openblas_kernel() in (None, kernel):
-        pytest.skip(f"numpy's BLAS is not its bundled OpenBLAS, or already {kernel!r}")
+        return f"numpy's BLAS is not its bundled OpenBLAS, or already {kernel!r}"
     missing = [f for f in KERNELS[kernel] if not __cpu_features__.get(f)]
     if missing:
-        pytest.skip(f"this CPU lacks {missing} for the OpenBLAS kernel {kernel!r}")
+        return f"this CPU lacks {missing} for the OpenBLAS kernel {kernel!r}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def forced_runs():
+    """A process per kernel that can run, all started at once, each forced
+    onto its kernel with OPENBLAS_CORETYPE and running the tests above;
+    each prints the kernel it runs on first."""
     src = str(Path(fednorm.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+    env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     this = Path(__file__).resolve()
     script = ("import sys, pytest; from fednorm.params import openblas_kernel; "
               "print(openblas_kernel()); "
               f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {str(this)!r}, "
               "'-k', 'not forced']))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, cwd=this.parents[1], timeout=300)
-    assert proc.stdout.split("\n", 1)[0] == kernel, proc.stdout
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    runs = {}
+    try:
+        for kernel in sorted(KERNELS):
+            if cannot_force(kernel) is None:
+                runs[kernel] = subprocess.Popen(
+                    [sys.executable, "-c", script], stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE, text=True, cwd=this.parents[1],
+                    env={**env, "OPENBLAS_CORETYPE": kernel})
+        yield runs
+    finally:
+        for proc in runs.values():
+            proc.kill()  # a run no test waited for
+            proc.communicate()
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_runs_forced_onto_another_kernel_match_the_paper_run(kernel, forced_runs):
+    """The tests above in a process forced onto the kernel."""
+    reason = cannot_force(kernel)
+    if reason:
+        pytest.skip(reason)
+    proc = forced_runs[kernel]
+    stdout, stderr = proc.communicate(timeout=300)
+    assert stdout.split("\n", 1)[0] == kernel, stdout
+    assert proc.returncode == 0, stdout + stderr
