@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ShapeMismatchError
+from .errors import ConfigError, DivergenceError, ShapeMismatchError, check_finite
 from .params import Segment, all_finite, squared_norms, tiled_length, weighted_rows
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
@@ -54,6 +54,7 @@ class AggregationStrategy:
             raise ConfigError(f"gamma: must be in [0, 1), got {self.gamma}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
+        check_finite(self, "beta", "epsilon")
 
     @property
     def normalized(self) -> bool:

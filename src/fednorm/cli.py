@@ -42,7 +42,7 @@ from .data import (
     normalize,
     synth_split,
 )
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_finite
 from .nn import NetworkSpec
 from .orchestrator import ExperimentConfig, RoundMetrics, Schedule, run_experiment
 from .params import openblas_kernel, openblas_threads
@@ -74,6 +74,7 @@ class SynthData:
                 raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
         if not self.center_scale > 0:
             raise ConfigError(f"center_scale: must be positive, got {self.center_scale}")
+        check_finite(self, "center_scale")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .data import Dataset, batch_buffers, batches
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 
 
@@ -66,24 +66,19 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
     """SeedSequence(words).generate_state(n_words) for every lane at once:
-    column k of the (words, lanes) uint32 entropy is lane k's entropy, and
-    column k of the result its state. numpy mixes a pool word with each
-    other one in turn, and those steps of one source word are independent,
-    so each runs as one array operation. Words beyond the lanes' entropy
-    are zeros, which numpy's own pool padding matches while the entropy
-    holds at most 4 words."""
-    extra = max(len(entropy) - _POOL, 0)
-    before, after = _hash_steps(_INIT_A, _MULT_A, _POOL * (_POOL + extra))
+    column k of the (words, lanes) uint32 entropy, at most 4 words, is lane
+    k's entropy, and column k of the result its state. numpy mixes a pool
+    word with each other one in turn, and those steps of one source word
+    are independent, so each runs as one array operation. Words beyond the
+    lanes' entropy are zeros, which numpy's own pool padding matches."""
+    before, after = _hash_steps(_INIT_A, _MULT_A, _POOL * _POOL)
     pool = np.zeros((_POOL, entropy.shape[1]), np.uint32)
-    pool[: len(entropy)] = entropy[:_POOL]
+    pool[: len(entropy)] = entropy
     pool = _hashmix(pool, before[:_POOL], after[:_POOL])
     k = _POOL
     for src, dst in enumerate(_OTHERS):
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], before[k : k + 3], after[k : k + 3]))
         k += 3
-    for word in entropy[_POOL:]:
-        pool = _mix(pool, _hashmix(word, before[k : k + _POOL], after[k : k + _POOL]))
-        k += _POOL
     before, after = _hash_steps(_INIT_B, _MULT_B, n_words)
     return _hashmix(pool[np.arange(n_words) % _POOL], before, after)
 
@@ -92,22 +87,21 @@ def _lane_states(round_seed: int, clients: np.ndarray, epochs: np.ndarray) -> np
     """Row k is SeedSequence(derive_seed(round_seed, clients[k], epochs[k]))
     .generate_state(4, np.uint64), the state a PCG64 is seeded with; clients
     and epochs are uint64 arrays. The second hash reads each derived seed
-    as its two 32-bit words, exact also below 2**32 (see _seed_words); a
-    client id or epoch of 2**32 or more would add an entropy word to its
-    lane, so numpy derives that lane."""
+    as its two 32-bit words, exact also below 2**32 (see _seed_words). A
+    lane's entropy fits SeedSequence's 4-word pool while the round seed, a
+    derive_seed value, is below 2**64 and each client id and epoch below
+    2**32; a larger one raises ValueError."""
     round_seed = int(round_seed)
-    if round_seed < 0:
-        raise ValueError(f"round_seed must be non-negative, got {round_seed}")
+    if not 0 <= round_seed < 2**64:
+        raise ValueError(f"round_seed must be in [0, 2**64), got {round_seed}")
+    if ((clients | epochs) >> np.uint64(32)).any():
+        raise ValueError("client ids and epochs must be below 2**32")
     head = [round_seed >> s & 0xFFFFFFFF for s in range(0, max(round_seed.bit_length(), 1), 32)]
     entropy = np.empty((len(head) + 2, len(clients)), np.uint32)
     entropy[:-2] = np.array(head, np.uint32)[:, None]
     entropy[-2], entropy[-1] = clients, epochs
     state = _seed_words(_seed_words(entropy, 2), 8).T
-    states = state.astype("<u4", order="C").view("<u8").astype(np.uint64)
-    for k in np.flatnonzero((clients | epochs) >> np.uint64(32)):
-        seed = derive_seed(round_seed, int(clients[k]), int(epochs[k]))
-        states[k] = np.random.SeedSequence(seed).generate_state(4, np.uint64)
-    return states
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
 @cache
@@ -161,6 +155,7 @@ class ClientConfig:
             raise ConfigError(f"weight_decay: must be non-negative, got {self.weight_decay}")
         if not self.mu >= 0:
             raise ConfigError(f"mu: must be non-negative, got {self.mu}")
+        check_finite(self, "learning_rate", "weight_decay", "mu")
 
 
 def work_rows(config: ClientConfig) -> int:

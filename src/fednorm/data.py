@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -48,6 +48,10 @@ class IdxTruncatedError(IdxFormatError):
 
 class IdxCountError(IdxFormatError):
     """Image and label files disagree on example count."""
+
+
+class IdxShapeError(IdxFormatError):
+    """Images of zero rows or columns, which hold no pixel."""
 
 
 class DegenerateDataError(ValueError):
@@ -107,6 +111,7 @@ class PartitionSpec:
             raise ConfigError(f"classes_per_client: must be >= 1, got {self.classes_per_client}")
         if not self.power_exponent > 0:
             raise ConfigError(f"power_exponent: must be positive, got {self.power_exponent}")
+        check_finite(self, "power_exponent")
 
 
 # IDX ingestion ---------------------------------------------------------------
@@ -132,8 +137,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path,
 
     Pixels are mapped to [0, 1] by dividing by 255; only the rows kept are
     converted. The class count comes from every label in the file. Raises
-    IdxMagicError, IdxTruncatedError, or IdxCountError with byte offsets on
-    malformed input, checked over the whole files.
+    IdxMagicError, IdxTruncatedError, IdxCountError or IdxShapeError with
+    byte offsets on malformed input, checked over the whole files.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
     ibuf = images_path.read_bytes()
@@ -162,6 +167,9 @@ def load_idx(images_path: str | Path, labels_path: str | Path,
         )
     if count == 0:
         raise IdxCountError(f"{images_path}: zero examples")
+    if rows * cols == 0:
+        raise IdxShapeError(f"{images_path}: images of {rows}x{cols} pixels at offset 8, "
+                            "expected at least one pixel")
     kept = count if limit is None else min(limit, count)
     inputs = pixels.reshape(count, rows * cols)[:kept].astype(np.float64)
     inputs /= 255.0

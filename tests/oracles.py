@@ -106,8 +106,6 @@ def prox_gradient_addend(params: np.ndarray, anchor: np.ndarray, mu: float) -> n
 
 def weighted_sum(terms) -> np.ndarray:
     """Sum of weight_k * v_k over (weight, flat array) terms, in list order."""
-    if len(terms) == 0:
-        raise ValueError("weighted_sum of an empty term list")
     return weighted_rows([w for w, _ in terms], np.stack([v for _, v in terms]),
                          out=np.zeros(terms[0][1].size))
 

@@ -127,29 +127,31 @@ def test_criterion_02_normalized_step_norm_equals_beta_times_mean_local():
 
 
 def test_criterion_03_reduction_identities():
-    """fednnnn(gamma=0) == normnorm and momentum(gamma=0) == fedavg bitwise;
-    normnorm(m=1, beta=1) == fedavg within 1e-15 per element."""
+    """fednnnn(gamma=0) == normnorm at any beta and momentum(gamma=0) ==
+    fedavg bitwise, new parameters and step alike; normnorm(m=1, beta=1) ==
+    fedavg within 1e-15 per element."""
     rng = np.random.default_rng(3)
-    for _ in range(25):
+    for beta in np.random.default_rng(4).uniform(0.3, 1.5, 25).tolist():
         rep = nwda(*random_round(rng, int(rng.integers(2, 8)), (6, 14)))
         w = rng.standard_normal(rep.combined.size)
 
-        nn_new, nn_step = apply(w, rep, "normnorm", beta=0.9, epsilon=1e-9)
-        fn_new, fn_step = apply(w, rep, "fednnnn", beta=0.9, gamma=0.0, epsilon=1e-9)
+        nn_new, nn_step = apply(w, rep, "normnorm", beta=beta, epsilon=1e-9)
+        fn_new, fn_step = apply(w, rep, "fednnnn", beta=beta, gamma=0.0, epsilon=1e-9)
         assert np.array_equal(nn_new, fn_new)
         assert np.array_equal(nn_step, fn_step)
 
-        avg, _ = apply(w, rep, "fedavg")
-        mom, _ = apply(w, rep, "momentum", gamma=0.0)
+        avg, avg_step = apply(w, rep, "fedavg")
+        mom, mom_step = apply(w, rep, "momentum", gamma=0.0)
         assert np.array_equal(avg, mom)
+        assert np.array_equal(avg_step, mom_step)
 
         solo = nwda(*random_round(rng, 1, (6, 14)))
         w1 = rng.standard_normal(solo.combined.size)
         one_new, _ = apply(w1, solo, "normnorm", beta=1.0, epsilon=1e-9)
         assert np.max(np.abs(apply(w1, solo, "fedavg")[0] - one_new)) <= 1e-15
-    report(3, "fednnnn(gamma=0) == normnorm and momentum(gamma=0) == fedavg "
-              "bitwise; normnorm(m=1, beta=1) == fedavg within 1e-15/element, "
-              "25 fixtures")
+    report(3, "fednnnn(gamma=0) == normnorm (beta in [0.3, 1.5)) and "
+              "momentum(gamma=0) == fedavg bitwise; normnorm(m=1, beta=1) == "
+              "fedavg within 1e-15/element, 25 fixtures")
 
 
 def test_criterion_04_backprop_matches_finite_differences():
@@ -263,8 +265,8 @@ def test_criterion_06_divergence_grows_with_label_skew():
 
 
 def test_criterion_07_reruns_and_worker_counts_are_byte_identical(tmp_path):
-    """The same config and seed produce byte-identical metrics CSVs on rerun
-    and with 1 vs 4 workers."""
+    """The same config and seed produce byte-identical metrics and per-layer
+    CSVs and manifest on rerun and with 1 vs 4 workers."""
     config = {
         "dataset": {"kind": "synth", "classes": 4, "train_per_class": 25,
                     "test_per_class": 10, "features": 6,
@@ -284,13 +286,13 @@ def test_criterion_07_reruns_and_worker_counts_are_byte_identical(tmp_path):
             argv += ["--workers", workers]
         assert cli_main(argv) == 0
     for fname in ("fedavg_metrics.csv", "fednnnn_metrics.csv",
-                  "fednnnn_layers.csv"):
+                  "fednnnn_layers.csv", "manifest.json"):
         a = (tmp_path / "a" / fname).read_bytes()
         assert a == (tmp_path / "b" / fname).read_bytes(), f"{fname}: rerun differs"
         assert a == (tmp_path / "c" / fname).read_bytes(), f"{fname}: workers differ"
     assert json.loads((tmp_path / "a" / "manifest.json").read_text())["status"] == "complete"
-    report(7, "metrics and per-layer CSVs byte-identical across rerun and "
-              "workers 1 vs 4")
+    report(7, "metrics and per-layer CSVs and manifest byte-identical across "
+              "rerun and workers 1 vs 4")
 
 
 def test_criterion_08_idx_parsing_and_distinct_failures(tmp_path):

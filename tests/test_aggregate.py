@@ -1,6 +1,8 @@
-"""Aggregation tests: divergence numbers against hand values, the epsilon
-guard, momentum recursions against an independent replay, and the reduction
-identities between the five rules."""
+"""Aggregation tests: divergence numbers against hand values, the fold
+against one-shot nwda, the epsilon guard and the momentum recursion. A whole
+run of each rule is checked against the paper's equations in
+test_whole_run.py, and the reduction identities between the rules in
+test_acceptance.py."""
 
 import math
 
@@ -327,92 +329,7 @@ def test_step_that_overflows_raises(w, d, u, kind):
         apply_strategy(w, report, AggregationStrategy(kind), d)
 
 
-@pytest.mark.parametrize("kind", STRATEGY_KINDS)
-def test_fednnnn_matches_independent_replay(kind):
-    """Replay each kind's README formula with raw numpy and a fresh update
-    sequence; the apply_strategy chain must match bit for bit. Every kind
-    gets beta and gamma, so the kinds that ignore a knob are checked too."""
-    rng = np.random.default_rng(11)
-    beta, gamma = 0.7, 0.8
-    w = rng.standard_normal(8)
-    step = np.zeros_like(w)
-    ref_w = w.copy()
-    ref_d = np.zeros(8)
-    for _ in range(6):
-        report = nwda(*random_round(rng, 4))
-        w, step = apply(w, report, kind, step, beta=beta, gamma=gamma, epsilon=1e-9)
-        u = report.combined
-        scale = beta * (report.mean_local_norm / report.aggregate_norm)
-        if kind in ("fedavg", "fedprox"):  # w + u
-            ref_d = u
-        elif kind == "normnorm":  # w + beta*(E/N)*u
-            ref_d = scale * u
-        elif kind == "momentum":  # d' = gamma*d + u, then w + d'
-            ref_d = gamma * ref_d + u
-        else:  # d' = gamma*d + beta*(E/N)*u, then w + d'
-            ref_d = gamma * ref_d + scale * u
-        ref_w = ref_w + ref_d
-        assert np.array_equal(step, ref_d)
-        assert np.array_equal(w, ref_w)
-
-
-# ---------------------------------------------------------- reduction identities
-
-def test_fednnnn_gamma_zero_is_normnorm_bitwise():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        report = nwda(*random_round(rng, 3))
-        w = rng.standard_normal(8)
-        beta = float(rng.uniform(0.3, 1.5))
-        nn_new, nn_step = apply(w, report, "normnorm", beta=beta, epsilon=1e-9)
-        fn_new, fn_step = apply(w, report, "fednnnn", beta=beta, gamma=0.0, epsilon=1e-9)
-        assert np.array_equal(nn_new, fn_new)
-        assert np.array_equal(nn_step, fn_step)
-
-
-def test_momentum_gamma_zero_is_fedavg():
-    rng = np.random.default_rng(6)
-    report = nwda(*random_round(rng, 4))
-    w = rng.standard_normal(8)
-    avg, _ = apply(w, report, "fedavg")
-    mom, _ = apply(w, report, "momentum", gamma=0.0)
-    assert np.array_equal(avg, mom)
-
-
-def test_normnorm_single_client_beta_one_is_fedavg():
-    rng = np.random.default_rng(8)
-    vec = rng.standard_normal(8)
-    w = rng.standard_normal(8)
-    report = nwda(*stacked([(1.0, vec)], split=(3, 5)))
-    avg, _ = apply(w, report, "fedavg")
-    nn_new, _ = apply(w, report, "normnorm", beta=1.0, epsilon=1e-9)
-    assert np.max(np.abs(avg - nn_new)) <= 1e-15
-
-
-# ------------------------------------------------------------------- dispatcher
-
-def test_apply_strategy_dispatch_matches_direct_calls():
-    """Each kind is its corner of d' = gamma*d + s*u from a non-zero d, with
-    beta and gamma set even where the kind ignores them."""
-    rng = np.random.default_rng(9)
-    report = nwda(*random_round(rng, 3))
-    w = rng.standard_normal(8)
-    d = rng.standard_normal(8)
-    u = report.combined
-    scale = 0.9 * (report.mean_local_norm / report.aggregate_norm)
-
-    def step_of(kind):
-        new, step = apply(w, report, kind, d, beta=0.9, gamma=0.5)
-        assert np.array_equal(new, step + w)
-        return step
-
-    # plain averaging carries no momentum: the step is u whatever d holds
-    assert np.array_equal(step_of("fedavg"), u)
-    assert np.array_equal(step_of("fedprox"), u)
-    assert np.array_equal(step_of("normnorm"), scale * u)
-    assert np.array_equal(step_of("momentum"), 0.5 * d + u)
-    assert np.array_equal(step_of("fednnnn"), 0.5 * d + scale * u)
-
+# ------------------------------------------------------------------ validation
 
 def test_strategy_validation():
     with pytest.raises(ConfigError, match="^kind: must be one of .*, got 'fedsum'$"):

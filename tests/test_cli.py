@@ -5,8 +5,10 @@ import csv
 import dataclasses
 import json
 import gc
+import math
 import re
 import struct
+import warnings
 import weakref
 from pathlib import Path
 
@@ -142,6 +144,34 @@ def test_bad_values_are_rejected_with_paths():
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
         assert str(info.value) == message
+
+
+# each float field whose own check admits +Inf, in a config that reaches it
+INFINITE_FLOATS = [
+    ("strategies[0].beta", {"strategies": [{"kind": "normnorm", "beta": math.inf}]}),
+    ("strategies[0].epsilon", {"strategies": [{"kind": "normnorm", "epsilon": math.inf}]}),
+    ("strategies[0].mu", {"strategies": [{"kind": "fedprox", "mu": math.inf}]}),
+    ("training.learning_rate", {"training": {"learning_rate": math.inf}}),
+    ("training.weight_decay", {"training": {"weight_decay": math.inf}}),
+    ("partition.power_exponent", {"partition": {"power_exponent": math.inf}}),
+    ("dataset.center_scale", {"dataset": {"kind": "synth", "center_scale": math.inf}}),
+]
+
+
+@pytest.mark.parametrize("path, raw", INFINITE_FLOATS, ids=[p for p, _ in INFINITE_FLOATS])
+def test_an_infinite_float_exits_2_with_one_line_naming_its_field(tmp_path, capsys, path, raw):
+    """A YAML `.inf` used to pass validation: as epsilon it silently froze
+    normnorm (s = 0 every round), elsewhere the run failed naming a round
+    and a client, or leaked a numpy warning. Nothing is trained or
+    written."""
+    cfg = tmp_path / "inf.yaml"
+    cfg.write_text(yaml.safe_dump(raw))  # PyYAML spells math.inf .inf
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: must be finite, got inf\n"
+    assert not out.exists()
 
 
 def test_mu_only_for_fedprox():
@@ -309,18 +339,6 @@ def test_run_full_float_precision(tmp_path):
     # 17 significant digits survive a text round trip exactly
     value = float(rows[1][2])
     assert f"{value:.17g}" == rows[1][2]
-
-
-def test_rerun_and_worker_count_are_byte_identical(tmp_path):
-    cfg = write_config(tmp_path)
-    for name, extra in (("a", []), ("b", []), ("c", ["--workers", "4"])):
-        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]
-                    + extra) == 0
-    for fname in ("fedavg_metrics.csv", "fednnnn_metrics.csv", "fednnnn_layers.csv",
-                  "manifest.json"):
-        a = (tmp_path / "a" / fname).read_bytes()
-        assert a == (tmp_path / "b" / fname).read_bytes()
-        assert a == (tmp_path / "c" / fname).read_bytes()
 
 
 def test_manifest_records_numeric_environment_deterministically(tmp_path, monkeypatch):
@@ -500,6 +518,24 @@ def test_test_labels_beyond_the_training_classes_fail_with_one_line(tmp_path):
                            "6 (test) classes\n")
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
+
+
+def test_idx_images_without_pixels_fail_with_one_line(tmp_path, capsys):
+    """A pair of four 0x0 images stops at loading, where it crashed in
+    normalization dividing by zero pixels."""
+    for prefix in ("train", "test"):
+        (tmp_path / f"{prefix}-images").write_bytes(struct.pack(">IIII", 0x803, 4, 0, 0))
+        (tmp_path / f"{prefix}-labels").write_bytes(
+            struct.pack(">II", 0x801, 4) + bytes([0, 1, 0, 1]))
+    cfg = tmp_path / "idx.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "dataset": {"kind": "idx", "dir": str(tmp_path), "train_images": "train-images",
+                    "train_labels": "train-labels", "test_images": "test-images",
+                    "test_labels": "test-labels"},
+        "training": {"rounds": 1, "clients": 2}}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'train-images'}: images of 0x0 "
+                                       "pixels at offset 8, expected at least one pixel\n")
 
 
 def test_out_naming_a_file_fails_with_one_line(tmp_path, capsys):

@@ -20,6 +20,7 @@ from fednorm.data import (
     IdxCountError,
     IdxFormatError,
     IdxMagicError,
+    IdxShapeError,
     IdxTruncatedError,
     PartitionSpec,
     batch_buffers,
@@ -113,6 +114,17 @@ def test_load_idx_zero_examples(tmp_path):
     ipath, lpath = write_idx_pair(tmp_path, [], [])
     with pytest.raises(IdxCountError):
         load_idx(ipath, lpath)
+
+
+def test_load_idx_images_without_pixels_rejected(tmp_path):
+    """Images of zero rows or columns hold no pixel: normalization would
+    divide by a count of zero values."""
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        ipath, lpath = write_idx_pair(tmp_path, [], [0, 1, 0, 1], rows=rows, cols=cols)
+        with pytest.raises(IdxShapeError) as info:
+            load_idx(ipath, lpath)
+        assert str(info.value) == (f"{ipath}: images of {rows}x{cols} pixels at offset 8, "
+                                   "expected at least one pixel")
 
 
 def test_idx_errors_are_format_errors(tmp_path):

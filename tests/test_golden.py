@@ -11,21 +11,20 @@ differently: SkylakeX (AVX-512), Haswell (AVX2, which Zen also runs) and
 Sandybridge (AVX). The SkylakeX desk_quick digests are those of the
 reference CSVs in benchmarks/reference/desk_quick/; the other kernels'
 entries were written by runs forced onto them with OPENBLAS_CORETYPE on one
-AVX-512 machine. A test on a kernel with no entry skips, naming the kernel.
+AVX-512 machine, and test_whole_run.py runs this module in a process forced
+onto each of them that the CPU can run. A test on a kernel with no entry
+skips, naming the kernel.
 """
 
 import hashlib
-import json
 import struct
 
 import numpy as np
-import pytest
 import yaml
 
 from fednorm.cli import load_preset, main
 from fednorm.data import DATA_DIR_ENV
-from fednorm.params import openblas_kernel
-from oracles import cli_process, kernel_digests
+from oracles import kernel_digests
 
 DESK_QUICK_SHA256 = {
     "SkylakeX": {
@@ -153,10 +152,13 @@ def csv_digests(out):
             for p in sorted(out.glob("*.csv"))}
 
 
+# each test looks its digests up before its run, so a kernel with no entry
+# skips without running
 def test_desk_quick_seed_0_matches_golden_hashes(tmp_path):
+    expected = kernel_digests(DESK_QUICK_SHA256)
     assert main(["run", "--preset", "desk_quick", "--seed", "0",
                  "--out", str(tmp_path)]) == 0
-    assert csv_digests(tmp_path) == kernel_digests(DESK_QUICK_SHA256)
+    assert csv_digests(tmp_path) == expected
 
 
 def run_desk_quick_with(tmp_path, **training):
@@ -170,14 +172,14 @@ def run_desk_quick_with(tmp_path, **training):
 
 
 def test_desk_quick_with_weight_decay_matches_golden_hashes(tmp_path):
-    digests = run_desk_quick_with(tmp_path, weight_decay=5.0e-4)
-    assert digests == kernel_digests(DESK_QUICK_WEIGHT_DECAY_SHA256)
+    expected = kernel_digests(DESK_QUICK_WEIGHT_DECAY_SHA256)
+    assert run_desk_quick_with(tmp_path, weight_decay=5.0e-4) == expected
 
 
 def test_desk_quick_schedule_fields_match_golden_hashes(tmp_path):
-    digests = run_desk_quick_with(tmp_path, participation=0.5,
-                                  weight_mode="by_sample_count", workers=2)
-    assert digests == kernel_digests(DESK_QUICK_SCHEDULE_SHA256)
+    expected = kernel_digests(DESK_QUICK_SCHEDULE_SHA256)
+    assert run_desk_quick_with(tmp_path, participation=0.5,
+                               weight_mode="by_sample_count", workers=2) == expected
 
 
 # write_idx_run's config
@@ -264,31 +266,8 @@ def write_idx_run(tmp_path):
 
 
 def test_idx_run_matches_golden_hashes(tmp_path, monkeypatch):
+    expected = kernel_digests(IDX_SHA256)
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_idx_run(tmp_path)), "--out", str(out)]) == 0
-    assert csv_digests(out) == kernel_digests(IDX_SHA256)
-
-
-# the CPU features (numpy's names) each kernel a process can be forced onto needs
-FORCED_KERNELS = {"Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",)}
-
-
-@pytest.mark.parametrize("kernel", sorted(FORCED_KERNELS))
-def test_desk_quick_forced_onto_another_kernel_matches_its_digests(tmp_path, kernel):
-    """A desk_quick process forced onto the AVX2 or the AVX kernel writes
-    that kernel's digests, so an AVX-512 machine checks those entries too.
-    A kernel this CPU lacks an instruction for is skipped: its process would
-    die on an illegal instruction."""
-    from numpy._core._multiarray_umath import __cpu_features__
-    if openblas_kernel() is None:
-        pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-    missing = [f for f in FORCED_KERNELS[kernel] if not __cpu_features__.get(f)]
-    if missing:
-        pytest.skip(f"this CPU lacks {missing} for the OpenBLAS kernel {kernel!r}")
-    proc = cli_process("run", "--preset", "desk_quick", "--seed", "0", "--out", str(tmp_path),
-                       OPENBLAS_CORETYPE=kernel)
-    assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["environment"]["blas_kernel"] == kernel
-    assert csv_digests(tmp_path) == DESK_QUICK_SHA256[kernel]
+    assert csv_digests(out) == expected

@@ -2,8 +2,8 @@
 leave dead imports behind. A name listed in the module's __all__ counts as
 used, since re-exporting it is its purpose. And every function and class a
 library module defines serves the library: one that only tests call belongs
-in tests/oracles.py. Importing the CLI loads no numpy module it does not
-need yet, and no thread pool."""
+in tests/oracles.py, and every one of those serves a test. Importing the CLI
+loads no numpy module it does not need yet, and no thread pool."""
 
 import ast
 import os
@@ -104,6 +104,17 @@ def test_every_library_function_and_class_serves_the_library():
     launcher = ROOT / "benchmarks" / "launch.py"
     named = launcher_names(ast.parse(launcher.read_text(encoding="utf-8")))
     assert unreferenced(modules, text, named) == []
+
+
+def test_every_oracle_serves_a_test():
+    """Every function and class tests/oracles.py defines is referenced by a
+    tests/test_*.py module or by another top-level statement of oracles.py:
+    reference code that no test reaches is dead."""
+    tests = ROOT / "tests"
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in [tests / "oracles.py", *sorted(tests.glob("test_*.py"))]}
+    assert [name for name in unreferenced(modules, "", set())
+            if name.startswith("oracles.py:")] == []
 
 
 def test_test_only_function_is_caught():

@@ -1,5 +1,8 @@
-"""Round-loop tests: seed plumbing, worker independence, dual evaluation,
-divergence reporting, and the metric identities each strategy implies."""
+"""Round-loop tests: config validation, seed plumbing, worker independence
+under thread stress, the ring's memory bounds, divergence reporting and the
+server thread. Every RoundMetrics field of whole runs, dual evaluation and
+the integrated norm included, is checked against the paper's equations in
+test_whole_run.py."""
 
 import sys
 import threading
@@ -17,22 +20,20 @@ import fednorm.aggregate as aggregate
 import fednorm.client as client
 from fednorm.aggregate import AggregationStrategy, NwdaReport, UpdateFold, nwda
 from fednorm.cli import available_presets, load_preset, parse_config
-from fednorm.client import ClientConfig, derive_seed, local_train
-from fednorm.data import Dataset, PartitionSpec, partition, synth_split
+from fednorm.client import ClientConfig
+from fednorm.data import Dataset, PartitionSpec, synth_split
 from fednorm.errors import ConfigError, DivergenceError
 from fednorm.nn import NetworkSpec, init_params
 from fednorm.orchestrator import (
     ExperimentConfig,
     Schedule,
     assign_weights,
-    evaluate,
     ring_shape,
     run_experiment,
     sample_clients,
     train_and_fold,
 )
 from fednorm.params import Segment
-from oracles import client_buffers, weighted_sum
 
 NET = NetworkSpec((4, 8, 3))
 TRAIN, TEST = synth_split(3, 20, 10, 4, seed=13)
@@ -51,14 +52,6 @@ def make_config(**over):
     for key, value in over.items():
         (schedule if key in Schedule.__dataclass_fields__ else base)[key] = value
     return ExperimentConfig(**base, schedule=Schedule(**schedule))
-
-
-def test_single_client_ratio_is_one():
-    cfg = make_config(clients=1)
-    result = run_experiment(TRAIN, TEST, cfg)
-    for row in result.metrics:
-        assert row.ratio == 1.0
-        assert abs(row.aggregate_norm - row.mean_local_norm) <= 1e-12 * row.mean_local_norm
 
 
 def test_config_validation():
@@ -94,87 +87,6 @@ def test_clients_per_round_floor():
         for k in range(1, 101):
             schedule = Schedule(clients=clients, participation=k / 100)
             assert schedule.clients_per_round == max(k * clients // 100, 1), (k, clients)
-
-
-def test_fedavg_step_norm_is_aggregate_norm():
-    result = run_experiment(TRAIN, TEST, make_config())
-    for row in result.metrics:
-        assert row.step_norm == row.aggregate_norm
-        assert row.eval_acc_averaged is None
-
-
-def test_momentum_gamma_zero_matches_fedavg():
-    avg = run_experiment(TRAIN, TEST, make_config())
-    mom = run_experiment(
-        TRAIN, TEST, make_config(strategy=AggregationStrategy("momentum", gamma=0.0))
-    )
-    assert avg.metrics == mom.metrics
-    assert np.array_equal(avg.final_params, mom.final_params)
-
-
-def test_round_one_is_strategy_independent():
-    """The first round's local training starts from the same distributed
-    parameters whatever the server rule, so N and E must agree."""
-    avg = run_experiment(TRAIN, TEST, make_config(rounds=1))
-    fnn = run_experiment(
-        TRAIN, TEST,
-        make_config(rounds=1, strategy=AggregationStrategy("fednnnn", beta=0.7, gamma=0.8)),
-    )
-    assert avg.metrics[0].aggregate_norm == fnn.metrics[0].aggregate_norm
-    assert avg.metrics[0].mean_local_norm == fnn.metrics[0].mean_local_norm
-
-
-def test_averaged_eval_only_for_normalized_kinds():
-    """normnorm and fednnnn distribute a rescaled step, so every round also
-    scores the plain average; the other kinds distribute that average."""
-    for kind in ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn"):
-        result = run_experiment(TRAIN, TEST, make_config(
-            strategy=AggregationStrategy(kind, beta=0.7, gamma=0.8)))
-        averaged = [r.eval_acc_averaged for r in result.metrics]
-        if kind in ("normnorm", "fednnnn"):
-            assert all(isinstance(a, float) for a in averaged), kind
-        else:
-            assert averaged == [None] * 3, kind
-
-
-def test_dual_eval_matches_manual_average():
-    """Rebuild round 1 by hand: the averaged-model accuracy must equal
-    evaluating w_0 + u directly."""
-    cfg = make_config(
-        rounds=1, strategy=AggregationStrategy("fednnnn", beta=0.7, gamma=0.8)
-    )
-    result = run_experiment(TRAIN, TEST, cfg)
-
-    seed = cfg.schedule.seed
-    parts = partition(TRAIN, cfg.partition, cfg.schedule.clients, derive_seed(seed, 1))
-    w0 = init_params(NET, derive_seed(seed, 0))
-    round_seed = derive_seed(seed, 2, 1)
-    updates = [
-        local_train(NET, w0, TRAIN, parts[cid], cfg.client,
-                    [derive_seed(round_seed, cid, e)
-                     for e in range(1, cfg.client.local_epochs + 1)], cid,
-                    **client_buffers(NET, TRAIN, parts[cid], cfg.client))
-        for cid in range(cfg.schedule.clients)
-    ]
-    u = weighted_sum([(1.0 / len(updates), up) for up in updates])
-    manual = evaluate(NET, u + w0, TEST, np.empty(2 * len(TEST) * 8))
-    assert result.metrics[0].eval_acc_averaged == manual
-
-
-def test_integrated_norm_is_prefix_sum():
-    result = run_experiment(TRAIN, TEST, make_config(rounds=4))
-    acc = 0.0
-    for row in result.metrics:
-        acc += row.step_norm
-        assert row.integrated_norm == acc
-
-
-def test_determinism_and_worker_count_independence():
-    one = run_experiment(TRAIN, TEST, make_config(workers=1))
-    again = run_experiment(TRAIN, TEST, make_config(workers=1))
-    four = run_experiment(TRAIN, TEST, make_config(workers=4))
-    assert one.metrics == again.metrics == four.metrics
-    assert np.array_equal(one.final_params, four.final_params)
 
 
 def assert_six_workers_match_one():
@@ -388,12 +300,6 @@ def test_assign_weights_uniform_and_by_count():
 def test_assign_weights_validation():
     with pytest.raises(ValueError):
         assign_weights([])
-
-
-def test_partial_participation_runs():
-    cfg = make_config(clients=4, participation=0.5, rounds=2)
-    result = run_experiment(TRAIN, TEST, cfg)
-    assert len(result.metrics) == 2
 
 
 def test_data_network_mismatch():

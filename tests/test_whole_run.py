@@ -3,8 +3,10 @@
 per-layer rows included, and the final parameters bit for bit.
 
 The golden tables pin output bytes only on the OpenBLAS kernels they hold
-entries for, and skip on any other. This check holds on every kernel, so it
-also runs in a process forced onto each other kernel this CPU can run.
+entries for, and skip on any other. This check holds on every kernel. Both
+also run in a process forced onto each other kernel this CPU can run, so an
+AVX-512 machine checks every golden table's Haswell and Sandybridge entries
+too.
 """
 
 import os
@@ -25,7 +27,7 @@ from fednorm.nn import NetworkSpec
 from fednorm.orchestrator import WEIGHT_MODES, ExperimentConfig, Schedule, run_experiment
 from fednorm.params import openblas_kernel
 from oracles import paper_run
-from test_golden import FORCED_KERNELS
+from test_golden import DESK_QUICK_SHA256
 from test_server_thread import WIDE_TRIMMED
 
 TRAIN, TEST = synth_split(3, 16, 8, 5, seed=7)
@@ -64,6 +66,7 @@ def small(kind, hidden=(6,), weight_decay=0.0, label_mode="iid", participation=1
 @example(small("normnorm", participation=0.5, weight_mode="by_sample_count"))
 @example(small("momentum", hidden=(7, 4), label_mode="noniid", weight_mode="by_sample_count"))
 @example(small("fednnnn", weight_decay=1e-3, participation=0.5, workers=2))
+@example(small("normnorm", clients=1))
 def test_small_runs_match_the_paper_run(config):
     assert_matches_paper_run(TRAIN, TEST, config)
 
@@ -77,8 +80,10 @@ def test_a_run_of_two_blocks_matches_the_paper_run():
         assert_matches_paper_run(train, test, plan.experiment(entry, 784, 10))
 
 
-# the golden tables' forced kernels and two older ones that have no digests
-KERNELS = {**FORCED_KERNELS, "Nehalem": ("SSE42",), "Katmai": ()}
+# the CPU features (numpy's names) each kernel a process can be forced onto
+# needs; the golden tables hold digests for the first two
+KERNELS = {"Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",), "Nehalem": ("SSE42",),
+           "Katmai": ()}
 
 
 def cannot_force(kernel):
@@ -97,15 +102,16 @@ def cannot_force(kernel):
 @pytest.fixture(scope="module")
 def forced_runs():
     """A process per kernel that can run, all started at once, each forced
-    onto its kernel with OPENBLAS_CORETYPE and running the tests above;
-    each prints the kernel it runs on first."""
+    onto its kernel with OPENBLAS_CORETYPE and running the tests above and
+    test_golden.py's; each prints the kernel it runs on first."""
     src = str(Path(fednorm.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     this = Path(__file__).resolve()
+    modules = [str(this), str(this.with_name("test_golden.py"))]
     script = ("import sys, pytest; from fednorm.params import openblas_kernel; "
               "print(openblas_kernel()); "
-              f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', {str(this)!r}, "
+              f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', *{modules!r}, "
               "'-k', 'not forced']))")
     runs = {}
     try:
@@ -124,7 +130,8 @@ def forced_runs():
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_runs_forced_onto_another_kernel_match_the_paper_run(kernel, forced_runs):
-    """The tests above in a process forced onto the kernel."""
+    """The tests above and the golden tables in a process forced onto the
+    kernel; on a kernel the tables hold digests for, none of them skips."""
     reason = cannot_force(kernel)
     if reason:
         pytest.skip(reason)
@@ -132,3 +139,5 @@ def test_runs_forced_onto_another_kernel_match_the_paper_run(kernel, forced_runs
     stdout, stderr = proc.communicate(timeout=300)
     assert stdout.split("\n", 1)[0] == kernel, stdout
     assert proc.returncode == 0, stdout + stderr
+    if kernel in DESK_QUICK_SHA256:
+        assert "skipped" not in stdout, stdout
