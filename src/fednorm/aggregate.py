@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, ShapeMismatchError, check_finite
+from .errors import POSITIVE, DivergenceError, ShapeMismatchError, check_fields, one_of
 from .params import Segment, all_finite, squared_norms, tiled_length, weighted_rows
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
@@ -46,15 +46,8 @@ class AggregationStrategy:
     epsilon: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"kind: must be one of {STRATEGY_KINDS}, got {self.kind!r}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta: must be positive, got {self.beta}")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ConfigError(f"gamma: must be in [0, 1), got {self.gamma}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon: must be positive, got {self.epsilon}")
-        check_finite(self, "beta", "epsilon")
+        check_fields(self, kind=one_of(STRATEGY_KINDS), beta=POSITIVE,
+                     gamma=(lambda g: 0.0 <= g < 1.0, "must be in [0, 1)"), epsilon=POSITIVE)
 
     @property
     def normalized(self) -> bool:

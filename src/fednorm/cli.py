@@ -17,14 +17,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -42,7 +39,8 @@ from .data import (
     normalize,
     synth_split,
 )
-from .errors import ConfigError, DivergenceError, check_finite
+from .errors import (AT_LEAST_ONE, POSITIVE, ConfigError, DivergenceError, check_fields,
+                     field_types)
 from .nn import NetworkSpec
 from .orchestrator import ExperimentConfig, RoundMetrics, Schedule, run_experiment
 from .params import openblas_kernel, openblas_threads
@@ -68,13 +66,9 @@ class SynthData:
     components_per_class: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("classes", "train_per_class", "test_per_class", "features",
-                     "components_per_class"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if not self.center_scale > 0:
-            raise ConfigError(f"center_scale: must be positive, got {self.center_scale}")
-        check_finite(self, "center_scale")
+        check_fields(self, classes=AT_LEAST_ONE, train_per_class=AT_LEAST_ONE,
+                     test_per_class=AT_LEAST_ONE, features=AT_LEAST_ONE,
+                     center_scale=POSITIVE, components_per_class=AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,7 @@ class IdxData:
     train_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if self.train_limit is not None and self.train_limit < 1:
-            raise ConfigError(f"train_limit: must be >= 1, got {self.train_limit}")
+        check_fields(self, train_limit=AT_LEAST_ONE)
 
 
 @dataclass(frozen=True)
@@ -119,53 +112,33 @@ DATASETS = {"synth": SynthData, "idx": IdxData}
 PER_STRATEGY = ("mu",)
 
 
-def schema(cls, omit=()) -> dict[str, type]:
-    """The config fields of a dataclass and the type of each, in declaration
-    order, less `omit`. An `X | None` field takes an X, so YAML null is
-    rejected; leaving the field out keeps its None default."""
-    hints = get_type_hints(cls)
-    kinds = {f.name: hints[f.name] for f in fields(cls) if f.name not in omit}
-    return {key: get_args(kind)[0] if isinstance(kind, UnionType) else kind
-            for key, kind in kinds.items()}
-
-
 def _require_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
     return value
 
 
-def _reject_unknown(section: dict, allowed: set[str], path: str) -> None:
+def _reject_unknown(section: dict, allowed, path: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
-def _field(section: dict, key: str, path: str, kind, default=...):
-    """Fetch section[key], type-checked; `...` as default makes it required."""
-    if key not in section:
-        if default is ...:
-            raise ConfigError(f"{path}.{key}: required field missing")
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        hint = ""
-        spelling = _yaml_float(value) if kind is float else None
-        if spelling is not None:
-            hint = f" (YAML reads this spelling as a string; write {spelling})"
-        raise ConfigError(
-            f"{path}.{key}: expected {kind.__name__}, got {value!r}{hint}"
-        )
-    return value
+def _kind(section: dict, path: str):
+    if "kind" not in section:
+        raise ConfigError(f"{path}.kind: required field missing")
+    return section["kind"]
 
 
-def _fields(section: dict, path: str, kinds: dict[str, type]) -> dict:
-    """The fields of `kinds` present in section, type-checked; absent ones
-    take the defaults of the dataclass they are passed to."""
-    return {key: _field(section, key, path, kind)
-            for key, kind in kinds.items() if key in section}
+def _present(section: dict, path: str, cls) -> dict:
+    """The fields of cls that section holds, for cls to check. YAML null is
+    rejected: an `X | None` field keeps its None default by being left out."""
+    kinds = field_types(cls)
+    present = {key: value for key, value in section.items() if key in kinds}
+    for key, value in present.items():
+        if value is None:
+            raise ConfigError(f"{path}.{key}: expected {kinds[key][0].__name__}, got None")
+    return present
 
 
 def _build(prefix: str, make, *args, **kwargs):
@@ -176,46 +149,27 @@ def _build(prefix: str, make, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _yaml_float(value) -> str | None:
-    """A spelling PyYAML reads as a float for a string that Python reads as a
-    finite float, e.g. '1e6' -> '1.0e+6' (YAML 1.1 floats need a dot and a
-    signed exponent); None for anything else."""
-    if not isinstance(value, str):
-        return None
-    try:
-        if not math.isfinite(float(value)):
-            return None
-    except ValueError:
-        return None
-    mantissa, _, exponent = value.strip().lower().partition("e")
-    if "." not in mantissa:
-        mantissa += ".0"
-    if exponent and exponent[0] not in "+-":
-        exponent = "+" + exponent
-    return f"{mantissa}e{exponent}" if exponent else mantissa
-
-
 def _parse_dataset(section: dict) -> SynthData | IdxData:
-    kind = _field(section, "kind", "dataset", str)
-    if kind not in DATASETS:
+    kind = _kind(section, "dataset")
+    if not isinstance(kind, str) or kind not in DATASETS:
         raise ConfigError(f"dataset.kind: must be synth or idx, got {kind!r}")
-    kinds = schema(DATASETS[kind])
-    _reject_unknown(section, {"kind", *kinds}, "dataset")
-    return _build("dataset.", DATASETS[kind], **_fields(section, "dataset", kinds))
+    cls = DATASETS[kind]
+    _reject_unknown(section, {"kind", *field_types(cls)}, "dataset")
+    return _build("dataset.", cls, **_present(section, "dataset", cls))
 
 
 def _parse_strategy(entry, index: int, labels_seen: dict,
                     training: ClientConfig) -> StrategyPlan:
     path = f"strategies[{index}]"
     section = _require_mapping(entry, path)
-    knobs = schema(AggregationStrategy, omit=("kind",))
-    own = {key: kind for key, kind in schema(ClientConfig).items() if key in PER_STRATEGY}
-    _reject_unknown(section, {"kind", *knobs, *own}, path)
-    kind = _field(section, "kind", path, str)
-    strategy = _build(f"{path}.", AggregationStrategy, kind, **_fields(section, path, knobs))
-    client = _build(f"{path}.", replace, training, **_fields(section, path, own))
+    _reject_unknown(section, {*field_types(AggregationStrategy), *PER_STRATEGY}, path)
+    _kind(section, path)
+    strategy = _build(f"{path}.", AggregationStrategy,
+                      **_present(section, path, AggregationStrategy))
+    client = _build(f"{path}.", replace, training, **_present(section, path, ClientConfig))
     if client.mu > 0 and not strategy.proximal:
         raise ConfigError(f"{path}.mu: only fedprox takes a proximal term")
+    kind = strategy.kind
     labels_seen[kind] = labels_seen.get(kind, 0) + 1
     label = kind if labels_seen[kind] == 1 else f"{kind}_{labels_seen[kind]}"
     return StrategyPlan(label, strategy, client)
@@ -224,10 +178,10 @@ def _parse_strategy(entry, index: int, labels_seen: dict,
 def parse_config(raw: dict) -> RunPlan:
     """Map a loaded YAML mapping onto a RunPlan.
 
-    Every section's dataclass declares its fields and their types (see
-    `schema`), checks its values and supplies the defaults of absent
-    fields; every complaint names the offending field by its path, e.g.
-    "strategies[1].gamma: must be in [0, 1), got 1.2".
+    Each section's present keys go to its dataclass, which checks every
+    field's type, range and finiteness (`errors.check_fields`) and supplies
+    the defaults of absent fields; every complaint names the offending
+    field by its path, e.g. "strategies[1].gamma: must be in [0, 1), got 1.2".
     """
     root = _require_mapping(raw, "config")
     _reject_unknown(root, {"dataset", "network", "partition", "training", "strategies"},
@@ -238,21 +192,21 @@ def parse_config(raw: dict) -> RunPlan:
 
     network = _require_mapping(root.get("network", {}), "network")
     _reject_unknown(network, {"hidden"}, "network")
-    hidden = _field(network, "hidden", "network", list, [64])
-    if not hidden or not all(isinstance(h, int) and not isinstance(h, bool) and h > 0
-                             for h in hidden):
+    hidden = network.get("hidden", [64])
+    if not isinstance(hidden, list) or not hidden or not all(
+            isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in hidden):
         raise ConfigError("network.hidden: expected a list of positive ints")
 
     part = _require_mapping(root.get("partition", {}), "partition")
-    kinds = schema(PartitionSpec)
-    _reject_unknown(part, set(kinds), "partition")
-    partition_spec = _build("partition.", PartitionSpec, **_fields(part, "partition", kinds))
+    _reject_unknown(part, field_types(PartitionSpec), "partition")
+    partition_spec = _build("partition.", PartitionSpec,
+                            **_present(part, "partition", PartitionSpec))
 
     training = _require_mapping(root.get("training", {}), "training")
-    run_kinds, client_kinds = schema(Schedule), schema(ClientConfig, omit=PER_STRATEGY)
-    _reject_unknown(training, {*run_kinds, *client_kinds}, "training")
-    schedule = _build("training.", Schedule, **_fields(training, "training", run_kinds))
-    client = _build("training.", ClientConfig, **_fields(training, "training", client_kinds))
+    _reject_unknown(training, {*field_types(Schedule), *field_types(ClientConfig)}
+                    - set(PER_STRATEGY), "training")
+    schedule = _build("training.", Schedule, **_present(training, "training", Schedule))
+    client = _build("training.", ClientConfig, **_present(training, "training", ClientConfig))
 
     entries = root.get("strategies", [{"kind": "fedavg"}])
     if not isinstance(entries, list) or not entries:

@@ -22,7 +22,7 @@ from functools import cache
 import numpy as np
 
 from .data import Dataset, batch_buffers, batches
-from .errors import ConfigError, check_finite
+from .errors import AT_LEAST_ONE, NON_NEGATIVE, check_fields
 from .nn import NetworkSpec, gradient_into, layer_views, prox_addend_into, sgd_update
 
 
@@ -145,17 +145,8 @@ class ClientConfig:
     mu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate: must be non-negative, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.local_epochs < 1:
-            raise ConfigError(f"local_epochs: must be >= 1, got {self.local_epochs}")
-        if not self.weight_decay >= 0:
-            raise ConfigError(f"weight_decay: must be non-negative, got {self.weight_decay}")
-        if not self.mu >= 0:
-            raise ConfigError(f"mu: must be non-negative, got {self.mu}")
-        check_finite(self, "learning_rate", "weight_decay", "mu")
+        check_fields(self, learning_rate=NON_NEGATIVE, batch_size=AT_LEAST_ONE,
+                     local_epochs=AT_LEAST_ONE, weight_decay=NON_NEGATIVE, mu=NON_NEGATIVE)
 
 
 def work_rows(config: ClientConfig) -> int:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import AT_LEAST_ONE, POSITIVE, ConfigError, check_fields, one_of
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
@@ -101,17 +101,10 @@ class PartitionSpec:
     power_exponent: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.label_mode not in ("iid", "noniid"):
-            raise ConfigError(f"label_mode: must be iid or noniid, got {self.label_mode!r}")
-        if self.size_mode not in ("balanced", "unbalanced"):
-            raise ConfigError(
-                f"size_mode: must be balanced or unbalanced, got {self.size_mode!r}"
-            )
-        if self.classes_per_client < 1:
-            raise ConfigError(f"classes_per_client: must be >= 1, got {self.classes_per_client}")
-        if not self.power_exponent > 0:
-            raise ConfigError(f"power_exponent: must be positive, got {self.power_exponent}")
-        check_finite(self, "power_exponent")
+        check_fields(self, label_mode=one_of(("iid", "noniid"), "must be iid or noniid"),
+                     size_mode=one_of(("balanced", "unbalanced"),
+                                      "must be balanced or unbalanced"),
+                     classes_per_client=AT_LEAST_ONE, power_exponent=POSITIVE)
 
 
 # IDX ingestion ---------------------------------------------------------------

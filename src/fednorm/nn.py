@@ -17,6 +17,7 @@ spec, checks the vector's length.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,10 @@ class NetworkSpec:
     _segments: tuple[Segment, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(self.layer_sizes)
+        if any(isinstance(s, bool) or not isinstance(s, numbers.Integral) for s in sizes):
+            raise ValueError(f"layer sizes must be ints, got {sizes}")
+        sizes = tuple(int(s) for s in sizes)
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError("need at least input and output layer sizes")

@@ -30,7 +30,7 @@ import numpy as np
 from .aggregate import AggregationStrategy, UpdateFold, apply_strategy
 from .client import ClientConfig, derive_seed, epoch_seeds, local_train, thread_buffers
 from .data import Dataset, PartitionSpec, partition
-from .errors import ConfigError, DivergenceError
+from .errors import AT_LEAST_ONE, ConfigError, DivergenceError, check_fields, one_of
 from .nn import NetworkSpec, forward_loss, forward_space, init_params
 from .params import l2_norm
 
@@ -65,14 +65,9 @@ class Schedule:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "clients", "workers"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.participation <= 1.0:
-            raise ConfigError(f"participation: must be in (0, 1], got {self.participation}")
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ConfigError(
-                f"weight_mode: must be one of {WEIGHT_MODES}, got {self.weight_mode!r}")
+        check_fields(self, rounds=AT_LEAST_ONE, clients=AT_LEAST_ONE,
+                     participation=(lambda p: 0.0 < p <= 1.0, "must be in (0, 1]"),
+                     weight_mode=one_of(WEIGHT_MODES), workers=AT_LEAST_ONE)
         if self.seed < 0:
             raise ConfigError("seed: must be non-negative")
 

@@ -8,6 +8,7 @@ import gc
 import math
 import re
 import struct
+import typing
 import warnings
 import weakref
 from pathlib import Path
@@ -26,7 +27,6 @@ from fednorm.cli import (
     load_preset,
     main,
     parse_config,
-    schema,
 )
 from fednorm.client import ClientConfig
 from fednorm.data import PartitionSpec
@@ -249,6 +249,54 @@ def test_optional_fields_reject_yaml_null():
             parse_config({"dataset": {"kind": "idx", key: None}})
 
 
+CONFIG_CLASSES = (SynthData, IdxData, PartitionSpec, Schedule, ClientConfig,
+                  AggregationStrategy)
+
+
+def config_fields():
+    """(class, field, declared type, whether None fits) of every config
+    dataclass field."""
+    for cls in CONFIG_CLASSES:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            yield cls, f.name, kinds[0], type(None) in kinds
+
+
+def make(cls, **values):
+    """cls with values, and the one field without a default filled in."""
+    return cls(**({"kind": "fedavg"} if cls is AggregationStrategy else {}) | values)
+
+
+WRONG_TYPED = {int: ["3", 1.5, True, np.float64(2.0)], float: ["0.5", True, False],
+               str: [3, b"iid", True]}
+TYPE_CASES = [(cls, name, kind, value) for cls, name, kind, optional in config_fields()
+              for value in WRONG_TYPED[kind] + ([] if optional else [None])]
+
+
+@pytest.mark.parametrize("cls, name, kind, value", TYPE_CASES,
+                         ids=[f"{c.__name__}.{n}={v!r}" for c, n, _, v in TYPE_CASES])
+def test_config_dataclasses_reject_wrong_types(cls, name, kind, value):
+    """Library callers get the CLI's complaint: a str for a number, a float
+    for an int, a bool for either, or None for a field that is not
+    optional used to be accepted or to fail deep inside the run."""
+    with pytest.raises(ConfigError) as info:
+        make(cls, **{name: value})
+    assert str(info.value).startswith(f"{name}: expected {kind.__name__}, got {value!r}")
+
+
+FLOAT_FIELDS = [(cls, name) for cls, name, kind, _ in config_fields() if kind is float]
+
+
+@pytest.mark.parametrize("cls, name", FLOAT_FIELDS,
+                         ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS])
+def test_an_int_given_for_a_float_field_is_stored_as_that_float(cls, name):
+    default = next(f.default for f in dataclasses.fields(cls) if f.name == name)
+    value = math.ceil(default)  # within the field's range
+    stored = getattr(make(cls, **{name: value}), name)
+    assert type(stored) is float and stored == value
+
+
 def readme_config_section() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return text.split("\n## Config files\n", 1)[1].split("\n## ", 1)[0]
@@ -263,7 +311,7 @@ def test_readme_config_reference_parses_and_names_every_field():
     admitted = {"kind", "hidden"}
     for cls in (SynthData, IdxData, PartitionSpec, Schedule, ClientConfig,
                 AggregationStrategy):
-        admitted |= set(schema(cls))
+        admitted |= field_names(cls)
     missing = sorted(name for name in admitted if not re.search(rf"\b{name}\b", section))
     assert not missing, f"README config section never names {missing}"
 

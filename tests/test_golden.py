@@ -4,7 +4,9 @@ same way on every run; these hashes do. A second set pins the same run with
 weight decay, which no other golden output exercises, and a third pins the
 schedule fields away from their defaults: half the clients per round,
 weights by sample count, two workers. A fourth pins a run on a small seeded
-IDX pair, the path real MNIST files take.
+IDX pair, the path real MNIST files take, and a fifth a 784-200-200-10 run
+whose rounds reach the server thread (test_server_thread.py checks that
+these bytes do not depend on the BLAS thread count).
 
 Every table is keyed by the OpenBLAS kernel, whose matrix products round
 differently: SkylakeX (AVX-512), Haswell (AVX2, which Zen also runs) and
@@ -146,6 +148,43 @@ DESK_QUICK_SCHEDULE_SHA256 = {
     },
 }
 
+# the benchmark's wide_round cut down to 50 clients, 2 rounds and 40/20 rows per
+# class: its 1.6 MB rows fill three blocks a round, so the server thread folds
+# two of them and the third reuses the first half of the ring
+WIDE_TRIMMED = {
+    "dataset": {"kind": "synth", "classes": 10, "features": 784, "center_scale": 0.5,
+                "components_per_class": 2, "train_per_class": 40, "test_per_class": 20},
+    "network": {"hidden": [200, 200]},
+    "partition": {"label_mode": "noniid", "classes_per_client": 2,
+                  "size_mode": "unbalanced", "power_exponent": 1.5},
+    "training": {"clients": 50, "rounds": 2, "participation": 1.0, "batch_size": 50,
+                 "local_epochs": 1, "workers": 1},
+    "strategies": [{"kind": "normnorm", "beta": 0.9}, {"kind": "momentum", "gamma": 0.8}],
+}
+
+# SkylakeX's were written before the server thread existed, with
+# OPENBLAS_NUM_THREADS=1
+WIDE_TRIMMED_SHA256 = {
+    "SkylakeX": {
+        "momentum_layers.csv": "433dc36afc914cef6c51f4f8ed62a129772ed897dda199ed3a0ba230125a82d0",
+        "momentum_metrics.csv": "cae41dba7823bdf731caae67518cbda8314380a1d387137da61606efc28e496b",
+        "normnorm_layers.csv": "a3fd3a975743383f1d2318ccd6a0336763bc726d4f268aa73a712fa33871a27d",
+        "normnorm_metrics.csv": "aa924179c53f277c7732c94a0b31eda71d29aaf0ebd634ced2a31cf36aaa059a",
+    },
+    "Haswell": {
+        "momentum_layers.csv": "73f4dae2e981bcfe800de9b246836a1c077aa7e0aebcb3dbf2b877d10eb3a1e2",
+        "momentum_metrics.csv": "d85e5c5a3fbdfec8af6a2ee176d4064084e2553b699b4c71d38800ecb22fbcf9",
+        "normnorm_layers.csv": "d9da5cf49c85a71d19f39b652618f12e16d2abfd1886d45e1abebf3dae0d9c4f",
+        "normnorm_metrics.csv": "ccebe5c8990a622c103df8699178922d3a588ebfc8f447146c715977d8f77026",
+    },
+    "Sandybridge": {
+        "momentum_layers.csv": "e72d4553a7ec08a86d5bf2d19f1f60d567972d6f3ede7bb6c574480c5fe4bd44",
+        "momentum_metrics.csv": "d59fbd0006f7f35285009f26da833322fd3fb3b38358303800bcec9794764c50",
+        "normnorm_layers.csv": "6ba73b3d909b98b5819ac2219f8291d94882915b87cf0271a34f0392c6f147e6",
+        "normnorm_metrics.csv": "51fc7e4a4538d58a5a41ac6557fb2cf1811553b9681bbd7a3d860f6742895105",
+    },
+}
+
 
 def csv_digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -270,4 +309,13 @@ def test_idx_run_matches_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_idx_run(tmp_path)), "--out", str(out)]) == 0
+    assert csv_digests(out) == expected
+
+
+def test_wide_trimmed_seed_0_matches_golden_hashes(tmp_path):
+    expected = kernel_digests(WIDE_TRIMMED_SHA256)
+    config = tmp_path / "wide.yaml"
+    config.write_text(yaml.safe_dump(WIDE_TRIMMED))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--seed", "0", "--out", str(out)]) == 0
     assert csv_digests(out) == expected

@@ -309,3 +309,18 @@ def test_spec_rejects_degenerate_shapes():
         NetworkSpec((5,))
     with pytest.raises(ValueError):
         NetworkSpec((5, 0, 3))
+
+
+@pytest.mark.parametrize("size", [64.5, "8", True], ids=["float", "str", "bool"])
+def test_spec_rejects_sizes_that_are_not_ints(size):
+    """A float, a str or a bool size used to build a layer of int(size)
+    units; the error names the sizes."""
+    with pytest.raises(ValueError, match=rf"^layer sizes must be ints, got \(20, {size!r}, 10\)$"):
+        NetworkSpec((20, size, 10))
+
+
+def test_spec_takes_numpy_int_sizes_as_ints():
+    spec = NetworkSpec((np.int64(20), np.int32(8), 10))
+    assert spec.layer_sizes == (20, 8, 10)
+    assert all(type(s) is int for s in spec.layer_sizes)
+    assert spec.param_count == 20 * 8 + 8 + 8 * 10 + 10

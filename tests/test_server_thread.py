@@ -4,12 +4,9 @@ and a diverging client must still fail with one line.
 
 Each run is a fresh `fednorm run` process, so that the BLAS pin is tested as
 a program meets it: importing fednorm before numpy, or after. The config is
-the benchmark's wide_round cut down to 50 clients, 2 rounds and 40/20 rows
-per class: its 1.6 MB rows fill three blocks a round, so the server thread
-folds two of them and the third reuses the first half of the ring.
+test_golden.py's WIDE_TRIMMED, and its digests that module's table.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -24,43 +21,10 @@ import fednorm
 import fednorm.orchestrator as orchestrator
 from fednorm.cli import main
 from oracles import kernel_digests
+from test_golden import WIDE_TRIMMED, WIDE_TRIMMED_SHA256, csv_digests
 
-WIDE_TRIMMED = {
-    "dataset": {"kind": "synth", "classes": 10, "features": 784, "center_scale": 0.5,
-                "components_per_class": 2, "train_per_class": 40, "test_per_class": 20},
-    "network": {"hidden": [200, 200]},
-    "partition": {"label_mode": "noniid", "classes_per_client": 2,
-                  "size_mode": "unbalanced", "power_exponent": 1.5},
-    "training": {"clients": 50, "rounds": 2, "participation": 1.0, "batch_size": 50,
-                 "local_epochs": 1, "workers": 1},
-    "strategies": [{"kind": "normnorm", "beta": 0.9}, {"kind": "momentum", "gamma": 0.8}],
-}
 PARAMS = 784 * 200 + 200 + 200 * 200 + 200 + 200 * 10 + 10
 
-# SHA-256 of the CSVs `fednorm run --seed 0` writes for WIDE_TRIMMED, keyed by
-# OpenBLAS kernel: SkylakeX's were written before the server thread existed,
-# with OPENBLAS_NUM_THREADS=1, the others by runs forced onto their kernel with
-# OPENBLAS_CORETYPE on one AVX-512 machine
-WIDE_TRIMMED_SHA256 = {
-    "SkylakeX": {
-        "momentum_layers.csv": "433dc36afc914cef6c51f4f8ed62a129772ed897dda199ed3a0ba230125a82d0",
-        "momentum_metrics.csv": "cae41dba7823bdf731caae67518cbda8314380a1d387137da61606efc28e496b",
-        "normnorm_layers.csv": "a3fd3a975743383f1d2318ccd6a0336763bc726d4f268aa73a712fa33871a27d",
-        "normnorm_metrics.csv": "aa924179c53f277c7732c94a0b31eda71d29aaf0ebd634ced2a31cf36aaa059a",
-    },
-    "Haswell": {
-        "momentum_layers.csv": "73f4dae2e981bcfe800de9b246836a1c077aa7e0aebcb3dbf2b877d10eb3a1e2",
-        "momentum_metrics.csv": "d85e5c5a3fbdfec8af6a2ee176d4064084e2553b699b4c71d38800ecb22fbcf9",
-        "normnorm_layers.csv": "d9da5cf49c85a71d19f39b652618f12e16d2abfd1886d45e1abebf3dae0d9c4f",
-        "normnorm_metrics.csv": "ccebe5c8990a622c103df8699178922d3a588ebfc8f447146c715977d8f77026",
-    },
-    "Sandybridge": {
-        "momentum_layers.csv": "e72d4553a7ec08a86d5bf2d19f1f60d567972d6f3ede7bb6c574480c5fe4bd44",
-        "momentum_metrics.csv": "d59fbd0006f7f35285009f26da833322fd3fb3b38358303800bcec9794764c50",
-        "normnorm_layers.csv": "6ba73b3d909b98b5819ac2219f8291d94882915b87cf0271a34f0392c6f147e6",
-        "normnorm_metrics.csv": "51fc7e4a4538d58a5a41ac6557fb2cf1811553b9681bbd7a3d860f6742895105",
-    },
-}
 # at these settings client 48 of round 1 diverges first: in the third block,
 # after two were handed to the server, with its row in a reused half of the ring
 DIVERGING = {"learning_rate": 1000.0, "local_epochs": 8}
@@ -83,11 +47,6 @@ def run_cli(config: dict, out: Path, blas_threads: str | None,
          "--out", str(out), *args],
         capture_output=True, text=True, env=env, timeout=600,
     )
-
-
-def csv_digests(out: Path) -> dict[str, str]:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.glob("*.csv"))}
 
 
 @pytest.fixture(scope="module")

@@ -27,8 +27,7 @@ from fednorm.nn import NetworkSpec
 from fednorm.orchestrator import WEIGHT_MODES, ExperimentConfig, Schedule, run_experiment
 from fednorm.params import openblas_kernel
 from oracles import paper_run
-from test_golden import DESK_QUICK_SHA256
-from test_server_thread import WIDE_TRIMMED
+from test_golden import DESK_QUICK_SHA256, WIDE_TRIMMED
 
 TRAIN, TEST = synth_split(3, 16, 8, 5, seed=7)
 
