@@ -30,11 +30,11 @@ ROUNDS = 30
 SEED = 0
 
 STRATEGIES = [
-    ("fedavg", AggregationStrategy("fedavg"), 0.0),
-    ("fedprox", AggregationStrategy("fedprox"), 0.02),
-    ("normnorm", AggregationStrategy("normnorm", beta=0.9), 0.0),
-    ("momentum", AggregationStrategy("momentum", gamma=0.8), 0.0),
-    ("fednnnn", AggregationStrategy("fednnnn", beta=0.7, gamma=0.8), 0.0),
+    AggregationStrategy("fedavg"),
+    AggregationStrategy("fedprox", mu=0.02),
+    AggregationStrategy("normnorm", beta=0.9),
+    AggregationStrategy("momentum", gamma=0.8),
+    AggregationStrategy("fednnnn", beta=0.7, gamma=0.8),
 ]
 
 train, test = synth_split(10, 200, 200, 20, seed=SEED,
@@ -44,12 +44,11 @@ print(f"10 clients, 2 classes each, power-law shard sizes, {ROUNDS} rounds")
 print()
 print(f"{'strategy':<10} {'final acc':>9} {'averaged':>9} {'mean N/E':>9}")
 
-for label, strategy, mu in STRATEGIES:
+for strategy in STRATEGIES:
     config = ExperimentConfig(
         network=NetworkSpec((20, 64, 10)),
         strategy=strategy,
-        client=ClientConfig(learning_rate=0.05, batch_size=50,
-                            local_epochs=5, mu=mu),
+        client=ClientConfig(learning_rate=0.05, batch_size=50, local_epochs=5),
         partition=PartitionSpec("noniid", "unbalanced", 2, 1.5),
         schedule=Schedule(rounds=ROUNDS, clients=10, seed=SEED),
     )
@@ -57,7 +56,7 @@ for label, strategy, mu in STRATEGIES:
     last = result.metrics[-1]
     ratios = [r.ratio for r in result.metrics if r.ratio is not None]
     averaged = "" if last.eval_acc_averaged is None else f"{last.eval_acc_averaged:9.4f}"
-    print(f"{label:<10} {last.eval_acc_distributed:>9.4f} {averaged:>9} "
+    print(f"{strategy.kind:<10} {last.eval_acc_distributed:>9.4f} {averaged:>9} "
           f"{sum(ratios) / len(ratios):>9.3f}")
 
 print()

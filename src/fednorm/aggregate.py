@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import POSITIVE, DivergenceError, ShapeMismatchError, check_fields, one_of
+from .errors import (NON_NEGATIVE, POSITIVE, ConfigError, DivergenceError, ShapeMismatchError,
+                     check_fields, one_of)
 from .params import Segment, all_finite, squared_norms, tiled_length, weighted_rows
 
 STRATEGY_KINDS = ("fedavg", "fedprox", "normnorm", "momentum", "fednnnn")
@@ -36,29 +37,29 @@ class AggregationStrategy:
 
     beta scales the normalized step (normnorm, fednnnn); gamma is the momentum
     decay (momentum, fednnnn); the other kinds ignore them. epsilon guards the
-    division by N. fedprox uses the fedavg rule here, its proximal term acts
-    on the clients.
+    division by N. mu weights fedprox's proximal term, which acts on the
+    clients (the server uses the fedavg rule); any other kind given mu > 0
+    raises ConfigError.
     """
 
     kind: str
     beta: float = 1.0
     gamma: float = 0.0
     epsilon: float = 1e-9
+    mu: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self, kind=one_of(STRATEGY_KINDS), beta=POSITIVE,
-                     gamma=(lambda g: 0.0 <= g < 1.0, "must be in [0, 1)"), epsilon=POSITIVE)
+                     gamma=(lambda g: 0.0 <= g < 1.0, "must be in [0, 1)"), epsilon=POSITIVE,
+                     mu=NON_NEGATIVE)
+        if self.mu > 0 and self.kind != "fedprox":
+            raise ConfigError("mu: only fedprox takes a proximal term")
 
     @property
     def normalized(self) -> bool:
         """Whether the step is rescaled by beta*E/N, so that the distributed
         model differs from the plain average of the client models."""
         return self.kind in ("normnorm", "fednnnn")
-
-    @property
-    def proximal(self) -> bool:
-        """Whether clients may add a proximal term (mu > 0)."""
-        return self.kind == "fedprox"
 
 
 @dataclass(frozen=True)

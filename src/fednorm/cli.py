@@ -87,29 +87,22 @@ class IdxData:
 
 
 @dataclass(frozen=True)
-class StrategyPlan:
-    label: str
-    strategy: AggregationStrategy
-    client: ClientConfig
-
-
-@dataclass(frozen=True)
 class RunPlan:
     dataset: SynthData | IdxData
     hidden: tuple[int, ...]
     partition: PartitionSpec
     schedule: Schedule
-    strategies: tuple[StrategyPlan, ...]
+    client: ClientConfig
+    strategies: dict[str, AggregationStrategy]  # by label, in config order
 
-    def experiment(self, entry: StrategyPlan, features: int, classes: int) -> ExperimentConfig:
+    def experiment(self, strategy: AggregationStrategy, features: int,
+                   classes: int) -> ExperimentConfig:
         """The experiment one strategy runs on data of this shape."""
         return ExperimentConfig(NetworkSpec((features, *self.hidden, classes)),
-                                entry.strategy, entry.client, self.partition, self.schedule)
+                                strategy, self.client, self.partition, self.schedule)
 
 
 DATASETS = {"synth": SynthData, "idx": IdxData}
-# ClientConfig fields that each strategy sets instead of the training section
-PER_STRATEGY = ("mu",)
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -158,21 +151,12 @@ def _parse_dataset(section: dict) -> SynthData | IdxData:
     return _build("dataset.", cls, **_present(section, "dataset", cls))
 
 
-def _parse_strategy(entry, index: int, labels_seen: dict,
-                    training: ClientConfig) -> StrategyPlan:
-    path = f"strategies[{index}]"
+def _parse_strategy(entry, path: str) -> AggregationStrategy:
     section = _require_mapping(entry, path)
-    _reject_unknown(section, {*field_types(AggregationStrategy), *PER_STRATEGY}, path)
+    _reject_unknown(section, field_types(AggregationStrategy), path)
     _kind(section, path)
-    strategy = _build(f"{path}.", AggregationStrategy,
-                      **_present(section, path, AggregationStrategy))
-    client = _build(f"{path}.", replace, training, **_present(section, path, ClientConfig))
-    if client.mu > 0 and not strategy.proximal:
-        raise ConfigError(f"{path}.mu: only fedprox takes a proximal term")
-    kind = strategy.kind
-    labels_seen[kind] = labels_seen.get(kind, 0) + 1
-    label = kind if labels_seen[kind] == 1 else f"{kind}_{labels_seen[kind]}"
-    return StrategyPlan(label, strategy, client)
+    return _build(f"{path}.", AggregationStrategy,
+                  **_present(section, path, AggregationStrategy))
 
 
 def parse_config(raw: dict) -> RunPlan:
@@ -182,6 +166,9 @@ def parse_config(raw: dict) -> RunPlan:
     field's type, range and finiteness (`errors.check_fields`) and supplies
     the defaults of absent fields; every complaint names the offending
     field by its path, e.g. "strategies[1].gamma: must be in [0, 1), got 1.2".
+    `training` gives the one ClientConfig every strategy's clients use, and
+    each `strategies` entry one AggregationStrategy, its `mu` included,
+    labelled by its kind (kind_2, kind_3, ... when the kind repeats).
     """
     root = _require_mapping(raw, "config")
     _reject_unknown(root, {"dataset", "network", "partition", "training", "strategies"},
@@ -203,19 +190,19 @@ def parse_config(raw: dict) -> RunPlan:
                             **_present(part, "partition", PartitionSpec))
 
     training = _require_mapping(root.get("training", {}), "training")
-    _reject_unknown(training, {*field_types(Schedule), *field_types(ClientConfig)}
-                    - set(PER_STRATEGY), "training")
+    _reject_unknown(training, {*field_types(Schedule), *field_types(ClientConfig)}, "training")
     schedule = _build("training.", Schedule, **_present(training, "training", Schedule))
     client = _build("training.", ClientConfig, **_present(training, "training", ClientConfig))
 
     entries = root.get("strategies", [{"kind": "fedavg"}])
     if not isinstance(entries, list) or not entries:
         raise ConfigError("strategies: expected a non-empty list")
-    labels_seen: dict = {}
-    strategies = tuple(
-        _parse_strategy(entry, i, labels_seen, client) for i, entry in enumerate(entries)
-    )
-    return RunPlan(dataset, tuple(hidden), partition_spec, schedule, strategies)
+    strategies: dict[str, AggregationStrategy] = {}
+    for i, entry in enumerate(entries):
+        strategy = _parse_strategy(entry, f"strategies[{i}]")
+        repeat = sum(s.kind == strategy.kind for s in strategies.values())
+        strategies[f"{strategy.kind}_{repeat + 1}" if repeat else strategy.kind] = strategy
+    return RunPlan(dataset, tuple(hidden), partition_spec, schedule, client, strategies)
 
 
 def available_presets() -> list[str]:
@@ -334,8 +321,7 @@ def cmd_run(args) -> int:
     plan = replace(plan, schedule=_build("--", replace, plan.schedule, **overrides))
     if args.strategies is not None:
         wanted = [s.strip() for s in args.strategies.split(",") if s.strip()]
-        have = {e.label: e for e in plan.strategies}
-        missing = [w for w in wanted if w not in have]
+        missing = [w for w in wanted if w not in plan.strategies]
         if not wanted:
             raise ConfigError("--strategies: names no strategy")
         repeated = sorted({w for w in wanted if wanted.count(w) > 1})
@@ -344,9 +330,9 @@ def cmd_run(args) -> int:
         if missing:
             raise ConfigError(
                 f"--strategies: {', '.join(missing)} not in this config "
-                f"(available: {', '.join(have)})"
+                f"(available: {', '.join(plan.strategies)})"
             )
-        plan = replace(plan, strategies=tuple(have[w] for w in wanted))
+        plan = replace(plan, strategies={w: plan.strategies[w] for w in wanted})
 
     train, test = load_data(plan)
     features = train.inputs.shape[1]
@@ -358,7 +344,7 @@ def cmd_run(args) -> int:
         "status": "running",
         "seed": plan.schedule.seed,
         "rounds": plan.schedule.rounds,
-        "strategies": [e.label for e in plan.strategies],
+        "strategies": list(plan.strategies),
         "environment": _numeric_environment(),
         "files": {},
     }
@@ -366,23 +352,23 @@ def cmd_run(args) -> int:
 
     files: dict = {}
     try:
-        for entry in plan.strategies:
+        for label, strategy in plan.strategies.items():
             try:
                 # only the metrics: the final parameters would stay alive
                 # while the next strategy trains
                 metrics = run_experiment(train, test,
-                                         plan.experiment(entry, features, classes)).metrics
+                                         plan.experiment(strategy, features, classes)).metrics
             except DivergenceError as exc:
-                raise DivergenceError(f"{entry.label} {exc}") from None
-            metrics_name = f"{entry.label}_metrics.csv"
-            layers_name = f"{entry.label}_layers.csv"
-            write_metrics_csv(out / metrics_name, entry.label, metrics)
-            write_layers_csv(out / layers_name, entry.label, metrics)
-            files[entry.label] = {"metrics": metrics_name, "layers": layers_name}
+                raise DivergenceError(f"{label} {exc}") from None
+            metrics_name = f"{label}_metrics.csv"
+            layers_name = f"{label}_layers.csv"
+            write_metrics_csv(out / metrics_name, label, metrics)
+            write_layers_csv(out / layers_name, label, metrics)
+            files[label] = {"metrics": metrics_name, "layers": layers_name}
             final = metrics[-1]
             shown = final.eval_acc_averaged
             extra = "" if shown is None else f" (averaged {shown:.4f})"
-            print(f"{entry.label}: {plan.schedule.rounds} rounds, "
+            print(f"{label}: {plan.schedule.rounds} rounds, "
                   f"final accuracy {final.eval_acc_distributed:.4f}{extra}")
     except Exception:
         _write_manifest(out, {**manifest, "status": "failed", "files": files})
@@ -474,7 +460,8 @@ def cmd_analyze_nwda(args) -> int:
         "strategies": [{"kind": "fedavg"}],
     }), schedule=schedule)
     train, test = load_data(plan)
-    config = plan.experiment(plan.strategies[0], train.inputs.shape[1], train.class_count)
+    config = plan.experiment(plan.strategies["fedavg"], train.inputs.shape[1],
+                             train.class_count)
     scenarios = [
         ("k1", PartitionSpec("iid", "balanced"), 1),
         ("iid", PartitionSpec("iid", "balanced"), 10),

@@ -9,7 +9,8 @@ indices into the shared training set; mini-batches are (inputs, labels)
 pairs gathered from that set into the caller's pair of batch buffers. The
 set was checked once when it was built, and no step checks it again.
 
-The proximal term (when mu > 0) is anchored at the parameters the server
+The proximal term, weighted by the strategy's mu (`AggregationStrategy.mu`,
+which only fedprox sets above 0), is anchored at the parameters the server
 distributed for this round; the anchor never moves between local epochs.
 """
 
@@ -142,37 +143,37 @@ class ClientConfig:
     batch_size: int = 50
     local_epochs: int = 5
     weight_decay: float = 0.0
-    mu: float = 0.0
 
     def __post_init__(self) -> None:
         check_fields(self, learning_rate=NON_NEGATIVE, batch_size=AT_LEAST_ONE,
-                     local_epochs=AT_LEAST_ONE, weight_decay=NON_NEGATIVE, mu=NON_NEGATIVE)
+                     local_epochs=AT_LEAST_ONE, weight_decay=NON_NEGATIVE)
 
 
-def work_rows(config: ClientConfig) -> int:
+def work_rows(config: ClientConfig, mu: float) -> int:
     """The parameter-sized rows local_train's `work` needs: the gradient,
     and a scratch row when weight decay or the proximal term is on."""
-    return 2 if config.weight_decay > 0 or config.mu > 0 else 1
+    return 2 if config.weight_decay > 0 or mu > 0 else 1
 
 
-def thread_buffers(config: ClientConfig, data: Dataset, rows: int, size: int,
+def thread_buffers(config: ClientConfig, mu: float, data: Dataset, rows: int, size: int,
                    ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """New (work, batch) buffers for local_train, which a thread reuses for
     clients of at most `rows` rows of `data` and `size` parameters:
-    work_rows(config) rows, and a batch pair of min(batch_size, rows) rows."""
-    return (np.empty((work_rows(config), size)),
+    work_rows(config, mu) rows, and a batch pair of min(batch_size, rows) rows."""
+    return (np.empty((work_rows(config, mu), size)),
             batch_buffers(data, min(config.batch_size, rows)))
 
 
 def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
-                rows: np.ndarray, config: ClientConfig, seeds: Sequence,
+                rows: np.ndarray, config: ClientConfig, mu: float, seeds: Sequence,
                 client_id: int, out: np.ndarray, work: np.ndarray,
                 batch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Run local_epochs of mini-batch SGD from the flat parameters `start`
-    on the rows of `data` that `rows` indexes (the client's part from
-    `partition`), and return `out`, which then holds the delta (trained
-    minus distributed parameters). `start` and `data` are only read. A
-    diverged delta, NaN or Inf, is returned as is for UpdateFold to report.
+    """Run local_epochs of mini-batch SGD, with the proximal term when
+    mu > 0, from the flat parameters `start` on the rows of `data` that
+    `rows` indexes (the client's part from `partition`), and return `out`,
+    which then holds the delta (trained minus distributed parameters).
+    `start` and `data` are only read. A diverged delta, NaN or Inf, is
+    returned as is for UpdateFold to report.
 
     Training runs inside `out`, a writable C-contiguous float64 row of
     start's length (another layout would be reshaped into a copy, and
@@ -198,7 +199,7 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
         raise ValueError(f"{len(seeds)} seeds for {config.local_epochs} local epochs")
     np.copyto(out, start)
     grad = work[0]
-    scratch = work[1] if work_rows(config) == 2 else None
+    scratch = work[1] if work_rows(config, mu) == 2 else None
     layers = layer_views(net_spec, out)
     grads = layer_views(net_spec, grad)
     # overflow and NaN are sticky: the fold reports them once, not a warning per step
@@ -206,8 +207,8 @@ def local_train(net_spec: NetworkSpec, start: np.ndarray, data: Dataset,
         for seed in seeds:
             for inputs, labels in batches(data, rows, config.batch_size, seed, batch):
                 gradient_into(layers, grads, inputs, labels)
-                if config.mu > 0:
-                    prox_addend_into(scratch, out, start, config.mu)
+                if mu > 0:
+                    prox_addend_into(scratch, out, start, mu)
                     grad += scratch
                 sgd_update(out, grad, config.learning_rate, config.weight_decay, scratch)
         np.subtract(out, start, out=out)

@@ -18,6 +18,7 @@ IID and as equal as label-pure shard granularity allows under NonIID.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from collections.abc import Iterator
@@ -241,8 +242,8 @@ def _blob_sets(class_count: int, sizes: tuple[int, ...], feature_dim: int, seed:
         raise ValueError("class_count, per_class, feature_dim must all be >= 1")
     if components_per_class < 1:
         raise ValueError("components_per_class must be >= 1")
-    if not center_scale > 0:
-        raise ValueError("center_scale must be positive")
+    if not 0 < center_scale < math.inf:
+        raise ValueError("center_scale must be positive and finite")
     rng = np.random.default_rng(seed)
     k = components_per_class
     centers = center_scale * rng.standard_normal((class_count, k, feature_dim))
@@ -285,8 +286,6 @@ def synth_split(class_count: int, train_per_class: int, test_per_class: int,
     Both splits share the same class centers, so the test set measures the
     same task the clients train on.
     """
-    if train_per_class < 1 or test_per_class < 1:
-        raise ValueError("train_per_class and test_per_class must be >= 1")
     train, test = _blob_sets(class_count, (train_per_class, test_per_class), feature_dim,
                              seed, center_scale, components_per_class)
     return train, test
@@ -351,11 +350,12 @@ def partition(ds: Dataset, spec: PartitionSpec, clients: int,
     ds.inputs[parts[c]], in that order. Each part is an int64 array of row
     indices into ds, so no row is copied.
 
-    Deterministic in (ds, spec, clients, seed). Raises ConfigError when the
-    shard arithmetic is infeasible, stating the required minimum.
+    Deterministic in (ds, spec, clients, seed). Raises ConfigError when
+    clients is not an int >= 1 (a bool is not), or when the shard
+    arithmetic is infeasible, stating the required minimum.
     """
-    if clients < 1:
-        raise ConfigError("clients must be >= 1")
+    if isinstance(clients, bool) or not isinstance(clients, numbers.Integral) or clients < 1:
+        raise ConfigError(f"clients must be an int >= 1, got {clients!r}")
     n = len(ds)
     cpc = spec.classes_per_client
     rng = np.random.default_rng(seed)

@@ -74,18 +74,23 @@ def check_fields(config, **rules: tuple) -> None:
 
 
 def _yaml_hint(value) -> str:
-    """For a string Python reads as a finite float, a note of a spelling
-    PyYAML reads as a float, e.g. '1e6' -> '1.0e+6' (YAML 1.1 floats need
-    a dot and a signed exponent); '' for anything else."""
+    """For a string Python reads as a finite float with an exponent that
+    PyYAML reads as a string, a note of the spelling it reads as a float,
+    e.g. '1e6' -> '1.0e+6' (YAML 1.1 floats need a dot and a signed
+    exponent); '' for anything else, such as '0.7' or '1.5E-3', which YAML
+    reads as floats unless they are quoted."""
     try:
         if not isinstance(value, str) or not math.isfinite(float(value)):
             return ""
     except ValueError:
         return ""
-    mantissa, _, exponent = value.strip().lower().partition("e")
+    written = value.strip().lower()
+    mantissa, _, exponent = written.partition("e")
     if "." not in mantissa:
         mantissa += ".0"
     if exponent and exponent[0] not in "+-":
         exponent = "+" + exponent
-    spelling = f"{mantissa}e{exponent}" if exponent else mantissa
+    spelling = f"{mantissa}e{exponent}"
+    if not exponent or spelling == written:
+        return ""
     return f" (YAML reads this spelling as a string; write {spelling})"

@@ -238,9 +238,10 @@ def run_round(params: np.ndarray, direction: np.ndarray, train: Dataset,
     def train_one(i: int, row: np.ndarray) -> np.ndarray:
         cid = sampled[i]
         if not hasattr(spare, "buffers"):
-            spare.buffers = thread_buffers(config.client, train, largest, params.size)
+            spare.buffers = thread_buffers(config.client, config.strategy.mu, train, largest,
+                                           params.size)
         return local_train(config.network, params, train, parts[cid], config.client,
-                           seeds[i], cid, row, *spare.buffers)
+                           config.strategy.mu, seeds[i], cid, row, *spare.buffers)
     stage = ""  # a client names itself
     try:
         train_and_fold(train_one, len(sampled), blocks, fold, schedule.workers)

@@ -45,11 +45,11 @@ def server_step(params: np.ndarray, report, strategy, direction: np.ndarray,
     return w, d
 
 
-def client_buffers(spec: NetworkSpec, data, rows, config) -> dict:
+def client_buffers(spec: NetworkSpec, data, rows, config, mu) -> dict:
     """New out, work and batch buffers for one local_train call on the rows
-    of data under config, as keyword arguments: work and batch are the ones
-    thread_buffers gives a round's thread whose largest client is this one."""
-    work, batch = thread_buffers(config, data, len(rows), spec.param_count)
+    of data under config and mu, as keyword arguments: work and batch are the
+    ones thread_buffers gives a round's thread whose largest client is this one."""
+    work, batch = thread_buffers(config, mu, data, len(rows), spec.param_count)
     return {"out": np.empty(spec.param_count), "work": work, "batch": batch}
 
 
@@ -173,7 +173,7 @@ def _gradient(sizes, p, x, y):
     return np.concatenate(grad)
 
 
-def _client(sizes, w, train, rows, cfg, round_seed, cid):
+def _client(sizes, w, train, rows, cfg, mu, round_seed, cid):
     """Delta w_k: local_epochs of SGD from w, each in its own seeded order."""
     p = w.copy()
     for epoch in range(1, cfg.local_epochs + 1):
@@ -182,8 +182,8 @@ def _client(sizes, w, train, rows, cfg, round_seed, cid):
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             g = _gradient(sizes, p, train.inputs[idx], train.labels[idx])
-            if cfg.mu > 0:
-                g = g + cfg.mu * (p - w)
+            if mu > 0:
+                g = g + mu * (p - w)
             p = p - cfg.learning_rate * (g + cfg.weight_decay * p)
     return p - w
 
@@ -218,7 +218,7 @@ def paper_run(train, test, config):
         counts = [len(parts[c]) for c in sampled]
         alphas = ([1.0 / len(counts)] * len(counts) if sched.weight_mode == "uniform"
                   else [n / sum(counts) for n in counts])
-        deltas = [_client(sizes, w, train, parts[c], config.client, round_seed, c)
+        deltas = [_client(sizes, w, train, parts[c], config.client, strategy.mu, round_seed, c)
                   for c in sampled]
         u = np.zeros_like(w)
         for a, dk in zip(alphas, deltas):

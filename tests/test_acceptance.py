@@ -74,9 +74,8 @@ def desk_run(kind: str, seed: int, mu: float = 0.0, beta: float = 1.0,
                                   center_scale=0.5, components_per_class=2)
         config = ExperimentConfig(
             network=DESK_NET,
-            strategy=AggregationStrategy(kind, beta=beta, gamma=gamma),
-            client=ClientConfig(learning_rate=0.05, batch_size=50,
-                                local_epochs=5, mu=mu),
+            strategy=AggregationStrategy(kind, beta=beta, gamma=gamma, mu=mu),
+            client=ClientConfig(learning_rate=0.05, batch_size=50, local_epochs=5),
             partition=DESK_PARTITION,
             schedule=Schedule(rounds=30, clients=10, seed=seed),
         )

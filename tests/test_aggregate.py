@@ -344,4 +344,11 @@ def test_strategy_validation():
         AggregationStrategy("fednnnn", epsilon=0.0)
     assert [k for k in STRATEGY_KINDS if AggregationStrategy(k).normalized] == [
         "normnorm", "fednnnn"]
-    assert [k for k in STRATEGY_KINDS if AggregationStrategy(k).proximal] == ["fedprox"]
+    with pytest.raises(ConfigError, match="^mu: must be non-negative, got -0.5$"):
+        AggregationStrategy("fedprox", mu=-0.5)
+    assert AggregationStrategy("fedprox", mu=0.1).mu == 0.1
+    for kind in STRATEGY_KINDS:
+        assert AggregationStrategy(kind, mu=0.0).mu == 0.0
+        if kind != "fedprox":
+            with pytest.raises(ConfigError, match="^mu: only fedprox takes a proximal term$"):
+                AggregationStrategy(kind, mu=0.1)

@@ -69,8 +69,8 @@ def test_parse_full_config():
     assert plan.schedule.clients == 3
     assert plan.hidden == (8,)
     assert plan.partition.label_mode == "noniid"
-    assert [e.label for e in plan.strategies] == ["fedavg", "fednnnn"]
-    assert plan.strategies[1].strategy.beta == 0.7
+    assert list(plan.strategies) == ["fedavg", "fednnnn"]
+    assert plan.strategies["fednnnn"].beta == 0.7
 
 
 def test_parse_minimal_config_uses_defaults():
@@ -79,7 +79,7 @@ def test_parse_minimal_config_uses_defaults():
     assert plan.schedule.clients == 10
     assert plan.hidden == (64,)
     assert plan.schedule.weight_mode == "uniform"
-    assert [e.label for e in plan.strategies] == ["fedavg"]
+    assert list(plan.strategies) == ["fedavg"]
 
 
 def test_gamma_out_of_range_names_the_field():
@@ -175,11 +175,11 @@ def test_an_infinite_float_exits_2_with_one_line_naming_its_field(tmp_path, caps
 
 
 def test_mu_only_for_fedprox():
-    with pytest.raises(ConfigError, match=r"strategies\[0\].mu"):
+    with pytest.raises(ConfigError) as info:
         parse_config({"strategies": [{"kind": "fedavg", "mu": 0.1}]})
+    assert str(info.value) == "strategies[0].mu: only fedprox takes a proximal term"
     plan = parse_config({"strategies": [{"kind": "fedprox", "mu": 0.02}]})
-    assert plan.strategies[0].client.mu == 0.02
-    assert plan.strategies[0].strategy.kind == "fedprox"
+    assert plan.strategies["fedprox"] == AggregationStrategy("fedprox", mu=0.02)
 
 
 def test_repeated_kinds_get_distinct_labels():
@@ -187,7 +187,7 @@ def test_repeated_kinds_get_distinct_labels():
         {"kind": "fednnnn", "beta": 0.6},
         {"kind": "fednnnn", "beta": 0.8},
     ]})
-    assert [e.label for e in plan.strategies] == ["fednnnn", "fednnnn_2"]
+    assert list(plan.strategies) == ["fednnnn", "fednnnn_2"]
 
 
 # a valid value, other than the default, for every field of each section
@@ -216,18 +216,17 @@ def test_every_dataclass_field_is_settable():
     assert set(NON_DEFAULT["synth"]) == field_names(SynthData)
     assert set(NON_DEFAULT["idx"]) == field_names(IdxData)
     assert set(NON_DEFAULT["partition"]) == field_names(PartitionSpec)
-    assert set(training) == field_names(Schedule) | field_names(ClientConfig) - {"mu"}
-    assert set(strategy) == field_names(AggregationStrategy) | {"mu"}
+    assert set(training) == field_names(Schedule) | field_names(ClientConfig)
+    assert set(strategy) == field_names(AggregationStrategy)
 
     plan = parse_config({"dataset": {"kind": "synth", **NON_DEFAULT["synth"]},
                          "partition": NON_DEFAULT["partition"],
                          "training": training, "strategies": [strategy]})
     idx = parse_config({"dataset": {"kind": "idx", **NON_DEFAULT["idx"]}}).dataset
-    entry = plan.strategies[0]
     for built, values in ((plan.dataset, NON_DEFAULT["synth"]), (idx, NON_DEFAULT["idx"]),
                           (plan.partition, NON_DEFAULT["partition"]),
-                          (plan.schedule, training), (entry.client, {**training, **strategy}),
-                          (entry.strategy, strategy)):
+                          (plan.schedule, training), (plan.client, training),
+                          (plan.strategies["fedprox"], strategy)):
         for f in dataclasses.fields(built):
             assert f.default != values[f.name], (type(built).__name__, f.name)
             assert getattr(built, f.name) == values[f.name], (type(built).__name__, f.name)
@@ -334,12 +333,11 @@ def test_unknown_preset_lists_available():
 
 def test_hardest_split_preset_hyperparameters():
     plan = parse_config(load_preset("mnist_noniid_unbalanced"))
-    by_label = {e.label: e for e in plan.strategies}
-    assert by_label["fedprox"].client.mu == 0.02
-    assert by_label["normnorm"].strategy.beta == 0.9
-    assert by_label["momentum"].strategy.gamma == 0.8
-    assert by_label["fednnnn"].strategy.beta == 0.7
-    assert by_label["fednnnn"].strategy.gamma == 0.8
+    assert plan.strategies["fedprox"].mu == 0.02
+    assert plan.strategies["normnorm"].beta == 0.9
+    assert plan.strategies["momentum"].gamma == 0.8
+    assert plan.strategies["fednnnn"].beta == 0.7
+    assert plan.strategies["fednnnn"].gamma == 0.8
     assert plan.schedule.rounds == 100
     assert plan.schedule.clients == 100
 
@@ -617,8 +615,14 @@ def test_float_without_dot_gets_yaml_spelling_hint(tmp_path, capsys):
     assert err.strip() == ("error: training.learning_rate: expected float, got '1e6' "
                            "(YAML reads this spelling as a string; write 1.0e+6)")
     assert yaml.safe_load("learning_rate: 1.0e+6") == {"learning_rate": 1e6}
-    with pytest.raises(ConfigError, match=r"write -2\.5e-3\)"):
-        parse_config({"strategies": [{"kind": "fedprox", "mu": "-2.5E-3"}]})
+    with pytest.raises(ConfigError, match=r"write 1\.5e\+3\)$"):
+        parse_config({"training": {"learning_rate": "1.5e3"}})
+    # YAML reads these spellings as floats: the string came from quotes or Python
+    for text in ("0.7", "7", "-2.5E-3"):
+        with pytest.raises(ConfigError, match=f"got '{re.escape(text)}'$"):
+            parse_config({"strategies": [{"kind": "fedprox", "mu": text}]})
+    with pytest.raises(ConfigError, match=r"^beta: expected float, got '0\.7'$"):
+        AggregationStrategy("fednnnn", beta="0.7")
     with pytest.raises(ConfigError, match=r"got 'fast'$"):
         parse_config({"training": {"learning_rate": "fast"}})
 

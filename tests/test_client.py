@@ -33,8 +33,8 @@ def blob():
 def test_zero_learning_rate_zero_delta(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig(learning_rate=0.0)
-    up = local_train(SPEC, start, blob, ROWS, cfg, derived(5, 2), 2,
-                     **client_buffers(SPEC, blob, ROWS, cfg))
+    up = local_train(SPEC, start, blob, ROWS, cfg, 0.0, derived(5, 2), 2,
+                     **client_buffers(SPEC, blob, ROWS, cfg, 0.0))
     assert np.array_equal(up, np.zeros(SPEC.param_count))
 
 
@@ -43,9 +43,9 @@ def test_large_mu_shrinks_delta(blob):
     start = init_params(SPEC, seed=0)
     norms = []
     for mu in (0.0, 10.0, 100.0, 1000.0):
-        cfg = ClientConfig(learning_rate=0.001, mu=mu)
-        up = local_train(SPEC, start, blob, ROWS, cfg, derived(2, 0), 0,
-                         **client_buffers(SPEC, blob, ROWS, cfg))
+        cfg = ClientConfig(learning_rate=0.001)
+        up = local_train(SPEC, start, blob, ROWS, cfg, mu, derived(2, 0), 0,
+                         **client_buffers(SPEC, blob, ROWS, cfg, mu))
         norms.append(l2_norm(up, SPEC.segments()))
     assert norms == sorted(norms, reverse=True)
     assert norms[-1] < 0.15 * norms[0]
@@ -54,8 +54,9 @@ def test_large_mu_shrinks_delta(blob):
 def test_determinism_and_client_separation(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
-    a, b, other = (local_train(SPEC, start, blob, ROWS, cfg, derived(9, cid), cid,
-                               **client_buffers(SPEC, blob, ROWS, cfg)) for cid in (1, 1, 2))
+    a, b, other = (local_train(SPEC, start, blob, ROWS, cfg, 0.0, derived(9, cid), cid,
+                               **client_buffers(SPEC, blob, ROWS, cfg, 0.0))
+                   for cid in (1, 1, 2))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, other)
 
@@ -66,14 +67,14 @@ def test_delta_written_into_given_row(blob):
     bitwise equal to the delta trained in fresh arrays."""
     start = init_params(SPEC, seed=0)
     work = np.full((2, SPEC.param_count), np.nan)
-    for cfg in (ClientConfig(batch_size=16, local_epochs=2),
-                ClientConfig(batch_size=16, local_epochs=2, weight_decay=1e-3, mu=0.4)):
+    for cfg, mu in ((ClientConfig(batch_size=16, local_epochs=2), 0.0),
+                    (ClientConfig(batch_size=16, local_epochs=2, weight_decay=1e-3), 0.4)):
         matrix = np.full((3, SPEC.param_count), np.nan)
-        buffers = client_buffers(SPEC, blob, ROWS, cfg)
-        up = local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 2), 1,
+        buffers = client_buffers(SPEC, blob, ROWS, cfg, mu)
+        up = local_train(SPEC, start, blob, ROWS, cfg, mu, derived(9, 1, 2), 1,
                          out=matrix[1], work=work, batch=buffers["batch"])
         assert np.shares_memory(up, matrix)
-        fresh = local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 2), 1,
+        fresh = local_train(SPEC, start, blob, ROWS, cfg, mu, derived(9, 1, 2), 1,
                             **buffers)
         assert np.array_equal(matrix[1].view(np.int64), fresh.view(np.int64))
         assert np.isnan(matrix[0]).all() and np.isnan(matrix[2]).all()
@@ -85,13 +86,13 @@ def test_one_row_work_buffer_suffices_without_weight_decay_or_mu(blob):
     does, bit for bit; with either of them work_rows asks for two rows."""
     start = init_params(SPEC, seed=0)
     n = SPEC.param_count
-    for cfg in (ClientConfig(weight_decay=1e-3), ClientConfig(mu=0.4),
-                ClientConfig(weight_decay=1e-3, mu=0.4)):
-        assert work_rows(cfg) == 2
+    for cfg, mu in ((ClientConfig(weight_decay=1e-3), 0.0), (ClientConfig(), 0.4),
+                    (ClientConfig(weight_decay=1e-3), 0.4)):
+        assert work_rows(cfg, mu) == 2
     cfg = ClientConfig(batch_size=16, local_epochs=2)
-    assert work_rows(cfg) == 1
-    one, two = (local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 2), 1,
-                            **{**client_buffers(SPEC, blob, ROWS, cfg),
+    assert work_rows(cfg, 0.0) == 1
+    one, two = (local_train(SPEC, start, blob, ROWS, cfg, 0.0, derived(9, 1, 2), 1,
+                            **{**client_buffers(SPEC, blob, ROWS, cfg, 0.0),
                                "work": np.full((rows, n), np.nan)})
                 for rows in (1, 2))
     assert np.array_equal(one.view(np.int64), two.view(np.int64))
@@ -171,16 +172,16 @@ def test_one_seed_per_local_epoch(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
     with pytest.raises(ValueError, match="4 seeds for 5 local epochs"):
-        local_train(SPEC, start, blob, ROWS, cfg, derived(9, 1, 4), 1,
-                    **client_buffers(SPEC, blob, ROWS, cfg))
+        local_train(SPEC, start, blob, ROWS, cfg, 0.0, derived(9, 1, 4), 1,
+                    **client_buffers(SPEC, blob, ROWS, cfg, 0.0))
 
 
 def test_empty_client_rejected(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
     with pytest.raises(ValueError, match="no data"):
-        local_train(SPEC, start, blob, ROWS[:0], cfg, derived(0, 0), 0,
-                    **client_buffers(SPEC, blob, ROWS[:0], cfg))
+        local_train(SPEC, start, blob, ROWS[:0], cfg, 0.0, derived(0, 0), 0,
+                    **client_buffers(SPEC, blob, ROWS[:0], cfg, 0.0))
 
 
 def test_client_config_validation():
@@ -192,5 +193,3 @@ def test_client_config_validation():
         ClientConfig(local_epochs=0)
     with pytest.raises(ConfigError):
         ClientConfig(weight_decay=-1e-9)
-    with pytest.raises(ConfigError):
-        ClientConfig(mu=-0.5)

@@ -250,8 +250,14 @@ def test_synth_mixture_cycles_components():
 def test_synth_validation():
     with pytest.raises(ValueError):
         synth_dataset(0, 5, 3, 0)
-    with pytest.raises(ValueError):
-        synth_dataset(3, 5, 3, 0, center_scale=0.0)
+    for scale in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="center_scale must be positive and finite"):
+            synth_dataset(3, 5, 3, 0, center_scale=scale)
+    with pytest.raises(ValueError, match="center_scale"):
+        synth_split(4, 5, 5, 3, seed=0, center_scale=math.inf)
+    for train_per_class, test_per_class in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match="per_class"):
+            synth_split(3, train_per_class, test_per_class, 3, seed=0)
     with pytest.raises(ValueError):
         synth_dataset(3, 5, 3, 0, components_per_class=0)
 
@@ -428,6 +434,13 @@ def test_partition_infeasible_configs(blob200):
     tiny = synth_dataset(2, 2, 2, seed=0)  # 4 examples, 5 clients
     with pytest.raises(ConfigError):
         partition(tiny, PartitionSpec("iid", "balanced"), 5, seed=0)
+
+
+def test_partition_rejects_a_client_count_that_is_not_an_int(blob200):
+    for clients in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ConfigError, match=f"^clients must be an int >= 1, got {clients!r}$"):
+            partition(blob200, PartitionSpec(), clients, seed=0)
+    assert len(partition(blob200, PartitionSpec(), np.int64(3), seed=0)) == 3
 
 
 def test_classes_per_client_binds_only_noniid_labels():

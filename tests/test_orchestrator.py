@@ -347,7 +347,7 @@ def test_ring_shapes_of_the_784_200_200_10_net():
     assert len(mnist) == 4
     for name in mnist:
         plan = parse_config(load_preset(name))
-        net = plan.experiment(plan.strategies[0], 784, 10).network
+        net = plan.experiment(plan.strategies["fedavg"], 784, 10).network
         assert sum(seg.length for seg in net.segments()) == row
         assert ring_shape(plan.schedule.clients_per_round, row,
                           plan.schedule.workers) == (20, row), name
@@ -458,8 +458,8 @@ def test_the_fold_names_the_client_of_a_nan_or_inf_row(monkeypatch, workers):
             assert len(raised) == 1 and raised[0].startswith(thread), (bad, row)
 
     def huge(*args):
-        args[7].fill(1e300)  # the client's row
-        return args[7]
+        args[8].fill(1e300)  # the client's row
+        return args[8]
     monkeypatch.setattr(orchestrator, "local_train", huge)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

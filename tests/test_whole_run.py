@@ -47,9 +47,9 @@ def small(kind, hidden=(6,), weight_decay=0.0, label_mode="iid", participation=1
     their sample counts hold unbalanced shares of it."""
     return ExperimentConfig(
         NetworkSpec((5, *hidden, 3)),
-        AggregationStrategy(kind, beta=0.7, gamma=0.8),
+        AggregationStrategy(kind, beta=0.7, gamma=0.8, mu=0.05 if kind == "fedprox" else 0.0),
         ClientConfig(learning_rate=0.1, batch_size=batch_size, local_epochs=epochs,
-                     weight_decay=weight_decay, mu=0.05 if kind == "fedprox" else 0.0),
+                     weight_decay=weight_decay),
         PartitionSpec(label_mode, "unbalanced" if weight_mode != "uniform" else "balanced"),
         Schedule(rounds=rounds, clients=clients, participation=participation,
                  weight_mode=weight_mode, seed=seed, workers=workers))
@@ -75,8 +75,8 @@ def test_a_run_of_two_blocks_matches_the_paper_run():
     of the ring, two of them on the server thread."""
     plan = parse_config(WIDE_TRIMMED)
     train, test = load_data(plan)
-    for entry in plan.strategies:
-        assert_matches_paper_run(train, test, plan.experiment(entry, 784, 10))
+    for strategy in plan.strategies.values():
+        assert_matches_paper_run(train, test, plan.experiment(strategy, 784, 10))
 
 
 # the CPU features (numpy's names) each kernel a process can be forced onto
