@@ -237,11 +237,12 @@ def _blob_sets(class_count: int, sizes: tuple[int, ...], feature_dim: int, seed:
     stream in the order a single (classes * sum(sizes), feature_dim) draw
     would, and center + 0.5 * z is commutative, so the bits are those of
     drawing the whole set at once and slicing it, without its temporaries.
+    Every count must be an int >= 1 (a numpy int is one, a bool is not).
     """
-    if class_count < 1 or min(sizes) < 1 or feature_dim < 1:
-        raise ValueError("class_count, per_class, feature_dim must all be >= 1")
-    if components_per_class < 1:
-        raise ValueError("components_per_class must be >= 1")
+    counts = (class_count, *sizes, feature_dim, components_per_class)
+    if any(isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1 for n in counts):
+        raise ValueError("class_count, per_class, feature_dim, components_per_class must "
+                         f"all be ints >= 1, got {counts}")
     if not 0 < center_scale < math.inf:
         raise ValueError("center_scale must be positive and finite")
     rng = np.random.default_rng(seed)

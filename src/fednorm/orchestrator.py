@@ -295,6 +295,8 @@ def run_experiment(train: Dataset, test: Dataset,
             f"network has {config.network.class_count} outputs but data has "
             f"{train.class_count} (train) / {test.class_count} (test) classes"
         )
+    if len(test) == 0:
+        raise ConfigError("the test set is empty: there is nothing to evaluate")
     schedule = config.schedule
     parts = partition(train, config.partition, schedule.clients,
                       derive_seed(schedule.seed, _PARTITION))

@@ -1,10 +1,10 @@
 """Reference forms of the library's kernels that tests compare against.
 
 The client and the server work in place on flat arrays (`gradient_into`,
-`sgd_update`, `prox_addend_into`, `weighted_rows`, `apply_strategy`). These
-wrappers return new flat arrays instead and leave their arguments as they
-were, one step at a time, which is how a test rebuilds a client's
-trajectory, a round's sum or a server step by hand.
+`sgd_update`, `prox_addend_into`, `apply_strategy`). These wrappers return
+new flat arrays instead and leave their arguments as they were, one step at
+a time, which is how a test rebuilds a client's trajectory or a server step
+by hand.
 `client_buffers` builds the buffers the round loop hands `local_train`,
 and `loss_and_accuracy` the space the round loop hands `forward_loss`.
 `ordered_sum`, `ordered_norm` and `per_layer_norms` are the plain
@@ -33,7 +33,7 @@ from fednorm.data import partition
 from fednorm.nn import (NetworkSpec, forward_loss, forward_space, gradient_into, init_params,
                         layer_views, prox_addend_into, sgd_update)
 from fednorm.orchestrator import RoundMetrics
-from fednorm.params import openblas_kernel, weighted_rows
+from fednorm.params import openblas_kernel
 
 
 def server_step(params: np.ndarray, report, strategy, direction: np.ndarray,
@@ -102,12 +102,6 @@ def prox_gradient_addend(params: np.ndarray, anchor: np.ndarray, mu: float) -> n
     addend = np.empty(params.size)
     prox_addend_into(addend, params, anchor, mu)
     return addend
-
-
-def weighted_sum(terms) -> np.ndarray:
-    """Sum of weight_k * v_k over (weight, flat array) terms, in list order."""
-    return weighted_rows([w for w, _ in terms], np.stack([v for _, v in terms]),
-                         out=np.zeros(terms[0][1].size))
 
 
 def segment_values(values: np.ndarray, segments, name: str) -> np.ndarray:

@@ -82,13 +82,6 @@ def test_parse_minimal_config_uses_defaults():
     assert list(plan.strategies) == ["fedavg"]
 
 
-def test_gamma_out_of_range_names_the_field():
-    bad = {"strategies": [{"kind": "fedavg"},
-                          {"kind": "fednnnn", "beta": 0.7, "gamma": 1.2}]}
-    with pytest.raises(ConfigError, match=r"strategies\[1\].gamma.*\[0, 1\).*1.2"):
-        parse_config(bad)
-
-
 def test_unknown_field_is_named():
     with pytest.raises(ConfigError, match="training.leraning_rate: unknown field"):
         parse_config({"training": {"leraning_rate": 0.05}})
@@ -172,14 +165,6 @@ def test_an_infinite_float_exits_2_with_one_line_naming_its_field(tmp_path, caps
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {path}: must be finite, got inf\n"
     assert not out.exists()
-
-
-def test_mu_only_for_fedprox():
-    with pytest.raises(ConfigError) as info:
-        parse_config({"strategies": [{"kind": "fedavg", "mu": 0.1}]})
-    assert str(info.value) == "strategies[0].mu: only fedprox takes a proximal term"
-    plan = parse_config({"strategies": [{"kind": "fedprox", "mu": 0.02}]})
-    assert plan.strategies["fedprox"] == AggregationStrategy("fedprox", mu=0.02)
 
 
 def test_repeated_kinds_get_distinct_labels():
@@ -447,17 +432,6 @@ def test_strategy_filter_rejects_empty_and_repeated_names(tmp_path, capsys, name
     assert not out.exists()
 
 
-def test_config_error_exit_code(tmp_path, capsys):
-    bad = tmp_path / "bad.yaml"
-    bad.write_text(yaml.safe_dump(
-        {"strategies": [{"kind": "fednnnn", "gamma": 1.2}]}
-    ))
-    rc = main(["run", "--config", str(bad), "--out", str(tmp_path / "x")])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "gamma" in err and "1.2" in err
-
-
 def test_missing_idx_dir_fails_cleanly(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("FEDNORM_DATA_DIR", raising=False)
     cfg = tmp_path / "idx.yaml"
@@ -488,15 +462,6 @@ def test_failure_mid_run_marks_manifest(tmp_path, monkeypatch):
     assert manifest["status"] == "failed"
 
 
-def run_desk_quick_process(tmp_path, *args, **training):
-    """`fednorm run` on desk_quick with training overrides, in a fresh process."""
-    raw = load_preset("desk_quick")
-    raw["training"].update(training)
-    cfg = tmp_path / "diverge.yaml"
-    cfg.write_text(yaml.safe_dump(raw))
-    return cli_process("run", "--config", str(cfg), "--out", str(tmp_path / "out"), *args)
-
-
 def test_a_run_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
     """Under `python -X dev -W error`, desk_quick on one worker and on two
     exits 0 with nothing on stderr: overflow and NaN surface as one error,
@@ -514,29 +479,6 @@ def test_a_run_is_silent_in_dev_mode_with_warnings_as_errors(tmp_path):
                        "--out", str(tmp_path / "diverge"), flags=dev)
     assert (proc.returncode, proc.stderr) == (
         2, "error: normnorm round 1 client 48: parameter vector contains NaN or Inf\n")
-
-
-def test_diverging_run_exits_nonzero_and_marks_manifest(tmp_path):
-    proc = run_desk_quick_process(tmp_path, "--strategies", "fedavg", learning_rate=1000.0)
-    out = tmp_path / "out"
-    assert proc.returncode == 2
-    assert "parameter vector contains NaN or Inf" in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert re.fullmatch(r"error: fedavg round \d+ client \d+: parameter vector "
-                        r"contains NaN or Inf\n", proc.stderr)
-    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
-
-
-def test_server_divergence_fails_with_one_line(tmp_path):
-    """At this rate every client update is finite, but in round 3 the norms
-    of the updates overflow: the server stops the run before numpy warns."""
-    proc = run_desk_quick_process(tmp_path, "--strategies", "fedavg",
-                                  learning_rate=1.0e30, local_epochs=1)
-    assert proc.returncode == 2
-    assert proc.stderr == ("error: fedavg round 3 server: N, E or the step norm "
-                           "is NaN or Inf\n")
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
 
 
 def test_test_labels_beyond_the_training_classes_fail_with_one_line(tmp_path):

@@ -171,9 +171,10 @@ def test_derived_seeds_below_2_to_32_need_no_fallback():
 def test_one_seed_per_local_epoch(blob):
     start = init_params(SPEC, seed=0)
     cfg = ClientConfig()
-    with pytest.raises(ValueError, match="4 seeds for 5 local epochs"):
-        local_train(SPEC, start, blob, ROWS, cfg, 0.0, derived(9, 1, 4), 1,
-                    **client_buffers(SPEC, blob, ROWS, cfg, 0.0))
+    for count in (4, 6):
+        with pytest.raises(ValueError, match=f"{count} seeds for 5 local epochs"):
+            local_train(SPEC, start, blob, ROWS, cfg, 0.0, derived(9, 1, count), 1,
+                        **client_buffers(SPEC, blob, ROWS, cfg, 0.0))
 
 
 def test_empty_client_rejected(blob):

@@ -2,7 +2,8 @@
 leave dead imports behind. A name listed in the module's __all__ counts as
 used, since re-exporting it is its purpose. And every function and class a
 library module defines serves the library: one that only tests call belongs
-in tests/oracles.py, and every one of those serves a test. Importing the CLI
+in tests/oracles.py, and every one of those serves a test. Every mutation
+in tests/mutants.py still edits one place of the source. Importing the CLI
 loads no numpy module it does not need yet, and no thread pool."""
 
 import ast
@@ -126,6 +127,17 @@ def test_test_only_function_is_caught():
                "b.py": ast.parse("from .a import used\n")}
     named = launcher_names(ast.parse('Target("x", "fednorm.a", "traced")\n'))
     assert unreferenced(modules, "call in_readme()", named) == ["a.py:recursive", "a.py:Orphan"]
+
+
+def test_every_mutant_edits_one_place_of_the_source():
+    """Each entry of tests/mutants.py, the control included, names a file of
+    src/fednorm/ whose text holds its old text exactly once, and changes it:
+    code that moves takes its mutants along."""
+    from mutants import CONTROL, MUTANTS
+    assert len({m.name for m in [CONTROL, *MUTANTS]}) == len(MUTANTS) + 1
+    for mutant in [CONTROL, *MUTANTS]:
+        text = (ROOT / "src" / "fednorm" / mutant.file).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1 and mutant.new != mutant.old, mutant.name
 
 
 def loaded(code: str, module: str) -> bool:

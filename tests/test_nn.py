@@ -1,4 +1,6 @@
-"""Network tests: analytic loss values, finite-difference gradient oracle."""
+"""Network tests: analytic loss values, gradient properties, init, the SGD
+step's bits and the forward pass's buffers. Gradients are checked against
+central finite differences in test_acceptance.py (criterion 4)."""
 
 import math
 import tracemalloc
@@ -18,25 +20,6 @@ def make_batch(rng, n, spec):
     """(inputs, labels) of n random examples."""
     return (rng.standard_normal((n, spec.layer_sizes[0])),
             rng.integers(0, spec.class_count, size=n))
-
-
-def fd_gradient(spec, base, batch, h=1e-5):
-    """Central finite differences on the mean cross-entropy."""
-    out = np.empty(base.size)
-    for i in range(base.size):
-        vp = base.copy()
-        vp[i] += h
-        vm = base.copy()
-        vm[i] -= h
-        lp, _ = loss_and_accuracy(spec, vp, *batch)
-        lm, _ = loss_and_accuracy(spec, vm, *batch)
-        out[i] = (lp - lm) / (2.0 * h)
-    return out
-
-
-def gradient_rel_error(analytic, numeric):
-    scale = np.abs(numeric).max()
-    return np.abs(analytic - numeric).max() / scale
 
 
 # init_params ----------------------------------------------------------------
@@ -181,27 +164,6 @@ def test_duplicated_batch_same_gradient():
     g1 = backward(spec, params, inputs, labels)
     g2 = backward(spec, params, np.vstack([inputs, inputs]), np.concatenate([labels, labels]))
     np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
-
-
-def test_gradient_matches_finite_differences_4_8_3():
-    rng = np.random.default_rng(6)
-    spec = NetworkSpec((4, 8, 3))
-    params = init_params(spec, 6)
-    batch = make_batch(rng, 10, spec)
-    analytic = backward(spec, params, *batch)
-    numeric = fd_gradient(spec, params, batch)
-    assert gradient_rel_error(analytic, numeric) < 1e-6
-
-
-def test_gradient_matches_finite_differences_deeper():
-    rng = np.random.default_rng(7)
-    spec = NetworkSpec((6, 10, 7, 4))
-    params = init_params(spec, 8)
-    batch = make_batch(rng, 8, spec)
-    assert spec.param_count <= 1000
-    analytic = backward(spec, params, *batch)
-    numeric = fd_gradient(spec, params, batch)
-    assert gradient_rel_error(analytic, numeric) < 1e-6
 
 
 # sgd_step / prox ------------------------------------------------------------

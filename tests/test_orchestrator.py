@@ -30,7 +30,6 @@ from fednorm.orchestrator import (
     assign_weights,
     ring_shape,
     run_experiment,
-    sample_clients,
     train_and_fold,
 )
 from fednorm.params import Segment
@@ -278,17 +277,6 @@ def test_seed_changes_everything():
     assert a.metrics[0].aggregate_norm != b.metrics[0].aggregate_norm
 
 
-def test_sample_clients_properties():
-    assert sample_clients(4, 4, round_seed=9) == [0, 1, 2, 3]
-    picked = sample_clients(10, 3, round_seed=9)
-    assert picked == sorted(picked)
-    assert len(set(picked)) == 3
-    assert all(0 <= c < 10 for c in picked)
-    assert sample_clients(10, 3, round_seed=9) == picked
-    others = {tuple(sample_clients(10, 3, round_seed=s)) for s in range(12)}
-    assert len(others) > 1
-
-
 def test_assign_weights_uniform_and_by_count():
     assert assign_weights([10, 30]) == [0.5, 0.5]
     assert assign_weights([10, 30], "by_sample_count") == [0.25, 0.75]
@@ -316,6 +304,10 @@ def test_data_network_mismatch():
     more_classes = Dataset(TEST.inputs, np.where(TEST.labels == 2, 4, TEST.labels), 5)
     with pytest.raises(ConfigError, match=r"3 outputs but data has 3 \(train\) / 5 \(test\)"):
         run_experiment(TRAIN, more_classes, make_config())
+    # an empty test set trained round 1 and then failed inside numpy's reshape
+    empty = Dataset(np.empty((0, 4)), np.empty(0, np.int64), 3)
+    with pytest.raises(ConfigError, match="^the test set is empty: there is nothing to evaluate$"):
+        run_experiment(TRAIN, empty, make_config())
 
 
 # ------------------------------------------------------------- ring and server
@@ -408,19 +400,6 @@ def test_rows_below_the_handoff_fold_on_the_calling_thread(monkeypatch):
     train_and_fold(fake_train(), 4, np.empty((4, 6)), fold, workers=1)
     fold.report()
     assert where == [threading.main_thread()]
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_first_failing_client_stops_the_round_without_leftover_threads(workers):
-    """Clients 7 and 9 diverge in the second of three blocks of 5 rows; 9
-    fails first in time on the pool, but the error names client 7, and no
-    pool or server thread outlives the call."""
-    baseline = threading.active_count()
-    fold = UpdateFold([0.1] * 12, SEGS, range(12))
-    train = fake_train(fail=(7, 9), delay=lambda i: 0.05 if i == 7 else 0.0)
-    with pytest.raises(DivergenceError, match="client 7:"):
-        train_and_fold(train, 12, np.empty((10, 6)), fold, workers)
-    assert threading.active_count() == baseline
 
 
 @pytest.mark.parametrize("workers", [1, 3])

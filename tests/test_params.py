@@ -1,5 +1,6 @@
 """Tests of the flat-layout rule and of the reductions over flat parameter
-arrays, checked against independent scalar-path oracles."""
+arrays, checked bit for bit against independent scalar-path oracles: the
+norms of single vectors too, as one-row blocks."""
 
 import math
 
@@ -17,12 +18,7 @@ from fednorm.params import (
     tiled_length,
     weighted_rows,
 )
-from oracles import ordered_norm, ordered_sum, per_layer_norms, segment_values, weighted_sum
-
-
-def whole(n):
-    """The layout of a vector of n values as one segment."""
-    return (Segment("all", 0, n),)
+from oracles import ordered_norm, ordered_sum, per_layer_norms, segment_values
 
 
 def random_vec(rng, segments):
@@ -42,77 +38,7 @@ def oracle_weighted_sum(terms):
     return out
 
 
-def oracle_l2_compensated(values):
-    # extended-precision route: exact (Shewchuk) summation of squares
-    return math.sqrt(math.fsum(float(x) * float(x) for x in values))
-
-
 THREE_SEGS = (Segment("fc1", 0, 40), Segment("fc2", 40, 100), Segment("fc3", 140, 7))
-
-
-# weighted_sum ---------------------------------------------------------------
-
-def test_weighted_sum_cancellation():
-    out = weighted_sum([(0.5, np.array([1.0, 0.0])), (0.5, np.array([-1.0, 0.0]))])
-    assert np.array_equal(out, [0.0, 0.0])
-
-
-def test_weighted_sum_identity():
-    rng = np.random.default_rng(3)
-    v = random_vec(rng, THREE_SEGS)
-    assert np.array_equal(weighted_sum([(1.0, v)]), v)
-
-
-def test_weighted_sum_matches_oracle_to_zero_ulp():
-    rng = np.random.default_rng(4)
-    terms = [(rng.uniform(-2, 2), random_vec(rng, THREE_SEGS)) for _ in range(5)]
-    out = weighted_sum(terms)
-    assert np.array_equal(out, oracle_weighted_sum(terms))
-
-
-def test_weighted_sum_mean_of_copies_recovers_vector():
-    rng = np.random.default_rng(5)
-    v = random_vec(rng, THREE_SEGS)
-    for m in (1, 3, 7, 16):
-        out = weighted_sum([(1.0 / m, v)] * m)
-        np.testing.assert_allclose(out, v, rtol=1e-14, atol=0.0)
-
-
-# l2_norm --------------------------------------------------------------------
-
-def test_l2_norm_pythagorean():
-    assert l2_norm(np.array([3.0, 4.0]), whole(2)) == 5.0
-
-
-def test_l2_norm_zero():
-    assert l2_norm(np.zeros(17), whole(17)) == 0.0
-
-
-def test_l2_norm_matches_compensated_oracle():
-    rng = np.random.default_rng(6)
-    v = rng.standard_normal(1000) * rng.uniform(0.01, 100, 1000)
-    expected = oracle_l2_compensated(v)
-    assert abs(l2_norm(v, whole(v.size)) - expected) <= 1e-12 * expected
-
-
-def test_l2_norm_is_strict_left_to_right():
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(513)
-    acc = 0.0
-    for x in v.tolist():
-        acc += x * x
-    assert l2_norm(v, whole(v.size)) == math.sqrt(acc)
-
-
-def test_triangle_inequality_randomized():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        n = int(rng.integers(1, 300))
-        segs = (Segment("s", 0, n),)
-        x, y = random_vec(rng, segs), random_vec(rng, segs)
-        lhs = l2_norm(x + y, segs)
-        rhs = l2_norm(x, segs) + l2_norm(y, segs)
-        assert lhs <= rhs + 1e-12 * rhs
 
 
 # squared_norms -----------------------------------------------------------------
@@ -292,7 +218,7 @@ def test_values_are_read_only_and_inputs_unmodified():
     before = rows.copy()
     rows.setflags(write=False)
     x, y = rows
-    weighted_sum([(0.3, x), (0.7, y)])
+    weighted_rows([0.3, 0.7], rows, out=np.zeros(rows.shape[1]))
     l2_norm(x, THREE_SEGS)
     per_layer_norms(y, THREE_SEGS)
     nwda([0.3, 0.7], rows, THREE_SEGS)
