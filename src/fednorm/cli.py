@@ -19,7 +19,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -50,6 +50,14 @@ METRIC_COLUMNS = [
     "eval_acc_distributed", "eval_acc_averaged",
 ]
 LAYER_COLUMNS = ["round", "strategy", "layer", "N", "E"]
+# compare's summary: each column's CSV name, table heading, table alignment
+# and width, and the format of its numbers ("" for a text column)
+SUMMARY_COLUMNS = [
+    ("strategy", "strategy", "<14", ""), ("rounds", "rounds", ">6", ""),
+    ("final_acc", "final_acc", ">10", ".4f"), ("final_acc_averaged", "avg_acc", ">10", ".4f"),
+    ("best_acc", "best_acc", ">10", ".4f"), ("final_ratio", "N/E", ">8", ".4f"),
+    ("integrated_norm", "path_len", ">10", ".3f"),
+]
 
 
 # ---------------------------------------------------------------- config model
@@ -105,35 +113,6 @@ class RunPlan:
 DATASETS = {"synth": SynthData, "idx": IdxData}
 
 
-def _require_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _reject_unknown(section: dict, allowed, path: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown field")
-
-
-def _kind(section: dict, path: str):
-    if "kind" not in section:
-        raise ConfigError(f"{path}.kind: required field missing")
-    return section["kind"]
-
-
-def _present(section: dict, path: str, cls) -> dict:
-    """The fields of cls that section holds, for cls to check. YAML null is
-    rejected: an `X | None` field keeps its None default by being left out."""
-    kinds = field_types(cls)
-    present = {key: value for key, value in section.items() if key in kinds}
-    for key, value in present.items():
-        if value is None:
-            raise ConfigError(f"{path}.{key}: expected {kinds[key][0].__name__}, got None")
-    return present
-
-
 def _build(prefix: str, make, *args, **kwargs):
     """make(*args, **kwargs), with the config path prefixed to its complaint."""
     try:
@@ -142,21 +121,38 @@ def _build(prefix: str, make, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _parse_dataset(section: dict) -> SynthData | IdxData:
-    kind = _kind(section, "dataset")
-    if not isinstance(kind, str) or kind not in DATASETS:
-        raise ConfigError(f"dataset.kind: must be synth or idx, got {kind!r}")
-    cls = DATASETS[kind]
-    _reject_unknown(section, {"kind", *field_types(cls)}, "dataset")
-    return _build("dataset.", cls, **_present(section, "dataset", cls))
-
-
-def _parse_strategy(entry, path: str) -> AggregationStrategy:
-    section = _require_mapping(entry, path)
-    _reject_unknown(section, field_types(AggregationStrategy), path)
-    _kind(section, path)
-    return _build(f"{path}.", AggregationStrategy,
-                  **_present(section, path, AggregationStrategy))
+def _section(value, path: str, *classes, admit=(), kinds=None) -> list:
+    """Each of classes built from the config section `value` at `path`, the
+    fields it holds going to each class that has them; given kinds, the one
+    class that its `kind` key names instead. Checked in this order: a value
+    that is not a mapping, a missing or unknown kind, a key that no class
+    has and admit does not hold, a field with no default left out, a YAML
+    null (an `X | None` field keeps its None default by being left out),
+    and each class's own complaint, the path put before each."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping, got {type(value).__name__}")
+    if kinds is not None:
+        if "kind" not in value:
+            raise ConfigError(f"{path}.kind: required field missing")
+        kind = value["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{path}.kind: must be {' or '.join(kinds)}, got {kind!r}")
+        classes, admit = (kinds[kind],), ("kind",)
+    for key in value:
+        if key not in admit and not any(key in field_types(cls) for cls in classes):
+            raise ConfigError(f"{path}.{key}: unknown field")
+    built = []
+    for cls in classes:
+        for f in fields(cls):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{path}.{f.name}: required field missing")
+        types = field_types(cls)
+        present = {key: item for key, item in value.items() if key in types}
+        for key, item in present.items():
+            if item is None:
+                raise ConfigError(f"{path}.{key}: expected {types[key][0].__name__}, got None")
+        built.append(_build(f"{path}.", cls, **present))
+    return built
 
 
 def parse_config(raw: dict) -> RunPlan:
@@ -170,36 +166,25 @@ def parse_config(raw: dict) -> RunPlan:
     each `strategies` entry one AggregationStrategy, its `mu` included,
     labelled by its kind (kind_2, kind_3, ... when the kind repeats).
     """
-    root = _require_mapping(raw, "config")
-    _reject_unknown(root, {"dataset", "network", "partition", "training", "strategies"},
-                    "config")
-    dataset = _parse_dataset(_require_mapping(root.get("dataset"), "dataset")
-                             if "dataset" in root
-                             else {"kind": "synth"})
+    _section(raw, "config", admit=("dataset", "network", "partition", "training", "strategies"))
+    (dataset,) = _section(raw.get("dataset", {"kind": "synth"}), "dataset", kinds=DATASETS)
 
-    network = _require_mapping(root.get("network", {}), "network")
-    _reject_unknown(network, {"hidden"}, "network")
+    network = raw.get("network", {})
+    _section(network, "network", admit=("hidden",))
     hidden = network.get("hidden", [64])
     if not isinstance(hidden, list) or not hidden or not all(
             isinstance(h, int) and not isinstance(h, bool) and h > 0 for h in hidden):
         raise ConfigError("network.hidden: expected a list of positive ints")
 
-    part = _require_mapping(root.get("partition", {}), "partition")
-    _reject_unknown(part, field_types(PartitionSpec), "partition")
-    partition_spec = _build("partition.", PartitionSpec,
-                            **_present(part, "partition", PartitionSpec))
+    (partition_spec,) = _section(raw.get("partition", {}), "partition", PartitionSpec)
+    schedule, client = _section(raw.get("training", {}), "training", Schedule, ClientConfig)
 
-    training = _require_mapping(root.get("training", {}), "training")
-    _reject_unknown(training, {*field_types(Schedule), *field_types(ClientConfig)}, "training")
-    schedule = _build("training.", Schedule, **_present(training, "training", Schedule))
-    client = _build("training.", ClientConfig, **_present(training, "training", ClientConfig))
-
-    entries = root.get("strategies", [{"kind": "fedavg"}])
+    entries = raw.get("strategies", [{"kind": "fedavg"}])
     if not isinstance(entries, list) or not entries:
         raise ConfigError("strategies: expected a non-empty list")
     strategies: dict[str, AggregationStrategy] = {}
     for i, entry in enumerate(entries):
-        strategy = _parse_strategy(entry, f"strategies[{i}]")
+        (strategy,) = _section(entry, f"strategies[{i}]", AggregationStrategy)
         repeat = sum(s.kind == strategy.kind for s in strategies.values())
         strategies[f"{strategy.kind}_{repeat + 1}" if repeat else strategy.kind] = strategy
     return RunPlan(dataset, tuple(hidden), partition_spec, schedule, client, strategies)
@@ -391,7 +376,8 @@ def _number(path: str, index: int, row: dict, column: str) -> float | None:
             f"{path}: row {index}, column {column}: not a number: {text!r}") from None
 
 
-def _read_metrics_csv(path: str) -> list[dict]:
+def _summary_row(path: str) -> list:
+    """The summary of one metrics CSV, a cell per SUMMARY_COLUMNS entry."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -404,46 +390,29 @@ def _read_metrics_csv(path: str) -> list[dict]:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if not rows:
         raise ConfigError(f"{path}: metrics CSV has no rows")
-    return rows
+    last = len(rows)
+    final = rows[-1]
+    accs = [_number(path, i, r, "eval_acc_distributed") for i, r in enumerate(rows, 1)]
+    return [final["strategy"], final["round"], accs[-1],
+            _number(path, last, final, "eval_acc_averaged"), max(accs),
+            _number(path, last, final, "ratio"), _number(path, last, final, "integrated_norm")]
 
 
 def cmd_compare(args) -> int:
-    summary = []
-    for path in args.metrics:
-        rows = _read_metrics_csv(path)
-        last = len(rows)
-        final = rows[-1]
-        accs = [_number(path, i, r, "eval_acc_distributed") for i, r in enumerate(rows, 1)]
-        summary.append({
-            "strategy": final["strategy"],
-            "rounds": final["round"],
-            "final_acc": accs[-1],
-            "final_acc_averaged": _number(path, last, final, "eval_acc_averaged"),
-            "best_acc": max(accs),
-            "final_ratio": _number(path, last, final, "ratio"),
-            "integrated_norm": _number(path, last, final, "integrated_norm"),
-        })
-    header = (f"{'strategy':<14} {'rounds':>6} {'final_acc':>10} "
-              f"{'avg_acc':>10} {'best_acc':>10} {'N/E':>8} {'path_len':>10}")
+    summary = [_summary_row(path) for path in args.metrics]
+    header = " ".join(f"{heading:{width}}" for _, heading, width, _ in SUMMARY_COLUMNS)
     print(header)
     print("-" * len(header))
-    for s in summary:
-        avg = "" if s["final_acc_averaged"] is None else f"{s['final_acc_averaged']:.4f}"
-        ratio = "" if s["final_ratio"] is None else f"{s['final_ratio']:.4f}"
-        print(f"{s['strategy']:<14} {s['rounds']:>6} {s['final_acc']:>10.4f} "
-              f"{avg:>10} {s['best_acc']:>10.4f} {ratio:>8} "
-              f"{s['integrated_norm']:>10.3f}")
+    for row in summary:
+        print(" ".join(f"{'' if value is None else format(value, number):{width}}"
+                       for value, (_, _, width, number) in zip(row, SUMMARY_COLUMNS)))
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["strategy", "rounds", "final_acc", "final_acc_averaged",
-                             "best_acc", "final_ratio", "integrated_norm"])
-            for s in summary:
-                writer.writerow([
-                    s["strategy"], s["rounds"], _fmt(s["final_acc"]),
-                    _fmt(s["final_acc_averaged"]), _fmt(s["best_acc"]),
-                    _fmt(s["final_ratio"]), _fmt(s["integrated_norm"]),
-                ])
+            writer.writerow([name for name, *_ in SUMMARY_COLUMNS])
+            for row in summary:
+                writer.writerow([_fmt(value) if number else value
+                                 for value, (*_, number) in zip(row, SUMMARY_COLUMNS)])
     return 0
 
 

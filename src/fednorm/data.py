@@ -67,19 +67,25 @@ class Dataset:
 
     def __post_init__(self) -> None:
         inputs = np.asarray(self.inputs, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if inputs.ndim != 2 or labels.ndim != 1:
             raise ValueError("inputs must be 2-D and labels 1-D")
         if inputs.shape[0] != labels.shape[0]:
             raise ValueError(
                 f"{inputs.shape[0]} input rows vs {labels.shape[0]} labels"
             )
-        if self.class_count < 1:
-            raise ValueError("class_count must be positive")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.class_count):
-            raise ValueError(f"labels outside [0, {self.class_count})")
+        count = self.class_count
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"class_count must be an int >= 1, got {count!r}")
+        # before the cast to int64, which truncates a fraction, warns on NaN
+        # and parses a string; an infinite label fails the range check, also
+        # before the cast
+        if labels.dtype.kind not in "biuf" or not (np.trunc(labels) == labels).all():
+            raise ValueError("labels must be whole numbers")
+        if labels.size and (labels.min() < 0 or labels.max() >= count):
+            raise ValueError(f"labels outside [0, {count})")
         object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", np.asarray(labels, dtype=np.int64))
 
     def __len__(self) -> int:
         return int(self.labels.size)
@@ -110,18 +116,29 @@ class PartitionSpec:
 
 # IDX ingestion ---------------------------------------------------------------
 
-def _read_header(buf: bytes, path: Path, expect_magic: int, words: int) -> tuple[int, ...]:
-    need = 4 * (1 + words)
-    if len(buf) < need:
+def _read_idx(path: Path, magic: int, dims: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The `dims` sizes an IDX file's header declares after its magic, and
+    a uint8 view (no copy) of the payload that follows, their product
+    bytes long."""
+    buf = path.read_bytes()
+    header = 4 * (1 + dims)
+    if len(buf) < header:
         raise IdxTruncatedError(
-            f"{path}: header truncated at offset {len(buf)}, need {need} bytes"
+            f"{path}: header truncated at offset {len(buf)}, need {header} bytes"
         )
-    magic = struct.unpack_from(">I", buf, 0)[0]
-    if magic != expect_magic:
+    found = struct.unpack_from(">I", buf, 0)[0]
+    if found != magic:
         raise IdxMagicError(
-            f"{path}: bad magic 0x{magic:08x} at offset 0, expected 0x{expect_magic:08x}"
+            f"{path}: bad magic 0x{found:08x} at offset 0, expected 0x{magic:08x}"
         )
-    return struct.unpack_from(f">{words}I", buf, 4)
+    sizes = struct.unpack_from(f">{dims}I", buf, 4)
+    payload = math.prod(sizes)
+    if len(buf) < header + payload:
+        raise IdxTruncatedError(
+            f"{path}: payload truncated at offset {len(buf)}, expected "
+            f"{payload} bytes from offset {header}"
+        )
+    return sizes, np.frombuffer(buf, dtype=np.uint8, count=payload, offset=header)
 
 
 def load_idx(images_path: str | Path, labels_path: str | Path,
@@ -135,24 +152,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path,
     byte offsets on malformed input, checked over the whole files.
     """
     images_path, labels_path = Path(images_path), Path(labels_path)
-    ibuf = images_path.read_bytes()
-    count, rows, cols = _read_header(ibuf, images_path, IMAGES_MAGIC, 3)
-    payload = count * rows * cols
-    if len(ibuf) < 16 + payload:
-        raise IdxTruncatedError(
-            f"{images_path}: payload truncated at offset {len(ibuf)}, expected "
-            f"{payload} bytes from offset 16"
-        )
-    pixels = np.frombuffer(ibuf, dtype=np.uint8, count=payload, offset=16)
-
-    lbuf = labels_path.read_bytes()
-    (lcount,) = _read_header(lbuf, labels_path, LABELS_MAGIC, 1)
-    if len(lbuf) < 8 + lcount:
-        raise IdxTruncatedError(
-            f"{labels_path}: payload truncated at offset {len(lbuf)}, expected "
-            f"{lcount} bytes from offset 8"
-        )
-    labels = np.frombuffer(lbuf, dtype=np.uint8, count=lcount, offset=8)
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGES_MAGIC, 3)
+    (lcount,), labels = _read_idx(labels_path, LABELS_MAGIC, 1)
 
     if count != lcount:
         raise IdxCountError(

@@ -91,7 +91,7 @@ MUTANTS = [Mutant(*row) for row in [
     ("D1", "data.py", "buf) / x.size)", "buf) / (x.size - 1))", "the std is the population's"),
     ("D2", "data.py", "inputs -= mean", "inputs += mean", "normalize subtracts the mean"),
     ("D3", "data.py", "inputs /= 255.0", "inputs /= 256.0", "IDX pixels map to [0, 1]"),
-    ("D4", "data.py", "if len(ibuf) < 16 + payload:", "if len(ibuf) < 16:",
+    ("D4", "data.py", "if len(buf) < header + payload:", "if len(buf) < header:",
      "a truncated IDX payload is an IdxTruncatedError"),
     ("D5", "data.py", "if count != lcount:", "if count < lcount:",
      "an IDX count mismatch is an IdxCountError"),
@@ -102,12 +102,19 @@ MUTANTS = [Mutant(*row) for row in [
     ("D8", "data.py", "default_rng(epoch_seed)", "default_rng(0)", "batch order follows its seed"),
     ("D9", "data.py", "    rng = np.random.default_rng(seed)\n    # rank",
      "    rng = np.random.default_rng()\n    # rank", "the partition is seeded"),
-    ("D10", "data.py", "labels.max() >= self.class_count", "labels.max() > self.class_count",
+    ("D10", "data.py", "labels.max() >= count", "labels.max() > count",
      "labels lie below class_count"),
     ("D11", "data.py", "bool) or not isinstance(n, numbers.Integral) or n < 1",
      "bool) or n < 1", "a float blob count is rejected"),
     ("D12", "data.py", "order = rows[np.random", "order = np.arange(n)[np.random",
      "a batch gathers the client's rows"),
+    ("D13", "data.py", "count=payload, offset=header)", "count=payload, offset=16)",
+     "an IDX payload starts after its own file's header"),
+    ("D14", "data.py", "(np.trunc(labels) == labels)", "(labels == labels)",
+     "a label is a whole number"),
+    ("D15", "data.py", "not isinstance(count, numbers.Integral) or count < 1", "count < 1",
+     "class_count is an int"),
+    ("D16", "data.py", 'labels.dtype.kind not in "biuf" or ', "", "a string label is refused"),
     ("E1", "errors.py", "if kind is float and not math.isfinite(value):", "if False:",
      "a config float is finite"),
     ("E2", "errors.py", "if isinstance(value, bool) or not", "if not", "a bool is not a number"),
@@ -162,6 +169,12 @@ MUTANTS = [Mutant(*row) for row in [
      "a config error exits 2"),
     ("CLI7", "cli.py", 'ConfigError(f"{prefix}{exc}")', 'ConfigError(f"{exc}")',
      "an error names its config path"),
+    ("CLI8", "cli.py", "for key in value:\n", "for key in ():\n",
+     "an unknown config key is refused"),
+    ("CLI9", "cli.py", "if item is None:", "if False:", "YAML null is refused"),
+    ("CLI10", "cli.py", "if f.name not in value and", "if False and",
+     "a field with no default, a strategy's kind, is required"),
+    ("CLI11", "cli.py", "max(accs)", "accs[-1]", "compare's best_acc is the best round's"),
     ("I1", "__init__.py", "openblas_threads(1)\n", "\n", "importing fednorm pins BLAS"),
 ]]
 

@@ -200,6 +200,25 @@ def test_dataset_rejects_labels_outside_its_classes():
         with pytest.raises(ValueError, match=r"^labels outside \[0, 3\)$"):
             Dataset(np.zeros((2, 1)), np.array(labels), 3)
     assert len(Dataset(np.zeros((2, 1)), np.array([0, 2]), 3)) == 2
+    # a label is a whole number, refused before numpy's cast truncates it,
+    # warns on NaN or Inf, or parses a string
+    for labels, message in (([0.5, 1, 0], "labels must be whole numbers"),
+                            ([0, np.nan, 1], "labels must be whole numbers"),
+                            (["1", "0", "2"], "labels must be whole numbers"),
+                            ([np.inf, 0, 1], r"labels outside \[0, 3\)"),
+                            ([-np.inf, 0, 1], r"labels outside \[0, 3\)")):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match=f"^{message}$"):
+            Dataset(np.zeros((3, 2)), np.array(labels), 3)
+    train, _ = synth_split(3, 4, 2, 2, seed=0)
+    with pytest.raises(ValueError, match="whole numbers"):
+        Dataset(train.inputs, train.labels + 0.5, 3)
+    for labels in (np.array([0.0, 2.0]), np.array([0, 2], dtype=np.int32)):
+        assert Dataset(np.zeros((2, 1)), labels, 3).labels.tolist() == [0, 2]
+    assert Dataset(np.zeros((2, 1)), np.array([0, 2]), np.int64(3)).class_count == 3
+    # class_count is an int >= 1, by partition's test of clients
+    for count in (2.5, True, 0, 3.0):
+        with pytest.raises(ValueError, match=rf"^class_count must be an int >= 1, got {count!r}$"):
+            Dataset(np.zeros((2, 1)), np.array([0, 1]), count)
 
 
 # ------------------------------------------------------------- synthetic data
