@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
@@ -190,6 +191,17 @@ def parse_config(raw: dict) -> RunPlan:
     return RunPlan(dataset, tuple(hidden), partition_spec, schedule, client, strategies)
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, which also reads an exponent float with no dot
+    or an unsigned exponent (1e-3, 1.0e9: YAML 1.2's spelling, a string in
+    YAML 1.1) as a float; yaml.SafeLoader itself is left as it is."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
+
+
 def available_presets() -> list[str]:
     files = resources.files("fednorm.presets")
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".yaml"))
@@ -202,7 +214,7 @@ def load_preset(name: str) -> dict:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(available_presets())}"
         )
-    return yaml.safe_load(target.read_text())
+    return yaml.load(target.read_text(), _ConfigLoader)
 
 
 def load_config_file(path: str) -> dict:
@@ -213,7 +225,7 @@ def load_config_file(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc.reason}") from None
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, _ConfigLoader)
     except yaml.YAMLError as exc:
         # one line, not PyYAML's snippets: the problem, at the start of the
         # construct it broke when PyYAML names one, else where it was found
@@ -256,26 +268,25 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def write_metrics_csv(path: Path, label: str, metrics: list[RoundMetrics]) -> None:
-    with path.open("w", newline="") as fh:
+def _write_csv(path, header: list[str], rows) -> None:
+    """A CSV file of header, then rows; each float or None cell is written by _fmt."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRIC_COLUMNS)
-        for row in metrics:
-            writer.writerow([
-                row.round, label, _fmt(row.aggregate_norm),
-                _fmt(row.mean_local_norm), _fmt(row.ratio),
-                _fmt(row.integrated_norm), _fmt(row.step_norm),
-                _fmt(row.eval_acc_distributed), _fmt(row.eval_acc_averaged),
-            ])
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) if isinstance(cell, float | None) else cell for cell in row]
+                         for row in rows)
+
+
+def write_metrics_csv(path: Path, label: str, metrics: list[RoundMetrics]) -> None:
+    _write_csv(path, METRIC_COLUMNS, ([
+        row.round, label, row.aggregate_norm, row.mean_local_norm, row.ratio,
+        row.integrated_norm, row.step_norm, row.eval_acc_distributed, row.eval_acc_averaged,
+    ] for row in metrics))
 
 
 def write_layers_csv(path: Path, label: str, metrics: list[RoundMetrics]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LAYER_COLUMNS)
-        for row in metrics:
-            for name, agg, mean in row.per_layer:
-                writer.writerow([row.round, label, name, _fmt(agg), _fmt(mean)])
+    _write_csv(path, LAYER_COLUMNS, ([row.round, label, name, agg, mean]
+                                     for row in metrics for name, agg, mean in row.per_layer))
 
 
 def _numeric_environment() -> dict:
@@ -407,12 +418,7 @@ def cmd_compare(args) -> int:
         print(" ".join(f"{'' if value is None else format(value, number):{width}}"
                        for value, (_, _, width, number) in zip(row, SUMMARY_COLUMNS)))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([name for name, *_ in SUMMARY_COLUMNS])
-            for row in summary:
-                writer.writerow([_fmt(value) if number else value
-                                 for value, (*_, number) in zip(row, SUMMARY_COLUMNS)])
+        _write_csv(args.out, [name for name, *_ in SUMMARY_COLUMNS], summary)
     return 0
 
 

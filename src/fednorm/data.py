@@ -455,23 +455,18 @@ def _partition_noniid(ds: Dataset, spec: PartitionSpec, clients: int,
 # batching --------------------------------------------------------------------
 
 def batches(ds: Dataset, rows: np.ndarray, batch_size: int, epoch_seed,
-            out: tuple[np.ndarray, np.ndarray] | None = None,
-            ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(inputs, labels) pairs gathered from ds: a seeded shuffle of the row
-    indices `rows` (one client's part from `partition`) cut into consecutive
-    chunks of batch_size (the last may be short). The shuffle runs in this
-    call and each pair is gathered as the iterator reaches it, so an epoch
-    holds one batch at a time. epoch_seed is anything np.random.default_rng
+            out: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(inputs, labels) pairs gathered from ds into the leading rows of the
+    buffers `out` (see batch_buffers), which the next pair overwrites: a
+    seeded shuffle of the row indices `rows` (one client's part from
+    `partition`) cut into consecutive chunks of batch_size (the last may be
+    short). The shuffle runs in this call and each pair is gathered as the
+    iterator reaches it. epoch_seed is anything np.random.default_rng
     accepts; batch_size >= 1 comes from ClientConfig; empty rows give no
-    batches.
-
-    Each pair is a new pair of arrays, or, given `out` (see batch_buffers),
-    the leading rows of those buffers, which the next pair overwrites."""
+    batches."""
     n = len(rows)
     order = rows[np.random.default_rng(epoch_seed).permutation(n)]
     chunks = (order[i : i + batch_size] for i in range(0, n, batch_size))
-    if out is None:
-        return ((ds.inputs[idx], ds.labels[idx]) for idx in chunks)
     # mode="clip" writes straight into out ("raise" gathers into a buffer
     # and copies); every index is a row of ds, so no index is clipped
     return ((np.take(ds.inputs, idx, axis=0, out=out[0][: len(idx)], mode="clip"),

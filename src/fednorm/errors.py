@@ -62,8 +62,7 @@ def check_fields(config, **rules: tuple) -> None:
         if value is None and optional:
             continue
         if isinstance(value, bool) or not isinstance(value, _ADMITS.get(kind, kind)):
-            hint = _yaml_hint(value) if kind is float else ""
-            raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}{hint}")
+            raise ConfigError(f"{name}: expected {kind.__name__}, got {value!r}")
         if type(value) is not kind:
             value = kind(value)
             object.__setattr__(config, name, value)
@@ -71,26 +70,3 @@ def check_fields(config, **rules: tuple) -> None:
             raise ConfigError(f"{name}: {rules[name][1]}, got {value!r}")
         if kind is float and not math.isfinite(value):
             raise ConfigError(f"{name}: must be finite, got {value!r}")
-
-
-def _yaml_hint(value) -> str:
-    """For a string Python reads as a finite float with an exponent that
-    PyYAML reads as a string, a note of the spelling it reads as a float,
-    e.g. '1e6' -> '1.0e+6' (YAML 1.1 floats need a dot and a signed
-    exponent); '' for anything else, such as '0.7' or '1.5E-3', which YAML
-    reads as floats unless they are quoted."""
-    try:
-        if not isinstance(value, str) or not math.isfinite(float(value)):
-            return ""
-    except ValueError:
-        return ""
-    written = value.strip().lower()
-    mantissa, _, exponent = written.partition("e")
-    if "." not in mantissa:
-        mantissa += ".0"
-    if exponent and exponent[0] not in "+-":
-        exponent = "+" + exponent
-    spelling = f"{mantissa}e{exponent}"
-    if not exponent or spelling == written:
-        return ""
-    return f" (YAML reads this spelling as a string; write {spelling})"

@@ -175,6 +175,10 @@ MUTANTS = [Mutant(*row) for row in [
     ("CLI10", "cli.py", "if f.name not in value and", "if False and",
      "a field with no default, a strategy's kind, is required"),
     ("CLI11", "cli.py", "max(accs)", "accs[-1]", "compare's best_acc is the best round's"),
+    ("CLI12", "cli.py", '"tag:yaml.org,2002:float",', '"tag:yaml.org,2002:str",',
+     "a config file reads 1e-3 as a float"),
+    ("CLI13", "cli.py", "isinstance(cell, float | None)", "isinstance(cell, type(None))",
+     "every CSV float is written by _fmt"),
     ("I1", "__init__.py", "openblas_threads(1)\n", "\n", "importing fednorm pins BLAS"),
 ]]
 

@@ -12,13 +12,16 @@ left-to-right sums the norm kernel `squared_norms` must match bit for bit.
 `synth_blobs` is the one-shot draw that `synth_dataset` and `synth_split`
 make in place, block by block, and must match bit for bit. `paper_run` is
 a whole run written from the paper's equations in plain numpy, which
-`run_experiment` must match bit for bit. `cli_process`
-runs `fednorm` in a fresh process, and `kernel_digests` picks a golden
+`run_experiment` must match bit for bit. `write_idx` writes an IDX file,
+and `idx_dataset` the config section that reads four of them. `child_env`
+is the environment of a child process that imports this fednorm,
+`cli_process` runs `fednorm` in one, and `kernel_digests` picks a golden
 table's digests for the OpenBLAS kernel that runs.
 """
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -235,14 +238,36 @@ def paper_run(train, test, config):
     return metrics, w
 
 
+def write_idx(path, magic, array):
+    """An IDX file of uint8 array: magic, then each dimension as a
+    big-endian uint32, then the bytes."""
+    path.write_bytes(struct.pack(f">{1 + array.ndim}I", magic, *array.shape)
+                     + array.tobytes())
+
+
+def idx_dataset(directory, **fields) -> dict:
+    """The config's `dataset` section that reads the IDX files train-images,
+    train-labels, test-images and test-labels in directory, with fields added."""
+    return {"kind": "idx", "dir": str(directory), "train_images": "train-images",
+            "train_labels": "train-labels", "test_images": "test-images",
+            "test_labels": "test-labels", **fields}
+
+
+def child_env(**env) -> dict:
+    """This process's environment with the variables env added, and with the
+    source tree of the fednorm it imported first on PYTHONPATH, so that a
+    child process imports that fednorm too."""
+    src = str(Path(fednorm.__file__).resolve().parents[1])
+    return {**os.environ, **env,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def cli_process(*argv, flags=(), **env):
     """`fednorm *argv` in a fresh process, run by this interpreter with the
     options `flags` and the extra environment variables `env`, so that numpy
     warnings and tracebacks would reach its stderr; FEDNORM_DATA_DIR is
     unset."""
-    src = str(Path(fednorm.__file__).resolve().parents[1])
-    environ = {**os.environ, **env,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    environ = child_env(**env)
     environ.pop("FEDNORM_DATA_DIR", None)
     return subprocess.run([sys.executable, *flags, "-m", "fednorm.cli", *argv],
                           capture_output=True, text=True, env=environ, timeout=300)

@@ -8,7 +8,6 @@ this module takes a few seconds rather than milliseconds.
 
 import json
 import math
-import struct
 import time
 
 import numpy as np
@@ -31,7 +30,7 @@ from fednorm.cli import main as cli_main
 from fednorm.data import IdxCountError, IdxMagicError, IdxTruncatedError, load_idx
 from fednorm.nn import init_params
 from fednorm.params import l2_norm
-from oracles import backward, loss_and_accuracy, server_step
+from oracles import backward, loss_and_accuracy, server_step, write_idx
 
 
 def report(criterion: int, text: str) -> None:
@@ -300,8 +299,8 @@ def test_criterion_08_idx_parsing_and_distinct_failures(tmp_path):
     def pair(prefix, pixels, labels):
         ip = tmp_path / f"{prefix}i.idx"
         lp = tmp_path / f"{prefix}l.idx"
-        ip.write_bytes(struct.pack(">IIII", 0x803, len(labels), 2, 2) + bytes(pixels))
-        lp.write_bytes(struct.pack(">II", 0x801, len(labels)) + bytes(labels))
+        write_idx(ip, 0x803, np.array(pixels, np.uint8).reshape(len(labels), 2, 2))
+        write_idx(lp, 0x801, np.array(labels, np.uint8))
         return ip, lp
 
     ip, lp = pair("ok", list(range(8)), [1, 0])
@@ -320,7 +319,8 @@ def test_criterion_08_idx_parsing_and_distinct_failures(tmp_path):
     with pytest.raises(IdxTruncatedError, match="offset"):
         load_idx(short, lp)
 
-    _, fewer = pair("c", list(range(8)), [1])
+    fewer = tmp_path / "cl.idx"
+    write_idx(fewer, 0x801, np.array([1], np.uint8))
     with pytest.raises(IdxCountError, match="2.*1"):
         load_idx(ip, fewer)
     report(8, "IDX pair parsed; magic, truncation, and count failures raised "

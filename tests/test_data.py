@@ -5,7 +5,6 @@ truncation and count errors are also checked in test_acceptance.py
 (criterion 8), and every batch of a whole run in test_whole_run.py."""
 
 import math
-import struct
 import tracemalloc
 from collections import deque
 
@@ -37,17 +36,16 @@ from fednorm.data import (
 )
 from fednorm.errors import ConfigError
 from fednorm.nn import NetworkSpec, init_params
-from oracles import backward, loss_and_accuracy, sgd_step, synth_blobs
+from oracles import backward, loss_and_accuracy, sgd_step, synth_blobs, write_idx
 
 
 # ---------------------------------------------------------------- IDX fixtures
 
 def write_idx_pair(tmp_path, pixels, labels, rows=2, cols=2, prefix=""):
-    n = len(labels)
     ipath = tmp_path / f"{prefix}images.idx"
     lpath = tmp_path / f"{prefix}labels.idx"
-    ipath.write_bytes(struct.pack(">IIII", 0x00000803, n, rows, cols) + bytes(pixels))
-    lpath.write_bytes(struct.pack(">II", 0x00000801, n) + bytes(labels))
+    write_idx(ipath, 0x803, np.array(pixels, np.uint8).reshape(len(labels), rows, cols))
+    write_idx(lpath, 0x801, np.array(labels, np.uint8))
     return ipath, lpath
 
 
@@ -457,19 +455,22 @@ def test_partition_spec_validation():
 
 def test_batches_chunk_sizes():
     ds = synth_dataset(1, 7, 3, seed=0)
-    out = list(batches(ds, np.arange(7), 3, epoch_seed=4))
+    out = [(x.copy(), y.copy())
+           for x, y in batches(ds, np.arange(7), 3, epoch_seed=4, out=batch_buffers(ds, 3))]
     assert [len(labels) for _, labels in out] == [3, 3, 1]
     got = sorted(r.tobytes() for inputs, _ in out for r in inputs)
     assert got == sorted(r.tobytes() for r in ds.inputs)
 
 
 def test_batches_gathered_into_given_buffers():
-    """Given buffers, each pair is their leading rows, bitwise the pair
-    gathered into new arrays; the next pair overwrites it."""
+    """Each pair is the leading rows of the buffers, bitwise the rows of ds
+    that the seeded shuffle of rows puts in its chunk; the next pair
+    overwrites it."""
     ds = synth_dataset(3, 10, 5, seed=4)
     rows = np.array([29, 4, 17, 8, 0, 21, 13])
+    order = rows[np.random.default_rng(6).permutation(len(rows))]
+    want = [(ds.inputs[idx], ds.labels[idx]) for idx in (order[:3], order[3:6], order[6:])]
     buffers = batch_buffers(ds, 3)
-    want = list(batches(ds, rows, 3, epoch_seed=6))
     got = []
     for inputs, labels in batches(ds, rows, 3, epoch_seed=6, out=buffers):
         assert np.shares_memory(inputs, buffers[0]) and np.shares_memory(labels, buffers[1])
@@ -488,7 +489,7 @@ def test_batches_gather_one_batch_at_a_time():
     batch_bytes = 50 * (784 + 1) * 8
 
     def one_epoch():  # drops each pair before the next is gathered
-        deque(batches(ds, rows, 50, epoch_seed=3), maxlen=0)
+        deque(batches(ds, rows, 50, epoch_seed=3, out=batch_buffers(ds, 50)), maxlen=0)
     assert traced_peak(one_epoch) < 2 * batch_bytes
 
 

@@ -19,14 +19,13 @@ skips, naming the kernel.
 """
 
 import hashlib
-import struct
 
 import numpy as np
 import yaml
 
 from fednorm.cli import load_preset, main
 from fednorm.data import DATA_DIR_ENV
-from oracles import kernel_digests
+from oracles import idx_dataset, kernel_digests, write_idx
 
 DESK_QUICK_SHA256 = {
     "SkylakeX": {
@@ -268,13 +267,6 @@ IDX_SHA256 = {
 }
 
 
-def write_idx(path, magic, array):
-    """An IDX file of uint8 array: magic, then each dimension as a
-    big-endian uint32, then the bytes."""
-    path.write_bytes(struct.pack(f">{1 + array.ndim}I", magic, *array.shape)
-                     + array.tobytes())
-
-
 def write_idx_run(tmp_path):
     """A seeded 10-class IDX pair of 10x10 images (300 training, 100 test;
     row `label` of an image is brighter) and a config that reads the first
@@ -288,9 +280,7 @@ def write_idx_run(tmp_path):
         write_idx(tmp_path / f"{prefix}-images", 0x803, images)
         write_idx(tmp_path / f"{prefix}-labels", 0x801, labels)
     config = {
-        "dataset": {"kind": "idx", "dir": str(tmp_path), "train_limit": 240,
-                    "train_images": "train-images", "train_labels": "train-labels",
-                    "test_images": "test-images", "test_labels": "test-labels"},
+        "dataset": idx_dataset(tmp_path, train_limit=240),
         "network": {"hidden": [16]},
         "partition": {"label_mode": "noniid", "size_mode": "unbalanced",
                       "classes_per_client": 2},

@@ -7,13 +7,14 @@ in tests/mutants.py still edits one place of the source. Importing the CLI
 loads no numpy module it does not need yet, and no thread pool."""
 
 import ast
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from oracles import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "fednorm").glob("*.py"))
@@ -142,11 +143,9 @@ def test_every_mutant_edits_one_place_of_the_source():
 
 def loaded(code: str, module: str) -> bool:
     """Whether `module` is in sys.modules after a fresh interpreter runs code."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     probe = f"import sys\n{code}\nprint({module!r} in sys.modules)"
     return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, timeout=120, check=True).stdout.split()[-1] == "True"
+                          env=child_env(), timeout=120, check=True).stdout.split()[-1] == "True"
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

@@ -8,7 +8,6 @@ test_golden.py's WIDE_TRIMMED, and its digests that module's table.
 """
 
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -17,10 +16,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-import fednorm
 import fednorm.orchestrator as orchestrator
 from fednorm.cli import main
-from oracles import kernel_digests
+from oracles import child_env, kernel_digests
 from test_golden import WIDE_TRIMMED, WIDE_TRIMMED_SHA256, csv_digests
 
 PARAMS = 784 * 200 + 200 + 200 * 200 + 200 + 200 * 10 + 10
@@ -34,9 +32,7 @@ def run_cli(config: dict, out: Path, blas_threads: str | None,
             numpy_first: bool = False, args: tuple = ()) -> subprocess.CompletedProcess:
     path = out.parent / f"{out.name}.yaml"
     path.write_text(yaml.safe_dump(config))
-    src = str(Path(fednorm.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads

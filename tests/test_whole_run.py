@@ -9,7 +9,6 @@ AVX-512 machine checks every golden table's Haswell and Sandybridge entries
 too.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import fednorm
 from fednorm.aggregate import STRATEGY_KINDS, AggregationStrategy
 from fednorm.cli import load_data, parse_config
 from fednorm.client import ClientConfig
@@ -26,7 +24,7 @@ from fednorm.data import PartitionSpec, synth_split
 from fednorm.nn import NetworkSpec
 from fednorm.orchestrator import WEIGHT_MODES, ExperimentConfig, Schedule, run_experiment
 from fednorm.params import openblas_kernel
-from oracles import paper_run
+from oracles import child_env, paper_run
 from test_golden import DESK_QUICK_SHA256, WIDE_TRIMMED
 
 TRAIN, TEST = synth_split(3, 16, 8, 5, seed=7)
@@ -103,9 +101,6 @@ def forced_runs():
     """A process per kernel that can run, all started at once, each forced
     onto its kernel with OPENBLAS_CORETYPE and running the tests above and
     test_golden.py's; each prints the kernel it runs on first."""
-    src = str(Path(fednorm.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     this = Path(__file__).resolve()
     modules = [str(this), str(this.with_name("test_golden.py"))]
     script = ("import sys, pytest; from fednorm.params import openblas_kernel; "
@@ -119,7 +114,7 @@ def forced_runs():
                 runs[kernel] = subprocess.Popen(
                     [sys.executable, "-c", script], stdout=subprocess.PIPE,
                     stderr=subprocess.PIPE, text=True, cwd=this.parents[1],
-                    env={**env, "OPENBLAS_CORETYPE": kernel})
+                    env=child_env(OPENBLAS_CORETYPE=kernel))
         yield runs
     finally:
         for proc in runs.values():
